@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "shc/bits/bitstring.hpp"
 
@@ -16,6 +18,18 @@ int ceil_pow_frac(int m, int i, int k) {
   int x = 1;
   while (ipow(x, k) < target) ++x;
   return x;
+}
+
+/// Entry guard of the cut designers: Release builds compile assert
+/// out, and an unguarded k < 2 or n <= k indexes past the dynamic
+/// program's tables.  `capped` adds the n <= kMaxCubeDim bound that
+/// optimal_cuts' tables and every spec share.
+void require_design_args(const char* fn, int n, int k, bool capped) {
+  if (k >= 2 && n > k && (!capped || n <= kMaxCubeDim)) return;
+  throw std::invalid_argument(
+      std::string(fn) + ": need n > k >= 2" +
+      (capped ? " and n <= " + std::to_string(kMaxCubeDim) : std::string()) +
+      " (got n = " + std::to_string(n) + ", k = " + std::to_string(k) + ")");
 }
 
 /// Cost of one level: cross dimensions split among the Lemma-2 label
@@ -35,7 +49,7 @@ int theorem5_core(int n) noexcept {
 }
 
 std::vector<int> theorem7_cuts(int n, int k) {
-  assert(n > k && k >= 2);
+  require_design_args("theorem7_cuts", n, k, false);
   if (k == 2) return {theorem5_core(n)};
   const int m = n - k;
   std::vector<int> cuts(static_cast<std::size_t>(k) - 1);
@@ -70,7 +84,7 @@ int realized_max_degree(int n, const std::vector<int>& cuts) noexcept {
 }
 
 std::vector<int> optimal_cuts(int n, int k) {
-  assert(n > k && k >= 2 && n <= 63);
+  require_design_args("optimal_cuts", n, k, true);
   const int levels = k - 1;
   constexpr int kInf = std::numeric_limits<int>::max() / 4;
 
@@ -132,11 +146,16 @@ std::vector<int> optimal_cuts(int n, int k) {
 }
 
 SparseHypercubeSpec design_sparse_hypercube(int n, int k) {
+  require_design_args("design_sparse_hypercube", n, k, true);
   return SparseHypercubeSpec::construct(n, optimal_cuts(n, k));
 }
 
 SparseHypercubeSpec design_best_sparse_hypercube(int n, int k_max) {
-  assert(n > 2 && k_max >= 2);
+  if (n <= 2 || k_max < 2) {
+    throw std::invalid_argument(
+        "design_best_sparse_hypercube: need n > 2 and k_max >= 2 (got n = " +
+        std::to_string(n) + ", k_max = " + std::to_string(k_max) + ")");
+  }
   int best_degree = std::numeric_limits<int>::max();
   std::vector<int> best_cuts;
   for (int j = 2; j <= k_max && j < n; ++j) {

@@ -20,7 +20,9 @@
 //
 // Producers emit through the SymbolicRoundSink concept — the symbolic
 // channel of the streaming pipeline's RoundSink idea: begin_round(),
-// end_call_group() per group, end_round().  Two sinks ship in-tree:
+// end_call_group() per group, end_round().  Optional hooks a producer
+// detects and honors: aborted() (stop early) and informed_frontier()
+// (see InformedFrontierSink).  Two sinks ship in-tree:
 // SymbolicScheduleBuilder materializes a SymbolicSchedule (pattern
 // tables deduplicated per round); SymbolicBroadcastValidator
 // (symbolic_validator.hpp) certifies rounds as they stream by and keeps
@@ -57,6 +59,19 @@ concept SymbolicRoundSink =
       s.end_call_group(g, pattern);
       s.end_round();
     };
+
+/// Optional SymbolicRoundSink hook: a sink that keeps the run's
+/// informed set itself lends it read-only, so a broadcast producer can
+/// enumerate each round's callers from it instead of rebuilding the
+/// same multiset (emit_broadcast_rounds_symbolic detects this).  The
+/// sink may change the frontier only in end_round(), never between
+/// begin_round() and the round's last end_call_group().  Sinks without
+/// the hook (SymbolicScheduleBuilder, counting and forwarding sinks)
+/// leave the producer its own frontier.
+template <class S>
+concept InformedFrontierSink = requires(const S& s) {
+  { s.informed_frontier() } -> std::same_as<const SubcubeFrontier&>;
+};
 
 /// A materialized symbolic round: groups plus a deduplicated pattern
 /// table (groups reference patterns by index; pattern_off delimits the

@@ -459,6 +459,13 @@ class SymbolicBroadcastValidator {
 
   [[nodiscard]] bool aborted() const noexcept { return failed_; }
 
+  /// The informed multiset, lent read-only (InformedFrontierSink): it
+  /// changes only in end_round(), and the caller tiling checks the
+  /// groups against it whatever the producer walked.
+  [[nodiscard]] const SubcubeFrontier& informed_frontier() const noexcept {
+    return frontier_;
+  }
+
   // ---- results ---------------------------------------------------------
 
   /// Final verdict: the exact-cover endgame (occupancy consumption in

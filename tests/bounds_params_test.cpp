@@ -3,6 +3,10 @@
 // degrees to the published bounds across sweeps.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
 #include "shc/bits/bitstring.hpp"
 #include "shc/mlbg/bounds.hpp"
 #include "shc/mlbg/params.hpp"
@@ -92,6 +96,34 @@ TEST(Theorem5, SpecialCaseMEqualsLambdaStructure) {
     const int delta = realized_max_degree(n, {m});
     EXPECT_EQ(delta, 2 * m);
     EXPECT_LT(delta, 2 * ceil_root(n, 2) + 1);
+  }
+}
+
+TEST(Designers, RejectOutOfRangeArgumentsWithTypedExceptions) {
+  // Guards that survive Release builds: k < 2 or n <= k used to index
+  // past optimal_cuts' tables.
+  for (const auto& [n, k] : std::vector<std::pair<int, int>>{
+           {20, 1}, {20, 0}, {0, 2}, {0, 0}, {3, 3}, {2, 5}, {-4, 2}}) {
+    EXPECT_THROW(static_cast<void>(theorem7_cuts(n, k)), std::invalid_argument)
+        << n << "," << k;
+    EXPECT_THROW(static_cast<void>(optimal_cuts(n, k)), std::invalid_argument)
+        << n << "," << k;
+    EXPECT_THROW(static_cast<void>(design_sparse_hypercube(n, k)),
+                 std::invalid_argument)
+        << n << "," << k;
+  }
+  EXPECT_THROW(static_cast<void>(optimal_cuts(64, 3)), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(design_best_sparse_hypercube(20, 1)),
+               std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(design_best_sparse_hypercube(2, 4)),
+               std::invalid_argument);
+  try {
+    static_cast<void>(design_sparse_hypercube(20, 1));
+    ADD_FAILURE() << "design_sparse_hypercube(20, 1) did not throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "design_sparse_hypercube: need n > k >= 2 and n <= 63 "
+                 "(got n = 20, k = 1)");
   }
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -56,6 +57,36 @@ TEST(ServeEngine, MalformedLinesAnswerErrorRowsNotCrashes) {
   const std::string badspec = engine.handle_line(
       "{\"workload\":\"broadcast-symbolic\",\"n\":8,\"cuts\":[5,3]}");
   EXPECT_NE(badspec.find("\"ok\":false"), std::string::npos) << badspec;
+}
+
+TEST(ServeEngine, DesignArgumentsOutOfRangeAnswerErrorRows) {
+  // The cut designers guard n > k >= 2 with typed exceptions; these
+  // probes used to index past the designer's tables and crash.
+  ServeEngine engine{ServeOptions{}};
+  std::uint64_t probes = 0;
+  for (const char* workload :
+       {"broadcast-streaming", "broadcast-symbolic", "gossip-symbolic"}) {
+    for (const char* args : {"\"n\":20,\"k\":1", "\"n\":20,\"k\":0",
+                             "\"n\":0", "\"n\":0,\"k\":0", "\"n\":3,\"k\":3",
+                             "\"n\":2,\"k\":5", "\"n\":-4,\"k\":2"}) {
+      const std::string line = std::string("{\"workload\":\"") + workload +
+                               "\"," + args + "}";
+      const std::string row = engine.handle_line(line);
+      ++probes;
+      EXPECT_NE(row.find("\"ok\":false"), std::string::npos) << line << " -> " << row;
+      EXPECT_NE(row.find("\"error\":\"spec: design_sparse_hypercube: need n > k >= 2"),
+                std::string::npos)
+          << line << " -> " << row;
+      EXPECT_EQ(row.find("std::"), std::string::npos) << line << " -> " << row;
+      EXPECT_EQ(row.find("max_size()"), std::string::npos) << line << " -> " << row;
+    }
+  }
+  EXPECT_EQ(engine.stats().errors, probes);
+
+  // Still serving.
+  const std::string row = engine.handle_line(
+      "{\"workload\":\"broadcast-symbolic\",\"n\":20,\"k\":2}");
+  EXPECT_NE(row.find("\"ok\":true"), std::string::npos) << row;
 }
 
 TEST(ServeEngine, CacheHitReturnsByteIdenticalRow) {

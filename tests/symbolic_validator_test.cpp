@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "shc/mlbg/broadcast.hpp"
@@ -684,6 +686,182 @@ TEST(BudgetDiagnostics, LedgerBudgetMessageNamesRoundBudgetAndKnob) {
   EXPECT_EQ(rep.error,
             "round 3: collision analysis exceeded its budget (ledger bucket "
             "budget 0; raise SymbolicCheckOptions::ledger_budget_per_claim)");
+}
+
+// ---- one informed set per run ----------------------------------------
+
+static_assert(InformedFrontierSink<SymbolicBroadcastValidator<SpecView>>,
+              "the validator lends its informed frontier to the producer");
+static_assert(!InformedFrontierSink<SymbolicScheduleBuilder>,
+              "the builder keeps no frontier: the producer owns one");
+
+void expect_same_stats(const SymbolicRunStats& a, const SymbolicRunStats& b,
+                       const std::string& what) {
+  EXPECT_EQ(a.groups, b.groups) << what;
+  EXPECT_EQ(a.peak_round_groups, b.peak_round_groups) << what;
+  EXPECT_EQ(a.peak_frontier_subcubes, b.peak_frontier_subcubes) << what;
+  EXPECT_EQ(a.final_frontier_subcubes, b.final_frontier_subcubes) << what;
+  EXPECT_EQ(a.collision_candidates, b.collision_candidates) << what;
+  EXPECT_EQ(a.occupancy_claims, b.occupancy_claims) << what;
+  EXPECT_EQ(a.sampled_calls, b.sampled_calls) << what;
+  EXPECT_EQ(a.rounds_checked, b.rounds_checked) << what;
+  EXPECT_EQ(a.reduce_tree_tasks, b.reduce_tree_tasks) << what;
+}
+
+/// certify_broadcast_symbolic (the producer walks the validator's
+/// frontier) against building the schedule with the producer's own
+/// frontier and validating it afterwards: reports, validator stats and
+/// producer stats must all coincide.
+void expect_shared_matches_owned(const SparseHypercubeSpec& spec, Vertex source,
+                                 bool vertex_disjoint, int threads) {
+  const std::string what = "n=" + std::to_string(spec.n()) +
+                           " k=" + std::to_string(spec.k()) +
+                           " source=" + std::to_string(source) +
+                           " vd=" + std::to_string(vertex_disjoint) +
+                           " threads=" + std::to_string(threads);
+  ValidationOptions opt;
+  opt.k = spec.k();
+  opt.require_vertex_disjoint = vertex_disjoint;
+  SymbolicCheckOptions sopt;
+  sopt.threads = threads;
+
+  const auto shared = certify_broadcast_symbolic(spec, source, opt, sopt);
+
+  SymbolicScheduleBuilder builder(source, spec.n());
+  const SymbolicProducerStats owned_producer =
+      emit_broadcast_rounds_symbolic(spec, source, builder);
+  SymbolicRunStats owned_checks;
+  const auto owned_report = validate_broadcast_symbolic(
+      SpecView(spec), builder.schedule(), opt, sopt, &owned_checks);
+
+  expect_same_report(owned_report, shared.report, what.c_str());
+  EXPECT_TRUE(shared.report.ok) << what << ": " << shared.report.error;
+  expect_same_stats(owned_checks, shared.checks, what);
+  EXPECT_EQ(owned_producer.groups_emitted, shared.producer.groups_emitted) << what;
+  EXPECT_EQ(owned_producer.split_groups, shared.producer.split_groups) << what;
+  EXPECT_EQ(owned_producer.peak_frontier_subcubes,
+            shared.producer.peak_frontier_subcubes) << what;
+  EXPECT_EQ(owned_producer.final_frontier_subcubes,
+            shared.producer.final_frontier_subcubes) << what;
+}
+
+TEST(SharedFrontier, MatchesOwnedFrontierForAllNUpTo24AcrossK234) {
+  for (int n = 5; n <= 24; ++n) {
+    for (int k = 2; k <= 4; ++k) {
+      if (n <= k + 1) continue;
+      expect_shared_matches_owned(design_sparse_hypercube(n, k), 0, false, 1);
+    }
+  }
+}
+
+TEST(SharedFrontier, MatchesOwnedFrontierForSourcesCutsModelAndThreads) {
+  for (const auto& [n, cuts] : std::vector<std::pair<int, std::vector<int>>>{
+           {10, {3}}, {12, {3, 6}}, {13, {2, 5, 9}}, {16, {3, 7}}}) {
+    const auto spec = SparseHypercubeSpec::construct(n, cuts);
+    for (const Vertex source : {Vertex{0}, Vertex{1}, cube_order(n) - 1,
+                                Vertex{0x2A} & (cube_order(n) - 1)}) {
+      for (const bool vertex_disjoint : {false, true}) {
+        for (const int threads : {1, 2, 4}) {
+          expect_shared_matches_owned(spec, source, vertex_disjoint, threads);
+        }
+      }
+    }
+  }
+  for (const int threads : {1, 2, 4}) {
+    expect_shared_matches_owned(design_sparse_hypercube(20, 3), 5, true, threads);
+  }
+}
+
+/// Forwards every call to a validator but lends the producer a tampered
+/// copy of the validator's informed frontier from round `from_round` on:
+/// one entry dropped, or half of one entry listed a second time.
+class TamperingSink {
+ public:
+  enum class Tamper { kDrop, kDuplicate };
+
+  TamperingSink(SymbolicBroadcastValidator<SpecView>& inner, Tamper how,
+                std::uint64_t from_round)
+      : inner_(inner), how_(how), from_round_(from_round),
+        copy_(inner.informed_frontier().n()) {}
+
+  void begin_round() {
+    ++round_;
+    inner_.begin_round();
+  }
+  void end_call_group(const CallGroup& g, std::span<const Vertex> pattern) {
+    inner_.end_call_group(g, pattern);
+  }
+  void end_round() { inner_.end_round(); }
+  [[nodiscard]] bool aborted() const { return inner_.aborted(); }
+
+  [[nodiscard]] const SubcubeFrontier& informed_frontier() const {
+    const SubcubeFrontier& real = inner_.informed_frontier();
+    if (round_ < from_round_) return real;
+    copy_.clear();
+    bool tampered = false;
+    real.for_each([&](Vertex p, Vertex m, std::uint64_t mult) {
+      if (!tampered && m != 0) {
+        tampered = true;
+        if (how_ == Tamper::kDrop) return;
+        copy_.insert(p, m & (m - 1), mult);  // drop the lowest free bit
+      }
+      copy_.insert(p, m, mult);
+    });
+    EXPECT_TRUE(tampered) << "no multi-vertex entry to tamper with";
+    return copy_;
+  }
+
+ private:
+  SymbolicBroadcastValidator<SpecView>& inner_;
+  Tamper how_;
+  std::uint64_t from_round_;
+  std::uint64_t round_ = 0;
+  mutable SubcubeFrontier copy_;
+};
+
+static_assert(InformedFrontierSink<TamperingSink>);
+
+TEST(SharedFrontier, TamperedFrontierStillFailsTheCallerTiling) {
+  // The producer's choice of frontier never reaches the verdict: the
+  // validator tiles the groups against its own informed set.
+  const auto spec = design_sparse_hypercube(14, 3);
+  const SpecView view(spec);
+  ValidationOptions opt;
+  opt.k = spec.k();
+  for (const int threads : {1, 4}) {
+    SymbolicCheckOptions sopt;
+    sopt.threads = threads;
+    {
+      SymbolicBroadcastValidator<SpecView> validator(view, 0, opt, sopt);
+      TamperingSink sink(validator, TamperingSink::Tamper::kDrop, 4);
+      emit_broadcast_rounds_symbolic(spec, 0, sink);
+      const auto rep = validator.finish();
+      EXPECT_FALSE(rep.ok);
+      EXPECT_EQ(rep.error,
+                "round 4: callers do not tile the informed set (some informed "
+                "vertex places no call)");
+    }
+    {
+      SymbolicBroadcastValidator<SpecView> validator(view, 0, opt, sopt);
+      TamperingSink sink(validator, TamperingSink::Tamper::kDuplicate, 4);
+      emit_broadcast_rounds_symbolic(spec, 0, sink);
+      const auto rep = validator.finish();
+      EXPECT_FALSE(rep.ok);
+      EXPECT_EQ(rep.error,
+                "round 4: caller group outside the informed set (uninformed "
+                "caller or a vertex calling twice)");
+    }
+  }
+}
+
+TEST(SharedFrontier, SinkFrontierMustStartAtTheSource) {
+  const auto spec = design_sparse_hypercube(10, 2);
+  const SpecView view(spec);
+  ValidationOptions opt;
+  opt.k = spec.k();
+  SymbolicBroadcastValidator<SpecView> validator(view, 3, opt);
+  EXPECT_THROW(emit_broadcast_rounds_symbolic(spec, 5, validator),
+               std::invalid_argument);
 }
 
 TEST(SymbolicStats, GroupCompressionIsPolynomialWhileCallsAreExponential) {
