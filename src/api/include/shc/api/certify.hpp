@@ -89,8 +89,8 @@ struct CertifyRequest {
   /// exponential; larger n silently skips, mirroring shc_sweep).
   bool with_congestion = false;
 
-  /// Shared engine knobs: threads / borrowed pool, collision mode,
-  /// ledger + sweep budgets, sampling.  `checks.threads` also drives
+  /// Shared engine knobs: threads / borrowed pool, occupancy-ledger
+  /// budgets, sampling.  `checks.threads` also drives
   /// the streaming validator's worker count.
   CommonCheckOptions checks;
 };

@@ -221,13 +221,11 @@ std::string to_json_row(const CertifyResult& res) {
          << ",\"groups\":" << res.checks.groups
          << ",\"peak_frontier_subcubes\":" << res.checks.peak_frontier_subcubes
          << ",\"peak_round_groups\":" << res.checks.peak_round_groups
-         << ",\"collision_candidates\":" << res.checks.collision_candidates
          << ",\"occupancy_claims\":" << res.checks.occupancy_claims
          << ",\"sampled_calls\":" << res.checks.sampled_calls
          << ",\"rounds_checked\":" << res.checks.rounds_checked
          << ",\"union_cache_hits\":" << res.checks.union_cache_hits
          << ",\"union_cache_misses\":" << res.checks.union_cache_misses
-         << ",\"reduce_tree_tasks\":" << res.checks.reduce_tree_tasks
          << ",\"seconds\":" << res.seconds;
       if (!res.report.ok) {
         os << ",\"error\":\"" << json_escape(res.report.error) << '"';
@@ -260,8 +258,6 @@ std::string to_json_row(const CertifyResult& res) {
          << ",\"peak_knowledge_subcubes\":"
          << res.gossip_checks.classes.peak_knowledge_subcubes
          << ",\"unions\":" << res.gossip_checks.classes.unions_computed
-         << ",\"collision_candidates\":"
-         << res.gossip_checks.collision_candidates
          << ",\"occupancy_claims\":" << res.gossip_checks.occupancy_claims
          << ",\"sampled_calls\":" << res.gossip_checks.sampled_calls
          << ",\"rounds_checked\":" << res.gossip_checks.rounds_checked

@@ -6,6 +6,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -22,6 +23,12 @@ namespace {
 // arrays, strings, numbers, booleans, null).  Malformed input produces
 // an error message, never UB: the server's contract is that every bad
 // line becomes a structured error row.
+
+/// Deepest container nesting a line may use.  A request is an object
+/// whose only nested value is the `cuts` array, so depth 2 admits every
+/// valid request; deeper lines are refused before the recursive descent
+/// can exhaust the stack.
+constexpr int kMaxJsonDepth = 2;
 
 struct JsonValue {
   enum Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -74,8 +81,15 @@ class JsonParser {
   bool parse_value(JsonValue* out) {
     if (i_ >= s_.size()) return fail("unexpected end of input");
     const char c = s_[i_];
-    if (c == '{') return parse_object(out);
-    if (c == '[') return parse_array(out);
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxJsonDepth) {
+        return fail("nesting deeper than " + std::to_string(kMaxJsonDepth));
+      }
+      ++depth_;
+      const bool ok = c == '{' ? parse_object(out) : parse_array(out);
+      --depth_;
+      return ok;
+    }
     if (c == '"') {
       out->kind = JsonValue::kString;
       return parse_string(&out->str);
@@ -223,6 +237,7 @@ class JsonParser {
 
   const std::string& s_;
   std::size_t i_ = 0;
+  int depth_ = 0;
   std::string err_;
 };
 
@@ -261,6 +276,14 @@ bool integral(const JsonValue& v, long long* out) {
   if (v.num != std::floor(v.num) || std::abs(v.num) > 9.0e15) return false;
   *out = static_cast<long long>(v.num);
   return true;
+}
+
+/// Whether an integral() value survives narrowing to int — checked
+/// before every int field is stored, so 2^32 + 20 is refused instead of
+/// wrapping to 20.
+bool fits_int(long long v) {
+  return v >= std::numeric_limits<int>::min() &&
+         v <= std::numeric_limits<int>::max();
 }
 
 }  // namespace
@@ -335,10 +358,12 @@ std::string ServeEngine::handle_line(const std::string& line) {
         saw_workload = true;
       } else if (key == "n") {
         if (!integral(val, &num)) { p.error = "n must be an integer"; break; }
+        if (!fits_int(num)) { p.error = "n out of range"; break; }
         p.req.n = static_cast<int>(num);
         saw_n = true;
       } else if (key == "k") {
         if (!integral(val, &num)) { p.error = "k must be an integer"; break; }
+        if (!fits_int(num)) { p.error = "k out of range"; break; }
         p.req.k = static_cast<int>(num);
       } else if (key == "cuts") {
         if (val.kind != JsonValue::kArray) {
@@ -347,6 +372,7 @@ std::string ServeEngine::handle_line(const std::string& line) {
         }
         for (const JsonValue& c : val.arr) {
           if (!integral(c, &num)) { p.error = "cuts must be an array of integers"; break; }
+          if (!fits_int(num)) { p.error = "cuts entry out of range"; break; }
           p.req.cuts.push_back(static_cast<int>(num));
         }
         if (!p.error.empty()) break;
@@ -370,6 +396,7 @@ std::string ServeEngine::handle_line(const std::string& line) {
           p.error = "threads must be an integer >= 1";
           break;
         }
+        if (!fits_int(num)) { p.error = "threads out of range"; break; }
         p.req.checks.threads = static_cast<int>(num);
       } else if (key == "congestion") {
         if (val.kind != JsonValue::kBool) { p.error = "congestion must be a boolean"; break; }

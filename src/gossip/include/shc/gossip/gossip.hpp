@@ -22,7 +22,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <random>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -54,11 +53,6 @@ struct GossipReport {
   /// exchanges and refuses with an explicit error beyond that, rather
   /// than wrapping.
   std::uint64_t total_exchanges = 0;
-
-  /// 0 for the exact validator.  For validate_gossip_sampled: how many
-  /// token columns were tracked — `complete` then means "every sampled
-  /// token reached every vertex", a spot check, not a proof.
-  std::uint64_t sampled_tokens = 0;
 
   /// Bit-for-bit comparability: the symbolic gossip validator is
   /// required (and tested) to reproduce the exact validator's report on
@@ -108,12 +102,12 @@ class KnowledgeMatrix {
   std::vector<std::uint64_t> bits_;
 };
 
-/// Per-round structural clauses shared by the exact and sampled gossip
-/// validators: call shape, length <= k, endpoint uniqueness (a vertex
+/// Per-round structural clauses shared by the exact gossip validator
+/// and the symbolic engine's sampled concrete replay: call shape, length <= k, endpoint uniqueness (a vertex
 /// joins at most one exchange), path range checks, edge existence, and
 /// edge-disjointness.  Returns the error message (round prefix
 /// included) or an empty string; updates `max_call_length`.  Keeping
-/// one copy means a hardening fix cannot silently miss one validator.
+/// one copy means a hardening fix cannot silently miss one engine.
 template <class Net>
 [[nodiscard]] std::string check_gossip_round_structure(
     const Net& net, const FlatSchedule::RoundView& round, int k,
@@ -188,8 +182,8 @@ template <AdjacencyOracle Net>
   if (order > (std::uint64_t{1} << 13)) {
     return fail("network order " + std::to_string(order) +
                 " exceeds the gossip validator limit 2^13 (exact knowledge "
-                "tracking costs N^2 bits); use validate_gossip_sampled for "
-                "a seeded spot check at scale");
+                "tracking costs N^2 bits); use certify_gossip_symbolic to "
+                "certify at scale");
   }
 
   detail::KnowledgeMatrix know(order);
@@ -217,94 +211,6 @@ template <AdjacencyOracle Net>
   return rep;
 }
 
-/// Sampled-knowledge gossip validation — the documented escape hatch
-/// past the exact validator's N <= 2^13 wall.  Token reach sets evolve
-/// independently (token t's holders after an exchange (a, b) depend
-/// only on t's holders before), so the validator tracks `samples`
-/// seeded random token columns exactly — N bits each instead of N^2 —
-/// and re-runs the full structural per-round checks (path validity,
-/// edge-disjointness, endpoint-uniqueness) over every call.  A report
-/// with ok == true certifies the structure completely but completion
-/// only for the sampled tokens (rep.sampled_tokens records how many);
-/// the full streamed gossip checker remains a ROADMAP item.
-/// Pre: N <= 2^32; memory is samples * N / 8 bytes of reach bitmaps.
-template <AdjacencyOracle Net>
-[[nodiscard]] GossipReport validate_gossip_sampled(const Net& net,
-                                                   const GossipSchedule& schedule,
-                                                   int k, std::uint64_t samples,
-                                                   std::uint64_t seed = 0x5eedULL) {
-  GossipReport rep;
-  const std::uint64_t order = net.num_vertices();
-  auto fail = [&](std::string msg) {
-    rep.ok = false;
-    rep.error = std::move(msg);
-    return rep;
-  };
-  if (order > (std::uint64_t{1} << 32)) {
-    return fail("network order " + std::to_string(order) +
-                " exceeds the sampled gossip validator limit 2^32");
-  }
-  if (samples == 0) return fail("sampled gossip validation needs samples >= 1");
-  samples = std::min(samples, order);
-  rep.sampled_tokens = samples;
-
-  // Seeded distinct token sample (exhaustive when samples == order).
-  std::vector<Vertex> tokens;
-  std::unordered_set<Vertex> seen;
-  std::mt19937_64 rng(seed);
-  if (samples == order) {
-    tokens.reserve(static_cast<std::size_t>(order));
-    for (Vertex t = 0; t < order; ++t) tokens.push_back(t);
-  } else {
-    while (tokens.size() < samples) {
-      const Vertex t = rng() % order;
-      if (seen.insert(t).second) tokens.push_back(t);
-    }
-  }
-  std::vector<detail::VertexSet> reach;
-  reach.reserve(tokens.size());
-  for (const Vertex t : tokens) {
-    reach.emplace_back(order);
-    reach.back().insert(t);
-  }
-
-  std::unordered_set<detail::EdgeKey, detail::EdgeKeyHash> round_edges;
-  std::unordered_set<Vertex> round_endpoints;
-  for (int t = 0; t < schedule.num_rounds(); ++t) {
-    ++rep.rounds;
-    const FlatSchedule::RoundView round = schedule.round(t);
-    std::string err = detail::check_gossip_round_structure(
-        net, round, k, t + 1, rep.max_call_length, rep.total_exchanges,
-        round_edges, round_endpoints);
-    if (!err.empty()) return fail(std::move(err));
-    for (const FlatSchedule::CallView call : round) {
-      const Vertex a = call.caller();
-      const Vertex b = call.receiver();
-      for (detail::VertexSet& r : reach) {
-        if (r.contains(a) || r.contains(b)) {
-          r.insert(a);
-          r.insert(b);
-        }
-      }
-    }
-  }
-
-  rep.complete = true;
-  for (const detail::VertexSet& r : reach) {
-    if (r.size() != order) {
-      rep.complete = false;
-      break;
-    }
-  }
-  if (!rep.complete) {
-    return fail("gossip incomplete after all rounds (sampled token not "
-                "everywhere)");
-  }
-  rep.ok = true;
-  rep.minimum_time = rep.rounds == ceil_log2(order);
-  return rep;
-}
-
 /// Dimension-exchange gossip on the full Q_n: round t pairs every vertex
 /// with its neighbor across dimension n-t+1.  n rounds, k = 1, optimal.
 /// Materializes n * 2^(n-1) concrete exchanges; throws
@@ -319,8 +225,7 @@ template <AdjacencyOracle Net>
 /// 2n rounds, calls of length <= spec.k().  Materializes 2 * (2^n - 1)
 /// concrete exchanges; throws std::invalid_argument unless
 /// spec.n() <= 20 (the exact validator stops at 2^13 vertices anyway —
-/// beyond the wall, certify symbolically with certify_gossip_symbolic
-/// or spot-check with validate_gossip_sampled).
+/// beyond the wall, certify symbolically with certify_gossip_symbolic).
 [[nodiscard]] GossipSchedule sparse_gather_broadcast_gossip(
     const SparseHypercubeSpec& spec, Vertex root);
 

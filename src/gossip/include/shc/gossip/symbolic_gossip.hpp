@@ -1,8 +1,7 @@
 // Symbolic gossip — certifying all-to-all exchange past the 2^13 wall.
 //
-// The exact gossip validator tracks N^2 knowledge bits (N <= 2^13) and
-// the sampled validator only spot-checks token columns.  The symbolic
-// engine certifies gossip completion *algebraically* on the same
+// The exact gossip validator tracks N^2 knowledge bits (N <= 2^13).  The
+// symbolic engine certifies gossip completion *algebraically* on the same
 // subcube-batched CallGroup rounds the broadcast engine uses, via two
 // cooperating layers:
 //
@@ -13,10 +12,8 @@
 //     (gossip's endpoint-uniqueness rule — in an exchange both ends
 //     "receive") and concurrent multi-hop groups must be edge-disjoint.
 //     Both disjointness clauses consume the dyadic occupancy ledger
-//     (sim/occupancy_ledger.hpp) by default — O(total pieces * n) with
-//     exact double-claim witnesses — with the original volume-sweep
-//     candidate analysis behind SymbolicGossipOptions::collision_mode
-//     for parity testing;
+//     (sim/occupancy_ledger.hpp) — O(total pieces * n) with exact
+//     double-claim witnesses;
 //   * knowledge (sim/knowledge_classes.hpp): vertices partition into
 //     classes of equal *relative* knowledge; a group's exchange pairs
 //     caller u with u ^ delta, both sides absorb the union of the two
@@ -69,11 +66,10 @@ namespace shc {
 
 /// Knobs of the symbolic gossip checks (safe defaults; caps fail
 /// explicitly instead of thrashing on adversarial input).  The
-/// sampling, collision, and threading knobs shared with the broadcast
-/// engine live in the CommonCheckOptions base (check_options.hpp) —
-/// the inherited spellings (`sopt.threads`, `sopt.collision_mode`,
-/// ...) are the documented aliases and keep compiling unchanged; only
-/// the gossip-specific knobs are declared here.
+/// sampling, ledger-budget, and threading knobs shared with the
+/// broadcast engine live in the CommonCheckOptions base
+/// (check_options.hpp); only the gossip-specific knobs are declared
+/// here.
 struct SymbolicGossipOptions : CommonCheckOptions {
   /// Budgets and caps of the knowledge-class partition.
   KnowledgeClassOptions classes;
@@ -85,7 +81,6 @@ struct SymbolicGossipOptions : CommonCheckOptions {
 struct SymbolicGossipStats {
   std::uint64_t groups = 0;            ///< call groups consumed
   std::uint64_t peak_round_groups = 0;
-  std::uint64_t collision_candidates = 0;  ///< pairs given exact edge analysis
   std::uint64_t occupancy_claims = 0;  ///< subcubes consumed by the ledger
   std::uint64_t sampled_calls = 0;     ///< concrete exchanges replayed
   std::uint64_t rounds_checked = 0;  ///< rounds that passed every per-round clause
@@ -137,7 +132,6 @@ class SymbolicGossipValidator {
     round_.group_pattern.clear();
     round_.pattern_pool.clear();
     round_.pattern_off.assign(1, 0);
-    volumes_.clear();
     endpoints_.clear();
     exchanges_.clear();
     round_multihop_ = false;
@@ -148,11 +142,9 @@ class SymbolicGossipValidator {
     // `where` is built lazily (round_where()): this method is the
     // per-group hot path and the prefix is only read on failure.
 
-    Vertex span_mask = 0;
     int length = 0;
     if (std::string msg = detail::check_symbolic_call_group(
-            *net_, n_, k_, /*vertex_disjoint=*/false, g, pattern, span_mask,
-            length);
+            *net_, n_, k_, /*vertex_disjoint=*/false, g, pattern, length);
         !msg.empty()) {
       return fail(round_where() + msg);
     }
@@ -184,10 +176,6 @@ class SymbolicGossipValidator {
                                pattern.end());
     round_.pattern_off.push_back(
         static_cast<std::uint32_t>(round_.pattern_pool.size()));
-    if (sopt_.collision_mode == CollisionMode::kPairSweep) {
-      volumes_.push_back(
-          Subcube{g.prefix & ~span_mask, g.free_mask | span_mask});
-    }
     endpoints_.push_back(g.callers());
     endpoints_.push_back(Subcube{g.prefix ^ delta, g.free_mask});
     exchanges_.push_back({g.callers(), delta});
@@ -281,45 +269,26 @@ class SymbolicGossipValidator {
   /// endpoints, so the 2R endpoint subcubes of a round must be pairwise
   /// disjoint.  (Within one group the two cubes are disjoint by
   /// delta != 0 outside the free mask, so any reported overlap is a
-  /// genuine violation.)  Ledger mode consumes the endpoint subcubes
-  /// into one occupancy family; pair-sweep mode keeps the original
-  /// candidate enumeration.  Identical verdicts and messages.
+  /// genuine violation.)  The endpoint subcubes are consumed into one
+  /// occupancy family.
   bool check_endpoint_uniqueness(const std::string& where) {
-    if (sopt_.collision_mode == CollisionMode::kLedger) {
-      occupancy_.clear();
-      for (std::size_t ei = 0; ei < endpoints_.size(); ++ei) {
-        occupancy_.claim(1, endpoints_[ei].prefix, endpoints_[ei].mask,
-                         static_cast<std::uint32_t>(ei / 2));
-      }
-      saturating_acc_u64(stats_.occupancy_claims, occupancy_.num_claims());
-      const OccupancyOutcome out =
-          occupancy_.check(pool_, sopt_.ledger_budget_per_claim,
-                           sopt_.ledger_bucket_budget_base);
-      if (out.status == OccupancyStatus::kBudgetExceeded) {
-        fail(where + "endpoint disjointness analysis exceeded its budget "
-                     "(ledger bucket budget " +
-             std::to_string(out.budget) +
-             "; raise SymbolicGossipOptions::ledger_budget_per_claim)");
-        return false;
-      }
-      if (out.status == OccupancyStatus::kDoubleClaim) {
-        fail(where + "a vertex takes part in two exchanges "
-                     "(endpoint subcubes overlap)");
-        return false;
-      }
-      return true;
+    occupancy_.clear();
+    for (std::size_t ei = 0; ei < endpoints_.size(); ++ei) {
+      occupancy_.claim(1, endpoints_[ei].prefix, endpoints_[ei].mask,
+                       static_cast<std::uint32_t>(ei / 2));
     }
-    const auto pairs = find_overlapping_pairs(
-        endpoints_, sopt_.collision_budget, sopt_.max_collision_pairs);
-    if (!pairs) {
+    saturating_acc_u64(stats_.occupancy_claims, occupancy_.num_claims());
+    const OccupancyOutcome out =
+        occupancy_.check(pool_, sopt_.ledger_budget_per_claim,
+                         sopt_.ledger_bucket_budget_base);
+    if (out.status == OccupancyStatus::kBudgetExceeded) {
       fail(where + "endpoint disjointness analysis exceeded its budget "
-                   "(node budget " +
-           std::to_string(sopt_.collision_budget) +
-           "; raise SymbolicGossipOptions::collision_budget or switch to "
-           "CollisionMode::kLedger)");
+                   "(ledger bucket budget " +
+           std::to_string(out.budget) +
+           "; raise SymbolicGossipOptions::ledger_budget_per_claim)");
       return false;
     }
-    if (!pairs->empty()) {
+    if (out.status == OccupancyStatus::kDoubleClaim) {
       fail(where + "a vertex takes part in two exchanges "
                    "(endpoint subcubes overlap)");
       return false;
@@ -327,47 +296,24 @@ class SymbolicGossipValidator {
     return true;
   }
 
-  /// Per-round edge disjointness, dispatched on the configured mode.
+  /// Per-round edge disjointness: every hop's edge subcube is claimed
+  /// into the family of its flip dimension.
   bool check_edge_collisions(const std::string& where) {
-    if (sopt_.collision_mode == CollisionMode::kLedger) {
-      occupancy_.clear();
-      detail::claim_round_edge_subcubes(round_, occupancy_);
-      saturating_acc_u64(stats_.occupancy_claims, occupancy_.num_claims());
-      const OccupancyOutcome out =
-          occupancy_.check(pool_, sopt_.ledger_budget_per_claim,
-                           sopt_.ledger_bucket_budget_base);
-      if (out.status == OccupancyStatus::kBudgetExceeded) {
-        fail(where + "collision analysis exceeded its budget (ledger bucket "
-                     "budget " +
-             std::to_string(out.budget) +
-             "; raise SymbolicGossipOptions::ledger_budget_per_claim)");
-        return false;
-      }
-      if (out.status == OccupancyStatus::kDoubleClaim) {
-        fail(where + "edge collision between concurrent call groups");
-        return false;
-      }
-      return true;
-    }
-    const auto pairs = find_overlapping_pairs(volumes_, sopt_.collision_budget,
-                                              sopt_.max_collision_pairs);
-    if (!pairs) {
-      fail(where + "collision analysis exceeded its budget (node budget " +
-           std::to_string(sopt_.collision_budget) +
-           "; raise SymbolicGossipOptions::collision_budget or switch to "
-           "CollisionMode::kLedger)");
+    occupancy_.clear();
+    detail::claim_round_edge_subcubes(round_, occupancy_);
+    saturating_acc_u64(stats_.occupancy_claims, occupancy_.num_claims());
+    const OccupancyOutcome out =
+        occupancy_.check(pool_, sopt_.ledger_budget_per_claim,
+                         sopt_.ledger_bucket_budget_base);
+    if (out.status == OccupancyStatus::kBudgetExceeded) {
+      fail(where + "collision analysis exceeded its budget (ledger bucket "
+                   "budget " +
+           std::to_string(out.budget) +
+           "; raise SymbolicGossipOptions::ledger_budget_per_claim)");
       return false;
     }
-    saturating_acc_u64(stats_.collision_candidates, pairs->size());
-    const auto failure = detail::first_failure(
-        pool_, pairs->size(), [&](std::size_t i) {
-          const auto& [a, b] = (*pairs)[i];
-          return detail::symbolic_pair_collision_msg(
-              round_.groups[a], pattern_of(a), round_.groups[b], pattern_of(b),
-              /*vertex_disjoint=*/false);
-        });
-    if (failure) {
-      fail(where + failure->second);
+    if (out.status == OccupancyStatus::kDoubleClaim) {
+      fail(where + "edge collision between concurrent call groups");
       return false;
     }
     return true;
@@ -433,9 +379,8 @@ class SymbolicGossipValidator {
   // Round-local group storage: one recycled SymbolicRound (patterns
   // pooled in its 32-bit-offset layout; no deduplication needed here).
   SymbolicRound round_;
-  std::vector<Subcube> volumes_;  ///< kPairSweep mode only
   std::vector<Subcube> endpoints_;
-  OccupancyLedger occupancy_;     ///< kLedger mode
+  OccupancyLedger occupancy_;  ///< endpoint and edge disjointness
   std::vector<KnowledgeClassPartition::Exchange> exchanges_;
   bool round_multihop_ = false;
 

@@ -35,15 +35,14 @@
 //   |   certify_exchange_gossip_symbolic  |        | on the full Q_n     |
 //
 //   Gossip validators: validate_gossip (exact, N <= 2^13, N^2 knowledge
-//   bits) / validate_gossip_sampled (N <= 2^32, seeded token columns) /
-//   certify_gossip_symbolic (N <= 2^63, algebraic certification).
+//   bits) / certify_gossip_symbolic (N <= 2^63, algebraic
+//   certification).
 //
-// Shared engine knobs (threads, borrowed WorkerPool, collision mode,
-// ledger/sweep budgets, sampling) live in CommonCheckOptions
+// Shared engine knobs (threads, borrowed WorkerPool, occupancy-ledger
+// budgets, sampling) live in CommonCheckOptions
 // (shc/sim/check_options.hpp), inherited by both SymbolicCheckOptions
 // and SymbolicGossipOptions.  Every engine's report is bit-for-bit
-// identical across thread counts, collision modes, and borrowed vs.
-// owned pools.
+// identical across thread counts and borrowed vs. owned pools.
 //
 // Lower-level tour, for callers that need engine internals directly:
 //   SparseHypercubeSpec::construct_base(n, m)  — the paper's k = 2 graph

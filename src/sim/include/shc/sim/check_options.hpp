@@ -3,12 +3,11 @@
 //
 // The broadcast validator (SymbolicCheckOptions) and the gossip
 // validator (SymbolicGossipOptions) grew the same set of sampling,
-// collision and threading knobs independently; the copies drifted only
-// in their doc comments, never in meaning.  CommonCheckOptions is the
-// single home for those fields: both option structs inherit it, so the
-// old spellings (`sopt.threads`, `sopt.collision_mode`, ...) keep
-// compiling unchanged — the inherited members ARE the documented
-// aliases for this release.  shc_lint's duplicate-knob rule forbids
+// ledger-budget and threading knobs independently; the copies drifted
+// only in their doc comments, never in meaning.  CommonCheckOptions is
+// the single home for those fields: both option structs inherit it, so
+// the spellings (`sopt.threads`, `sopt.ledger_budget_per_claim`, ...)
+// are the same on both engines.  shc_lint's duplicate-knob rule forbids
 // re-declaring any of these names as members elsewhere in src/.
 //
 // A new addition over the historical copies: `pool` lets a caller lend
@@ -18,10 +17,7 @@
 // contract is unchanged: reports are bit-for-bit identical for every
 // thread count and for borrowed vs. owned pools.
 
-#include <cstddef>
 #include <cstdint>
-
-#include "shc/sim/occupancy_ledger.hpp"
 
 namespace shc {
 
@@ -39,15 +35,10 @@ struct CommonCheckOptions {
   std::uint64_t sample_calls_per_group = 4;
   std::uint64_t sample_seed = 0x5eedULL;
 
-  /// How per-round concurrent disjointness is proved.  kLedger (the
-  /// default) consumes every claimed subcube into a dyadic occupancy
-  /// ledger — cost O(total pieces * n), which is what certifies the
-  /// paper's designed n = 63 (m = 10) construction.  kPairSweep keeps
-  /// the original volume sweep + exact analysis per candidate pair for
-  /// parity testing and small-n cross-checking; both modes produce
-  /// bit-for-bit identical reports (enforced by tests).
-  CollisionMode collision_mode = CollisionMode::kLedger;
-  /// Dyadic-walk budget per ledger claim: each bucket's budget is
+  /// Budgets of the dyadic occupancy ledger (occupancy_ledger.hpp), the
+  /// one proof of per-round concurrent disjointness: cost O(total
+  /// pieces * n), which is what certifies the paper's designed n = 63
+  /// (m = 10) construction.  Each bucket's budget is
   /// ledger_bucket_budget_base + ledger_budget_per_claim * bucket
   /// claims — deterministic, thread-count independent.  The designed
   /// specs stay under 16 visits per claim; the default leaves an order
@@ -55,18 +46,12 @@ struct CommonCheckOptions {
   std::uint64_t ledger_budget_per_claim = 512;
   std::uint64_t ledger_bucket_budget_base = 4096;
 
-  /// Node budget of the per-round collision candidate sweeps
-  /// (kPairSweep mode only).
-  std::uint64_t collision_budget = std::uint64_t{1} << 28;
-  /// Cap on collision candidate pairs per round (kPairSweep mode only).
-  std::size_t max_collision_pairs = std::size_t{1} << 16;
-
   /// Workers for the per-round group checks — they shard over a
   /// persistent WorkerPool.  1 (the default) runs fully inline.  The
   /// verdict, report, and error strings are thread-count independent:
-  /// per-entry budgets are deterministic and the failure with the
-  /// smallest candidate index wins, exactly as the serial loop picks
-  /// it.  Ignored when `pool` is set.
+  /// per-entry and per-bucket budgets are deterministic and the failure
+  /// with the smallest index wins, exactly as the serial loop picks it.
+  /// Ignored when `pool` is set.
   int threads = 1;
 
   /// Optional borrowed WorkerPool.  When non-null the validator shards

@@ -3,14 +3,12 @@
 //
 // The symbolic validators must prove, per round, that the edge subcubes
 // (and, under the Section-5 vertex-disjoint model, the vertex subcubes)
-// claimed by concurrent call groups are pairwise disjoint.  The original
-// pair sweep (find_overlapping_pairs over coarse per-group call volumes,
-// then exact route-pattern analysis per candidate) is effectively
-// quadratic in the number of concurrent groups: the paper's *designed*
-// n = 63 spec (m = 10) produces rounds of ~8.4 M groups whose sweep
-// exceeds any reasonable node budget.  The ledger replaces candidate
-// *pairs* with dyadic *consumption* — the same argument the caller-tiling
-// check already uses for frontier/ledger key matching:
+// claimed by concurrent call groups are pairwise disjoint.  Enumerating
+// candidate *pairs* of groups is quadratic in the number of concurrent
+// groups: the paper's *designed* n = 63 spec (m = 10) produces rounds of
+// ~8.4 M groups.  The ledger replaces candidate pairs with dyadic
+// *consumption* — the same argument the caller-tiling check already uses
+// for frontier/ledger key matching:
 //
 //   * every per-hop edge subcube is claimed into the family of its flip
 //     dimension (edges of different dimensions can never coincide, so
@@ -62,19 +60,6 @@
 
 namespace shc {
 
-/// Which machinery the symbolic validators use for per-round concurrent
-/// group disjointness.  kLedger is the default; kPairSweep keeps the
-/// original candidate-pair machinery alive for parity testing and
-/// small-n cross-checking (reports are bit-for-bit identical — enforced
-/// by tests — except a round holding both an edge and a vertex
-/// collision on different group pairs, which fails at the same round
-/// but may pick the other collision's message; the checking orders
-/// differ).
-enum class CollisionMode {
-  kLedger,     ///< dyadic occupancy ledger, O(total pieces * n)
-  kPairSweep,  ///< volume sweep + exact analysis per candidate pair
-};
-
 /// Verdict of one OccupancyLedger::check() run.
 enum class OccupancyStatus {
   kDisjoint,        ///< no two claims share a vertex
@@ -97,7 +82,7 @@ struct OccupancyOutcome {
 /// shards (claims in different families are never compared); within the
 /// validators, edge claims use their flip dimension as the family id and
 /// vertex claims use n + 1, so edge collisions are discovered before
-/// vertex collisions, matching the pair sweep's per-candidate order.
+/// vertex collisions.
 class OccupancyLedger {
  public:
   explicit OccupancyLedger(int n) : n_(n) { assert(n >= 1 && n <= kMaxCubeDim); }

@@ -1,26 +1,27 @@
-// Parallel and streaming broadcast validation.
+// Streaming broadcast validation.
 //
 // The serial validator (validator.hpp) re-checks every clause of the
 // paper's Definitions 1 and 2 one call at a time.  This header scales
-// the same kernel two ways without changing a single verdict:
+// the same kernel without changing a single verdict:
 //
-//  * validate_broadcast_parallel — shards each round's calls across
-//    std::thread workers.  Per-round checks split into a read-only
-//    phase (range/length/informedness/edge-existence probes, which only
-//    read the cross-round informed set) that parallelizes trivially,
-//    and a serial merge phase (receiver uniqueness, vertex-
-//    disjointness, edge capacity) over compact per-round structures.
-//    Whenever *any* anomaly is detected the round is re-run through the
-//    serial reference kernel, so failure reports — error string,
-//    partial counters, everything — are bit-for-bit identical to
-//    validate_broadcast's.  Tests enforce this parity.
+//  * the sharded round kernel (detail::try_validate_round_clean) spreads
+//    each round's calls over a WorkerPool.  Per-round checks split into
+//    a read-only phase (range/length/informedness/edge-existence
+//    probes, which only read the cross-round informed set) that
+//    parallelizes trivially, and a serial merge phase (receiver
+//    uniqueness, vertex-disjointness, edge capacity) over compact
+//    per-round structures.  Whenever *any* anomaly is detected the
+//    round is re-run through the serial reference kernel, so failure
+//    reports — error string, partial counters, everything — are
+//    bit-for-bit identical to validate_broadcast's.  Tests enforce this
+//    parity.
 //
 //  * StreamingBroadcastValidator — a RoundSink that consumes rounds as
-//    a producer emits them, validating and recycling one bounded
-//    scratch arena.  Peak memory is the largest single round (plus the
-//    informed bitmap), not the whole schedule, which is what lifts
-//    certified broadcast instances from n <= 28 (materialized) to
-//    n <= 32 (streamed).
+//    a producer emits them, validating each through the sharded kernel
+//    and recycling one bounded scratch arena.  Peak memory is the
+//    largest single round (plus the informed bitmap), not the whole
+//    schedule, which is what lifts certified broadcast instances from
+//    n <= 28 (materialized) to n <= 32 (streamed).
 //
 // Per-round edge capacity on the fast path is tracked in an open-
 // addressing table with packed 64-bit edge keys and epoch-tagged slots
@@ -238,47 +239,6 @@ bool try_validate_round_clean(const Net& net, const FlatSchedule& schedule,
 }
 
 }  // namespace detail
-
-/// Sharded validate_broadcast: same verdict, error string, and counters
-/// as the serial kernel on every input (enforced by parity tests), with
-/// each round's per-call checks spread over `threads` workers.
-/// threads <= 0 picks hardware_concurrency().
-template <AdjacencyOracle Net>
-[[nodiscard]] ValidationReport validate_broadcast_parallel(
-    const Net& net, const FlatSchedule& schedule, const ValidationOptions& opt,
-    int threads = 0) {
-  if (threads <= 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  ValidationReport rep;
-  const std::uint64_t order = net.num_vertices();
-  if (schedule.source >= order) {
-    rep.ok = false;
-    rep.error = "source out of range";
-    return rep;
-  }
-
-  detail::BroadcastRunState state(order, opt);
-  state.informed.insert(schedule.source);
-  detail::RoundEdgeTable edges;
-  WorkerPool pool(threads);  // persistent across all rounds of this run
-
-  std::size_t first = 0;
-  for (int t = 0; t < schedule.num_rounds(); ++t) {
-    const std::size_t last = first + schedule.round(t).size();
-    ++rep.rounds;
-    if (!detail::try_validate_round_clean(net, schedule, first, last, opt, state,
-                                          rep, pool, edges) &&
-        !detail::validate_round_serial(net, schedule, first, last, t + 1, opt,
-                                       state, rep)) {
-      return rep;
-    }
-    first = last;
-  }
-
-  detail::finish_broadcast_report(order, opt, state, rep);
-  return rep;
-}
 
 /// RoundSink that validates a broadcast as it is produced.  One round
 /// lives in the scratch arena at a time: end_round() (or the next

@@ -20,16 +20,16 @@
 //     million entries.  Multiplicity makes the structure faithful to
 //     the *multiset* of inserted vertices: a vertex covered twice can
 //     coalesce into hidden corners but can never disappear, so the
-//     endgame check (canonical_reduce() == one full cube, multiplicity
-//     one) proves every vertex was informed exactly once;
-//   * canonical_reduce / find_overlapping_pairs — recursive
-//     divide-on-pinned-dimension sweeps.  canonical_reduce computes the
-//     order-independent normal form of a subcube multiset (greedy
-//     sibling coalescing can wedge in a local optimum; the recursion
-//     cannot).  find_overlapping_pairs reports which members of a
-//     family intersect — the symbolic validator's collision-candidate
-//     detector.  Both take an explicit node budget and fail (rather
-//     than stall) on adversarially fragmented inputs.
+//     endgame check (every entry multiplicity one, entries pairwise
+//     disjoint, total 2^n) proves every vertex was informed exactly
+//     once;
+//   * canonical_reduce / canonical_reduce_tree — a recursive
+//     divide-on-pinned-dimension sweep computing the order-independent
+//     normal form of a subcube multiset (greedy sibling coalescing can
+//     wedge in a local optimum; the recursion cannot).  The
+//     knowledge-class partition reduces its unions with it.  It takes
+//     an explicit node budget and fails (rather than stalls) on
+//     adversarially fragmented inputs.
 //
 // Storage is structure-of-arrays throughout (see subcube_batch.hpp for
 // the kernel layer and the rationale): the frontier's per-class tables
@@ -670,17 +670,5 @@ class WorkerPool;
 [[nodiscard]] std::optional<std::vector<WeightedSubcube>> canonical_reduce_tree(
     std::vector<WeightedSubcube> entries, int n, std::uint64_t budget,
     WorkerPool* pool, std::uint64_t* tree_tasks = nullptr);
-
-/// Finds intersecting pairs in a subcube family.  Returns, for each
-/// unordered pair of family members that share at least one vertex, the
-/// index pair (i < j) — at most `max_pairs` pairs (deduplicated), or
-/// nullopt when the recursion exceeds `budget`.  This is the symbolic
-/// validator's collision-candidate detector: pairs it reports undergo
-/// exact route-pattern analysis, so over-reporting is safe and
-/// under-reporting impossible.
-[[nodiscard]] std::optional<std::vector<std::pair<std::uint32_t, std::uint32_t>>>
-find_overlapping_pairs(const std::vector<Subcube>& family,
-                       std::uint64_t budget = 1u << 28,
-                       std::size_t max_pairs = 1u << 16);
 
 }  // namespace shc

@@ -18,13 +18,9 @@
 // bits/ headers (enforced by tools/shc_lint.py) so the kernels stay
 // reusable from any layer above.
 //
-// Scalar fallback: defining SHC_BATCH_SCALAR (e.g.
-// -DCMAKE_CXX_FLAGS=-DSHC_BATCH_SCALAR) compiles the straightforward
-// guarded-branch formulation of every kernel instead.  Both
-// formulations are *bit-for-bit equivalent* — outputs, ordering, and
-// budget accounting are identical (enforced by subcube_batch_test's
-// exhaustive and randomized parity suites) — so the knob is a debug /
-// baseline aid, never a semantic switch.
+// Each kernel has one formulation; subcube_batch_test pins it to
+// explicit bitmaps and brute-force references (exhaustively on small
+// cubes, randomized at n = 16).
 #pragma once
 
 #include <cstddef>
@@ -102,7 +98,6 @@ inline constexpr Vertex kNotFound = ~Vertex{0};
                                          const std::uint64_t* vals,
                                          std::size_t count, Vertex live_below,
                                          Vertex p, std::uint64_t want) noexcept {
-#ifndef SHC_BATCH_SCALAR
   // Branch-light: every slot contributes a candidate bit (kNotFound for
   // non-matches) and the loop is a min-reduction with no data-dependent
   // control flow.
@@ -116,21 +111,6 @@ inline constexpr Vertex kNotFound = ~Vertex{0};
     best_bit = cand < best_bit ? cand : best_bit;
   }
   return best_bit == kNotFound ? kNotFound : (p ^ best_bit);
-#else
-  // Scalar reference formulation: identical result, guarded branches.
-  Vertex best = kNotFound;
-  Vertex best_bit = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (keys[i] < live_below && vals[i] == want) {
-      const Vertex d = keys[i] ^ p;
-      if (d != 0 && (d & (d - 1)) == 0 && (best == kNotFound || d < best_bit)) {
-        best = keys[i];
-        best_bit = d;
-      }
-    }
-  }
-  return best;
-#endif
 }
 
 /// The dyadic divide step shared by every divide-on-pinned-dimension
@@ -146,7 +126,6 @@ inline void partition_ids(const std::uint32_t* ids, std::size_t count,
   lo.resize(count);
   hi.resize(count);
   std::size_t nlo = 0, nhi = 0;
-#ifndef SHC_BATCH_SCALAR
   // Branch-light: unconditional store, conditional bump.
   for (std::size_t i = 0; i < count; ++i) {
     const std::uint32_t id = ids[i];
@@ -157,19 +136,6 @@ inline void partition_ids(const std::uint32_t* ids, std::size_t count,
     hi[nhi] = id;
     nhi += static_cast<std::size_t>(free_dim || high);
   }
-#else
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint32_t id = ids[i];
-    if (masks[id] & bit) {
-      lo[nlo++] = id;
-      hi[nhi++] = id;
-    } else if (prefixes[id] & bit) {
-      hi[nhi++] = id;
-    } else {
-      lo[nlo++] = id;
-    }
-  }
-#endif
   lo.resize(nlo);
   hi.resize(nhi);
 }
@@ -188,7 +154,6 @@ inline void partition_subcubes(const Vertex* prefixes, const Vertex* masks,
   hi.prefix.resize(count);
   hi.mask.resize(count);
   std::size_t nlo = 0, nhi = 0;
-#ifndef SHC_BATCH_SCALAR
   for (std::size_t i = 0; i < count; ++i) {
     const Vertex p = prefixes[i];
     const Vertex m = masks[i];
@@ -201,28 +166,6 @@ inline void partition_subcubes(const Vertex* prefixes, const Vertex* masks,
     hi.mask[nhi] = m & ~bit;
     nhi += static_cast<std::size_t>(free_dim || high);
   }
-#else
-  for (std::size_t i = 0; i < count; ++i) {
-    const Vertex p = prefixes[i];
-    const Vertex m = masks[i];
-    if (m & bit) {
-      lo.prefix[nlo] = p;
-      lo.mask[nlo] = m & ~bit;
-      ++nlo;
-      hi.prefix[nhi] = p | bit;
-      hi.mask[nhi] = m & ~bit;
-      ++nhi;
-    } else if (p & bit) {
-      hi.prefix[nhi] = p;
-      hi.mask[nhi] = m;
-      ++nhi;
-    } else {
-      lo.prefix[nlo] = p;
-      lo.mask[nlo] = m;
-      ++nlo;
-    }
-  }
-#endif
   lo.prefix.resize(nlo);
   lo.mask.resize(nlo);
   hi.prefix.resize(nhi);
@@ -241,7 +184,6 @@ inline void partition_weighted(const SubcubeBatch& in, Vertex bit,
   hi.mask.resize(count);
   hi.mult.resize(count);
   std::size_t nlo = 0, nhi = 0;
-#ifndef SHC_BATCH_SCALAR
   for (std::size_t i = 0; i < count; ++i) {
     const Vertex p = in.prefix[i];
     const Vertex m = in.mask[i];
@@ -257,33 +199,6 @@ inline void partition_weighted(const SubcubeBatch& in, Vertex bit,
     hi.mult[nhi] = w;
     nhi += static_cast<std::size_t>(free_dim || high);
   }
-#else
-  for (std::size_t i = 0; i < count; ++i) {
-    const Vertex p = in.prefix[i];
-    const Vertex m = in.mask[i];
-    const std::uint64_t w = in.mult[i];
-    if (m & bit) {
-      lo.prefix[nlo] = p;
-      lo.mask[nlo] = m & ~bit;
-      lo.mult[nlo] = w;
-      ++nlo;
-      hi.prefix[nhi] = p | bit;
-      hi.mask[nhi] = m & ~bit;
-      hi.mult[nhi] = w;
-      ++nhi;
-    } else if (p & bit) {
-      hi.prefix[nhi] = p;
-      hi.mask[nhi] = m;
-      hi.mult[nhi] = w;
-      ++nhi;
-    } else {
-      lo.prefix[nlo] = p;
-      lo.mask[nlo] = m;
-      lo.mult[nlo] = w;
-      ++nlo;
-    }
-  }
-#endif
   lo.prefix.resize(nlo);
   lo.mask.resize(nlo);
   lo.mult.resize(nlo);
@@ -343,7 +258,6 @@ inline std::size_t intersect_all(const Vertex* prefixes, const Vertex* masks,
   out.prefix.resize(base + count);
   out.mask.resize(base + count);
   std::size_t k = base;
-#ifndef SHC_BATCH_SCALAR
   for (std::size_t i = 0; i < count; ++i) {
     const Vertex p = prefixes[i];
     const Vertex m = masks[i];
@@ -354,18 +268,6 @@ inline std::size_t intersect_all(const Vertex* prefixes, const Vertex* masks,
     out.mask[k] = im;
     k += static_cast<std::size_t>(hit);
   }
-#else
-  for (std::size_t i = 0; i < count; ++i) {
-    const Vertex p = prefixes[i];
-    const Vertex m = masks[i];
-    if (((p ^ qp) & ~(m | qm)) == 0) {
-      const Vertex im = m & qm;
-      out.prefix[k] = (p | qp) & ~im;
-      out.mask[k] = im;
-      ++k;
-    }
-  }
-#endif
   out.prefix.resize(k);
   out.mask.resize(k);
   return k - base;
@@ -382,7 +284,6 @@ inline std::size_t overlap_filter(const Vertex* prefixes, const Vertex* masks,
   out.prefix.resize(base + count);
   out.mask.resize(base + count);
   std::size_t k = base;
-#ifndef SHC_BATCH_SCALAR
   for (std::size_t i = 0; i < count; ++i) {
     const Vertex p = prefixes[i * stride];
     const Vertex m = masks[i * stride];
@@ -391,17 +292,6 @@ inline std::size_t overlap_filter(const Vertex* prefixes, const Vertex* masks,
     out.mask[k] = m;
     k += static_cast<std::size_t>(hit);
   }
-#else
-  for (std::size_t i = 0; i < count; ++i) {
-    const Vertex p = prefixes[i * stride];
-    const Vertex m = masks[i * stride];
-    if (((p ^ qp) & ~(m | qm)) == 0) {
-      out.prefix[k] = p;
-      out.mask[k] = m;
-      ++k;
-    }
-  }
-#endif
   out.prefix.resize(k);
   out.mask.resize(k);
   return k - base;

@@ -19,17 +19,15 @@
 //     subcube — and vertex subcube under the Section-5 vertex-disjoint
 //     model — is consumed into a per-dimension ledger where a
 //     double-claim is an exact collision witness, O(total pieces * n)
-//     with no candidate pair ever formed.  The original pair sweep
-//     (volume overlap candidates + exact route-pattern analysis, cost
-//     quadratic in concurrent groups) stays available behind
-//     SymbolicCheckOptions::collision_mode for parity testing;
+//     with no candidate pair ever formed;
 //   * across rounds: receivers are inserted into the frontier as a
 //     *multiset* (SubcubeFrontier multiplicities), and the endgame
-//     requires the frontier's canonical form to be the full cube with
-//     multiplicity one.  Coalescing preserves the multiset, so that
-//     single check proves receiver uniqueness, receiver freshness, and
-//     completion for the entire run at once — no per-vertex state ever
-//     exists;
+//     requires the frontier to be the full cube covered exactly once
+//     (multiplicity one everywhere, entries pairwise disjoint — the
+//     occupancy ledger once more).  Coalescing preserves the multiset,
+//     so that single check proves receiver uniqueness, receiver
+//     freshness, and completion for the entire run at once — no
+//     per-vertex state ever exists;
 //   * sample mode: per round a seeded random subset of groups is
 //     expanded into concrete calls and replayed through the serial
 //     reference kernel (validate_round_serial) against the real
@@ -44,7 +42,9 @@
 // requires ..." error rather than a wrong verdict; on *clean* runs the
 // ValidationReport is bit-for-bit the streaming/serial validators'
 // (enforced by parity tests for n <= 24).  Failure error strings are
-// the symbolic engine's own (a group has no single-call location).
+// the symbolic engine's own (a group has no single-call location);
+// tests expand handcrafted violations with FlatSchedule::from_symbolic
+// and check that the serial validator rejects them in the same round.
 #pragma once
 
 #include <algorithm>
@@ -53,11 +53,9 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <random>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "shc/bits/bitstring.hpp"
@@ -97,12 +95,11 @@ namespace detail {
 /// support mask, so the representative's verdict is the whole group's),
 /// representative edge existence, and — under `vertex_disjoint` — the
 /// intra-call vertex revisit ban.  Returns the error message (without
-/// the round prefix) or empty; on success sets `span_mask` (union of
-/// the pattern's offsets) and `length`.
+/// the round prefix) or empty; on success sets `length`.
 template <class Net>
 [[nodiscard]] std::string check_symbolic_call_group(
     const Net& net, int n, int k, bool vertex_disjoint, const CallGroup& g,
-    std::span<const Vertex> pattern, Vertex& span_mask, int& length) {
+    std::span<const Vertex> pattern, int& length) {
   const Vertex cube = mask_low(n);
   if (g.count == 0) return "empty call group";
   if ((g.prefix & g.free_mask) != 0) {
@@ -129,13 +126,11 @@ template <class Net>
            " > k=" + std::to_string(k);
   }
 
-  span_mask = 0;
   for (std::size_t j = 0; j + 1 < pattern.size(); ++j) {
     const Vertex diff = pattern[j] ^ pattern[j + 1];
     if (weight(diff) != 1 || (diff & ~cube)) {
       return "pattern hop is not a single in-range dimension flip";
     }
-    span_mask |= pattern[j + 1];
     const Dim d = differing_dim(pattern[j], pattern[j + 1]);
     // Support discipline: the hop's edge predicate must be uniform
     // over the group, i.e. blind to every free dimension.
@@ -174,40 +169,6 @@ template <class Net>
   return {};
 }
 
-/// Exact route-pattern collision analysis for one candidate pair of
-/// concurrent call groups: per-hop edge-subcube intersection on shared
-/// dimensions, plus vertex-subcube intersection under the
-/// vertex-disjoint model.  Returns the error message or empty.
-[[nodiscard]] inline std::string symbolic_pair_collision_msg(
-    const CallGroup& ga, std::span<const Vertex> pa, const CallGroup& gb,
-    std::span<const Vertex> pb, bool vertex_disjoint) {
-  for (std::size_t i = 0; i + 1 < pa.size(); ++i) {
-    const Vertex da = pa[i] ^ pa[i + 1];
-    const Subcube ea{(ga.prefix ^ pa[i]) & ~da, ga.free_mask};
-    for (std::size_t j = 0; j + 1 < pb.size(); ++j) {
-      const Vertex db = pb[j] ^ pb[j + 1];
-      if (da != db) continue;
-      const Subcube eb{(gb.prefix ^ pb[j]) & ~db, gb.free_mask};
-      if (subcubes_overlap(ea, eb)) {
-        return "edge collision between concurrent call groups";
-      }
-    }
-  }
-  if (vertex_disjoint) {
-    for (const Vertex xa : pa) {
-      const Subcube va{ga.prefix ^ xa, ga.free_mask};
-      for (const Vertex xb : pb) {
-        const Subcube vb{gb.prefix ^ xb, gb.free_mask};
-        if (subcubes_overlap(va, vb)) {
-          return "vertex collision between concurrent call groups "
-                 "(vertex-disjoint model)";
-        }
-      }
-    }
-  }
-  return {};
-}
-
 /// Claims every hop's edge subcube of the round's groups into `occ`,
 /// keyed by flip dimension (1-based, so family 0 stays free).  This is
 /// the ONE definition of the edge-subcube encoding both the broadcast
@@ -229,62 +190,17 @@ inline void claim_round_edge_subcubes(const SymbolicRound& round,
   }
 }
 
-/// Runs fn(i) -> error-or-empty for every i in [0, count), inline or
-/// sharded across `pool`, and returns the failure with the *smallest*
-/// index — the verdict the serial loop produces, independent of thread
-/// count.  fn must be safe to call concurrently (the symbolic
-/// validators' per-candidate analyses are read-only).
-template <class Fn>
-[[nodiscard]] std::optional<std::pair<std::size_t, std::string>> first_failure(
-    WorkerPool* pool, std::size_t count, Fn&& fn) {
-  if (pool == nullptr || pool->workers() <= 1 || count < 2) {
-    for (std::size_t i = 0; i < count; ++i) {
-      std::string msg = fn(i);
-      if (!msg.empty()) return std::make_pair(i, std::move(msg));
-    }
-    return std::nullopt;
-  }
-  const int jobs = static_cast<int>(
-      std::min<std::size_t>(static_cast<std::size_t>(pool->workers()), count));
-  std::vector<std::pair<std::size_t, std::string>> local(
-      static_cast<std::size_t>(jobs), {count, std::string{}});
-  pool->run(jobs, [&](int j) {
-    const std::size_t lo = count * static_cast<std::size_t>(j) /
-                           static_cast<std::size_t>(jobs);
-    const std::size_t hi = count * (static_cast<std::size_t>(j) + 1) /
-                           static_cast<std::size_t>(jobs);
-    for (std::size_t i = lo; i < hi; ++i) {
-      std::string msg = fn(i);
-      if (!msg.empty()) {
-        local[static_cast<std::size_t>(j)] = {i, std::move(msg)};
-        break;
-      }
-    }
-  });
-  std::optional<std::pair<std::size_t, std::string>> best;
-  for (auto& entry : local) {
-    if (entry.first < count && (!best || entry.first < best->first)) {
-      best = std::move(entry);
-    }
-  }
-  return best;
-}
-
 }  // namespace detail
 
 /// Knobs of the symbolic checks (all have safe defaults; caps make the
 /// engine fail explicitly instead of thrashing on adversarial input).
-/// The sampling, collision, and threading knobs shared with the gossip
-/// engine live in the CommonCheckOptions base (check_options.hpp) —
-/// the inherited spellings (`sopt.threads`, `sopt.collision_mode`,
-/// ...) are the documented aliases and keep compiling unchanged; only
-/// the broadcast-specific budgets are declared here.
+/// The sampling, ledger-budget, and threading knobs shared with the
+/// gossip engine live in the CommonCheckOptions base
+/// (check_options.hpp); only the broadcast-specific budgets are
+/// declared here.
 struct SymbolicCheckOptions : CommonCheckOptions {
   /// Hard cap on informed-set subcubes (memory guard).
   std::uint64_t max_frontier_subcubes = std::uint64_t{1} << 26;
-
-  /// Node budget of the endgame canonical reduction.
-  std::uint64_t reduce_budget = std::uint64_t{1} << 26;
   /// Per-entry budget of the caller-tiling dyadic consumption; 0 (the
   /// default) derives it from the round's group count
   /// (4 * groups + 65536).
@@ -297,18 +213,13 @@ struct SymbolicRunStats {
   std::uint64_t peak_round_groups = 0;
   std::uint64_t peak_frontier_subcubes = 0;
   std::uint64_t final_frontier_subcubes = 0;
-  std::uint64_t collision_candidates = 0;  ///< pairs that needed exact analysis
-  std::uint64_t occupancy_claims = 0;      ///< subcubes consumed by the ledger
-  std::uint64_t sampled_calls = 0;         ///< concrete calls replayed serially
+  std::uint64_t occupancy_claims = 0;  ///< subcubes consumed by the ledger
+  std::uint64_t sampled_calls = 0;     ///< concrete calls replayed serially
   std::uint64_t rounds_checked = 0;  ///< rounds that passed every per-round clause
   /// Translation-keyed union cache traffic — gossip-engine counters,
   /// always 0 for broadcast; kept so sweep/bench rows share one schema.
   std::uint64_t union_cache_hits = 0;
   std::uint64_t union_cache_misses = 0;
-  /// Subtrees farmed by canonical_reduce_tree (endgame reduction in
-  /// pair-sweep mode).  Thread-count dependent by design: the serial
-  /// path farms nothing — never gated for thread invariance.
-  std::uint64_t reduce_tree_tasks = 0;
 };
 
 template <SymbolicOracle Net>
@@ -358,7 +269,6 @@ class SymbolicBroadcastValidator {
     round_.group_pattern.clear();
     round_.pattern_pool.clear();
     round_.pattern_off.assign(1, 0);
-    volumes_.clear();
     round_multihop_ = false;
   }
 
@@ -368,17 +278,13 @@ class SymbolicBroadcastValidator {
     // group — 14M+ times per round on the designed n = 63 spec — and the
     // prefix is only ever read on the failure paths.
 
-    Vertex span_mask = 0;
     int length = 0;
     if (std::string msg = detail::check_symbolic_call_group(
             *net_, n_, opt_.k, opt_.require_vertex_disjoint, g, pattern,
-            span_mask, length);
+            length);
         !msg.empty()) {
       return fail(round_where() + msg);
     }
-    // Note: free_mask is already provably disjoint from span_mask here —
-    // every pattern bit lives in some hop's diff, and each hop failed
-    // fast on free_mask & (support | diff) above.
     rep_.max_call_length = std::max(rep_.max_call_length, length);
     if (!checked_acc_u64(rep_.total_calls, g.count)) {
       return fail(round_where() + "total call count overflowed 64 bits");
@@ -402,10 +308,6 @@ class SymbolicBroadcastValidator {
                                pattern.end());
     round_.pattern_off.push_back(
         static_cast<std::uint32_t>(round_.pattern_pool.size()));
-    if (sopt_.collision_mode == CollisionMode::kPairSweep) {
-      volumes_.push_back(
-          Subcube{g.prefix & ~span_mask, g.free_mask | span_mask});
-    }
   }
 
   void end_round() {
@@ -468,9 +370,8 @@ class SymbolicBroadcastValidator {
 
   // ---- results ---------------------------------------------------------
 
-  /// Final verdict: the exact-cover endgame (occupancy consumption in
-  /// ledger mode, canonical reduction in pair-sweep mode) plus
-  /// completion and minimum-time.  Idempotent.
+  /// Final verdict: the exact-cover endgame (occupancy consumption)
+  /// plus completion and minimum-time.  Idempotent.
   [[nodiscard]] ValidationReport finish() {
     if (finished_) return rep_;
     finished_ = true;
@@ -485,61 +386,34 @@ class SymbolicBroadcastValidator {
       return rep_;
     }
     // The endgame: the informed multiset must be the cube covered exactly
-    // once.  In ledger mode that is the occupancy argument once more —
-    // every entry has multiplicity one and the entries are pairwise
-    // disjoint, which together with the exact 2^n total forces an exact
-    // cover, at O(entries * n) instead of the canonical reduction's
-    // worst case (the designed n = 63 spec ends on ~11 M fragmented
-    // subcubes, beyond any sensible reduction budget).  Pair-sweep mode
-    // keeps the canonical reduction for cross-checking; identical
-    // verdicts and messages (enforced by parity tests).
-    if (sopt_.collision_mode == CollisionMode::kLedger) {
-      occupancy_.clear();
-      bool mult_clean = true;
-      std::uint32_t idx = 0;
-      frontier_.for_each([&](Vertex p, Vertex m, std::uint64_t mult) {
-        if (mult != 1) mult_clean = false;
-        occupancy_.claim(1, p, m, idx++);
-      });
-      saturating_acc_u64(stats_.occupancy_claims, occupancy_.num_claims());
-      const OccupancyOutcome out =
-          mult_clean ? occupancy_.check(pool_,
-                                        sopt_.ledger_budget_per_claim,
-                                        sopt_.ledger_bucket_budget_base)
-                     : OccupancyOutcome{};
-      if (mult_clean && out.status == OccupancyStatus::kBudgetExceeded) {
-        fail("endgame occupancy check exceeded its budget (ledger bucket "
-             "budget " +
-             std::to_string(out.budget) +
-             "; raise SymbolicCheckOptions::ledger_budget_per_claim)");
-        return rep_;
-      }
-      if (!mult_clean || out.status == OccupancyStatus::kDoubleClaim) {
-        fail("informed multiset is not the cube covered exactly once "
-             "(receiver collision)");
-        return rep_;
-      }
-    } else {
-      // canonical_reduce_tree == canonical_reduce bit-for-bit; with no
-      // pool (threads = 1) it IS the serial reduction.
-      const auto canon =
-          canonical_reduce_tree(frontier_.to_entries(), n_,
-                                sopt_.reduce_budget, pool_,
-                                &stats_.reduce_tree_tasks);
-      if (!canon) {
-        fail("endgame canonical reduction exceeded its budget (node budget " +
-             std::to_string(sopt_.reduce_budget) +
-             "; raise SymbolicCheckOptions::reduce_budget)");
-        return rep_;
-      }
-      if (canon->size() != 1 || (*canon)[0].mask != mask_low(n_) ||
-          (*canon)[0].mult != 1) {
-        // The multiset totals 2^n but is not the cube covered once: some
-        // receiver collided with an informed vertex or another receiver.
-        fail("informed multiset is not the cube covered exactly once "
-             "(receiver collision)");
-        return rep_;
-      }
+    // once.  That is the occupancy argument once more — every entry has
+    // multiplicity one and the entries are pairwise disjoint, which
+    // together with the exact 2^n total forces an exact cover, at
+    // O(entries * n) (the designed n = 63 spec ends on ~11 M fragmented
+    // subcubes, beyond any sensible canonical-reduction budget).
+    occupancy_.clear();
+    bool mult_clean = true;
+    std::uint32_t idx = 0;
+    frontier_.for_each([&](Vertex p, Vertex m, std::uint64_t mult) {
+      if (mult != 1) mult_clean = false;
+      occupancy_.claim(1, p, m, idx++);
+    });
+    saturating_acc_u64(stats_.occupancy_claims, occupancy_.num_claims());
+    const OccupancyOutcome out =
+        mult_clean ? occupancy_.check(pool_, sopt_.ledger_budget_per_claim,
+                                      sopt_.ledger_bucket_budget_base)
+                   : OccupancyOutcome{};
+    if (mult_clean && out.status == OccupancyStatus::kBudgetExceeded) {
+      fail("endgame occupancy check exceeded its budget (ledger bucket "
+           "budget " +
+           std::to_string(out.budget) +
+           "; raise SymbolicCheckOptions::ledger_budget_per_claim)");
+      return rep_;
+    }
+    if (!mult_clean || out.status == OccupancyStatus::kDoubleClaim) {
+      fail("informed multiset is not the cube covered exactly once "
+           "(receiver collision)");
+      return rep_;
     }
     rep_.ok = true;
     rep_.minimum_time = rep_.rounds == ceil_log2(order_) && rep_.informed == order_;
@@ -653,27 +527,13 @@ class SymbolicBroadcastValidator {
     return true;
   }
 
-  /// Concurrent-group disjointness, dispatched on the configured mode.
-  /// Both modes produce bit-for-bit identical reports (enforced by
-  /// parity tests on clean runs and on every single-violation
-  /// schedule); only the cost model differs.  Sole caveat: a round
-  /// containing BOTH an edge collision and a vertex collision on
-  /// *different* group pairs fails at the same round in both modes but
-  /// may pick the other collision's message — the pair sweep resolves
-  /// in candidate-pair order (edges before vertices per pair), the
-  /// ledger in family order (all edge dimensions, then vertices).
+  /// Concurrent-group disjointness by the dyadic occupancy ledger:
+  /// every hop's edge subcube is claimed into the family of its flip
+  /// dimension (vertex subcubes into family n + 1 under the
+  /// vertex-disjoint model, checked after all edge families); a
+  /// double-claim is an exact collision, with no candidate pair ever
+  /// enumerated.
   bool check_collisions(const std::string& where) {
-    return sopt_.collision_mode == CollisionMode::kLedger
-               ? check_collisions_ledger(where)
-               : check_collisions_pair_sweep(where);
-  }
-
-  /// Dyadic occupancy ledger: every hop's edge subcube is claimed into
-  /// the family of its flip dimension (vertex subcubes into family
-  /// n + 1 under the vertex-disjoint model, checked after all edge
-  /// families — the pair sweep's per-candidate order); a double-claim
-  /// is an exact collision, with no candidate pair ever enumerated.
-  bool check_collisions_ledger(const std::string& where) {
     occupancy_.clear();
     const int vertex_family = n_ + 1;
     detail::claim_round_edge_subcubes(round_, occupancy_);
@@ -708,34 +568,6 @@ class SymbolicBroadcastValidator {
         return false;
     }
     return false;  // unreachable
-  }
-
-  /// Candidate pairs by call-volume disjointness, then exact
-  /// route-pattern collision analysis per candidate (sharded across the
-  /// pool; the smallest failing candidate wins, as in the serial loop).
-  bool check_collisions_pair_sweep(const std::string& where) {
-    const auto pairs = find_overlapping_pairs(volumes_, sopt_.collision_budget,
-                                              sopt_.max_collision_pairs);
-    if (!pairs) {
-      fail(where + "collision analysis exceeded its budget (node budget " +
-           std::to_string(sopt_.collision_budget) +
-           "; raise SymbolicCheckOptions::collision_budget or switch to "
-           "CollisionMode::kLedger)");
-      return false;
-    }
-    saturating_acc_u64(stats_.collision_candidates, pairs->size());
-    const auto failure = detail::first_failure(
-        pool_, pairs->size(), [&](std::size_t i) {
-          const auto& [a, b] = (*pairs)[i];
-          return detail::symbolic_pair_collision_msg(
-              round_.groups[a], pattern_of(a), round_.groups[b], pattern_of(b),
-              opt_.require_vertex_disjoint);
-        });
-    if (failure) {
-      fail(where + failure->second);
-      return false;
-    }
-    return true;
   }
 
   /// Expands a seeded random subset of groups to concrete calls and
@@ -800,8 +632,7 @@ class SymbolicBroadcastValidator {
   // Round-local group storage: one recycled SymbolicRound (patterns
   // pooled in its 32-bit-offset layout; no deduplication needed here).
   SymbolicRound round_;
-  std::vector<Subcube> volumes_;  ///< kPairSweep mode only
-  OccupancyLedger occupancy_;     ///< kLedger mode
+  OccupancyLedger occupancy_;  ///< per-round collisions and the endgame
   bool round_multihop_ = false;
 
   ValidationReport rep_;

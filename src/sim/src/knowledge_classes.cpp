@@ -73,7 +73,7 @@ std::uint64_t content_sig(const std::vector<WeightedSubcube>& entries,
 /// region minus a *disjoint* subcube family — one
 /// divide-on-pinned-dimension sweep over SoA halves
 /// (batch::SubtractSweep, the batched form of the recursion shape
-/// shared with canonical_reduce / find_overlapping_pairs): uncovered
+/// shared with canonical_reduce and the occupancy ledger): uncovered
 /// fragments are appended to `out` with multiplicity one.  Linear-ish
 /// in |family| x n rather than quadratic in the family size, with
 /// recycled scratch instead of two vector allocations per divide step.

@@ -193,55 +193,6 @@ bool canon_recurse(SubcubeBatch& entries, Vertex remaining,
   return ok;
 }
 
-void overlap_recurse(std::vector<std::uint32_t>& ids, const Vertex* fam_prefix,
-                     const Vertex* fam_mask, Vertex remaining,
-                     std::uint64_t& budget, bool& budget_ok,
-                     std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs,
-                     std::size_t max_pairs, batch::IdVecPool& pool) {
-  if (!budget_ok || ids.size() <= 1) return;
-  if (budget < ids.size()) {
-    budget_ok = false;
-    return;
-  }
-  budget -= ids.size();
-
-  const batch::MaskScan scan =
-      batch::scan_ids(ids.data(), ids.size(), fam_prefix, fam_mask);
-  const Vertex pinned_any = remaining & ~scan.mask_and;
-
-  if (pinned_any == 0) {
-    // All members cover the whole remaining subspace and agree on the
-    // branch path: every pair here overlaps.  Hitting max_pairs counts
-    // as a budget failure — a truncated pair list would silently skip
-    // collision analysis for the dropped pairs.
-    for (std::size_t a = 0; a < ids.size(); ++a) {
-      for (std::size_t b = a + 1; b < ids.size(); ++b) {
-        if (pairs.size() >= max_pairs) {
-          budget_ok = false;
-          return;
-        }
-        const std::uint32_t i = std::min(ids[a], ids[b]);
-        const std::uint32_t j = std::max(ids[a], ids[b]);
-        pairs.emplace_back(i, j);
-      }
-    }
-    return;
-  }
-
-  const int d = 63 - __builtin_clzll(pinned_any);
-  const Vertex b = Vertex{1} << d;
-  std::vector<std::uint32_t> lo = pool.acquire();
-  std::vector<std::uint32_t> hi = pool.acquire();
-  batch::partition_ids(ids.data(), ids.size(), fam_prefix, fam_mask, b, lo, hi);
-  ids.clear();
-  overlap_recurse(lo, fam_prefix, fam_mask, remaining & ~b, budget, budget_ok,
-                  pairs, max_pairs, pool);
-  overlap_recurse(hi, fam_prefix, fam_mask, remaining & ~b, budget, budget_ok,
-                  pairs, max_pairs, pool);
-  pool.release(std::move(lo));
-  pool.release(std::move(hi));
-}
-
 /// canonical_reduce_tree farms the recursion's own top levels over the
 /// pool.  Inputs at or below kTreeChunk fall through to the plain
 /// serial reduce; larger inputs split the top kTopSplitDepth branch
@@ -398,28 +349,6 @@ std::optional<std::vector<WeightedSubcube>> canonical_reduce_tree(
     nodes[static_cast<std::size_t>(nd.hi)].out = {};
   }
   return std::move(nodes.front().out);
-}
-
-std::optional<std::vector<std::pair<std::uint32_t, std::uint32_t>>>
-find_overlapping_pairs(const std::vector<Subcube>& family, std::uint64_t budget,
-                       std::size_t max_pairs) {
-  std::vector<std::uint32_t> ids(family.size());
-  SubcubeSoA soa;
-  soa.reserve(family.size());
-  for (std::size_t i = 0; i < family.size(); ++i) {
-    ids[i] = static_cast<std::uint32_t>(i);
-    soa.push_back(family[i].prefix, family[i].mask);
-  }
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
-  bool budget_ok = true;
-  batch::IdVecPool pool;
-  overlap_recurse(ids, soa.prefix.data(), soa.mask.data(),
-                  mask_low(kMaxCubeDim), budget, budget_ok, pairs, max_pairs,
-                  pool);
-  if (!budget_ok) return std::nullopt;
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-  return pairs;
 }
 
 }  // namespace shc

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "shc/gossip/gossip.hpp"
+#include "shc/gossip/symbolic_gossip.hpp"
 #include "shc/labeling/labeling.hpp"
 #include "shc/sim/network.hpp"
 
@@ -67,6 +68,18 @@ TEST(GossipValidator, RejectsDoubleExchange) {
   const auto rep = validate_gossip(q2, s, 1);
   EXPECT_FALSE(rep.ok);
   EXPECT_NE(rep.error.find("two exchanges"), std::string::npos);
+
+  // Double-booked the other way round: vertex 1 receives in one
+  // exchange and calls in the next.
+  const HypercubeView q4(4);
+  GossipSchedule chained;
+  chained.begin_round();
+  chained.add_call({0, 1});
+  chained.add_call({1, 3});
+  const auto chained_rep = validate_gossip(q4, chained, 1);
+  EXPECT_FALSE(chained_rep.ok);
+  EXPECT_NE(chained_rep.error.find("two exchanges"), std::string::npos)
+      << chained_rep.error;
 }
 
 TEST(GossipValidator, RejectsOutOfRangeInteriorPathVertex) {
@@ -127,6 +140,17 @@ TEST(GossipValidator, DetectsIncompleteness) {
   const auto rep = validate_gossip(q2, s, 1);
   EXPECT_FALSE(rep.ok);
   EXPECT_FALSE(rep.complete);
+
+  // A gossip that never involves vertex 3 strands its token.
+  GossipSchedule stranded;
+  stranded.begin_round();
+  stranded.add_call({0, 1});
+  stranded.begin_round();
+  stranded.add_call({0, 2});
+  const auto stranded_rep = validate_gossip(q2, stranded, 1);
+  EXPECT_FALSE(stranded_rep.ok);
+  EXPECT_FALSE(stranded_rep.complete);
+  EXPECT_EQ(stranded_rep.error, "gossip incomplete after all rounds");
 }
 
 TEST(GossipValidator, KnowledgeActuallyMerges) {
@@ -147,79 +171,26 @@ TEST(SparseGossip, GatherPhaseAloneIsIncomplete) {
   EXPECT_FALSE(rep.complete);
 }
 
-// ---- sampled-knowledge escape hatch ----------------------------------
+// ---- past the exact wall ----------------------------------------------
 
-TEST(SampledGossip, SpotChecksBeyondTheExactWall) {
+TEST(SparseGossip, PastTheExactWallTheSymbolicEngineCertifies) {
   // n = 14 is one past the exact validator's 2^13 wall: the exact path
-  // must refuse (and point at the escape hatch), the sampled path must
-  // certify the structure plus the sampled tokens' completion.
+  // must refuse and name the engine that certifies at scale, and that
+  // engine must certify the same gather-broadcast gossip in full.
   const auto spec = SparseHypercubeSpec::construct_base(14, 4);
   const SparseHypercubeView view(spec);
-  const auto schedule = sparse_gather_broadcast_gossip(spec, 0);
-
-  const auto exact = validate_gossip(view, schedule, spec.k());
+  const auto exact =
+      validate_gossip(view, sparse_gather_broadcast_gossip(spec, 0), spec.k());
   EXPECT_FALSE(exact.ok);
-  EXPECT_NE(exact.error.find("validate_gossip_sampled"), std::string::npos)
+  EXPECT_NE(exact.error.find("certify_gossip_symbolic"), std::string::npos)
       << exact.error;
 
-  const auto rep = validate_gossip_sampled(view, schedule, spec.k(), 16);
-  ASSERT_TRUE(rep.ok) << rep.error;
-  EXPECT_TRUE(rep.complete);
-  EXPECT_EQ(rep.sampled_tokens, 16u);
-  EXPECT_EQ(rep.rounds, 28);
-  EXPECT_FALSE(rep.minimum_time);
-}
-
-TEST(SampledGossip, AgreesWithExactValidatorWhenExhaustive) {
-  // samples >= N degrades to tracking every token: same verdict as the
-  // exact validator on both clean and truncated schedules.
-  const auto spec = SparseHypercubeSpec::construct_base(6, 2);
-  const SparseHypercubeView view(spec);
-  const auto schedule = sparse_gather_broadcast_gossip(spec, 0);
-  const auto exact = validate_gossip(view, schedule, spec.k());
-  const auto sampled =
-      validate_gossip_sampled(view, schedule, spec.k(), spec.num_vertices());
-  ASSERT_TRUE(exact.ok) << exact.error;
-  ASSERT_TRUE(sampled.ok) << sampled.error;
-  EXPECT_EQ(sampled.sampled_tokens, spec.num_vertices());
-  EXPECT_EQ(exact.rounds, sampled.rounds);
-  EXPECT_EQ(exact.max_call_length, sampled.max_call_length);
-
-  auto half = schedule;
-  half.truncate_rounds(6);
-  EXPECT_FALSE(validate_gossip(view, half, spec.k()).ok);
-  EXPECT_FALSE(
-      validate_gossip_sampled(view, half, spec.k(), spec.num_vertices()).ok);
-}
-
-TEST(SampledGossip, StructuralViolationsStillCaughtInFull) {
-  // Sampling trims only the knowledge tracking; every structural clause
-  // still runs over every call.
-  const HypercubeView q4(4);
-  auto schedule = hypercube_exchange_gossip(4);
-  // Corrupt one call into a double-booked endpoint.
-  GossipSchedule bad;
-  bad.begin_round();
-  bad.add_call({0, 1});
-  bad.add_call({1, 3});
-  const auto rep = validate_gossip_sampled(q4, bad, 1, 4);
-  EXPECT_FALSE(rep.ok);
-  EXPECT_NE(rep.error.find("two exchanges"), std::string::npos) << rep.error;
-  (void)schedule;
-}
-
-TEST(SampledGossip, DetectsAStrandedToken) {
-  // A gossip that never involves vertex 3: with enough samples the
-  // stranded token is hit and completion fails.
-  const HypercubeView q2(2);
-  GossipSchedule s;
-  s.begin_round();
-  s.add_call({0, 1});
-  s.begin_round();
-  s.add_call({0, 2});
-  const auto rep = validate_gossip_sampled(q2, s, 1, 4, /*seed=*/1);
-  EXPECT_FALSE(rep.ok);
-  EXPECT_FALSE(rep.complete);
+  const auto cert = certify_gossip_symbolic(spec, 0);
+  ASSERT_TRUE(cert.report.ok) << cert.report.error;
+  EXPECT_TRUE(cert.report.complete);
+  EXPECT_EQ(cert.report.rounds, 28);
+  EXPECT_EQ(cert.report.total_exchanges, 2 * (cube_order(14) - 1));
+  EXPECT_FALSE(cert.report.minimum_time);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "shc/api/serve.hpp"
@@ -82,6 +83,60 @@ TEST(ServeEngine, DesignArgumentsOutOfRangeAnswerErrorRows) {
     }
   }
   EXPECT_EQ(engine.stats().errors, probes);
+
+  // Still serving.
+  const std::string row = engine.handle_line(
+      "{\"workload\":\"broadcast-symbolic\",\"n\":20,\"k\":2}");
+  EXPECT_NE(row.find("\"ok\":true"), std::string::npos) << row;
+}
+
+TEST(ServeEngine, DeeplyNestedLinesAnswerParseErrorRows) {
+  // The reader recursed once per '[' / '{' without a limit, so one line
+  // of 200 000 brackets exhausted the stack.  A request nests at most
+  // an array inside the object, and anything deeper is refused.
+  ServeEngine engine{ServeOptions{}};
+  std::string deep_objects;
+  for (int i = 0; i < 100000; ++i) deep_objects += "{\"a\":";
+  const std::vector<std::string> lines = {
+      std::string(200000, '['), deep_objects,
+      "{\"workload\":\"broadcast-symbolic\",\"n\":12,\"cuts\":[[3]]}"};
+  for (const std::string& line : lines) {
+    const std::string row = engine.handle_line(line);
+    const std::string head = line.substr(0, 48);
+    EXPECT_NE(row.find("\"ok\":false"), std::string::npos) << head << " -> " << row;
+    EXPECT_NE(row.find("\"error\":\"parse: nesting deeper than 2 at byte "),
+              std::string::npos)
+        << head << " -> " << row;
+    EXPECT_EQ(row.find("std::"), std::string::npos) << head << " -> " << row;
+  }
+  EXPECT_EQ(engine.stats().errors, lines.size());
+
+  // Still serving.
+  const std::string row = engine.handle_line(
+      "{\"workload\":\"broadcast-symbolic\",\"n\":12,\"cuts\":[3]}");
+  EXPECT_NE(row.find("\"ok\":true"), std::string::npos) << row;
+}
+
+TEST(ServeEngine, OutOfRangeIntegersAnswerErrorRowsNotWrappedRows) {
+  // Integers up to 9e15 pass the integer check; narrowing them to int
+  // used to wrap 2^32 + 20 to 20 and answer the certified n = 20 row.
+  ServeEngine engine{ServeOptions{}};
+  const std::pair<const char*, const char*> probes[] = {
+      {"\"n\":4294967316,\"k\":2", "n out of range"},
+      {"\"n\":-4294967276,\"k\":2", "n out of range"},
+      {"\"n\":20,\"k\":4294967298", "k out of range"},
+      {"\"n\":20,\"cuts\":[4294967299]", "cuts entry out of range"},
+      {"\"n\":20,\"k\":2,\"threads\":4294967297", "threads out of range"},
+  };
+  for (const auto& [args, error] : probes) {
+    const std::string line =
+        std::string("{\"workload\":\"broadcast-symbolic\",") + args + "}";
+    const std::string row = engine.handle_line(line);
+    EXPECT_EQ(row, std::string("{\"ok\":false,\"error\":\"") + error + "\"}")
+        << line;
+    EXPECT_EQ(row.find("\"n\":20"), std::string::npos) << line << " -> " << row;
+  }
+  EXPECT_EQ(engine.stats().errors, std::size(probes));
 
   // Still serving.
   const std::string row = engine.handle_line(

@@ -7,9 +7,7 @@
 // random pairs/families at n = 16 — and canonical_reduce_tree produces
 // output identical to plain canonical_reduce at every thread count
 // (pool = nullptr, 1 worker, 4 workers), because the reduction's output
-// is a function of the input multiset alone.  These suites are what
-// makes SHC_BATCH_SCALAR a pure debug knob: both formulations must pass
-// the same reference checks.
+// is a function of the input multiset alone.
 #include <gtest/gtest.h>
 
 #include <algorithm>

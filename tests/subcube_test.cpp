@@ -189,24 +189,6 @@ TEST(CanonicalReduce, NormalizesAnyDisjointPartitionOfTheCube) {
   }
 }
 
-TEST(OverlapSweep, FindsExactlyTheIntersectingPairs) {
-  std::mt19937_64 rng(0xD15C0);
-  const int n = 12;
-  for (int trial = 0; trial < 100; ++trial) {
-    std::vector<Subcube> family;
-    for (int i = 0; i < 24; ++i) family.push_back(random_subcube(rng, n));
-    const auto pairs = find_overlapping_pairs(family);
-    ASSERT_TRUE(pairs.has_value());
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> expect;
-    for (std::uint32_t i = 0; i < family.size(); ++i) {
-      for (std::uint32_t j = i + 1; j < family.size(); ++j) {
-        if (subcubes_overlap(family[i], family[j])) expect.emplace_back(i, j);
-      }
-    }
-    ASSERT_EQ(*pairs, expect);
-  }
-}
-
 TEST(CheckedArithmetic, FlagsTheBoundaryInsteadOfWrapping) {
   std::uint64_t out = 0;
   // 2^63 - 1 calls (the n = 63 broadcast) must survive doubling checks...

@@ -13,6 +13,7 @@
 // reproduce the single-thread reports exactly.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 // ASan detection across GCC (__SANITIZE_ADDRESS__) and Clang
@@ -180,7 +181,6 @@ TEST(SymbolicGossipThreads, ShardedChecksReproduceTheSerialReport) {
   const auto b = certify_gossip_symbolic(spec, 0, sharded);
   expect_same_report(a.report, b.report, "threads=4 vs threads=1");
   ASSERT_TRUE(a.report.ok) << a.report.error;
-  EXPECT_EQ(a.checks.collision_candidates, b.checks.collision_candidates);
 }
 
 TEST(SymbolicGossipThreads, ShardedChecksReproduceTheSerialFailureReport) {
@@ -203,10 +203,22 @@ TEST(SymbolicGossipThreads, ShardedChecksReproduceTheSerialFailureReport) {
 
 // ---- handcrafted violations -------------------------------------------
 
-GossipReport check_on_cube(const SymbolicSchedule& s, int n, int k,
-                           const SymbolicGossipOptions& sopt = {}) {
+GossipReport check_on_cube(const SymbolicSchedule& s, int n, int k) {
   const CubeOracle oracle(n);
-  return validate_gossip_symbolic(oracle, s, k, sopt);
+  return validate_gossip_symbolic(oracle, s, k);
+}
+
+/// Expands `s` exchange for exchange and checks that exact
+/// validate_gossip rejects it too, in the round the symbolic engine
+/// named.
+void expect_exact_rejects_in_same_round(const SymbolicSchedule& s, int k,
+                                        const GossipReport& sym) {
+  const CubeOracle oracle(s.n);
+  const auto exact = validate_gossip(oracle, GossipSchedule::from_symbolic(s), k);
+  EXPECT_FALSE(exact.ok);
+  EXPECT_EQ(exact.rounds, sym.rounds) << exact.error;
+  const std::string prefix = "round " + std::to_string(sym.rounds) + ": ";
+  EXPECT_EQ(exact.error.rfind(prefix, 0), 0u) << exact.error;
 }
 
 TEST(SymbolicGossipViolations, DroppedGroupLeavesKnowledgeIncomplete) {
@@ -226,7 +238,10 @@ TEST(SymbolicGossipViolations, OverlappingEndpointsDetected) {
   s.rounds[1].group_pattern.push_back(s.rounds[1].group_pattern[0]);
   const auto rep = check_on_cube(s, 5, 1);
   EXPECT_FALSE(rep.ok);
-  EXPECT_NE(rep.error.find("two exchanges"), std::string::npos) << rep.error;
+  EXPECT_EQ(rep.error,
+            "round 2: a vertex takes part in two exchanges (endpoint "
+            "subcubes overlap)");
+  expect_exact_rejects_in_same_round(s, 1, rep);
 }
 
 TEST(SymbolicGossipViolations, CountMismatchIsMultiplicityAccountingError) {
@@ -272,9 +287,11 @@ TEST(SymbolicGossipViolations, SharedEdgeBetweenGroupsDetected) {
   const Vertex p2[] = {0, 0b010, 0b011};
   b.end_call_group(g, p2);
   b.end_round();
-  const auto rep = check_on_cube(std::move(b).take(), 3, 2);
+  const auto s = std::move(b).take();
+  const auto rep = check_on_cube(s, 3, 2);
   EXPECT_FALSE(rep.ok);
-  EXPECT_NE(rep.error.find("edge collision"), std::string::npos) << rep.error;
+  EXPECT_EQ(rep.error, "round 1: edge collision between concurrent call groups");
+  expect_exact_rejects_in_same_round(s, 2, rep);
 }
 
 TEST(SymbolicGossipViolations, GatherHalfAloneIsIncomplete) {
@@ -312,84 +329,6 @@ TEST(SymbolicGossipViolations, DimensionMismatchRefused) {
   const auto rep = check_on_cube(s, 6, 1);
   EXPECT_FALSE(rep.ok);
   EXPECT_NE(rep.error.find("does not match"), std::string::npos) << rep.error;
-}
-
-// ---- collision modes: ledger vs pair sweep ----------------------------
-
-TEST(SymbolicGossipModes, LedgerAndPairSweepReportsMatch) {
-  SymbolicGossipOptions pair_sweep;
-  pair_sweep.collision_mode = CollisionMode::kPairSweep;
-  for (const int n : {8, 10, 13}) {
-    for (int k = 2; k <= 4; ++k) {
-      const auto spec = design_sparse_hypercube(n, k);
-      const auto ledger = certify_gossip_symbolic(spec, 0);
-      const auto pairs = certify_gossip_symbolic(spec, 0, pair_sweep);
-      expect_same_report(pairs.report, ledger.report,
-                         ("modes n=" + std::to_string(n) +
-                          " k=" + std::to_string(k))
-                             .c_str());
-      ASSERT_TRUE(ledger.report.ok) << ledger.report.error;
-      EXPECT_EQ(ledger.checks.collision_candidates, 0u)
-          << "ledger mode never enumerates candidate pairs";
-    }
-  }
-  const auto ledger = certify_exchange_gossip_symbolic(13);
-  const auto pairs = certify_exchange_gossip_symbolic(13, pair_sweep);
-  expect_same_report(pairs.report, ledger.report, "exchange modes");
-  ASSERT_TRUE(ledger.report.ok) << ledger.report.error;
-}
-
-TEST(SymbolicGossipModes, HandcraftedViolationsMatchBitForBit) {
-  SymbolicGossipOptions pair_sweep;
-  pair_sweep.collision_mode = CollisionMode::kPairSweep;
-
-  // Overlapping endpoints (a duplicated exchange group).
-  auto dup = hypercube_exchange_gossip_symbolic(5);
-  dup.rounds[1].groups.push_back(dup.rounds[1].groups[0]);
-  dup.rounds[1].group_pattern.push_back(dup.rounds[1].group_pattern[0]);
-  const auto dup_ledger = check_on_cube(dup, 5, 1);
-  const auto dup_pairs = check_on_cube(dup, 5, 1, pair_sweep);
-  EXPECT_FALSE(dup_ledger.ok);
-  EXPECT_NE(dup_ledger.error.find("two exchanges"), std::string::npos)
-      << dup_ledger.error;
-  expect_same_report(dup_pairs, dup_ledger, "duplicated endpoints");
-
-  // A shared edge between two concurrent multi-hop exchanges.
-  SymbolicScheduleBuilder b(0, 3);
-  b.begin_round();
-  CallGroup g;
-  g.prefix = 0b010;
-  g.free_mask = 0;
-  g.count = 1;
-  const Vertex p1[] = {0, 0b010, 0b011};
-  b.end_call_group(g, p1);
-  g.prefix = 0b011;
-  const Vertex p2[] = {0, 0b010, 0b011};
-  b.end_call_group(g, p2);
-  b.end_round();
-  const auto shared = std::move(b).take();
-  const auto edge_ledger = check_on_cube(shared, 3, 2);
-  const auto edge_pairs = check_on_cube(shared, 3, 2, pair_sweep);
-  EXPECT_FALSE(edge_ledger.ok);
-  EXPECT_NE(edge_ledger.error.find("edge collision"), std::string::npos)
-      << edge_ledger.error;
-  expect_same_report(edge_pairs, edge_ledger, "shared edge");
-}
-
-TEST(SymbolicGossipModes, PairSweepBudgetMessageNamesRoundBudgetAndKnob) {
-  // Every round's endpoint sweep sees at least two subcubes, so a
-  // node budget of 1 trips immediately — and the message must name the
-  // round, the budget, and the knob.
-  SymbolicGossipOptions starved;
-  starved.collision_mode = CollisionMode::kPairSweep;
-  starved.collision_budget = 1;
-  const auto rep =
-      check_on_cube(hypercube_exchange_gossip_symbolic(5), 5, 1, starved);
-  EXPECT_FALSE(rep.ok);
-  EXPECT_EQ(rep.error,
-            "round 1: endpoint disjointness analysis exceeded its budget "
-            "(node budget 1; raise SymbolicGossipOptions::collision_budget "
-            "or switch to CollisionMode::kLedger)");
 }
 
 // ---- the boundary ------------------------------------------------------

@@ -23,6 +23,7 @@
 #include "shc/sim/congestion.hpp"
 #include "shc/sim/streaming_validator.hpp"
 #include "shc/sim/symbolic_validator.hpp"
+#include "shc/sim/validator.hpp"
 
 namespace shc {
 namespace {
@@ -424,7 +425,7 @@ TEST(SymbolicViolations, SampledReplayCatchesGraphDisagreement) {
 }
 
 TEST(SymbolicThreads, ShardedGroupChecksReproduceTheSerialReport) {
-  // The per-round caller-tiling consumption and collision-pair analysis
+  // The per-round caller-tiling consumption and occupancy-ledger walks
   // shard over the persistent WorkerPool when sopt.threads > 1; the
   // report must be bit-for-bit the single-thread one, clean or failing.
   for (const int n : {12, 16}) {
@@ -438,7 +439,6 @@ TEST(SymbolicThreads, ShardedGroupChecksReproduceTheSerialReport) {
     const auto b = certify_broadcast_symbolic(spec, 0, opt, sharded);
     expect_same_report(a.report, b.report, "threads=4 vs threads=1 clean");
     ASSERT_TRUE(a.report.ok) << a.report.error;
-    EXPECT_EQ(a.checks.collision_candidates, b.checks.collision_candidates);
   }
   // Failure parity: a dropped group trips the tiling check identically.
   auto bad = clean_schedule(10, 2);
@@ -456,48 +456,7 @@ TEST(SymbolicThreads, ShardedGroupChecksReproduceTheSerialReport) {
   expect_same_report(serial_rep, sharded_rep, "threads=4 vs threads=1 failing");
 }
 
-// ---- collision modes: ledger vs pair sweep ----------------------------
-
-TEST(CollisionModes, LedgerAndPairSweepReportsMatchForAllNUpTo24AcrossK234) {
-  // The dyadic occupancy ledger (default) and the original candidate
-  // pair sweep must produce bit-for-bit identical reports on the whole
-  // cross-checkable range; ledger mode never enumerates a candidate.
-  SymbolicCheckOptions pair_sweep;
-  pair_sweep.collision_mode = CollisionMode::kPairSweep;
-  for (int n = 5; n <= 24; ++n) {
-    for (int k = 2; k <= 4; ++k) {
-      if (n <= k + 1) continue;
-      const auto spec = design_sparse_hypercube(n, k);
-      ValidationOptions opt;
-      opt.k = spec.k();
-      const auto ledger = certify_broadcast_symbolic(spec, 0, opt);
-      const auto pairs = certify_broadcast_symbolic(spec, 0, opt, pair_sweep);
-      expect_same_report(pairs.report, ledger.report,
-                         ("modes n=" + std::to_string(n) +
-                          " k=" + std::to_string(k))
-                             .c_str());
-      ASSERT_TRUE(ledger.report.ok) << ledger.report.error;
-      EXPECT_EQ(ledger.checks.collision_candidates, 0u);
-    }
-  }
-}
-
-TEST(CollisionModes, VertexDisjointModelMatchesAcrossModesToo) {
-  SymbolicCheckOptions pair_sweep;
-  pair_sweep.collision_mode = CollisionMode::kPairSweep;
-  for (const int n : {8, 12, 16}) {
-    for (int k = 2; k <= 4; ++k) {
-      const auto spec = design_sparse_hypercube(n, k);
-      ValidationOptions opt;
-      opt.k = spec.k();
-      opt.require_vertex_disjoint = true;
-      const auto ledger = certify_broadcast_symbolic(spec, 0, opt);
-      const auto pairs = certify_broadcast_symbolic(spec, 0, opt, pair_sweep);
-      expect_same_report(pairs.report, ledger.report, "vertex-disjoint modes");
-      ASSERT_TRUE(ledger.report.ok) << ledger.report.error;
-    }
-  }
-}
+// ---- handcrafted collisions against the exact validator ----------------
 
 /// Hand-built Q_3 schedule on the full-cube oracle: round 1 informs
 /// vertex 1; round 2's two groups walk the given patterns from callers
@@ -522,55 +481,58 @@ SymbolicSchedule q3_two_group_schedule(const std::vector<Vertex>& patt_a,
   return std::move(b).take();
 }
 
-TEST(CollisionModes, HandcraftedEdgeCollisionMatchesBitForBit) {
+/// Expands `s` call for call and checks that the exact serial validator
+/// rejects it too, in the round the symbolic engine named.
+void expect_exact_rejects_in_same_round(const SymbolicSchedule& s,
+                                        const ValidationOptions& opt,
+                                        const ValidationReport& sym) {
+  const CubeOracle oracle(s.n);
+  const auto exact =
+      validate_broadcast(oracle, FlatSchedule::from_symbolic(s), opt);
+  EXPECT_FALSE(exact.ok);
+  EXPECT_EQ(exact.rounds, sym.rounds) << exact.error;
+  const std::string prefix = "round " + std::to_string(sym.rounds) + ": ";
+  EXPECT_EQ(exact.error.rfind(prefix, 0), 0u) << exact.error;
+}
+
+TEST(HandcraftedCollisions, EdgeCollisionRejectedLikeTheExactValidator) {
   // A: 0 -> 2 -> 6 uses edge {0, 2}; B: 1 -> 3 -> 2 -> 0 re-crosses it
-  // on its last hop.  Both modes must reject with the identical report.
+  // on its last hop.
   const auto s = q3_two_group_schedule({0, 2, 6}, {0, 2, 3, 1});
   const CubeOracle oracle(3);
   ValidationOptions opt;
   opt.k = 3;
-  SymbolicCheckOptions ledger;
-  SymbolicCheckOptions pair_sweep;
-  pair_sweep.collision_mode = CollisionMode::kPairSweep;
-  const auto a = validate_broadcast_symbolic(oracle, s, opt, ledger);
-  const auto b = validate_broadcast_symbolic(oracle, s, opt, pair_sweep);
-  EXPECT_FALSE(a.ok);
-  EXPECT_NE(a.error.find("edge collision between concurrent call groups"),
-            std::string::npos)
-      << a.error;
-  expect_same_report(b, a, "handcrafted edge collision");
+  const auto rep = validate_broadcast_symbolic(oracle, s, opt);
+  EXPECT_FALSE(rep.ok);
+  EXPECT_EQ(rep.error, "round 2: edge collision between concurrent call groups");
+  expect_exact_rejects_in_same_round(s, opt, rep);
 }
 
-TEST(CollisionModes, HandcraftedVertexCollisionMatchesBitForBit) {
+TEST(HandcraftedCollisions, VertexCollisionRejectedLikeTheExactValidator) {
   // A: 0 -> 2 -> 6 and B: 1 -> 3 -> 2 share vertex 2 over disjoint
   // edges: legal in the edge-disjoint model, a collision under the
-  // Section-5 vertex-disjoint model — identically in both modes.
+  // Section-5 vertex-disjoint model.
   const auto s = q3_two_group_schedule({0, 2, 6}, {0, 2, 3});
   const CubeOracle oracle(3);
   ValidationOptions opt;
   opt.k = 3;
-  SymbolicCheckOptions ledger;
-  SymbolicCheckOptions pair_sweep;
-  pair_sweep.collision_mode = CollisionMode::kPairSweep;
 
   opt.require_vertex_disjoint = true;
-  const auto a = validate_broadcast_symbolic(oracle, s, opt, ledger);
-  const auto b = validate_broadcast_symbolic(oracle, s, opt, pair_sweep);
-  EXPECT_FALSE(a.ok);
-  EXPECT_NE(a.error.find("vertex collision between concurrent call groups "
-                         "(vertex-disjoint model)"),
-            std::string::npos)
-      << a.error;
-  expect_same_report(b, a, "handcrafted vertex collision");
+  const auto rep = validate_broadcast_symbolic(oracle, s, opt);
+  EXPECT_FALSE(rep.ok);
+  EXPECT_EQ(rep.error,
+            "round 2: vertex collision between concurrent call groups "
+            "(vertex-disjoint model)");
+  expect_exact_rejects_in_same_round(s, opt, rep);
 
-  // Edge-disjoint model: no collision clause fires (the schedule still
-  // fails later, identically in both modes).
+  // Edge-disjoint model: no collision clause fires; the schedule still
+  // fails later, as incomplete, with the exact validator's report.
   opt.require_vertex_disjoint = false;
-  const auto c = validate_broadcast_symbolic(oracle, s, opt, ledger);
-  const auto d = validate_broadcast_symbolic(oracle, s, opt, pair_sweep);
-  EXPECT_EQ(c.error.find("collision between concurrent"), std::string::npos)
-      << c.error;
-  expect_same_report(d, c, "edge-disjoint fallthrough");
+  const auto fallthrough = validate_broadcast_symbolic(oracle, s, opt);
+  EXPECT_EQ(fallthrough.error, "incomplete: informed 4 of 8");
+  expect_same_report(
+      validate_broadcast(oracle, FlatSchedule::from_symbolic(s), opt),
+      fallthrough, "edge-disjoint fallthrough");
 }
 
 // ---- budget-exhaustion diagnostics ------------------------------------
@@ -611,24 +573,6 @@ TEST(BudgetDiagnostics, TilingBudgetMessageNamesRoundBudgetAndKnob) {
   EXPECT_EQ(rep.error,
             "round 2: caller tiling budget exceeded (per-entry budget 1; "
             "raise SymbolicCheckOptions::tiling_budget)");
-}
-
-TEST(BudgetDiagnostics, PairSweepBudgetMessageNamesRoundBudgetAndKnob) {
-  SymbolicCheckOptions starved;
-  starved.collision_mode = CollisionMode::kPairSweep;
-  starved.collision_budget = 1;
-  const auto spec = design_sparse_hypercube(10, 2);
-  ValidationOptions opt;
-  opt.k = spec.k();
-  const auto cert = certify_broadcast_symbolic(spec, 0, opt, starved);
-  EXPECT_FALSE(cert.report.ok);
-  EXPECT_NE(cert.report.error.find("round "), std::string::npos)
-      << cert.report.error;
-  EXPECT_NE(cert.report.error.find(
-                "collision analysis exceeded its budget (node budget 1; "
-                "raise SymbolicCheckOptions::collision_budget"),
-            std::string::npos)
-      << cert.report.error;
 }
 
 TEST(BudgetDiagnostics, LedgerBudgetMessageNamesRoundBudgetAndKnob) {
@@ -701,11 +645,9 @@ void expect_same_stats(const SymbolicRunStats& a, const SymbolicRunStats& b,
   EXPECT_EQ(a.peak_round_groups, b.peak_round_groups) << what;
   EXPECT_EQ(a.peak_frontier_subcubes, b.peak_frontier_subcubes) << what;
   EXPECT_EQ(a.final_frontier_subcubes, b.final_frontier_subcubes) << what;
-  EXPECT_EQ(a.collision_candidates, b.collision_candidates) << what;
   EXPECT_EQ(a.occupancy_claims, b.occupancy_claims) << what;
   EXPECT_EQ(a.sampled_calls, b.sampled_calls) << what;
   EXPECT_EQ(a.rounds_checked, b.rounds_checked) << what;
-  EXPECT_EQ(a.reduce_tree_tasks, b.reduce_tree_tasks) << what;
 }
 
 /// certify_broadcast_symbolic (the producer walks the validator's

@@ -76,7 +76,6 @@ CHECKED_COUNTERS = (
     "known_pairs",
     "informed_count",
     "occupancy_claims",
-    "collision_candidates",
     "rounds_checked",
     "unions_computed",
     "union_cache_hits",
@@ -131,8 +130,6 @@ DUPLICATE_KNOBS = (
     "sample_seed",
     "ledger_budget_per_claim",
     "ledger_bucket_budget_base",
-    "collision_budget",
-    "max_collision_pairs",
 )
 KNOB_HOME = "src/sim/include/shc/sim/check_options.hpp"
 
@@ -158,8 +155,9 @@ TIMESTAMP_RE = re.compile(
     r"\b(?:steady_clock|system_clock|high_resolution_clock)\b"
 )
 # A declaration is "type-token, whitespace, knob name, then = / { / ;".
-# Reads are always qualified (`sopt.collision_budget`) or bare inside an
-# expression, so neither form has a type token + whitespace in front.
+# Reads are always qualified (`sopt.ledger_budget_per_claim`) or bare
+# inside an expression, so neither form has a type token + whitespace in
+# front.
 DUPLICATE_KNOB_RE = re.compile(
     r"\b[A-Za-z_][\w:]*\s+(" + "|".join(DUPLICATE_KNOBS) + r")\s*[={;]"
 )

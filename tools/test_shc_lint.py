@@ -340,7 +340,7 @@ class DuplicateKnobRule(LintHarness):
         self.assert_finding(
             {
                 "src/gossip/a.hpp":
-                    "struct Opt { std::uint64_t collision_budget{8}; };\n"
+                    "struct Opt { std::uint64_t ledger_budget_per_claim{8}; };\n"
             },
             "duplicate-knob",
         )
@@ -359,7 +359,7 @@ class DuplicateKnobRule(LintHarness):
             {
                 "src/sim/a.hpp":
                     "void f() { auto s = sopt_.sample_seed; }\n"
-                    "bool g() { return budget < sopt_.collision_budget; }\n"
+                    "bool g() { return budget < sopt_.ledger_budget_per_claim; }\n"
             }
         )
 
