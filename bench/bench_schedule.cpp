@@ -236,33 +236,26 @@ BENCHMARK(BM_SymbolicCertify)
     ->Iterations(1)
     ->Unit(benchmark::kSecond);
 
-/// The designed-spec headline row: the paper's own construct(63, 10)
-/// (Theorem 5's m* = 10 core) certified end to end — ~150 M call
-/// groups, an ~11 M-subcube peak frontier, 2^63 - 1 calls — which a
-/// quadratic candidate-pair collision sweep could never finish (it
-/// burned its budget at round 52).  The dyadic occupancy ledger closes it within
-/// default budgets; the gate enforces the minimum-time verdict and the
-/// exact call/group counts so any engine drift fails the recording.
-void BM_SymbolicCertifyDesigned(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const auto spec = SparseHypercubeSpec::construct(n, {theorem5_core(n)});
+/// Certifies broadcast on `spec` from vertex 0 as the bench row `row`,
+/// exiting 1 unless the verdict is minimum-time with exactly 2^n - 1
+/// calls.  Shared by the designed-spec rows below.
+void certify_designed_row(benchmark::State& state, const SparseHypercubeSpec& spec,
+                          const std::string& row) {
+  const int n = spec.n();
   ValidationOptions opt;
   opt.k = spec.k();
-  const auto trace =
-      trace_session_for_row("BM_SymbolicCertifyDesigned/" + std::to_string(n));
+  const auto trace = trace_session_for_row(row);
   SymbolicCertification cert;
   for (auto _ : state) {
     cert = certify_broadcast_symbolic(spec, 0, opt);
     if (!cert.report.ok || !cert.report.minimum_time) {
-      std::cout << "FAIL: designed symbolic n=" << n
-                << " did not certify minimum-time: " << cert.report.error
-                << "\n";
+      std::cout << "FAIL: " << row << " did not certify minimum-time: "
+                << cert.report.error << "\n";
       std::exit(1);
     }
     if (cert.report.total_calls != cube_order(n) - 1) {
-      std::cout << "FAIL: designed symbolic n=" << n << " certified "
-                << cert.report.total_calls << " calls, expected 2^" << n
-                << " - 1\n";
+      std::cout << "FAIL: " << row << " certified " << cert.report.total_calls
+                << " calls, expected 2^" << n << " - 1\n";
       std::exit(1);
     }
   }
@@ -274,16 +267,46 @@ void BM_SymbolicCertifyDesigned(benchmark::State& state) {
       static_cast<double>(cert.checks.peak_round_groups);
   state.counters["occupancy_claims"] =
       static_cast<double>(cert.checks.occupancy_claims);
+  state.counters["sampled_calls"] = static_cast<double>(cert.checks.sampled_calls);
   state.counters["rounds_checked"] =
       static_cast<double>(cert.checks.rounds_checked);
   state.counters["minimum_time"] = cert.report.minimum_time ? 1.0 : 0.0;
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(cert.checks.groups));
 }
+
+/// The designed-spec headline row: the paper's own construct(63, 10)
+/// (Theorem 5's m* = 10 core) certified end to end — ~150 M call
+/// groups, an ~11 M-subcube peak frontier, 2^63 - 1 calls — which a
+/// quadratic candidate-pair collision sweep could never finish (it
+/// burned its budget at round 52).  The dyadic occupancy ledger closes it within
+/// default budgets; the gate enforces the minimum-time verdict and the
+/// exact call/group counts so any engine drift fails the recording.
+void BM_SymbolicCertifyDesigned(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  certify_designed_row(state, SparseHypercubeSpec::construct(n, {theorem5_core(n)}),
+                       "BM_SymbolicCertifyDesigned/" + std::to_string(n));
+}
 BENCHMARK(BM_SymbolicCertifyDesigned)
     ->Arg(63)
     ->Iterations(1)
     ->Unit(benchmark::kSecond);
+
+/// design_sparse_hypercube(n, 2) below the 2^32 bitmap limit: about
+/// 24 k groups, so the row is milliseconds only while the per-round
+/// sampled replay costs O(sampled calls) — it once zero-filled 2^n-bit
+/// vertex bitmaps every round (seconds and hundreds of MB at n = 30).
+/// The gate pins the group and sampled-call counts and the verdict.
+void BM_SymbolicCertifyDesignedK2(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  certify_designed_row(state, design_sparse_hypercube(n, 2),
+                       "BM_SymbolicCertifyDesigned/k2/" + std::to_string(n));
+}
+BENCHMARK(BM_SymbolicCertifyDesignedK2)
+    ->Name("BM_SymbolicCertifyDesigned/k2")
+    ->Arg(30)
+    ->Iterations(1)
+    ->Unit(benchmark::kMillisecond);
 
 /// The symbolic gossip engine's acceptance rows: certify gather-
 /// broadcast all-to-all exchange far past the exact validator's 2^13

@@ -69,6 +69,10 @@ GATED_SCHEDULE = {
                               "rounds_checked"],
     "BM_SymbolicCertifyDesigned/63": ["calls", "groups", "minimum_time",
                                       "rounds_checked"],
+    # Designed k = 2 below the bitmap limit: the sampled replay's count
+    # is gated alongside the groups (dormant until a baseline has it).
+    "BM_SymbolicCertifyDesigned/k2/30": ["calls", "groups", "sampled_calls",
+                                         "rounds_checked", "minimum_time"],
     "BM_SymbolicGossip/26": ["exchanges", "groups", "rounds_checked",
                              "union_cache_hits", "union_cache_misses"],
     "BM_SymbolicGossip/33": ["exchanges", "groups", "rounds_checked",

@@ -2,9 +2,10 @@
 //
 // Speaks newline-delimited JSON: one request object per line in, one
 // response row per line out, the same row schema shc_sweep emits (plus
-// an `"id"`/`"cache_hit"` envelope).  Two transports share one
-// ServeEngine (shc/api/serve.hpp) — and with it one certificate cache,
-// one WorkerPool, and one admission controller:
+// an `"id"`/`"cache_hit"` envelope).  A line longer than 64 KiB is
+// answered with an error row instead of being parsed.  Two transports
+// share one ServeEngine (shc/api/serve.hpp) — and with it one
+// certificate cache, one WorkerPool, and one admission controller:
 //
 //   shc_serve                          # stdin/stdout loop
 //   shc_serve --socket /tmp/shc.sock   # AF_UNIX listener, concurrent
@@ -64,10 +65,101 @@ std::string strip_envelope(std::string row) {
   return row;
 }
 
+/// Writes all of `row` to socket fd; false if the peer went away.
+/// MSG_NOSIGNAL: a client that hangs up must not SIGPIPE the server.
+bool write_all(int fd, const std::string& row) {
+  std::size_t off = 0;
+  while (off < row.size()) {
+    const ssize_t wrote = ::send(fd, row.data() + off, row.size() - off, MSG_NOSIGNAL);
+    if (wrote <= 0) return false;
+    off += static_cast<std::size_t>(wrote);
+  }
+  return true;
+}
+
+/// One connected client: lines in, rows out, until EOF.  A line that
+/// outgrows ServeEngine::kMaxLineBytes before its newline arrives is
+/// answered once (the engine's over-long-line error row) and the rest
+/// of it is discarded up to the next newline, so a client that never
+/// sends '\n' cannot grow the buffer without bound.
+void serve_connection(ServeEngine& engine, int fd) {
+  std::string buf;
+  bool discarding = false;  // inside an over-long line already answered
+  char chunk[4096];
+  const auto reply = [&](const std::string& line) {
+    return write_all(fd, engine.handle_line(line) + "\n");
+  };
+  for (;;) {
+    const ssize_t got = ::read(fd, chunk, sizeof(chunk));
+    if (got <= 0) break;
+    buf.append(chunk, static_cast<std::size_t>(got));
+    std::size_t start = 0;
+    for (;;) {
+      const std::size_t nl = buf.find('\n', start);
+      if (nl == std::string::npos) break;
+      if (discarding) {
+        discarding = false;
+      } else if (!reply(buf.substr(start, nl - start))) {
+        ::close(fd);
+        return;
+      }
+      start = nl + 1;
+    }
+    buf.erase(0, start);
+    if (discarding) {
+      buf.clear();
+    } else if (buf.size() > ServeEngine::kMaxLineBytes) {
+      if (!reply(buf)) {
+        ::close(fd);
+        return;
+      }
+      buf.clear();
+      discarding = true;
+    }
+  }
+  ::close(fd);
+}
+
+/// Drives serve_connection over a socketpair: a 1 MiB line with no
+/// newline until its end, then a real query.  Returns the rows read
+/// back, one per line.
+std::vector<std::string> socket_rows_for_overlong_line(ServeEngine& engine) {
+  int sv[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) return {};
+  std::thread server(serve_connection, std::ref(engine), sv[1]);
+  std::string out;
+  std::thread reader([&] {
+    char chunk[4096];
+    for (;;) {
+      const ssize_t got = ::read(sv[0], chunk, sizeof(chunk));
+      if (got <= 0) break;
+      out.append(chunk, static_cast<std::size_t>(got));
+    }
+  });
+  const std::string junk(std::size_t{1} << 20, 'x');
+  bool sent = write_all(sv[0], junk) && write_all(sv[0], "\n");
+  sent = sent && write_all(sv[0],
+                           "{\"id\":4,\"workload\":\"broadcast-streaming\","
+                           "\"n\":8,\"k\":2}\n");
+  ::shutdown(sv[0], SHUT_WR);
+  server.join();
+  reader.join();
+  ::close(sv[0]);
+  std::vector<std::string> rows;
+  if (!sent) return rows;
+  std::size_t start = 0;
+  for (std::size_t nl; (nl = out.find('\n', start)) != std::string::npos;
+       start = nl + 1) {
+    rows.push_back(out.substr(start, nl - start));
+  }
+  return rows;
+}
+
 /// Fixed request script through an in-process engine; any mismatch is a
 /// failed smoke test.  Covers the protocol surface the serve_test gtest
 /// suite checks in depth: ok rows, cache-hit byte identity, structured
-/// errors for malformed lines, admission refusal.
+/// errors for malformed lines, admission refusal, and the socket
+/// reader's line-length cap.
 int selftest() {
   int failures = 0;
   const auto expect = [&](bool cond, const std::string& what) {
@@ -108,34 +200,22 @@ int selftest() {
   expect(refused.find("\"refused\":true") != std::string::npos,
          "admission refusal row: " + refused);
 
+  // Socket transport: an over-long line is answered once and dropped
+  // up to its newline; the next line is served normally.
+  const std::vector<std::string> rows = socket_rows_for_overlong_line(engine);
+  expect(rows.size() == 2, "two rows for an over-long line plus a query, got " +
+                               std::to_string(rows.size()));
+  if (rows.size() == 2) {
+    expect(rows[0] == "{\"ok\":false,\"error\":\"parse: line longer than "
+                      "65536 bytes\"}",
+           "over-long line answers the line-length error row: " + rows[0]);
+    expect(rows[1].find("\"ok\":true") != std::string::npos &&
+               rows[1].find("\"id\":4") != std::string::npos,
+           "the query after it is served: " + rows[1]);
+  }
+
   if (failures == 0) std::cout << "shc_serve selftest: all checks passed\n";
   return failures == 0 ? 0 : 1;
-}
-
-/// One connected client: lines in, rows out, until EOF.
-void serve_connection(ServeEngine& engine, int fd) {
-  std::string buf;
-  char chunk[4096];
-  for (;;) {
-    const ssize_t got = ::read(fd, chunk, sizeof(chunk));
-    if (got <= 0) break;
-    buf.append(chunk, static_cast<std::size_t>(got));
-    std::size_t start = 0;
-    for (;;) {
-      const std::size_t nl = buf.find('\n', start);
-      if (nl == std::string::npos) break;
-      const std::string row = engine.handle_line(buf.substr(start, nl - start)) + "\n";
-      std::size_t off = 0;
-      while (off < row.size()) {
-        const ssize_t wrote = ::write(fd, row.data() + off, row.size() - off);
-        if (wrote <= 0) { ::close(fd); return; }
-        off += static_cast<std::size_t>(wrote);
-      }
-      start = nl + 1;
-    }
-    buf.erase(0, start);
-  }
-  ::close(fd);
 }
 
 int serve_socket(ServeEngine& engine, const std::string& path) {

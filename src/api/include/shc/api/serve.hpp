@@ -16,7 +16,9 @@
 // Service semantics:
 //   * Malformed input never kills the server: every failure — bad
 //     JSON, unknown workload, a spec the constructors reject — comes
-//     back as a structured `{"ok":false,"error":...}` row.
+//     back as a structured `{"ok":false,"error":...}` row.  A line
+//     longer than ServeEngine::kMaxLineBytes is refused before parsing,
+//     and the socket transport stops buffering it at that length.
 //   * Certificate cache: completed rows are memoized keyed by
 //     (workload, n, resolved cut vector, source, model[, congestion]).
 //     Thread counts and budgets are deliberately NOT in the key — the
@@ -41,6 +43,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -87,6 +90,12 @@ class ServeEngine {
 
   ServeEngine(const ServeEngine&) = delete;
   ServeEngine& operator=(const ServeEngine&) = delete;
+
+  /// Longest request line answered by parsing.  The longest legal
+  /// request is well under 1 KiB; anything past this is answered with
+  /// `parse: line longer than 65536 bytes`, and transports may discard
+  /// the rest of such a line instead of buffering it.
+  static constexpr std::size_t kMaxLineBytes = 65536;
 
   /// Answers one request line with one response row (no trailing
   /// newline).  Never throws on bad input — errors become rows.

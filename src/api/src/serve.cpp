@@ -330,6 +330,12 @@ std::string ServeEngine::handle_line(const std::string& line) {
   queries_.fetch_add(1);
 
   // Decode.  Every exit below answers with exactly one row.
+  if (line.size() > kMaxLineBytes) {
+    errors_.fetch_add(1);
+    return error_row("parse: line longer than " + std::to_string(kMaxLineBytes) +
+                         " bytes",
+                     false, 0);
+  }
   Parsed p;
   {
     JsonValue root;

@@ -32,7 +32,9 @@
 //     expanded into concrete calls and replayed through the serial
 //     reference kernel (validate_round_serial) against the real
 //     adjacency oracle — a bit-level spot check that the algebra and
-//     the graph agree.
+//     the graph agree.  The kernel's vertex sets size themselves to
+//     their population (detail::VertexSet), so the replay costs
+//     O(sampled calls) per round at every n, never O(2^n).
 //
 // Model scope: the symbolic engine certifies the paper's exact model
 // (edge_capacity == 1, forbid_redundant_receivers, require_completion)
@@ -571,7 +573,9 @@ class SymbolicBroadcastValidator {
   }
 
   /// Expands a seeded random subset of groups to concrete calls and
-  /// replays them through the serial reference kernel.
+  /// replays them through the serial reference kernel.  The run state
+  /// is fresh per round and holds only the sampled callers and
+  /// receivers, so it stays in VertexSet's hashed form.
   bool sampled_replay(const std::string& where) {
     const std::uint64_t want =
         std::min<std::uint64_t>(sopt_.sample_groups_per_round, round_.groups.size());

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <concepts>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -110,18 +111,27 @@ inline EdgeKey edge_key(Vertex u, Vertex v) {
   return u <= v ? EdgeKey{u, v} : EdgeKey{v, u};
 }
 
-/// Membership set over vertices 0..order-1.  Materializable orders get a
-/// contiguous bitmap (one probe, no hashing); the implicit n <= 63 range
-/// beyond falls back to a hash set.
+/// Membership set over vertices 0..order-1 that sizes itself to its
+/// population, not to the order.  It starts as a hash set and switches
+/// once, for good, to a contiguous bitmap (one probe, no hashing) when
+/// its count reaches order / kDenseRatio — about where the bitmap's
+/// order/8 bytes undercut the hash set's per-element node and bucket.
+/// The bitmap survives clear(), so a round-scoped set that went dense
+/// stays dense.  Orders above 2^32 (the implicit n <= 63 range) never
+/// switch.  A set that only ever holds a handful of vertices — the
+/// symbolic engine's sampled replay — therefore costs O(population)
+/// however large the cube, while the streaming validator's sets go
+/// dense within a few rounds.
 class VertexSet {
  public:
-  explicit VertexSet(std::uint64_t order) : bitmap_(order <= kBitmapLimit) {
-    if (bitmap_) bits_.assign(static_cast<std::size_t>((order + 63) / 64), 0);
-  }
+  explicit VertexSet(std::uint64_t order)
+      : order_(order),
+        dense_at_(order <= kBitmapLimit ? order / kDenseRatio
+                                        : std::numeric_limits<std::uint64_t>::max()) {}
 
   /// Inserts v; returns true iff it was not present.
   bool insert(Vertex v) {
-    if (bitmap_) {
+    if (dense_) {
       std::uint64_t& word = bits_[static_cast<std::size_t>(v >> 6)];
       const std::uint64_t bit = std::uint64_t{1} << (v & 63);
       if (word & bit) return false;
@@ -129,13 +139,11 @@ class VertexSet {
       ++count_;
       return true;
     }
-    const bool fresh = set_.insert(v).second;
-    if (fresh) ++count_;
-    return fresh;
+    return insert_hashed(v);
   }
 
   [[nodiscard]] bool contains(Vertex v) const {
-    if (bitmap_) {
+    if (dense_) {
       return (bits_[static_cast<std::size_t>(v >> 6)] >> (v & 63)) & 1;
     }
     return set_.contains(v);
@@ -143,8 +151,11 @@ class VertexSet {
 
   [[nodiscard]] std::uint64_t size() const noexcept { return count_; }
 
+  /// Whether the set has switched to its bitmap (it never switches back).
+  [[nodiscard]] bool dense() const noexcept { return dense_; }
+
   void clear() {
-    if (bitmap_) {
+    if (dense_) {
       std::fill(bits_.begin(), bits_.end(), 0);
     } else {
       set_.clear();
@@ -153,13 +164,36 @@ class VertexSet {
   }
 
  private:
-  // One bit per vertex for exactly the streaming validator's n <= 32
+  // One bit per vertex for at most the streaming validator's n <= 32
   // range (2^32 bits = 512 MiB worst case); truly implicit orders
-  // beyond fall back to hashing rather than eagerly zeroing gigabyte
-  // bitmaps for round-scoped sets.
+  // beyond stay hashed.
   static constexpr std::uint64_t kBitmapLimit = std::uint64_t{1} << 32;
+  // A hash-set element costs roughly 32 bytes (node plus bucket), a
+  // bitmap order/8 bytes: the bitmap is the smaller once count reaches
+  // order/256.
+  static constexpr std::uint64_t kDenseRatio = 256;
 
-  bool bitmap_;
+  // Out of line: with densify() folded in, insert() grows past what
+  // the compiler inlines into the validators' per-call loops, and the
+  // dense path would pay a call per vertex.
+  [[gnu::noinline]] bool insert_hashed(Vertex v) {
+    if (!set_.insert(v).second) return false;
+    if (++count_ >= dense_at_) densify();
+    return true;
+  }
+
+  void densify() {
+    bits_.assign(static_cast<std::size_t>((order_ + 63) / 64), 0);
+    for (const Vertex v : set_) {
+      bits_[static_cast<std::size_t>(v >> 6)] |= std::uint64_t{1} << (v & 63);
+    }
+    std::unordered_set<Vertex>().swap(set_);
+    dense_ = true;
+  }
+
+  std::uint64_t order_;
+  std::uint64_t dense_at_;  ///< count at which the set turns dense
+  bool dense_ = false;
   std::uint64_t count_ = 0;
   std::vector<std::uint64_t> bits_;
   std::unordered_set<Vertex> set_;

@@ -93,12 +93,13 @@ TEST(ServeEngine, DesignArgumentsOutOfRangeAnswerErrorRows) {
 TEST(ServeEngine, DeeplyNestedLinesAnswerParseErrorRows) {
   // The reader recursed once per '[' / '{' without a limit, so one line
   // of 200 000 brackets exhausted the stack.  A request nests at most
-  // an array inside the object, and anything deeper is refused.
+  // an array inside the object, and anything deeper is refused.  The
+  // probes stay under the line-length cap so they reach the parser.
   ServeEngine engine{ServeOptions{}};
   std::string deep_objects;
-  for (int i = 0; i < 100000; ++i) deep_objects += "{\"a\":";
+  for (int i = 0; i < 13000; ++i) deep_objects += "{\"a\":";
   const std::vector<std::string> lines = {
-      std::string(200000, '['), deep_objects,
+      std::string(ServeEngine::kMaxLineBytes, '['), deep_objects,
       "{\"workload\":\"broadcast-symbolic\",\"n\":12,\"cuts\":[[3]]}"};
   for (const std::string& line : lines) {
     const std::string row = engine.handle_line(line);
@@ -141,6 +142,33 @@ TEST(ServeEngine, OutOfRangeIntegersAnswerErrorRowsNotWrappedRows) {
   // Still serving.
   const std::string row = engine.handle_line(
       "{\"workload\":\"broadcast-symbolic\",\"n\":20,\"k\":2}");
+  EXPECT_NE(row.find("\"ok\":true"), std::string::npos) << row;
+}
+
+TEST(ServeEngine, OverlongLinesAnswerLineLengthErrorRows) {
+  // A line of any length used to reach the parser.  Past the fixed cap
+  // the engine answers one error row without parsing, whatever the
+  // bytes; a line exactly at the cap is still parsed.
+  ServeEngine engine{ServeOptions{}};
+  const std::string query =
+      "{\"workload\":\"broadcast-symbolic\",\"n\":12,\"k\":2}";
+  const std::vector<std::string> lines = {
+      std::string(std::size_t{1} << 20, 'x'),
+      std::string(std::size_t{1} << 20, '['),
+      query + std::string(ServeEngine::kMaxLineBytes + 1 - query.size(), ' ')};
+  for (const std::string& line : lines) {
+    const std::string row = engine.handle_line(line);
+    EXPECT_EQ(row, "{\"ok\":false,\"error\":\"parse: line longer than 65536 "
+                   "bytes\"}")
+        << line.substr(0, 48);
+    EXPECT_EQ(row.find("std::"), std::string::npos) << row;
+  }
+  EXPECT_EQ(engine.stats().errors, lines.size());
+
+  // Still serving, and a line padded to exactly the cap parses.
+  const std::string at_cap =
+      query + std::string(ServeEngine::kMaxLineBytes - query.size(), ' ');
+  const std::string row = engine.handle_line(at_cap);
   EXPECT_NE(row.find("\"ok\":true"), std::string::npos) << row;
 }
 

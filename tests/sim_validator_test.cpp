@@ -2,6 +2,10 @@
 // Definition 1 must be enforced, and correct schedules must pass.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
+#include <vector>
+
 #include "shc/baseline/hypercube_broadcast.hpp"
 #include "shc/graph/generators.hpp"
 #include "shc/sim/network.hpp"
@@ -228,6 +232,102 @@ TEST(Validator, SourceOutOfRange) {
   BroadcastSchedule s;
   s.source = 7;
   EXPECT_FALSE(validate_minimum_time_k_line(q2, s, 1).ok);
+}
+
+// Replays `vertices` (duplicates included) into a VertexSet of `order`
+// and a std::set side by side, checking insert's return value, size and
+// membership after every step, then clear() and reuse.
+void expect_vertex_set_matches_reference(std::uint64_t order,
+                                         const std::vector<Vertex>& vertices) {
+  detail::VertexSet set(order);
+  std::set<Vertex> ref;
+  for (const Vertex v : vertices) {
+    EXPECT_EQ(set.insert(v), ref.insert(v).second) << "order " << order << " v " << v;
+    EXPECT_EQ(set.size(), ref.size());
+    EXPECT_TRUE(set.contains(v));
+  }
+  for (const Vertex v : vertices) EXPECT_TRUE(set.contains(v));
+  for (const Vertex v : {Vertex{0}, order / 3, order - 1}) {
+    EXPECT_EQ(set.contains(v), ref.contains(v)) << "order " << order << " v " << v;
+  }
+  const bool was_dense = set.dense();
+  set.clear();
+  EXPECT_EQ(set.size(), 0u);
+  EXPECT_EQ(set.dense(), was_dense) << "clear() keeps the representation";
+  for (const Vertex v : vertices) EXPECT_FALSE(set.contains(v));
+  std::set<Vertex> again;
+  for (const Vertex v : vertices) EXPECT_EQ(set.insert(v), again.insert(v).second);
+  EXPECT_EQ(set.size(), ref.size()) << "reuse after clear()";
+  for (const Vertex v : vertices) EXPECT_TRUE(set.contains(v));
+}
+
+TEST(VertexSet, SemanticsHoldAcrossTheSwitchToABitmap) {
+  // 2^16 + 37 vertices (a partial last bitmap word): the set turns
+  // dense when its count reaches order / 256 = 256.
+  const std::uint64_t order = (std::uint64_t{1} << 16) + 37;
+  detail::VertexSet set(order);
+  EXPECT_FALSE(set.dense());
+  std::vector<Vertex> inserted;
+  for (std::uint64_t i = 0; i < 600; ++i) {
+    const Vertex v = i == 0 ? order - 1 : (i * 109) % order;
+    EXPECT_TRUE(set.insert(v)) << v;
+    inserted.push_back(v);
+    EXPECT_EQ(set.size(), i + 1);
+    EXPECT_EQ(set.dense(), set.size() >= order / 256) << "after " << i + 1;
+    // Duplicates on both sides of the switch: the vertex just added and
+    // the first one, inserted while the set was still hashed.
+    EXPECT_FALSE(set.insert(v));
+    EXPECT_FALSE(set.insert(inserted.front()));
+    EXPECT_EQ(set.size(), i + 1);
+  }
+  for (const Vertex v : inserted) EXPECT_TRUE(set.contains(v)) << v;
+  EXPECT_FALSE(set.contains(1));
+  EXPECT_FALSE(set.contains(order - 2));
+  set.clear();
+  EXPECT_EQ(set.size(), 0u);
+  EXPECT_TRUE(set.dense()) << "the bitmap survives clear()";
+  for (const Vertex v : inserted) EXPECT_FALSE(set.contains(v)) << v;
+  EXPECT_TRUE(set.insert(inserted[7]));
+  EXPECT_FALSE(set.insert(inserted[7]));
+  EXPECT_EQ(set.size(), 1u);
+  EXPECT_TRUE(set.contains(inserted[7]));
+  EXPECT_FALSE(set.contains(inserted[8]));
+
+  // The same walk, with duplicates interleaved, against a reference set
+  // for orders below, at and above the density threshold.
+  for (const std::uint64_t ord : {std::uint64_t{2}, std::uint64_t{255},
+                                  std::uint64_t{256}, std::uint64_t{4096}, order}) {
+    std::vector<Vertex> walk;
+    for (std::uint64_t i = 0; i < 400; ++i) walk.push_back((i * i * 31 + 7) % ord);
+    walk.push_back(0);
+    walk.push_back(ord - 1);
+    expect_vertex_set_matches_reference(ord, walk);
+  }
+}
+
+TEST(VertexSet, LargestBitmapOrderAndBeyondKeepTheirExtremeVertices) {
+  // 2^32 is the largest order that may ever switch to a bitmap (it would
+  // at 2^24 members, out of reach here); 2^40 must stay hashed for good.
+  const std::uint64_t top32 = (std::uint64_t{1} << 32) - 1;
+  expect_vertex_set_matches_reference(
+      std::uint64_t{1} << 32, {0, top32, 0, top32, top32 >> 1, 1, top32});
+  const std::uint64_t order40 = std::uint64_t{1} << 40;
+  detail::VertexSet set(order40);
+  for (std::uint64_t i = 0; i < 5000; ++i) {
+    EXPECT_TRUE(set.insert(order40 - 1 - i * 0x10001));
+  }
+  EXPECT_FALSE(set.insert(order40 - 1));
+  EXPECT_TRUE(set.insert(0));
+  EXPECT_EQ(set.size(), 5001u);
+  EXPECT_FALSE(set.dense()) << "orders above 2^32 never switch";
+  EXPECT_TRUE(set.contains(order40 - 1));
+  EXPECT_TRUE(set.contains(0));
+  EXPECT_FALSE(set.contains(order40 - 2));
+  set.clear();
+  EXPECT_EQ(set.size(), 0u);
+  EXPECT_FALSE(set.contains(order40 - 1));
+  EXPECT_TRUE(set.insert(order40 - 1));
+  EXPECT_EQ(set.size(), 1u);
 }
 
 class BinomialBroadcastProperty : public ::testing::TestWithParam<int> {};

@@ -403,25 +403,90 @@ TEST(SymbolicViolations, IntraCallVertexRevisitRejectedInVertexDisjointModel) {
   EXPECT_EQ(ed.error.find("revisits a vertex"), std::string::npos) << ed.error;
 }
 
-TEST(SymbolicViolations, SampledReplayCatchesGraphDisagreement) {
-  // Force the sampler to expand everything, then lie about an edge by
-  // making the validator see a *sparser* spec than the producer used.
-  const auto produce_spec = SparseHypercubeSpec::construct_base(10, 3);
-  const auto sym = make_symbolic_broadcast_schedule(produce_spec, 0);
-  const auto check_spec = SparseHypercubeSpec::construct(
-      10, {3}, {lemma2_labeling(3)});
-  // Same spec shape: instead lie by validating against different cuts.
-  const auto other = SparseHypercubeSpec::construct_base(10, 4);
-  const SpecView view(other);
+/// A spec's adjacency with one lie: has_edge denies every dimension-1
+/// edge (u ^ v == 1), while has_edge_dim and the support masks still
+/// tell the truth.  The algebra therefore accepts every group and only
+/// the sampled concrete replay, which probes has_edge, can notice.
+class DimOneEdgeLiar {
+ public:
+  explicit DimOneEdgeLiar(const SparseHypercubeSpec& spec) : view_(spec) {}
+  [[nodiscard]] std::uint64_t num_vertices() const { return view_.num_vertices(); }
+  [[nodiscard]] int cube_dim() const { return view_.cube_dim(); }
+  [[nodiscard]] bool has_edge(Vertex u, Vertex v) const {
+    return (u ^ v) != 1 && view_.has_edge(u, v);
+  }
+  [[nodiscard]] bool has_edge_dim(Vertex u, Dim i) const {
+    return view_.has_edge_dim(u, i);
+  }
+  [[nodiscard]] Vertex dim_support_mask(Dim i) const {
+    return view_.dim_support_mask(i);
+  }
+
+ private:
+  SpecView view_;
+};
+static_assert(SymbolicOracle<DimOneEdgeLiar>);
+
+ValidationReport certify_against_liar(const SparseHypercubeSpec& spec,
+                                      const SymbolicCheckOptions& sopt) {
+  const DimOneEdgeLiar liar(spec);
   ValidationOptions opt;
-  opt.k = 4;  // roomy k so length checks don't fire first
-  SymbolicCheckOptions sopt;
-  sopt.sample_groups_per_round = 64;
-  sopt.sample_calls_per_group = 64;
-  const auto rep = validate_broadcast_symbolic(view, sym, opt, sopt);
-  EXPECT_FALSE(rep.ok) << "routes of construct_base(10,3) are not edges of "
-                          "construct_base(10,4)";
-  (void)check_spec;
+  opt.k = spec.k();
+  SymbolicBroadcastValidator<DimOneEdgeLiar> sink(liar, 0, opt, sopt);
+  try {
+    (void)emit_broadcast_rounds_symbolic(spec, 0, sink, sopt.max_frontier_subcubes);
+  } catch (const std::exception&) {
+    if (!sink.aborted()) throw;  // a producer failure is not the point here
+  }
+  return sink.finish();
+}
+
+TEST(SymbolicViolations, SampledReplayCatchesGraphDisagreement) {
+  // The replay runs into the serial kernel's per-round sets; these cases
+  // span a tiny cube under full sampling, a 2^26-vertex cube and a
+  // 2^33-vertex one at the default sample.  Each error string is pinned
+  // byte for byte: which call the kernel trips on depends only on the
+  // seeded sample, never on how the kernel stores its sets.
+  struct Case {
+    SparseHypercubeSpec spec;
+    std::uint64_t groups, calls;  // sample_*_per_round / _per_group
+    const char* error;
+  };
+  const Case cases[] = {
+      {SparseHypercubeSpec::construct_base(10, 3), 64, 64,
+       "round 2: sampled concrete replay failed: round 2: no edge between 516 "
+       "and 517"},
+      {SparseHypercubeSpec::construct(26, {7}), 4, 4,
+       "round 3: sampled concrete replay failed: round 3: no edge between "
+       "16777280 and 16777281"},
+      {SparseHypercubeSpec::construct(33, {7}), 4, 4,
+       "round 4: sampled concrete replay failed: round 4: no edge between "
+       "1073741888 and 1073741889"},
+  };
+  for (const Case& c : cases) {
+    SymbolicCheckOptions sopt;
+    sopt.sample_groups_per_round = c.groups;
+    sopt.sample_calls_per_group = c.calls;
+    const ValidationReport rep = certify_against_liar(c.spec, sopt);
+    EXPECT_FALSE(rep.ok) << "n=" << c.spec.n();
+    EXPECT_EQ(rep.error, c.error) << "n=" << c.spec.n();
+  }
+}
+
+TEST(SymbolicScale, DesignedK2AtN32CertifiesWithoutCubeSizedScratch) {
+  // The per-round sampled replay runs the serial kernel on at most
+  // 4 x 4 calls.  With cube-sized vertex sets that meant zero-filling
+  // 2^32-bit bitmaps every round (about 24 s and 1 GiB on a 4-vCPU VM);
+  // sized to the sample, the whole certification takes milliseconds,
+  // so this runs in every build.
+  const auto spec = design_sparse_hypercube(32, 2);
+  ValidationOptions opt;
+  opt.k = spec.k();
+  const auto cert = certify_broadcast_symbolic(spec, 0, opt);
+  ASSERT_TRUE(cert.report.ok) << cert.report.error;
+  EXPECT_TRUE(cert.report.minimum_time);
+  EXPECT_EQ(cert.checks.groups, 33338u);
+  EXPECT_EQ(cert.checks.sampled_calls, 384u);
 }
 
 TEST(SymbolicThreads, ShardedGroupChecksReproduceTheSerialReport) {
