@@ -30,7 +30,7 @@ void print_table() {
     const auto spec = design_sparse_hypercube(n, k);
     const auto schedule = make_broadcast_schedule(spec, 0);
     const auto rep =
-        validate_minimum_time_k_line(SparseHypercubeView{spec}, schedule, k);
+        validate_minimum_time_k_line(SpecView{spec}, schedule, k);
     t.add_row({"sparse G(12," + std::to_string(k) + ")", std::to_string(k),
                std::to_string(spec.max_degree()), std::to_string(spec.num_edges()),
                std::to_string(rep.rounds), std::to_string(rep.max_call_length)});

@@ -19,7 +19,7 @@ void print_trace() {
   const auto g42 = SparseHypercubeSpec::construct_base(4, 2, example1_labeling_m2());
   const auto schedule = make_broadcast_schedule(g42, 0);
   std::cout << format_schedule(schedule, 4);
-  const auto rep = validate_minimum_time_k_line(SparseHypercubeView{g42}, schedule, 2);
+  const auto rep = validate_minimum_time_k_line(SpecView{g42}, schedule, 2);
   std::cout << "validated: " << (rep.ok ? "ok" : rep.error)
             << ", minimum-time: " << (rep.minimum_time ? "yes" : "no")
             << ", max call length: " << rep.max_call_length << "\n";
@@ -36,7 +36,7 @@ void print_all_sources_table() {
       {8, 2}, {10, 2}, {12, 2}, {9, 3}, {12, 3}, {10, 4}, {12, 4}, {12, 5}};
   for (const auto& [n, k] : cases) {
     const auto spec = design_sparse_hypercube(n, k);
-    const SparseHypercubeView view(spec);
+    const SpecView view(spec);
     std::string cuts;
     for (int c : spec.cuts()) {
       // Piecewise append dodges GCC 12's bogus -Wrestrict on
@@ -79,7 +79,7 @@ BENCHMARK(BM_ScheduleGeneration)->DenseRange(8, 20, 2);
 void BM_ScheduleValidation(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto spec = design_sparse_hypercube(n, 3);
-  const SparseHypercubeView view(spec);
+  const SpecView view(spec);
   const auto schedule = make_broadcast_schedule(spec, 0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(validate_minimum_time_k_line(view, schedule, 3));

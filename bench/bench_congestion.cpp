@@ -75,7 +75,7 @@ void print_failure_injection() {
   std::cout << "\n--- Failure injection: drop rate vs informed coverage (n=10, k=3) ---\n";
   TextTable t({"drop rate", "calls kept", "informed", "complete"});
   const auto spec = design_sparse_hypercube(10, 3);
-  const SparseHypercubeView view(spec);
+  const SpecView view(spec);
   const auto schedule = make_broadcast_schedule(spec, 0);
   std::mt19937_64 rng(7);
   for (double rate : {0.0, 0.01, 0.05, 0.1, 0.25}) {

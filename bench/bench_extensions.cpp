@@ -24,7 +24,7 @@ void print_vertex_disjoint() {
   TextTable t({"network", "k", "edge-disjoint ok", "vertex-disjoint ok"});
   for (auto [n, k] : {std::pair{8, 2}, std::pair{9, 3}, std::pair{10, 4}}) {
     const auto spec = design_sparse_hypercube(n, k);
-    const SparseHypercubeView view(spec);
+    const SpecView view(spec);
     const auto schedule = make_broadcast_schedule(spec, 1);
     ValidationOptions strict;
     strict.k = k;
@@ -81,7 +81,7 @@ BENCHMARK(BM_DesignBest)->Arg(16)->Arg(32)->Arg(63);
 void BM_VertexDisjointValidation(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto spec = design_sparse_hypercube(n, 3);
-  const SparseHypercubeView view(spec);
+  const SpecView view(spec);
   const auto schedule = make_broadcast_schedule(spec, 0);
   ValidationOptions strict;
   strict.k = 3;

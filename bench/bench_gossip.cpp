@@ -21,7 +21,7 @@ void print_table() {
   TextTable t({"network", "k", "max degree", "rounds", "lower bound", "optimal"});
   for (int n : {6, 8, 10, 12}) {
     {
-      const HypercubeView qn(n);
+      const CubeOracle qn(n);
       const auto schedule = hypercube_exchange_gossip(n);
       const auto rep = validate_gossip(qn, schedule, 1);
       t.add_row({"Q_" + std::to_string(n), "1", std::to_string(n),
@@ -30,7 +30,7 @@ void print_table() {
     }
     for (int k : {2, 3}) {
       const auto spec = design_sparse_hypercube(n, k);
-      const SparseHypercubeView view(spec);
+      const SpecView view(spec);
       const auto schedule = sparse_gather_broadcast_gossip(spec, 0);
       const auto rep = validate_gossip(view, schedule, k);
       t.add_row({"G(" + std::to_string(n) + "," + std::to_string(k) + ")",
@@ -65,7 +65,7 @@ BENCHMARK(BM_SparseGossipSchedule)->DenseRange(6, 12, 2);
 void BM_GossipValidation(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto spec = design_sparse_hypercube(n, 3);
-  const SparseHypercubeView view(spec);
+  const SpecView view(spec);
   const auto schedule = sparse_gather_broadcast_gossip(spec, 0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(validate_gossip(view, schedule, 3));

@@ -8,9 +8,7 @@
 //       only the handful of arena reservations — counted by a global
 //       operator-new hook, independent of the call count.
 //   (2) Large-n validation without materialization: the n = 22 schedule
-//       validates minimum-time through the non-virtual SpecView oracle;
-//       the same kernel through the type-erased NetworkView base is the
-//       devirtualization baseline.
+//       validates minimum-time through the SpecView oracle.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -672,33 +670,6 @@ void BM_FlatValidationSpecView(benchmark::State& state) {
                           static_cast<std::int64_t>(schedule.num_calls()));
 }
 BENCHMARK(BM_FlatValidationSpecView)->DenseRange(12, 18, 2);
-
-void BM_FlatValidationVirtualBase(benchmark::State& state) {
-  // Devirtualization baseline: the same kernel, every edge probe through
-  // the virtual NetworkView vtable.
-  const int n = static_cast<int>(state.range(0));
-  const auto spec = design_sparse_hypercube(n, 2);
-  const auto schedule = make_broadcast_schedule(spec, 0);
-  const SparseHypercubeView concrete(spec);
-  const NetworkView& view = concrete;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(validate_minimum_time_k_line(view, schedule, spec.k()));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(schedule.num_calls()));
-}
-BENCHMARK(BM_FlatValidationVirtualBase)->DenseRange(12, 18, 2);
-
-void BM_LegacyShimRoundTrip(benchmark::State& state) {
-  // Cost of the conversion shim (tests' literal cross-checks pay this).
-  const int n = static_cast<int>(state.range(0));
-  const auto spec = design_sparse_hypercube(n, 2);
-  const auto schedule = make_broadcast_schedule(spec, 0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(FlatSchedule::from_legacy(schedule.to_legacy()));
-  }
-}
-BENCHMARK(BM_LegacyShimRoundTrip)->DenseRange(10, 16, 2);
 
 void BM_CongestionAnalysis(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

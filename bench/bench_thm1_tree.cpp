@@ -54,13 +54,13 @@ void BM_Theorem1TreeConstruction(benchmark::State& state) {
 }
 BENCHMARK(BM_Theorem1TreeConstruction)->DenseRange(2, 12, 2)->Complexity();
 
-void BM_Theorem1TreeBroadcastSchedule(benchmark::State& state) {
+void BM_Theorem1TreeScheduling(benchmark::State& state) {
   const int h = static_cast<int>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(theorem1_tree_broadcast(h, 0));
   }
 }
-BENCHMARK(BM_Theorem1TreeBroadcastSchedule)->DenseRange(2, 8, 1);
+BENCHMARK(BM_Theorem1TreeScheduling)->DenseRange(2, 8, 1);
 
 void BM_Theorem1TreeValidation(benchmark::State& state) {
   const int h = static_cast<int>(state.range(0));

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   const auto schedule = make_broadcast_schedule(g42, source);
   std::cout << format_schedule(schedule, 4);
 
-  const auto report = validate_minimum_time_k_line(SparseHypercubeView{g42}, schedule, 2);
+  const auto report = validate_minimum_time_k_line(SpecView{g42}, schedule, 2);
   std::cout << "\nvalidated under 2-line model: " << (report.ok ? "ok" : report.error)
             << "; minimum-time (" << report.rounds << " = ceil(log2 16)): "
             << (report.minimum_time ? "yes" : "no") << "\n";

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
             << " vertices (lower bound " << n << " rounds)\n\n";
 
   {
-    const HypercubeView qn(n);
+    const CubeOracle qn(n);
     const auto schedule = hypercube_exchange_gossip(n);
     const auto rep = validate_gossip(qn, schedule, 1);
     std::cout << "full cube Q_" << n << " (degree " << n << ", k = 1):\n"
@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
 
   {
     const auto spec = design_sparse_hypercube(n, k);
-    const SparseHypercubeView view(spec);
+    const SpecView view(spec);
     const auto schedule = sparse_gather_broadcast_gossip(spec, 0);
     const auto rep = validate_gossip(view, schedule, k);
     std::cout << "sparse hypercube (degree " << spec.max_degree() << ", k = " << k

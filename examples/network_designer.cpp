@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
     }
     const auto schedule = make_broadcast_schedule(spec, *parsed);
     const auto report =
-        validate_minimum_time_k_line(SparseHypercubeView{spec}, schedule, k);
+        validate_minimum_time_k_line(SpecView{spec}, schedule, k);
     std::cout << "\n" << format_schedule(schedule, n);
     std::cout << "validated: " << (report.ok ? "ok" : report.error)
               << "; minimum-time: " << (report.minimum_time ? "yes" : "no") << "\n";

@@ -5,7 +5,8 @@
 // an `"id"`/`"cache_hit"` envelope).  A line longer than 64 KiB is
 // answered with an error row instead of being parsed.  Two transports
 // share one ServeEngine (shc/api/serve.hpp) — and with it one
-// certificate cache, one WorkerPool, and one admission controller:
+// certificate cache, one WorkerPool, and one admission controller — and
+// one bounded line reader (serve_stream):
 //
 //   shc_serve                          # stdin/stdout loop
 //   shc_serve --socket /tmp/shc.sock   # AF_UNIX listener, concurrent
@@ -25,6 +26,7 @@
 //   --selftest        run the built-in protocol check and exit 0/1
 //                     (the tier-1 ctest smoke test)
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -65,32 +67,43 @@ std::string strip_envelope(std::string row) {
   return row;
 }
 
-/// Writes all of `row` to socket fd; false if the peer went away.
-/// MSG_NOSIGNAL: a client that hangs up must not SIGPIPE the server.
-bool write_all(int fd, const std::string& row) {
+bool is_socket(int fd) {
+  struct stat st {};
+  return ::fstat(fd, &st) == 0 && S_ISSOCK(st.st_mode);
+}
+
+/// Writes all of `row` to fd; false if the peer went away.  Sockets get
+/// send(MSG_NOSIGNAL), so a client that hangs up cannot SIGPIPE the
+/// server; send() fails on a pipe or file, which take write().
+bool write_all(int fd, bool socket, const std::string& row) {
   std::size_t off = 0;
   while (off < row.size()) {
-    const ssize_t wrote = ::send(fd, row.data() + off, row.size() - off, MSG_NOSIGNAL);
+    const ssize_t wrote =
+        socket ? ::send(fd, row.data() + off, row.size() - off, MSG_NOSIGNAL)
+               : ::write(fd, row.data() + off, row.size() - off);
     if (wrote <= 0) return false;
     off += static_cast<std::size_t>(wrote);
   }
   return true;
 }
 
-/// One connected client: lines in, rows out, until EOF.  A line that
-/// outgrows ServeEngine::kMaxLineBytes before its newline arrives is
-/// answered once (the engine's over-long-line error row) and the rest
-/// of it is discarded up to the next newline, so a client that never
-/// sends '\n' cannot grow the buffer without bound.
-void serve_connection(ServeEngine& engine, int fd) {
+/// The one line reader of both transports: lines in from `in_fd`, one
+/// row per line out to `out_fd`, until EOF or a failed write.  A line
+/// that outgrows ServeEngine::kMaxLineBytes before its newline arrives
+/// is answered once (the engine's over-long-line error row) and the
+/// rest of it is discarded up to the next newline, so a client that
+/// never sends '\n' cannot grow the buffer without bound.  A last line
+/// cut off by EOF is still answered.
+void serve_stream(ServeEngine& engine, int in_fd, int out_fd) {
+  const bool socket = is_socket(out_fd);
   std::string buf;
   bool discarding = false;  // inside an over-long line already answered
   char chunk[4096];
   const auto reply = [&](const std::string& line) {
-    return write_all(fd, engine.handle_line(line) + "\n");
+    return write_all(out_fd, socket, engine.handle_line(line) + "\n");
   };
   for (;;) {
-    const ssize_t got = ::read(fd, chunk, sizeof(chunk));
+    const ssize_t got = ::read(in_fd, chunk, sizeof(chunk));
     if (got <= 0) break;
     buf.append(chunk, static_cast<std::size_t>(got));
     std::size_t start = 0;
@@ -100,7 +113,6 @@ void serve_connection(ServeEngine& engine, int fd) {
       if (discarding) {
         discarding = false;
       } else if (!reply(buf.substr(start, nl - start))) {
-        ::close(fd);
         return;
       }
       start = nl + 1;
@@ -109,42 +121,70 @@ void serve_connection(ServeEngine& engine, int fd) {
     if (discarding) {
       buf.clear();
     } else if (buf.size() > ServeEngine::kMaxLineBytes) {
-      if (!reply(buf)) {
-        ::close(fd);
-        return;
-      }
+      if (!reply(buf)) return;
       buf.clear();
       discarding = true;
     }
   }
+  if (!discarding && !buf.empty()) reply(buf);
+}
+
+/// One connected socket client.
+void serve_connection(ServeEngine& engine, int fd) {
+  serve_stream(engine, fd, fd);
   ::close(fd);
 }
 
-/// Drives serve_connection over a socketpair: a 1 MiB line with no
-/// newline until its end, then a real query.  Returns the rows read
-/// back, one per line.
-std::vector<std::string> socket_rows_for_overlong_line(ServeEngine& engine) {
-  int sv[2];
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) return {};
-  std::thread server(serve_connection, std::ref(engine), sv[1]);
+/// Drives serve_stream over a socketpair (`socket`) or a pair of pipes:
+/// a 1 MiB line with no newline until its end, then a real query.
+/// Returns the rows read back, one per line.
+std::vector<std::string> rows_for_overlong_line(ServeEngine& engine, bool socket) {
+  int client_out = -1, client_in = -1, server_in = -1, server_out = -1;
+  if (socket) {
+    int sv[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) return {};
+    client_out = client_in = sv[0];
+    server_in = server_out = sv[1];
+  } else {
+    int to_server[2], from_server[2];
+    if (::pipe(to_server) != 0) return {};
+    if (::pipe(from_server) != 0) {
+      ::close(to_server[0]);
+      ::close(to_server[1]);
+      return {};
+    }
+    server_in = to_server[0];
+    client_out = to_server[1];
+    client_in = from_server[0];
+    server_out = from_server[1];
+  }
+  std::thread server([&] {
+    serve_stream(engine, server_in, server_out);
+    ::close(server_in);
+    if (server_out != server_in) ::close(server_out);
+  });
   std::string out;
   std::thread reader([&] {
     char chunk[4096];
     for (;;) {
-      const ssize_t got = ::read(sv[0], chunk, sizeof(chunk));
+      const ssize_t got = ::read(client_in, chunk, sizeof(chunk));
       if (got <= 0) break;
       out.append(chunk, static_cast<std::size_t>(got));
     }
   });
   const std::string junk(std::size_t{1} << 20, 'x');
-  bool sent = write_all(sv[0], junk) && write_all(sv[0], "\n");
-  sent = sent && write_all(sv[0],
+  bool sent = write_all(client_out, socket, junk) && write_all(client_out, socket, "\n");
+  sent = sent && write_all(client_out, socket,
                            "{\"id\":4,\"workload\":\"broadcast-streaming\","
                            "\"n\":8,\"k\":2}\n");
-  ::shutdown(sv[0], SHUT_WR);
+  if (socket) {
+    ::shutdown(client_out, SHUT_WR);
+  } else {
+    ::close(client_out);
+  }
   server.join();
   reader.join();
-  ::close(sv[0]);
+  ::close(client_in);
   std::vector<std::string> rows;
   if (!sent) return rows;
   std::size_t start = 0;
@@ -158,8 +198,8 @@ std::vector<std::string> socket_rows_for_overlong_line(ServeEngine& engine) {
 /// Fixed request script through an in-process engine; any mismatch is a
 /// failed smoke test.  Covers the protocol surface the serve_test gtest
 /// suite checks in depth: ok rows, cache-hit byte identity, structured
-/// errors for malformed lines, admission refusal, and the socket
-/// reader's line-length cap.
+/// errors for malformed lines, admission refusal, and the line reader's
+/// length cap over both transports (socket and pipe).
 int selftest() {
   int failures = 0;
   const auto expect = [&](bool cond, const std::string& what) {
@@ -200,18 +240,21 @@ int selftest() {
   expect(refused.find("\"refused\":true") != std::string::npos,
          "admission refusal row: " + refused);
 
-  // Socket transport: an over-long line is answered once and dropped
-  // up to its newline; the next line is served normally.
-  const std::vector<std::string> rows = socket_rows_for_overlong_line(engine);
-  expect(rows.size() == 2, "two rows for an over-long line plus a query, got " +
-                               std::to_string(rows.size()));
-  if (rows.size() == 2) {
-    expect(rows[0] == "{\"ok\":false,\"error\":\"parse: line longer than "
-                      "65536 bytes\"}",
-           "over-long line answers the line-length error row: " + rows[0]);
-    expect(rows[1].find("\"ok\":true") != std::string::npos &&
-               rows[1].find("\"id\":4") != std::string::npos,
-           "the query after it is served: " + rows[1]);
+  // Both transports: an over-long line is answered once and dropped up
+  // to its newline; the next line is served normally.
+  for (const bool socket : {true, false}) {
+    const std::string via = socket ? "socket: " : "pipe: ";
+    const std::vector<std::string> rows = rows_for_overlong_line(engine, socket);
+    expect(rows.size() == 2, via + "two rows for an over-long line plus a query, got " +
+                                 std::to_string(rows.size()));
+    if (rows.size() == 2) {
+      expect(rows[0] == "{\"ok\":false,\"error\":\"parse: line longer than "
+                        "65536 bytes\"}",
+             via + "over-long line answers the line-length error row: " + rows[0]);
+      expect(rows[1].find("\"ok\":true") != std::string::npos &&
+                 rows[1].find("\"id\":4") != std::string::npos,
+             via + "the query after it is served: " + rows[1]);
+    }
   }
 
   if (failures == 0) std::cout << "shc_serve selftest: all checks passed\n";
@@ -284,11 +327,7 @@ int main(int argc, char** argv) {
   ServeEngine engine(opt);
   if (!socket_path.empty()) return serve_socket(engine, socket_path);
 
-  // stdin/stdout transport: one request line, one response row.
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    if (line.empty()) continue;
-    std::cout << engine.handle_line(line) << "\n" << std::flush;
-  }
+  // stdin/stdout transport: the same reader as a socket client.
+  serve_stream(engine, STDIN_FILENO, STDOUT_FILENO);
   return 0;
 }

@@ -50,8 +50,11 @@ enum class Workload {
   /// Symbolic gather-broadcast gossip on a sparse hypercube spec
   /// (n <= 63).
   kGossipSymbolic,
-  /// Symbolic dimension-exchange gossip on the full Q_n (k = 1,
-  /// n <= 59 before the exchange count overflows 64 bits).
+  /// Symbolic dimension-exchange gossip on the full Q_n (n <= 59 before
+  /// the exchange count overflows 64 bits).  The facade always runs it
+  /// with k = 1 on the full cube: CertifyRequest::k, cuts and source are
+  /// ignored, and the server answers a `spec:` error row to a request
+  /// that names a k other than 1 or any cuts.
   kExchangeGossip,
 };
 

@@ -172,8 +172,7 @@ CertifyResult certify(const CertifyRequest& req) {
       (req.workload == Workload::kBroadcastStreaming ||
        req.workload == Workload::kBroadcastSymbolic)) {
     const FlatSchedule schedule = make_broadcast_schedule(spec, req.source);
-    res.congestion =
-        analyze_congestion_parallel(schedule, resolve_threads(req.checks));
+    res.congestion = analyze_congestion(schedule, resolve_threads(req.checks));
     res.has_congestion = true;
   }
   return res;

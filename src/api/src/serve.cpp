@@ -348,7 +348,7 @@ std::string ServeEngine::handle_line(const std::string& line) {
       errors_.fetch_add(1);
       return error_row("parse: request must be a JSON object", false, 0);
     }
-    bool saw_workload = false, saw_n = false;
+    bool saw_workload = false, saw_n = false, saw_k = false;
     for (const auto& [key, val] : root.obj) {
       long long num = 0;
       if (key == "id") {
@@ -371,6 +371,7 @@ std::string ServeEngine::handle_line(const std::string& line) {
         if (!integral(val, &num)) { p.error = "k must be an integer"; break; }
         if (!fits_int(num)) { p.error = "k out of range"; break; }
         p.req.k = static_cast<int>(num);
+        saw_k = true;
       } else if (key == "cuts") {
         if (val.kind != JsonValue::kArray) {
           p.error = "cuts must be an array of integers";
@@ -417,6 +418,13 @@ std::string ServeEngine::handle_line(const std::string& line) {
     }
     if (p.error.empty() && !saw_workload) p.error = "missing field: workload";
     if (p.error.empty() && !saw_n) p.error = "missing field: n";
+    // The exchange engine always runs k = 1 on the full cube; a request
+    // naming another k or a cut vector asked for something else.
+    if (p.error.empty() && p.req.workload == Workload::kExchangeGossip &&
+        ((saw_k && p.req.k != 1) || !p.req.cuts.empty())) {
+      p.error = "spec: exchange-gossip always runs k = 1 on the full cube; "
+                "it takes no other k and no cuts";
+    }
   }
   if (!p.error.empty()) {
     errors_.fetch_add(1);

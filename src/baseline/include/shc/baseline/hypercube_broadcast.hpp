@@ -12,7 +12,7 @@ namespace shc {
 /// `source`: in round t every informed vertex calls its neighbor across
 /// dimension n - t + 1.  n rounds, exact doubling, all calls length 1,
 /// produced into one flat arena (zero per-call allocations).
-/// Pre: 1 <= n <= 28.
+/// Throws std::invalid_argument unless 1 <= n <= 28 and source < 2^n.
 [[nodiscard]] FlatSchedule hypercube_binomial_broadcast(int n, Vertex source);
 
 }  // namespace shc

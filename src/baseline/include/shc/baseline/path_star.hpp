@@ -18,14 +18,15 @@ namespace shc {
 /// Minimum-time line broadcast on the path 0-1-...-N-1 from `source`.
 /// Round calls are confined to disjoint intervals, hence edge-disjoint.
 /// Call lengths can reach ~N/2 (this is a k = N-1 scheme).
-/// Pre: N >= 1, source < N.
+/// Throws std::invalid_argument unless N >= 1 and source < N.
 [[nodiscard]] FlatSchedule path_line_broadcast(VertexId N, VertexId source);
 
 /// Minimum-time line broadcast on the star with center 0 and leaves
 /// 1..N-1 from `source`.  Every call is length 1 (from the center) or
 /// length 2 (leaf to leaf, switching through the center); calls in one
 /// round are edge-disjoint because callers and receivers are distinct
-/// leaves.  This shows the star is a 2-mlbg.  Pre: N >= 2, source < N.
+/// leaves.  This shows the star is a 2-mlbg.  Throws std::invalid_argument
+/// unless N >= 2 and source < N.
 [[nodiscard]] FlatSchedule star_line_broadcast(VertexId N, VertexId source);
 
 }  // namespace shc

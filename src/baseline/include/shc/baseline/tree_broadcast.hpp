@@ -19,9 +19,7 @@
 
 namespace shc {
 
-/// Outcome of the tree scheduler.  The schedule is exposed in the flat
-/// arena form; the scheduler's speculative carve search still plans
-/// rounds in the legacy representation internally and converts once.
+/// Outcome of the tree scheduler.
 struct TreeBroadcastResult {
   FlatSchedule schedule;
   int rounds = 0;
@@ -31,8 +29,9 @@ struct TreeBroadcastResult {
 };
 
 /// Schedules a line broadcast (unbounded call length) on `tree` from
-/// `source`.  Pre: is_tree(tree), source < N.  The schedule is always
-/// feasible; achieved_minimum reports whether it is minimum-time.
+/// `source`.  The schedule is always feasible; achieved_minimum reports
+/// whether it is minimum-time.  Throws std::invalid_argument unless
+/// is_tree(tree) and source < N.
 [[nodiscard]] TreeBroadcastResult tree_line_broadcast(const Graph& tree,
                                                       VertexId source);
 
@@ -46,7 +45,8 @@ struct TreeBroadcastResult {
 /// Total 1 + (h+1) = h+2 = ceil(log2(3*2^h - 2)) rounds for h >= 2, so
 /// the tree is a k-mlbg for every k >= 2h (Theorem 1); all calls stay
 /// within the diameter 2h.  h = 1 (the tree is K_{1,3}) falls back to
-/// the generic scheduler.  Pre: h >= 1, source < 3*2^h - 2.
+/// the generic scheduler.  Throws std::invalid_argument unless
+/// 1 <= h <= 30 and source < 3*2^h - 2.
 [[nodiscard]] TreeBroadcastResult theorem1_tree_broadcast(int h, VertexId source);
 
 }  // namespace shc

@@ -1,6 +1,7 @@
 #include "shc/baseline/hypercube_broadcast.hpp"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "shc/bits/vertex.hpp"
@@ -8,8 +9,15 @@
 namespace shc {
 
 FlatSchedule hypercube_binomial_broadcast(int n, Vertex source) {
-  assert(n >= 1 && n <= 28);
-  assert(source < cube_order(n));
+  if (n < 1 || n > 28) {
+    throw std::invalid_argument("hypercube_binomial_broadcast: n must be in [1, 28], got " +
+                                std::to_string(n));
+  }
+  if (source >= cube_order(n)) {
+    throw std::invalid_argument("hypercube_binomial_broadcast: source " +
+                                std::to_string(source) + " out of range for n = " +
+                                std::to_string(n));
+  }
   const std::uint64_t order = cube_order(n);
 
   FlatSchedule schedule;

@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <deque>
+#include <stdexcept>
+#include <string>
 
 #include "shc/bits/bitstring.hpp"
 
@@ -35,7 +37,10 @@ void append_straight_path(FlatSchedule& s, VertexId a, VertexId b) {
 }  // namespace
 
 FlatSchedule path_line_broadcast(VertexId N, VertexId source) {
-  assert(N >= 1 && source < N);
+  if (N < 1 || source >= N) {
+    throw std::invalid_argument("path_line_broadcast: need N >= 1 and source < N, got N = " +
+                                std::to_string(N) + ", source = " + std::to_string(source));
+  }
   FlatSchedule schedule;
   schedule.source = source;
   if (N > 1) {
@@ -65,7 +70,7 @@ FlatSchedule path_line_broadcast(VertexId N, VertexId source) {
       Segment mine{0, 0, seg.owner};
       Segment theirs{0, 0, 0};
       if (q_right >= q_left) {
-        assert(s <= q_right);
+        assert(s <= q_right);  // shc-lint: allow(assert-guard) — q_right >= q/2
         const VertexId cut = seg.hi - s;  // owner's side is [lo, cut]
         mine.lo = seg.lo;
         mine.hi = cut;
@@ -73,7 +78,7 @@ FlatSchedule path_line_broadcast(VertexId N, VertexId source) {
         theirs.hi = seg.hi;
         theirs.owner = cut + 1 + (s - 1) / 2;  // median of the new side
       } else {
-        assert(s <= q_left);
+        assert(s <= q_left);  // shc-lint: allow(assert-guard) — q_left > q/2
         const VertexId cut = seg.lo + s;  // owner's side is [cut, hi]
         mine.lo = cut;
         mine.hi = seg.hi;
@@ -97,7 +102,10 @@ FlatSchedule path_line_broadcast(VertexId N, VertexId source) {
 }
 
 FlatSchedule star_line_broadcast(VertexId N, VertexId source) {
-  assert(N >= 2 && source < N);
+  if (N < 2 || source >= N) {
+    throw std::invalid_argument("star_line_broadcast: need N >= 2 and source < N, got N = " +
+                                std::to_string(N) + ", source = " + std::to_string(source));
+  }
   FlatSchedule schedule;
   schedule.source = source;
   schedule.reserve(static_cast<std::size_t>(ceil_log2(N)), N - 1,

@@ -1,8 +1,9 @@
 #include "shc/baseline/tree_broadcast.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "shc/bits/bitstring.hpp"
@@ -43,6 +44,10 @@ struct EdgeKey {
 
 EdgeKey canon(VertexId u, VertexId v) { return u <= v ? EdgeKey{u, v} : EdgeKey{v, u}; }
 
+FlatSchedule::RoundView last_round(const FlatSchedule& s) {
+  return s.round(s.num_rounds() - 1);
+}
+
 class Scheduler {
  public:
   Scheduler(const Graph& tree, VertexId source)
@@ -56,32 +61,36 @@ class Scheduler {
     weight_.assign(n_, 0);
   }
 
-  BroadcastSchedule run() {
-    BroadcastSchedule schedule;
+  FlatSchedule run() {
+    FlatSchedule schedule;
     schedule.source = source_;
     VertexId informed_count = 1;
     const int target = ceil_log2(n_);
     // Hard cap: the fallback guarantees >= 1 new vertex per round, so
     // the loop always terminates; 2*target + 8 bounds heuristic drift.
     const int max_rounds = std::max(static_cast<int>(n_), 2 * target + 8);
-    while (informed_count < n_ && static_cast<int>(schedule.rounds.size()) < max_rounds) {
-      const int rem = std::max(0, target - static_cast<int>(schedule.rounds.size()) - 1);
+    while (informed_count < n_ && schedule.num_rounds() < max_rounds) {
+      const int rem = std::max(0, target - schedule.num_rounds() - 1);
       const std::uint64_t cap =
           rem >= 62 ? ~std::uint64_t{0} : (std::uint64_t{1} << rem) - 1;
-      Round round = plan_round(cap);
-      if (round.calls.empty()) {
+      schedule.begin_round();
+      plan_round(cap, schedule);
+      if (last_round(schedule).empty()) {
         // Heuristic stall (should not happen on trees): fall back to a
         // direct call from some informed vertex to an adjacent
         // uninformed vertex, which always exists in a connected graph.
-        round.calls.push_back(fallback_call());
+        fallback_call(schedule);
       }
-      for (const Call& c : round.calls) {
+      for (const FlatSchedule::CallView c : last_round(schedule)) {
         informed_[static_cast<VertexId>(c.receiver())] = 1;
         ++informed_count;
       }
-      schedule.rounds.push_back(std::move(round));
     }
-    assert(informed_count == n_);
+    if (informed_count != n_) {
+      throw std::logic_error("tree_line_broadcast: scheduler informed " +
+                             std::to_string(informed_count) + " of " +
+                             std::to_string(n_) + " vertices");
+    }
     return schedule;
   }
 
@@ -273,18 +282,19 @@ class Scheduler {
   }
 
   /// One call attempt by `caller` into `set_owner`'s set.  Returns true
-  /// when a call was placed into `round`.
-  bool try_call(VertexId caller, VertexId set_owner, std::uint64_t cap, Round& round) {
+  /// when a call was placed into the open round of `out`.
+  bool try_call(VertexId caller, VertexId set_owner, std::uint64_t cap,
+                FlatSchedule& out) {
     root_at(set_owner);
     for (int attempt = 0; attempt < 6; ++attempt) {
       const Carve cv = choose_carve(set_owner, cap);
       if (cv.give == 0) return false;
-      std::vector<Vertex> path = tree_path(caller, cv.receiver);
+      const std::vector<Vertex> path = tree_path(caller, cv.receiver);
       if (edges_free(path)) {
         mark_edges(path);
         commit_carve(set_owner, cv);
         set_size_[set_owner] -= cv.give;
-        round.calls.push_back(Call{std::move(path)});
+        out.add_call(path);
         return true;
       }
       // Mask the receiver and re-search; weights must be rebuilt since
@@ -296,17 +306,17 @@ class Scheduler {
     return false;
   }
 
-  Round plan_round(std::uint64_t cap) {
+  /// Plans one round's calls into the open round of `out`.
+  void plan_round(std::uint64_t cap, FlatSchedule& out) {
     carved_.assign(n_, 0);
     used_.clear();
     recount_sets();
 
-    Round round;
     std::vector<VertexId> helpers;
     for (VertexId o = 0; o < n_; ++o) {
       if (!informed_[o]) continue;
       masked_.clear();
-      const bool placed = set_size_[o] > 0 && try_call(o, o, cap, round);
+      const bool placed = set_size_[o] > 0 && try_call(o, o, cap, out);
       for (VertexId v : masked_) carved_[v] = 0;  // un-mask failed tries
       if (!placed) helpers.push_back(o);
     }
@@ -325,7 +335,7 @@ class Scheduler {
       });
       for (const VertexId o : targets) {
         masked_.clear();
-        const bool placed = try_call(h, o, cap, round);
+        const bool placed = try_call(h, o, cap, out);
         for (VertexId v : masked_) carved_[v] = 0;
         if (placed) break;
       }
@@ -337,7 +347,7 @@ class Scheduler {
     // (typically the broadcast tail).
     std::vector<char> busy(n_, 0);
     std::vector<char> receiving(n_, 0);
-    for (const Call& c : round.calls) {
+    for (const FlatSchedule::CallView c : last_round(out)) {
       busy[static_cast<VertexId>(c.caller())] = 1;
       receiving[static_cast<VertexId>(c.receiver())] = 1;
     }
@@ -350,22 +360,24 @@ class Scheduler {
         mark_edges(path);
         busy[u] = 1;
         receiving[v] = 1;
-        round.calls.push_back(Call{path});
+        out.add_call(path);
         break;
       }
     }
-    return round;
   }
 
-  Call fallback_call() {
+  void fallback_call(FlatSchedule& out) const {
     for (VertexId u = 0; u < n_; ++u) {
       if (!informed_[u]) continue;
       for (VertexId w : g_.neighbors(u)) {
-        if (!informed_[w]) return Call{{u, w}};
+        if (!informed_[w]) {
+          out.add_call({Vertex{u}, Vertex{w}});
+          return;
+        }
       }
     }
-    assert(false && "no informed-uninformed edge in a connected graph");
-    return Call{};
+    throw std::logic_error(
+        "tree_line_broadcast: no informed-uninformed edge in a connected graph");
   }
 
   const Graph& g_;
@@ -387,24 +399,10 @@ class Scheduler {
   std::set<EdgeKey> used_;
 };
 
-}  // namespace
-
-namespace {
-
-/// Legacy-form scheduling used by both public entry points; the flat
-/// conversion happens once at the public boundary.
-BroadcastSchedule tree_line_broadcast_legacy(const Graph& tree, VertexId source) {
-  BroadcastSchedule schedule;
-  schedule.source = source;
-  if (tree.num_vertices() <= 1) return schedule;
-  Scheduler scheduler(tree, source);
-  return scheduler.run();
-}
-
-TreeBroadcastResult finish_result(BroadcastSchedule legacy, VertexId n) {
+TreeBroadcastResult finish_result(FlatSchedule schedule, VertexId n) {
   TreeBroadcastResult result;
   result.minimum_rounds = ceil_log2(n);
-  result.schedule = FlatSchedule::from_legacy(legacy);
+  result.schedule = std::move(schedule);
   result.rounds = result.schedule.num_rounds();
   result.achieved_minimum = result.rounds == result.minimum_rounds;
   result.max_call_length = result.schedule.max_call_length();
@@ -415,18 +413,15 @@ TreeBroadcastResult finish_result(BroadcastSchedule legacy, VertexId n) {
 
 TreeBroadcastResult tree_line_broadcast(const Graph& tree, VertexId source) {
   const VertexId n = tree.num_vertices();
-  assert(source < n);
-  assert(is_tree(tree));
-
-  if (n == 1) {
-    TreeBroadcastResult result;
-    result.schedule.source = source;
-    result.achieved_minimum = true;
-    return result;
+  if (source >= n) {
+    throw std::invalid_argument("tree_line_broadcast: source " + std::to_string(source) +
+                                " out of range for " + std::to_string(n) + " vertices");
   }
-  return finish_result(tree_line_broadcast_legacy(tree, source), n);
+  if (!is_tree(tree)) {
+    throw std::invalid_argument("tree_line_broadcast: graph is not a tree");
+  }
+  return finish_result(Scheduler(tree, source).run(), n);
 }
-
 
 namespace {
 
@@ -441,17 +436,22 @@ std::vector<Vertex> heap_walk_to_root(VertexId v) {
   return path;
 }
 
-/// Appends `sub`'s rounds into `out` starting at round index `offset`
-/// (0-based), translating vertex ids by `shift`.
-void merge_component_schedule(BroadcastSchedule& out, const BroadcastSchedule& sub,
-                              std::size_t offset, Vertex shift) {
-  for (std::size_t t = 0; t < sub.rounds.size(); ++t) {
-    while (out.rounds.size() <= offset + t) out.rounds.emplace_back();
-    for (const Call& c : sub.rounds[t].calls) {
-      Call shifted;
-      shifted.path.reserve(c.path.size());
-      for (Vertex v : c.path) shifted.path.push_back(v + shift);
-      out.rounds[offset + t].calls.push_back(std::move(shifted));
+/// Appends two independent component broadcasts side by side as the
+/// next rounds of `out`: merged round t holds `a`'s round-t calls, then
+/// `b`'s round-t calls with vertex ids translated by `b_shift`.
+void merge_component_schedules(FlatSchedule& out, const FlatSchedule& a,
+                               const FlatSchedule& b, Vertex b_shift) {
+  const int rounds = std::max(a.num_rounds(), b.num_rounds());
+  for (int t = 0; t < rounds; ++t) {
+    out.begin_round();
+    if (t < a.num_rounds()) {
+      for (const FlatSchedule::CallView c : a.round(t)) out.add_call(c);
+    }
+    if (t < b.num_rounds()) {
+      for (const FlatSchedule::CallView c : b.round(t)) {
+        for (const Vertex v : c) out.push_vertex(v + b_shift);
+        out.end_call();
+      }
     }
   }
 }
@@ -459,11 +459,19 @@ void merge_component_schedule(BroadcastSchedule& out, const BroadcastSchedule& s
 }  // namespace
 
 TreeBroadcastResult theorem1_tree_broadcast(int h, VertexId source) {
-  assert(h >= 1);
+  // h <= 30 keeps |B(h)| + |B(h-1)| = 3*2^h - 2 inside VertexId.
+  if (h < 1 || h > 30) {
+    throw std::invalid_argument("theorem1_tree_broadcast: h must be in [1, 30], got " +
+                                std::to_string(h));
+  }
   const VertexId big = (VertexId{1} << (h + 1)) - 1;   // |B(h)|
   const VertexId small = (VertexId{1} << h) - 1;       // |B(h-1)|
   const VertexId n = big + small;
-  assert(source < n);
+  if (source >= n) {
+    throw std::invalid_argument("theorem1_tree_broadcast: source " +
+                                std::to_string(source) + " out of range for " +
+                                std::to_string(n) + " vertices");
+  }
 
   if (h == 1) {
     // N = 4 is K_{1,3}; ceil(log2 N) = 2 = h+1 and the composition's
@@ -474,29 +482,26 @@ TreeBroadcastResult theorem1_tree_broadcast(int h, VertexId source) {
   const Graph big_tree = make_complete_binary_tree(h);
   const Graph small_tree = make_complete_binary_tree(h - 1);
 
-  BroadcastSchedule schedule;
+  FlatSchedule schedule;
   schedule.source = source;
 
   // Round 1: cross-call over the joining edge {0, big}.
-  Call cross;
+  std::vector<Vertex> cross;
   if (source < big) {
-    cross.path = heap_walk_to_root(source);   // source -> ... -> 0
-    cross.path.push_back(big);                // -> small root
+    cross = heap_walk_to_root(source);   // source -> ... -> 0
+    cross.push_back(big);                // -> small root
   } else {
-    cross.path = heap_walk_to_root(source - big);
-    for (Vertex& v : cross.path) v += big;    // source -> ... -> small root
-    cross.path.push_back(0);                  // -> big root
+    cross = heap_walk_to_root(source - big);
+    for (Vertex& v : cross) v += big;    // source -> ... -> small root
+    cross.push_back(0);                  // -> big root
   }
-  schedule.rounds.emplace_back();
-  schedule.rounds.back().calls.push_back(cross);
+  schedule.begin_round();
+  schedule.add_call(cross);
 
   // Rounds 2..: independent component broadcasts.
-  const BroadcastSchedule big_part =
-      tree_line_broadcast_legacy(big_tree, source < big ? source : 0);
-  const BroadcastSchedule small_part =
-      tree_line_broadcast_legacy(small_tree, source < big ? 0 : source - big);
-  merge_component_schedule(schedule, big_part, 1, 0);
-  merge_component_schedule(schedule, small_part, 1, big);
+  merge_component_schedules(schedule, Scheduler(big_tree, source < big ? source : 0).run(),
+                            Scheduler(small_tree, source < big ? 0 : source - big).run(),
+                            big);
 
   return finish_result(std::move(schedule), n);
 }

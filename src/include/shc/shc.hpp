@@ -47,9 +47,12 @@
 // Lower-level tour, for callers that need engine internals directly:
 //   SparseHypercubeSpec::construct_base(n, m)  — the paper's k = 2 graph
 //   design_sparse_hypercube(n, k)              — best cuts for general k
-//   make_broadcast_schedule(spec, source)      — Broadcast_k scheme
-//   validate_minimum_time_k_line(view, s, k)   — mechanical model check
-//   analyze_congestion(schedule)               — edge-load statistics
+//   make_broadcast_schedule(spec, source)      — Broadcast_k scheme, as the
+//                                                one schedule type FlatSchedule
+//   validate_minimum_time_k_line(view, s, k)   — mechanical model check over
+//                                                a SpecView / CubeOracle /
+//                                                GraphView oracle
+//   analyze_congestion(schedule, threads)      — edge-load statistics
 #pragma once
 
 #include "shc/api/certify.hpp"
@@ -79,7 +82,6 @@
 #include "shc/sim/network.hpp"
 #include "shc/sim/occupancy_ledger.hpp"
 #include "shc/sim/round_sink.hpp"
-#include "shc/sim/schedule.hpp"
 #include "shc/sim/streaming_validator.hpp"
 #include "shc/sim/subcube.hpp"
 #include "shc/sim/symbolic_schedule.hpp"

@@ -9,7 +9,7 @@
 
 #include "shc/mlbg/broadcast.hpp"
 #include "shc/mlbg/spec.hpp"
-#include "shc/sim/schedule.hpp"
+#include "shc/sim/flat_schedule.hpp"
 
 namespace shc {
 
@@ -60,6 +60,5 @@ struct BroadcastTreeStats {
 /// minimum-time schedule the source has fanout n, the last-informed
 /// vertices fanout 0.
 [[nodiscard]] BroadcastTreeStats analyze_broadcast_tree(const FlatSchedule& schedule);
-[[nodiscard]] BroadcastTreeStats analyze_broadcast_tree(const BroadcastSchedule& schedule);
 
 }  // namespace shc

@@ -8,8 +8,7 @@
 // remaining rounds are the recursive Phase 2 calls, which at every
 // recursion depth are themselves dimension sweeps — concatenating them
 // yields exactly this loop.  Tests cross-check the unified scheme
-// against a literal transcription of Broadcast_2 for k = 2 (and its
-// legacy round-trip through the FlatSchedule conversion shim).
+// against a literal transcription of Broadcast_2 for k = 2.
 //
 // Schedules are produced directly into the flat arena representation:
 // one contiguous path pool, zero per-call heap allocations, memory

@@ -27,7 +27,6 @@
 #include "shc/bits/vertex.hpp"
 #include "shc/graph/graph.hpp"
 #include "shc/labeling/labeling.hpp"
-#include "shc/sim/network.hpp"
 
 namespace shc {
 
@@ -127,8 +126,7 @@ class SparseHypercubeSpec {
   std::vector<ConstructionLevel> levels_;  // level t at index t-1
 };
 
-/// First-class implicit adjacency oracle over a SparseHypercubeSpec —
-/// the non-virtual counterpart of SparseHypercubeView.  Satisfies the
+/// Implicit adjacency oracle over a SparseHypercubeSpec.  Satisfies the
 /// simulator's AdjacencyOracle concept, so templated validator and
 /// congestion kernels probe edges through direct inlinable calls and
 /// large-n schedules validate without materializing the graph.  It also
@@ -156,25 +154,6 @@ class SpecView {
 
  private:
   const SparseHypercubeSpec* spec_;
-};
-
-/// Type-erased NetworkView adapter over a spec, for code that needs the
-/// virtual base (ad-hoc test oracles, heterogeneous view collections).
-/// Hot paths should prefer SpecView + the templated kernels.
-class SparseHypercubeView final : public NetworkView {
- public:
-  /// Keeps a reference; the spec must outlive the view.
-  explicit SparseHypercubeView(const SparseHypercubeSpec& spec) : spec_(spec) {}
-
-  [[nodiscard]] std::uint64_t num_vertices() const override {
-    return spec_.num_vertices();
-  }
-  [[nodiscard]] bool has_edge(Vertex u, Vertex v) const override {
-    return spec_.has_edge(u, v);
-  }
-
- private:
-  const SparseHypercubeSpec& spec_;
 };
 
 /// Partitions the dimension range (lo, hi] into `classes` subsets with

@@ -93,8 +93,4 @@ BroadcastTreeStats analyze_broadcast_tree(const FlatSchedule& schedule) {
   return stats;
 }
 
-BroadcastTreeStats analyze_broadcast_tree(const BroadcastSchedule& schedule) {
-  return analyze_broadcast_tree(FlatSchedule::from_legacy(schedule));
-}
-
 }  // namespace shc

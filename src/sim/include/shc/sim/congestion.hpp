@@ -3,8 +3,8 @@
 // graphs push more calls over fewer edges, so we measure exactly how the
 // load distributes and what capacity a dilated network would need.
 //
-// Kernels operate on the flat schedule representation; legacy
-// BroadcastSchedule overloads convert through the shim.
+// Every kernel reads the one schedule representation, FlatSchedule (or
+// its subcube-batched SymbolicSchedule form).
 #pragma once
 
 #include <cstdint>
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "shc/sim/flat_schedule.hpp"
-#include "shc/sim/schedule.hpp"
 #include "shc/sim/symbolic_schedule.hpp"
 
 namespace shc {
@@ -33,7 +32,7 @@ struct CongestionStats {
   /// schedule (each edge owned by exactly one shard): counts add,
   /// maxima max, histograms add element-wise, and the mean is
   /// recomputed from the merged totals.  This is what lets
-  /// analyze_congestion_parallel shard edges across workers and still
+  /// analyze_congestion shard edges across workers and still
   /// reproduce the serial stats exactly (enforced by parity tests).
   CongestionStats& merge(const CongestionStats& other);
 
@@ -44,16 +43,14 @@ struct CongestionStats {
 /// schedule that is feasible in the paper's unit-capacity model; larger
 /// values tell the capacity a dilated (multi-edge) network would need to
 /// run this schedule as-is.
-[[nodiscard]] CongestionStats analyze_congestion(const FlatSchedule& schedule);
-[[nodiscard]] CongestionStats analyze_congestion(const BroadcastSchedule& schedule);
-
-/// Sharded analyze_congestion: edges are partitioned across `threads`
-/// std::thread workers by hash, each worker accounts its own edges over
-/// the whole schedule, and the per-shard stats are merge()d.  Identical
-/// result to the serial analysis (including the histogram and the mean,
-/// bit for bit).  threads <= 0 picks hardware_concurrency().
-[[nodiscard]] CongestionStats analyze_congestion_parallel(const FlatSchedule& schedule,
-                                                          int threads = 0);
+///
+/// With threads > 1, edges are partitioned across `threads` workers by
+/// hash, each worker accounts its own edges over the whole schedule, and
+/// the per-shard stats are merge()d: the result is identical to the
+/// serial analysis (including the histogram and the mean, bit for bit).
+/// Throws std::invalid_argument when threads < 1.
+[[nodiscard]] CongestionStats analyze_congestion(const FlatSchedule& schedule,
+                                                 int threads = 1);
 
 /// Outcome of the symbolic congestion analysis.
 struct SymbolicCongestionReport {
@@ -80,7 +77,6 @@ struct SymbolicCongestionReport {
 /// Minimum per-round edge capacity that would make the schedule feasible
 /// (= max_edge_load_per_round).
 [[nodiscard]] int required_edge_capacity(const FlatSchedule& schedule);
-[[nodiscard]] int required_edge_capacity(const BroadcastSchedule& schedule);
 
 /// Failure injection: returns a copy of the schedule with each call
 /// independently dropped with probability `drop_rate`.  Used by tests to
@@ -88,8 +84,6 @@ struct SymbolicCongestionReport {
 /// to measure coverage degradation.
 [[nodiscard]] FlatSchedule drop_calls(const FlatSchedule& schedule, double drop_rate,
                                       std::mt19937_64& rng);
-[[nodiscard]] BroadcastSchedule drop_calls(const BroadcastSchedule& schedule,
-                                           double drop_rate, std::mt19937_64& rng);
 
 /// Overlays `flows` random unicast calls (each a shortest path in Q_n
 /// between random endpoints, truncated to `k` hops) on each round and
@@ -98,9 +92,6 @@ struct SymbolicCongestionReport {
 /// Returns collisions per round.
 [[nodiscard]] std::vector<std::size_t> competing_traffic_collisions(
     const FlatSchedule& schedule, int n, int k, std::size_t flows,
-    std::mt19937_64& rng);
-[[nodiscard]] std::vector<std::size_t> competing_traffic_collisions(
-    const BroadcastSchedule& schedule, int n, int k, std::size_t flows,
     std::mt19937_64& rng);
 
 }  // namespace shc

@@ -1,9 +1,12 @@
-// Flat, arena-backed broadcast-schedule representation.
+// Broadcast schedules under the k-line communication model (Definition 1
+// of the paper): a sequence of rounds, each a set of calls, each call an
+// explicit walk from an informed caller to its receiver.  Keeping the
+// route explicit lets the validator check the model's real constraint:
+// calls in one round are pairwise edge-disjoint and receiver-disjoint,
+// and each occupies at most k edges.
 //
-// The legacy BroadcastSchedule (Round{vector<Call>}, Call{vector<Vertex>})
-// heap-allocates one vector per call, which caps schemes at small n and
-// makes every validator/congestion pass allocation-bound.  FlatSchedule
-// stores the same information in three contiguous arrays:
+// FlatSchedule is the one schedule type of the library.  It stores the
+// schedule in three contiguous arrays instead of one vector per call:
 //
 //   pool_       — every path vertex of every call, back to back;
 //   call_off_   — call c's path is pool_[call_off_[c] .. call_off_[c+1]);
@@ -14,10 +17,9 @@
 // total path length.  Producers build schedules through the round/call
 // cursor API (begin_round / push_vertex / end_call); consumers iterate
 // RoundView / CallView, which are non-owning spans into the pool.
-//
-// The legacy types remain as a conversion shim (from_legacy / to_legacy)
-// so literal-transcription cross-checks and hand-built test schedules
-// keep working during and after the migration.
+// Hand-built degenerate inputs (an empty call, a one-vertex call, an
+// empty round) go through push_vertex + end_call_unchecked or a bare
+// begin_round, so they reach the validator's explicit error strings.
 #pragma once
 
 #include <cassert>
@@ -29,7 +31,6 @@
 #include <vector>
 
 #include "shc/bits/vertex.hpp"
-#include "shc/sim/schedule.hpp"
 
 namespace shc {
 
@@ -256,15 +257,7 @@ class FlatSchedule {
            a.call_off_ == b.call_off_ && a.pool_ == b.pool_;
   }
 
-  // ---- legacy conversion shim -----------------------------------------
-
-  /// Copies a legacy schedule verbatim — including empty rounds and
-  /// degenerate (< 2 vertex) calls, which the validator rejects with an
-  /// explicit error instead of tripping builder asserts.
-  [[nodiscard]] static FlatSchedule from_legacy(const BroadcastSchedule& legacy);
-
-  /// Materializes the legacy pointer-per-call form (tests, cross-checks).
-  [[nodiscard]] BroadcastSchedule to_legacy() const;
+  // ---- conversion ------------------------------------------------------
 
   /// Expands a symbolic (subcube-batched) schedule into concrete calls:
   /// each group becomes its 2^popcount(free_mask) translated calls, in
@@ -290,7 +283,8 @@ class FlatSchedule {
   std::vector<std::size_t> round_end_;        // size num_rounds()
 };
 
-/// Pretty-prints a flat schedule exactly like the legacy formatter.
+/// Pretty-prints a schedule round by round with `bits`-wide binary
+/// vertex labels (decimal when bits == 0), e.g. for the Figure-4 trace.
 [[nodiscard]] std::string format_schedule(const FlatSchedule& s, int bits = 0);
 
 }  // namespace shc

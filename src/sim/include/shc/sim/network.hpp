@@ -1,11 +1,9 @@
-// Adjacency oracle abstraction for the simulator.
-//
-// The validator/congestion kernels are templated over the oracle type
-// (see the AdjacencyOracle concept in validator.hpp), so concrete views
-// here — and non-virtual oracles like SpecView — validate with direct
-// inlinable has_edge() calls.  The virtual NetworkView base remains as
-// the type-erased adapter for ad-hoc test oracles and heterogeneous
-// collections; it is no longer on the hot path.
+// Adjacency oracles for the simulator: one plain (non-virtual) type per
+// topology.  GraphView wraps a materialized Graph and CubeOracle is the
+// implicit full cube; sparse hypercubes use SpecView (mlbg/spec.hpp).
+// The validator and congestion kernels are templates over the
+// AdjacencyOracle concept (validator.hpp), so every edge probe is a
+// direct, inlinable call.
 #pragma once
 
 #include <cstdint>
@@ -15,26 +13,16 @@
 
 namespace shc {
 
-/// Read-only adjacency oracle over vertices 0 .. num_vertices()-1.
-class NetworkView {
- public:
-  virtual ~NetworkView() = default;
-
-  [[nodiscard]] virtual std::uint64_t num_vertices() const = 0;
-
-  /// True iff {u, v} is an edge.  Must be symmetric and irreflexive.
-  [[nodiscard]] virtual bool has_edge(Vertex u, Vertex v) const = 0;
-};
-
-/// NetworkView over a materialized Graph.
-class GraphView final : public NetworkView {
+/// Adjacency oracle over a materialized Graph.
+class GraphView {
  public:
   /// Keeps a reference; the graph must outlive the view.
   explicit GraphView(const Graph& g) : g_(g) {}
 
-  [[nodiscard]] std::uint64_t num_vertices() const override { return g_.num_vertices(); }
+  [[nodiscard]] std::uint64_t num_vertices() const noexcept { return g_.num_vertices(); }
 
-  [[nodiscard]] bool has_edge(Vertex u, Vertex v) const override {
+  /// True iff {u, v} is an edge (symmetric and irreflexive).
+  [[nodiscard]] bool has_edge(Vertex u, Vertex v) const {
     return g_.has_edge(static_cast<VertexId>(u), static_cast<VertexId>(v));
   }
 
@@ -42,9 +30,8 @@ class GraphView final : public NetworkView {
   const Graph& g_;
 };
 
-/// Non-virtual implicit oracle of the full binary n-cube Q_n — the
-/// devirtualized counterpart of HypercubeView, and the full cube's
-/// answer to SpecView: every dimension's edge predicate is
+/// Implicit oracle of the full binary n-cube Q_n (n <= 63), the full
+/// cube's answer to SpecView: every dimension's edge predicate is
 /// constant-true with an empty support mask, so it satisfies both the
 /// AdjacencyOracle and the symbolic engines' SymbolicOracle concepts.
 class CubeOracle {
@@ -58,23 +45,6 @@ class CubeOracle {
   }
   [[nodiscard]] bool has_edge_dim(Vertex, Dim) const noexcept { return true; }
   [[nodiscard]] Vertex dim_support_mask(Dim) const noexcept { return 0; }
-
- private:
-  int n_;
-};
-
-/// NetworkView of the full binary n-cube Q_n (implicit, n <= 63).
-class HypercubeView final : public NetworkView {
- public:
-  explicit HypercubeView(int n) : n_(n) {}
-
-  [[nodiscard]] int dim() const noexcept { return n_; }
-
-  [[nodiscard]] std::uint64_t num_vertices() const override { return cube_order(n_); }
-
-  [[nodiscard]] bool has_edge(Vertex u, Vertex v) const override {
-    return cube_adjacent(u, v);
-  }
 
  private:
   int n_;

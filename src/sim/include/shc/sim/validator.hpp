@@ -4,12 +4,8 @@
 // tests always go through it rather than trusting scheme proofs.
 //
 // The checking kernel is a template over the adjacency-oracle type, so
-// concrete views (GraphView, HypercubeView, SpecView) validate with
-// direct — devirtualized, inlinable — has_edge() calls.  The virtual
-// NetworkView base remains usable as a type-erased adapter: passing a
-// `const NetworkView&` instantiates the kernel over the base class and
-// dispatches each edge probe virtually, which is exactly what tests that
-// wrap ad-hoc oracles want.
+// every oracle (GraphView, CubeOracle, SpecView) validates with direct,
+// inlinable has_edge() calls.  Schedules are always FlatSchedule.
 #pragma once
 
 #include <algorithm>
@@ -25,13 +21,11 @@
 #include "shc/bits/bitstring.hpp"
 #include "shc/sim/flat_schedule.hpp"
 #include "shc/sim/network.hpp"
-#include "shc/sim/schedule.hpp"
 
 namespace shc {
 
 /// Anything that answers num_vertices() / has_edge() — materialized
-/// graphs, implicit cubes, sparse-hypercube specs, or the type-erased
-/// virtual NetworkView.
+/// graphs, implicit cubes or sparse-hypercube specs.
 template <class Net>
 concept AdjacencyOracle = requires(const Net& net, Vertex u, Vertex v) {
   { net.num_vertices() } -> std::convertible_to<std::uint64_t>;
@@ -375,29 +369,16 @@ template <AdjacencyOracle Net>
   return rep;
 }
 
-/// Legacy-schedule adapter: converts through the FlatSchedule shim.
-template <AdjacencyOracle Net>
-[[nodiscard]] ValidationReport validate_broadcast(const Net& net,
-                                                  const BroadcastSchedule& schedule,
-                                                  const ValidationOptions& opt) {
-  return validate_broadcast(net, FlatSchedule::from_legacy(schedule), opt);
-}
-
 /// Convenience: validate under the paper's exact model and require a
 /// minimum-time result.  Returns the report (callers assert report.ok &&
 /// report.minimum_time).
-template <AdjacencyOracle Net, class Sched>
+template <AdjacencyOracle Net>
 [[nodiscard]] ValidationReport validate_minimum_time_k_line(const Net& net,
-                                                            const Sched& schedule,
+                                                            const FlatSchedule& schedule,
                                                             int k) {
   ValidationOptions opt;
   opt.k = k;
   return validate_broadcast(net, schedule, opt);
 }
-
-// The type-erased kernel instantiation lives in validator.cpp; every TU
-// that validates through the virtual base shares it.
-extern template ValidationReport validate_broadcast<NetworkView>(
-    const NetworkView&, const FlatSchedule&, const ValidationOptions&);
 
 }  // namespace shc

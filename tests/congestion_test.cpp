@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
 
 #include "shc/mlbg/broadcast.hpp"
 #include "shc/mlbg/spec.hpp"
@@ -12,12 +13,15 @@
 namespace shc {
 namespace {
 
-BroadcastSchedule tiny_schedule() {
+FlatSchedule tiny_schedule() {
   // Path 0-1-2-3: round 1: 0->2 via 1; round 2: 0->1, 2->3.
-  BroadcastSchedule s;
+  FlatSchedule s;
   s.source = 0;
-  s.rounds.push_back(Round{{Call{{0, 1, 2}}}});
-  s.rounds.push_back(Round{{Call{{0, 1}}, Call{{2, 3}}}});
+  s.begin_round();
+  s.add_call({0, 1, 2});
+  s.begin_round();
+  s.add_call({0, 1});
+  s.add_call({2, 3});
   return s;
 }
 
@@ -42,8 +46,13 @@ TEST(Congestion, RequiredCapacityIsOneForFeasibleSchedules) {
   }
 }
 
+TEST(Congestion, RejectsThreadCountBelowOne) {
+  EXPECT_THROW((void)analyze_congestion(tiny_schedule(), 0), std::invalid_argument);
+  EXPECT_THROW((void)analyze_congestion(tiny_schedule(), -3), std::invalid_argument);
+}
+
 TEST(Congestion, EmptyScheduleIsZero) {
-  const auto stats = analyze_congestion(BroadcastSchedule{});
+  const auto stats = analyze_congestion(FlatSchedule{});
   EXPECT_EQ(stats.distinct_edges_used, 0u);
   EXPECT_EQ(stats.total_edge_hops, 0u);
   EXPECT_DOUBLE_EQ(stats.mean_edge_load, 0.0);
@@ -65,7 +74,7 @@ TEST(FailureInjection, DroppedCallsBreakCompletion) {
   std::mt19937_64 rng(42);
   const auto degraded = drop_calls(schedule, 0.3, rng);
   ASSERT_LT(degraded.num_calls(), schedule.num_calls());
-  const SparseHypercubeView view(spec);
+  const SpecView view(spec);
   ValidationOptions opt;
   opt.k = 2;
   const auto rep = validate_broadcast(view, degraded, opt);
@@ -78,7 +87,7 @@ TEST(FailureInjection, ZeroRateIsIdentity) {
   std::mt19937_64 rng(1);
   const auto copy = drop_calls(schedule, 0.0, rng);
   EXPECT_EQ(copy.num_calls(), schedule.num_calls());
-  const SparseHypercubeView view(spec);
+  const SpecView view(spec);
   EXPECT_TRUE(validate_minimum_time_k_line(view, copy, 2).ok);
 }
 

@@ -27,7 +27,7 @@ class VertexDisjointSweep
 TEST_P(VertexDisjointSweep, BroadcastKSatisfiesStrongerModel) {
   const auto& [n, cuts] = GetParam();
   const auto spec = SparseHypercubeSpec::construct(n, cuts);
-  const SparseHypercubeView view(spec);
+  const SpecView view(spec);
   for (Vertex s = 0; s < spec.num_vertices(); s += 7) {
     const auto schedule = make_broadcast_schedule(spec, s);
     const auto rep = validate_broadcast(view, schedule, vertex_disjoint_opts(spec.k()));
@@ -58,10 +58,13 @@ TEST(VertexDisjoint, StarSwitchingViolatesIt) {
 TEST(VertexDisjoint, DirectCallSchedulesUnaffected) {
   const Graph g = make_hypercube(4);
   const GraphView view(g);
-  BroadcastSchedule s;
+  FlatSchedule s;
   s.source = 0;
-  s.rounds.push_back(Round{{Call{{0b0000, 0b1000}}}});
-  s.rounds.push_back(Round{{Call{{0b0000, 0b0100}}, Call{{0b1000, 0b1100}}}});
+  s.begin_round();
+  s.add_call({0b0000, 0b1000});
+  s.begin_round();
+  s.add_call({0b0000, 0b0100});
+  s.add_call({0b1000, 0b1100});
   ValidationOptions opt = vertex_disjoint_opts(1);
   opt.require_completion = false;
   EXPECT_TRUE(validate_broadcast(view, s, opt).ok);
@@ -93,7 +96,7 @@ TEST(DesignBest, MonotoneNonIncreasingInKmax) {
 
 TEST(DesignBest, ResultStillBroadcastsOptimally) {
   const auto spec = design_best_sparse_hypercube(10, 6);
-  const SparseHypercubeView view(spec);
+  const SpecView view(spec);
   // Property 1: a spec.k()-line schedule is valid under any k >= spec.k(),
   // in particular under the requested budget 6.
   const auto schedule = make_broadcast_schedule(spec, 99);

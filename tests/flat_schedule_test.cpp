@@ -1,6 +1,6 @@
 // Unit tests for the flat arena-backed schedule engine: the cursor
-// builder, round/call views, the legacy conversion shim, and the
-// allocation-shape guarantees the producers rely on.
+// builder, round/call views, the formatter, and the allocation-shape
+// guarantees the producers rely on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +13,6 @@
 #include "shc/mlbg/spec.hpp"
 #include "shc/sim/congestion.hpp"
 #include "shc/sim/flat_schedule.hpp"
-#include "shc/sim/network.hpp"
 #include "shc/sim/validator.hpp"
 
 namespace shc {
@@ -112,51 +111,6 @@ TEST(FlatSchedule, TruncateRounds) {
   EXPECT_EQ(s.num_calls(), 1u);
 }
 
-TEST(FlatSchedule, LegacyShimRoundTripIsLossless) {
-  const FlatSchedule flat = q2_flat();
-  const BroadcastSchedule legacy = flat.to_legacy();
-  ASSERT_EQ(legacy.rounds.size(), 2u);
-  EXPECT_EQ(legacy.source, flat.source);
-  EXPECT_EQ(legacy.num_calls(), flat.num_calls());
-  EXPECT_EQ(legacy.max_call_length(), flat.max_call_length());
-  EXPECT_EQ(legacy.rounds[1].calls[0].path, (std::vector<Vertex>{0b00, 0b01}));
-
-  const FlatSchedule back = FlatSchedule::from_legacy(legacy);
-  EXPECT_TRUE(back == flat);
-}
-
-TEST(FlatSchedule, ShimPreservesEmptyRoundsAndDegenerateCalls) {
-  BroadcastSchedule legacy;
-  legacy.source = 1;
-  legacy.rounds.emplace_back();  // empty round
-  legacy.rounds.push_back(Round{{Call{{0}}, Call{{}}}});
-  const FlatSchedule flat = FlatSchedule::from_legacy(legacy);
-  EXPECT_EQ(flat.num_rounds(), 2);
-  EXPECT_TRUE(flat.round(0).empty());
-  ASSERT_EQ(flat.round(1).size(), 2u);
-  EXPECT_EQ(flat.round(1)[0].size(), 1u);
-  EXPECT_TRUE(flat.round(1)[1].empty());
-  // ... and the round trip back re-materializes them verbatim.
-  const BroadcastSchedule back = flat.to_legacy();
-  ASSERT_EQ(back.rounds.size(), 2u);
-  EXPECT_TRUE(back.rounds[0].calls.empty());
-  EXPECT_TRUE(back.rounds[1].calls[1].path.empty());
-}
-
-TEST(FlatSchedule, ValidatesThroughConcreteAndTypeErasedOracles) {
-  const FlatSchedule s = q2_flat();
-  const HypercubeView q2(2);
-  // Concrete (devirtualized) instantiation.
-  const auto direct = validate_minimum_time_k_line(q2, s, 1);
-  EXPECT_TRUE(direct.ok) << direct.error;
-  EXPECT_TRUE(direct.minimum_time);
-  // Type-erased adapter instantiation — identical verdict.
-  const NetworkView& erased = q2;
-  const auto virt = validate_minimum_time_k_line(erased, s, 1);
-  EXPECT_TRUE(virt.ok) << virt.error;
-  EXPECT_EQ(virt.total_calls, direct.total_calls);
-}
-
 TEST(FlatSchedule, SpecViewValidatesWithoutMaterialization) {
   const auto spec = design_sparse_hypercube(12, 2);
   const auto schedule = make_broadcast_schedule(spec, 7);
@@ -192,11 +146,14 @@ TEST(FlatSchedule, DropCallsPreservesRoundStructure) {
   EXPECT_EQ(degraded.source, schedule.source);
 }
 
-TEST(FlatSchedule, FormatMatchesLegacyFormatter) {
-  const FlatSchedule flat = q2_flat();
-  EXPECT_EQ(format_schedule(flat, 2), format_schedule(flat.to_legacy(), 2));
-  EXPECT_NE(format_schedule(flat, 2).find("broadcast from 00 in 2 round(s)"),
-            std::string::npos);
+TEST(FlatSchedule, FormatPrintsEveryRoundAndCall) {
+  EXPECT_EQ(format_schedule(q2_flat(), 2),
+            "broadcast from 00 in 2 round(s)\n"
+            "  round 1:\n"
+            "    00 -> 10  (length 1)\n"
+            "  round 2:\n"
+            "    00 -> 01  (length 1)\n"
+            "    10 -> 11  (length 1)\n");
 }
 
 }  // namespace

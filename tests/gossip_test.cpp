@@ -13,7 +13,7 @@ class HypercubeGossip : public ::testing::TestWithParam<int> {};
 
 TEST_P(HypercubeGossip, DimensionExchangeIsOptimal) {
   const int n = GetParam();
-  const HypercubeView qn(n);
+  const CubeOracle qn(n);
   const auto schedule = hypercube_exchange_gossip(n);
   const auto rep = validate_gossip(qn, schedule, 1);
   ASSERT_TRUE(rep.ok) << rep.error;
@@ -39,7 +39,7 @@ class SparseGossip : public ::testing::TestWithParam<std::pair<int, std::vector<
 TEST_P(SparseGossip, GatherBroadcastCompletesInTwoN) {
   const auto& [n, cuts] = GetParam();
   const auto spec = SparseHypercubeSpec::construct(n, cuts);
-  const SparseHypercubeView view(spec);
+  const SpecView view(spec);
   for (Vertex root : {Vertex{0}, spec.num_vertices() - 1}) {
     const auto schedule = sparse_gather_broadcast_gossip(spec, root);
     const auto rep = validate_gossip(view, schedule, spec.k());
@@ -60,7 +60,7 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair{9, std::vector<int>{2, 4, 6}}));
 
 TEST(GossipValidator, RejectsDoubleExchange) {
-  const HypercubeView q2(2);
+  const CubeOracle q2(2);
   GossipSchedule s;
   s.begin_round();
   s.add_call({0b00, 0b01});
@@ -71,7 +71,7 @@ TEST(GossipValidator, RejectsDoubleExchange) {
 
   // Double-booked the other way round: vertex 1 receives in one
   // exchange and calls in the next.
-  const HypercubeView q4(4);
+  const CubeOracle q4(4);
   GossipSchedule chained;
   chained.begin_round();
   chained.add_call({0, 1});
@@ -85,7 +85,7 @@ TEST(GossipValidator, RejectsDoubleExchange) {
 TEST(GossipValidator, RejectsOutOfRangeInteriorPathVertex) {
   // Regression: only the two endpoints used to be range-checked, so an
   // out-of-range *interior* vertex reached the adjacency oracle raw.
-  const HypercubeView q2(2);
+  const CubeOracle q2(2);
   GossipSchedule s;
   s.begin_round();
   s.add_call({0b00, 0b101, 0b01});  // interior vertex 5 >= order 4
@@ -98,7 +98,7 @@ TEST(GossipValidator, RejectsOutOfRangeInteriorPathVertex) {
 TEST(GossipValidator, RejectsOversizedNetworkInsteadOfAllocating) {
   // Regression: the N <= 2^13 guard was a debug-only assert; in Release
   // an oversized oracle silently allocated the O(N^2)-bit matrix.
-  const HypercubeView q14(14);  // 2^14 vertices, one past the guard
+  const CubeOracle q14(14);  // 2^14 vertices, one past the guard
   const GossipSchedule empty;
   const auto rep = validate_gossip(q14, empty, 1);
   EXPECT_FALSE(rep.ok);
@@ -107,7 +107,7 @@ TEST(GossipValidator, RejectsOversizedNetworkInsteadOfAllocating) {
 }
 
 TEST(GossipValidator, RejectsSharedEdge) {
-  const HypercubeView q3(3);
+  const CubeOracle q3(3);
   GossipSchedule s;
   // Both exchanges route through edge {000, 001}.
   s.begin_round();
@@ -119,7 +119,7 @@ TEST(GossipValidator, RejectsSharedEdge) {
 }
 
 TEST(GossipValidator, RejectsOverlongExchange) {
-  const HypercubeView q3(3);
+  const CubeOracle q3(3);
   GossipSchedule s;
   s.begin_round();
   s.add_call({0b000, 0b001, 0b011});
@@ -131,7 +131,7 @@ TEST(GossipValidator, RejectsOverlongExchange) {
 }
 
 TEST(GossipValidator, DetectsIncompleteness) {
-  const HypercubeView q2(2);
+  const CubeOracle q2(2);
   GossipSchedule s;
   s.begin_round();
   s.add_call({0b00, 0b01});
@@ -154,7 +154,7 @@ TEST(GossipValidator, DetectsIncompleteness) {
 }
 
 TEST(GossipValidator, KnowledgeActuallyMerges) {
-  const HypercubeView q2(2);
+  const CubeOracle q2(2);
   const auto schedule = hypercube_exchange_gossip(2);
   const auto rep = validate_gossip(q2, schedule, 1);
   EXPECT_TRUE(rep.ok) << rep.error;
@@ -163,7 +163,7 @@ TEST(GossipValidator, KnowledgeActuallyMerges) {
 
 TEST(SparseGossip, GatherPhaseAloneIsIncomplete) {
   const auto spec = SparseHypercubeSpec::construct_base(5, 2);
-  const SparseHypercubeView view(spec);
+  const SpecView view(spec);
   auto schedule = sparse_gather_broadcast_gossip(spec, 0);
   schedule.truncate_rounds(5);  // keep only the gather half
   const auto rep = validate_gossip(view, schedule, 2);
@@ -178,7 +178,7 @@ TEST(SparseGossip, PastTheExactWallTheSymbolicEngineCertifies) {
   // must refuse and name the engine that certifies at scale, and that
   // engine must certify the same gather-broadcast gossip in full.
   const auto spec = SparseHypercubeSpec::construct_base(14, 4);
-  const SparseHypercubeView view(spec);
+  const SpecView view(spec);
   const auto exact =
       validate_gossip(view, sparse_gather_broadcast_gossip(spec, 0), spec.k());
   EXPECT_FALSE(exact.ok);

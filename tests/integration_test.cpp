@@ -14,7 +14,7 @@ namespace {
 // minimum-time (k+1)-line schedule, so G_k subset G_{k+1}.
 TEST(Integration, SchedulesRemainValidForLargerK) {
   const auto spec = SparseHypercubeSpec::construct(7, {2, 4});
-  const SparseHypercubeView view(spec);
+  const SpecView view(spec);
   const auto schedule = make_broadcast_schedule(spec, 5);
   for (int k = spec.k(); k <= spec.k() + 3; ++k) {
     const auto rep = validate_minimum_time_k_line(view, schedule, k);
@@ -27,7 +27,7 @@ TEST(Integration, SchedulesRemainValidForLargerK) {
 // the FULL cube under any k; the sparse cube needs k >= spec.k().
 TEST(Integration, SparseCubeScheduleFailsUnderSmallerK) {
   const auto spec = SparseHypercubeSpec::construct_base(6, 2);
-  const SparseHypercubeView view(spec);
+  const SpecView view(spec);
   const auto schedule = make_broadcast_schedule(spec, 0);
   EXPECT_TRUE(validate_minimum_time_k_line(view, schedule, 2).ok);
   // The same schedule contains length-2 calls, so k = 1 must fail.
@@ -62,7 +62,7 @@ TEST(Integration, DesignBuildBroadcastAnalyze) {
               k == 2 ? theorem5_upper(n) : theorem7_upper(n, k));
 
     const auto schedule = make_broadcast_schedule(spec, 777 % spec.num_vertices());
-    const SparseHypercubeView view(spec);
+    const SpecView view(spec);
     const auto rep = validate_minimum_time_k_line(view, schedule, k);
     ASSERT_TRUE(rep.ok) << "k=" << k << ": " << rep.error;
     EXPECT_TRUE(rep.minimum_time);
@@ -134,7 +134,7 @@ TEST(Integration, TextTableFormats) {
 // on Q_n validates under every k >= 1 on the full cube.
 TEST(Integration, BinomialScheduleValidForAllK) {
   const int n = 6;
-  const HypercubeView qn(n);
+  const CubeOracle qn(n);
   const auto schedule = hypercube_binomial_broadcast(n, 21);
   for (int k : {1, 2, 5, 63}) {
     EXPECT_TRUE(validate_minimum_time_k_line(qn, schedule, k).ok);

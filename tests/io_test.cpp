@@ -9,7 +9,7 @@
 #include "shc/bits/bitstring.hpp"
 #include "shc/graph/generators.hpp"
 #include "shc/graph/io.hpp"
-#include "shc/sim/schedule.hpp"
+#include "shc/sim/flat_schedule.hpp"
 
 namespace shc {
 namespace {
@@ -59,10 +59,13 @@ TEST(Table, EmptyTableStillPrintsHeader) {
 }
 
 TEST(ScheduleFormat, DirectAndDetourCalls) {
-  BroadcastSchedule s;
+  FlatSchedule s;
   s.source = 0;
-  s.rounds.push_back(Round{{Call{{0, 1}}}});
-  s.rounds.push_back(Round{{Call{{0, 2, 3}}, Call{{1, 5}}}});
+  s.begin_round();
+  s.add_call({0, 1});
+  s.begin_round();
+  s.add_call({0, 2, 3});
+  s.add_call({1, 5});
   const std::string text = format_schedule(s, 3);
   EXPECT_NE(text.find("broadcast from 000 in 2 round(s)"), std::string::npos);
   EXPECT_NE(text.find("000 -> 001  (length 1)"), std::string::npos);
@@ -71,23 +74,27 @@ TEST(ScheduleFormat, DirectAndDetourCalls) {
 }
 
 TEST(ScheduleFormat, DecimalMode) {
-  BroadcastSchedule s;
+  FlatSchedule s;
   s.source = 7;
-  s.rounds.push_back(Round{{Call{{7, 6}}}});
+  s.begin_round();
+  s.add_call({7, 6});
   const std::string text = format_schedule(s, 0);
   EXPECT_NE(text.find("broadcast from 7"), std::string::npos);
   EXPECT_NE(text.find("7 -> 6"), std::string::npos);
 }
 
 TEST(ScheduleStats, CountsCallsAndLengths) {
-  BroadcastSchedule s;
+  FlatSchedule s;
   s.source = 0;
-  s.rounds.push_back(Round{{Call{{0, 1}}}});
-  s.rounds.push_back(Round{{Call{{0, 2, 3}}, Call{{1, 5}}}});
+  s.begin_round();
+  s.add_call({0, 1});
+  s.begin_round();
+  s.add_call({0, 2, 3});
+  s.add_call({1, 5});
   EXPECT_EQ(s.num_rounds(), 2);
   EXPECT_EQ(s.num_calls(), 3u);
   EXPECT_EQ(s.max_call_length(), 2);
-  EXPECT_EQ(BroadcastSchedule{}.max_call_length(), 0);
+  EXPECT_EQ(FlatSchedule{}.max_call_length(), 0);
 }
 
 TEST(Bitstring, WidthMatchesCubeDim) {

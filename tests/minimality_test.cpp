@@ -12,15 +12,15 @@ namespace shc {
 namespace {
 
 /// A spec view with one edge deleted.
-class DeletedEdgeView final : public NetworkView {
+class DeletedEdgeView {
  public:
   DeletedEdgeView(const SparseHypercubeSpec& spec, Vertex a, Vertex b)
       : spec_(spec), a_(a < b ? a : b), b_(a < b ? b : a) {}
 
-  [[nodiscard]] std::uint64_t num_vertices() const override {
+  [[nodiscard]] std::uint64_t num_vertices() const {
     return spec_.num_vertices();
   }
-  [[nodiscard]] bool has_edge(Vertex u, Vertex v) const override {
+  [[nodiscard]] bool has_edge(Vertex u, Vertex v) const {
     if ((u == a_ && v == b_) || (u == b_ && v == a_)) return false;
     return spec_.has_edge(u, v);
   }

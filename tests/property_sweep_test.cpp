@@ -21,7 +21,7 @@ TEST_P(ExactLabelingConstruction, BroadcastStillMinimumTime) {
 
   const int n = m + 4;
   const auto spec = SparseHypercubeSpec::construct_base(n, m, *labeling);
-  const SparseHypercubeView view(spec);
+  const SpecView view(spec);
   for (Vertex s = 0; s < spec.num_vertices(); s += 3) {
     const auto rep =
         validate_minimum_time_k_line(view, make_broadcast_schedule(spec, s), 2);
@@ -69,7 +69,7 @@ TEST_P(LargerNSampledSources, BroadcastValidates) {
   const int n = GetParam();
   for (int k : {2, 3}) {
     const auto spec = design_sparse_hypercube(n, k);
-    const SparseHypercubeView view(spec);
+    const SpecView view(spec);
     // Sample sources across the id range plus structured corners.
     std::vector<Vertex> sources{0, spec.num_vertices() - 1, spec.num_vertices() / 2};
     for (int i = 1; i <= 5; ++i) {
@@ -119,7 +119,7 @@ INSTANTIATE_TEST_SUITE_P(BigN, HugeNOracle, ::testing::Values(24, 32, 48, 63));
 // Gossip stays valid for any root choice on a sweep of specs.
 TEST(WideSweep, GossipFromManyRoots) {
   const auto spec = SparseHypercubeSpec::construct(8, {2, 4});
-  const SparseHypercubeView view(spec);
+  const SpecView view(spec);
   for (Vertex root = 0; root < spec.num_vertices(); root += 17) {
     const auto rep = validate_gossip(view, sparse_gather_broadcast_gossip(spec, root),
                                      spec.k());

@@ -90,6 +90,33 @@ TEST(ServeEngine, DesignArgumentsOutOfRangeAnswerErrorRows) {
   EXPECT_NE(row.find("\"ok\":true"), std::string::npos) << row;
 }
 
+TEST(ServeEngine, ExchangeGossipRejectsKAndCutsItWouldIgnore) {
+  // The exchange engine always runs k = 1 on the full cube, so a request
+  // naming another k or a cut vector answers a spec: row instead of a
+  // k = 1 row it did not ask for.
+  ServeEngine engine{ServeOptions{}};
+  for (const char* args : {"\"k\":3", "\"cuts\":[2]", "\"k\":1,\"cuts\":[2]"}) {
+    const std::string line =
+        std::string("{\"workload\":\"exchange-gossip\",\"n\":8,") + args + "}";
+    const std::string row = engine.handle_line(line);
+    EXPECT_NE(row.find("\"ok\":false"), std::string::npos) << line << " -> " << row;
+    EXPECT_NE(row.find("\"error\":\"spec: exchange-gossip always runs k = 1"),
+              std::string::npos)
+        << line << " -> " << row;
+    EXPECT_EQ(row.find("std::"), std::string::npos) << line << " -> " << row;
+  }
+  EXPECT_EQ(engine.stats().errors, 3u);
+
+  // k = 1 and an omitted k still certify.
+  for (const char* line : {"{\"workload\":\"exchange-gossip\",\"n\":8,\"k\":1}",
+                           "{\"workload\":\"exchange-gossip\",\"n\":8}"}) {
+    const std::string row = engine.handle_line(line);
+    EXPECT_NE(row.find("\"ok\":true"), std::string::npos) << line << " -> " << row;
+    EXPECT_NE(row.find("\"engine\":\"exchange-gossip\""), std::string::npos) << row;
+  }
+  EXPECT_EQ(engine.stats().errors, 3u);
+}
+
 TEST(ServeEngine, DeeplyNestedLinesAnswerParseErrorRows) {
   // The reader recursed once per '[' / '{' without a limit, so one line
   // of 200 000 brackets exhausted the stack.  A request nests at most

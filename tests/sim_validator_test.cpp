@@ -14,17 +14,20 @@
 namespace shc {
 namespace {
 
-BroadcastSchedule q2_good() {
+FlatSchedule q2_good() {
   // Q_2 from 00: round 1: 00->10; round 2: 00->01, 10->11.
-  BroadcastSchedule s;
+  FlatSchedule s;
   s.source = 0b00;
-  s.rounds.push_back(Round{{Call{{0b00, 0b10}}}});
-  s.rounds.push_back(Round{{Call{{0b00, 0b01}}, Call{{0b10, 0b11}}}});
+  s.begin_round();
+  s.add_call({0b00, 0b10});
+  s.begin_round();
+  s.add_call({0b00, 0b01});
+  s.add_call({0b10, 0b11});
   return s;
 }
 
 TEST(Validator, AcceptsCorrectSchedule) {
-  const HypercubeView q2(2);
+  const CubeOracle q2(2);
   const auto rep = validate_minimum_time_k_line(q2, q2_good(), 1);
   EXPECT_TRUE(rep.ok) << rep.error;
   EXPECT_TRUE(rep.minimum_time);
@@ -35,54 +38,60 @@ TEST(Validator, AcceptsCorrectSchedule) {
 }
 
 TEST(Validator, RejectsUninformedCaller) {
-  const HypercubeView q2(2);
-  auto s = q2_good();
-  s.rounds[0].calls[0].path = {0b01, 0b11};  // 01 is not informed yet
+  const CubeOracle q2(2);
+  FlatSchedule s;
+  s.source = 0b00;
+  s.begin_round();
+  s.add_call({0b01, 0b11});  // 01 is not informed yet
+  s.begin_round();
+  s.add_call({0b00, 0b01});
+  s.add_call({0b10, 0b11});
   const auto rep = validate_minimum_time_k_line(q2, s, 1);
   EXPECT_FALSE(rep.ok);
   EXPECT_NE(rep.error.find("not informed"), std::string::npos);
 }
 
 // Regression: an empty or single-vertex path used to be undefined
-// behavior waiting to happen (Call::caller()/receiver() on an empty
-// vector).  The accessors now assert in debug builds, and the validator
-// rejects degenerate calls explicitly instead of touching them.
+// behavior waiting to happen (caller()/receiver() on an empty path).
+// The accessors assert in debug builds, and the validator rejects
+// degenerate calls explicitly instead of touching them.
 TEST(Validator, RejectsEmptyAndZeroLengthCallsExplicitly) {
-  const HypercubeView q2(2);
+  const CubeOracle q2(2);
   ValidationOptions opt;
   opt.k = 1;
   opt.require_completion = false;
 
-  BroadcastSchedule empty_path;
+  FlatSchedule empty_path;
   empty_path.source = 0;
-  empty_path.rounds.push_back(Round{{Call{{}}}});
+  empty_path.begin_round();
+  empty_path.end_call_unchecked();  // no vertices at all
+  ASSERT_EQ(empty_path.num_calls(), 1u);
+  EXPECT_EQ(empty_path.call(0).size(), 0u);
   const auto rep_empty = validate_broadcast(q2, empty_path, opt);
   EXPECT_FALSE(rep_empty.ok);
   EXPECT_NE(rep_empty.error.find("empty or zero-length call"), std::string::npos);
 
-  BroadcastSchedule zero_length;
+  FlatSchedule zero_length;
   zero_length.source = 0;
-  zero_length.rounds.push_back(Round{{Call{{0b00}}}});  // caller, no receiver
+  zero_length.begin_round();
+  zero_length.push_vertex(0b00);  // caller, no receiver
+  zero_length.end_call_unchecked();
+  ASSERT_EQ(zero_length.num_calls(), 1u);
+  EXPECT_EQ(zero_length.call(0).size(), 1u);
   const auto rep_zero = validate_broadcast(q2, zero_length, opt);
   EXPECT_FALSE(rep_zero.ok);
   EXPECT_NE(rep_zero.error.find("empty or zero-length call"), std::string::npos);
-
-  // Degenerate calls survive the legacy -> flat conversion shim intact
-  // (the validator, not the converter, owns the rejection).
-  const FlatSchedule flat = FlatSchedule::from_legacy(zero_length);
-  ASSERT_EQ(flat.num_calls(), 1u);
-  EXPECT_EQ(flat.call(0).size(), 1u);
-  EXPECT_FALSE(validate_broadcast(q2, flat, opt).ok);
 }
 
 // Regression: the vertex-disjoint model tracks touched vertices in a
 // bitmap indexed by vertex id; an out-of-range interior path vertex must
 // be reported cleanly before that bitmap is touched.
 TEST(Validator, VertexDisjointRejectsOutOfRangeInteriorVertex) {
-  const HypercubeView q2(2);
-  BroadcastSchedule s;
+  const CubeOracle q2(2);
+  FlatSchedule s;
   s.source = 0;
-  s.rounds.push_back(Round{{Call{{0b00, Vertex{1000000}, 0b01}}}});
+  s.begin_round();
+  s.add_call({0b00, Vertex{1000000}, 0b01});
   ValidationOptions opt;
   opt.k = 2;
   opt.require_completion = false;
@@ -93,10 +102,11 @@ TEST(Validator, VertexDisjointRejectsOutOfRangeInteriorVertex) {
 }
 
 TEST(Validator, RejectsOverlongCall) {
-  const HypercubeView q3(3);
-  BroadcastSchedule s;
+  const CubeOracle q3(3);
+  FlatSchedule s;
   s.source = 0;
-  s.rounds.push_back(Round{{Call{{0b000, 0b001, 0b011}}}});  // length 2
+  s.begin_round();
+  s.add_call({0b000, 0b001, 0b011});  // length 2
   ValidationOptions opt;
   opt.k = 1;
   opt.require_completion = false;
@@ -108,31 +118,29 @@ TEST(Validator, RejectsOverlongCall) {
 }
 
 TEST(Validator, RejectsEdgeConflictWithinRound) {
-  // Two calls both using edge {0,1} in one round: 0->1 and 2->... no,
-  // simpler: leaf 2 informed? Build: source 0; round1: 0->1; round2:
-  // 0->2 and 1->3 via 0? 1-0-3 uses edges {1,0},{0,3}; 0->2 uses {0,2}:
-  // disjoint.  Force a conflict instead: round2: 0->3 and 1->2 via 0
-  // with path {1,0,2}; edges {0,3} vs {1,0},{0,2}: still disjoint.
-  // Direct conflict: two calls sharing {0,2}: 0->2 and 1->2 — receiver
-  // conflict fires first, so share an edge without sharing receivers:
-  // round2: 0->2 (edge {0,2}) and 1->3 via 2?? not an edge.  Use a path
-  // graph: 0-1-2-3, round1: 0->2 via 1, round2: 0->1 and 2->3; conflict
-  // version: round1: 0->2 via 1; round2: 0->3 via 1,2 and 2->1?  Edge
-  // {1,2} shared by call {0,1,2,3} and call {2,1}.
+  // Path graph 0-1-2-3: round 1: 0->2 via 1; round 2: 0->1 and 2->3.
+  // The conflicting version replaces 2->3 with the nonsense walk
+  // 2,1,0,1, which collides with the call 0->1.
   const Graph path_graph = make_path(4);
   const GraphView path(path_graph);
-  BroadcastSchedule s;
+  FlatSchedule s;
   s.source = 0;
-  s.rounds.push_back(Round{{Call{{0, 1, 2}}}});
-  s.rounds.push_back(Round{{Call{{0, 1}}, Call{{2, 3}}}});
+  s.begin_round();
+  s.add_call({0, 1, 2});
+  s.begin_round();
+  s.add_call({0, 1});
+  s.add_call({2, 3});
   ValidationOptions opt;
   opt.k = 3;
   EXPECT_TRUE(validate_broadcast(path, s, opt).ok);
 
-  BroadcastSchedule bad;
+  FlatSchedule bad;
   bad.source = 0;
-  bad.rounds.push_back(Round{{Call{{0, 1, 2}}}});
-  bad.rounds.push_back(Round{{Call{{0, 1}}, Call{{2, 1, 0, 1}}}});  // nonsense walk
+  bad.begin_round();
+  bad.add_call({0, 1, 2});
+  bad.begin_round();
+  bad.add_call({0, 1});
+  bad.add_call({2, 1, 0, 1});  // nonsense walk
   const auto rep = validate_broadcast(path, bad, opt);
   EXPECT_FALSE(rep.ok);
 }
@@ -140,12 +148,15 @@ TEST(Validator, RejectsEdgeConflictWithinRound) {
 TEST(Validator, RejectsSharedEdgeSameRound) {
   const Graph path_graph = make_path(4);
   const GraphView path(path_graph);
-  BroadcastSchedule s;
+  FlatSchedule s;
   s.source = 1;
   // Round 1: 1->0.  Round 2: 1->2 and 0->3 via 1,2 — the edge {1,2} is
   // used by both calls.
-  s.rounds.push_back(Round{{Call{{1, 0}}}});
-  s.rounds.push_back(Round{{Call{{1, 2}}, Call{{0, 1, 2, 3}}}});
+  s.begin_round();
+  s.add_call({1, 0});
+  s.begin_round();
+  s.add_call({1, 2});
+  s.add_call({0, 1, 2, 3});
   ValidationOptions opt;
   opt.k = 3;
   const auto rep = validate_broadcast(path, s, opt);
@@ -159,10 +170,13 @@ TEST(Validator, RejectsSharedEdgeSameRound) {
 TEST(Validator, RejectsReceiverConflict) {
   const Graph star_graph = make_star(4);
   const GraphView star(star_graph);
-  BroadcastSchedule s;
+  FlatSchedule s;
   s.source = 0;
-  s.rounds.push_back(Round{{Call{{0, 1}}}});
-  s.rounds.push_back(Round{{Call{{0, 2}}, Call{{1, 0, 2}}}});  // both target 2
+  s.begin_round();
+  s.add_call({0, 1});
+  s.begin_round();
+  s.add_call({0, 2});
+  s.add_call({1, 0, 2});  // both target 2
   ValidationOptions opt;
   opt.k = 2;
   const auto rep = validate_broadcast(star, s, opt);
@@ -171,10 +185,11 @@ TEST(Validator, RejectsReceiverConflict) {
 }
 
 TEST(Validator, RejectsNonEdgeHop) {
-  const HypercubeView q2(2);
-  BroadcastSchedule s;
+  const CubeOracle q2(2);
+  FlatSchedule s;
   s.source = 0;
-  s.rounds.push_back(Round{{Call{{0b00, 0b11}}}});  // distance 2, not an edge
+  s.begin_round();
+  s.add_call({0b00, 0b11});  // distance 2, not an edge
   ValidationOptions opt;
   opt.k = 2;
   opt.require_completion = false;
@@ -184,9 +199,14 @@ TEST(Validator, RejectsNonEdgeHop) {
 }
 
 TEST(Validator, RejectsRedundantReceiverWhenStrict) {
-  const HypercubeView q2(2);
-  auto s = q2_good();
-  s.rounds[1].calls[1].path = {0b10, 0b00};  // calls the source again
+  const CubeOracle q2(2);
+  FlatSchedule s;
+  s.source = 0b00;
+  s.begin_round();
+  s.add_call({0b00, 0b10});
+  s.begin_round();
+  s.add_call({0b00, 0b01});
+  s.add_call({0b10, 0b00});  // calls the source again
   ValidationOptions opt;
   opt.k = 1;
   opt.require_completion = false;
@@ -197,30 +217,42 @@ TEST(Validator, RejectsRedundantReceiverWhenStrict) {
 }
 
 TEST(Validator, RejectsIncompleteBroadcast) {
-  const HypercubeView q2(2);
-  BroadcastSchedule s;
+  const CubeOracle q2(2);
+  FlatSchedule s;
   s.source = 0;
-  s.rounds.push_back(Round{{Call{{0b00, 0b01}}}});
+  s.begin_round();
+  s.add_call({0b00, 0b01});
   const auto rep = validate_minimum_time_k_line(q2, s, 1);
   EXPECT_FALSE(rep.ok);
   EXPECT_NE(rep.error.find("incomplete"), std::string::npos);
 }
 
 TEST(Validator, RejectsEmptyRound) {
-  const HypercubeView q2(2);
-  auto s = q2_good();
-  s.rounds.insert(s.rounds.begin(), Round{});
-  EXPECT_FALSE(validate_minimum_time_k_line(q2, s, 1).ok);
+  const CubeOracle q2(2);
+  FlatSchedule s;
+  s.source = 0b00;
+  s.begin_round();  // an empty first round
+  s.begin_round();
+  s.add_call({0b00, 0b10});
+  s.begin_round();
+  s.add_call({0b00, 0b01});
+  s.add_call({0b10, 0b11});
+  const auto rep = validate_minimum_time_k_line(q2, s, 1);
+  EXPECT_FALSE(rep.ok);
+  EXPECT_EQ(rep.error, "round 1: empty round");
 }
 
 TEST(Validator, MinimumTimeFlagRequiresExactRounds) {
   // A valid but slow schedule: Q_2 informed one vertex per round.
-  const HypercubeView q2(2);
-  BroadcastSchedule s;
+  const CubeOracle q2(2);
+  FlatSchedule s;
   s.source = 0b00;
-  s.rounds.push_back(Round{{Call{{0b00, 0b01}}}});
-  s.rounds.push_back(Round{{Call{{0b00, 0b10}}}});
-  s.rounds.push_back(Round{{Call{{0b01, 0b11}}}});
+  s.begin_round();
+  s.add_call({0b00, 0b01});
+  s.begin_round();
+  s.add_call({0b00, 0b10});
+  s.begin_round();
+  s.add_call({0b01, 0b11});
   const auto rep = validate_minimum_time_k_line(q2, s, 1);
   EXPECT_TRUE(rep.ok) << rep.error;
   EXPECT_FALSE(rep.minimum_time);
@@ -228,8 +260,8 @@ TEST(Validator, MinimumTimeFlagRequiresExactRounds) {
 }
 
 TEST(Validator, SourceOutOfRange) {
-  const HypercubeView q2(2);
-  BroadcastSchedule s;
+  const CubeOracle q2(2);
+  FlatSchedule s;
   s.source = 7;
   EXPECT_FALSE(validate_minimum_time_k_line(q2, s, 1).ok);
 }
@@ -334,7 +366,7 @@ class BinomialBroadcastProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(BinomialBroadcastProperty, ValidatesAsOneLineFromEverySource) {
   const int n = GetParam();
-  const HypercubeView qn(n);
+  const CubeOracle qn(n);
   for (Vertex s = 0; s < cube_order(n); s += (n >= 6 ? 5 : 1)) {
     const auto schedule = hypercube_binomial_broadcast(n, s);
     const auto rep = validate_minimum_time_k_line(qn, schedule, 1);

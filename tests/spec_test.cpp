@@ -201,9 +201,9 @@ TEST(RecursiveConstruct, NeighborsMatchOracle) {
   }
 }
 
-TEST(SparseHypercubeView, AdaptsSpec) {
+TEST(SpecView, AdaptsSpec) {
   const auto spec = make_g42();
-  const SparseHypercubeView view(spec);
+  const SpecView view(spec);
   EXPECT_EQ(view.num_vertices(), 16u);
   EXPECT_TRUE(view.has_edge(0b0011, 0b0111));
   EXPECT_FALSE(view.has_edge(0b0000, 0b1000));

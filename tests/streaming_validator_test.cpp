@@ -5,7 +5,7 @@
 // *bit-for-bit identical* to the serial validate_broadcast at every
 // thread count on every input — clean schedules, mutilated
 // schedules, and handcrafted violations of each clause — and
-// analyze_congestion_parallel reproduces the serial congestion stats
+// sharded analyze_congestion reproduces the serial congestion stats
 // including the histogram.  The streaming pipeline additionally bounds
 // its arena by the largest single round.
 #include <gtest/gtest.h>
@@ -29,8 +29,8 @@ static_assert(RoundSink<FlatSchedule>,
               "the whole-arena builder is a RoundSink");
 static_assert(RoundSink<StreamingBroadcastValidator<SpecView>>,
               "the streaming validator is a RoundSink");
-static_assert(RoundSink<StreamingBroadcastValidator<NetworkView>>,
-              "type-erased oracles stream too");
+static_assert(RoundSink<StreamingBroadcastValidator<CubeOracle>>,
+              "the full-cube oracle streams too");
 
 /// k = 2, 3, 4 sweep specs (k = cuts.size() + 1).
 std::vector<std::pair<int, std::vector<int>>> sweep_specs() {
@@ -105,11 +105,9 @@ TEST(ValidatorParity, VertexDisjointModelAcrossK234) {
 }
 
 TEST(ValidatorParity, HandcraftedViolationsOfEveryClause) {
-  const HypercubeView q3_virtual(3);
+  const CubeOracle q3(3);
   // Handcrafted schedules exercise every failure clause; each must
-  // produce the identical report from both validators.  The
-  // type-erased NetworkView doubles as the oracle to cover that
-  // instantiation too.
+  // produce the identical report from both validators.
   struct Case {
     const char* name;
     FlatSchedule schedule;
@@ -127,11 +125,13 @@ TEST(ValidatorParity, HandcraftedViolationsOfEveryClause) {
     cases.push_back(std::move(c));
   }
   {
-    // Degenerate calls survive only the legacy shim, as in real inputs.
-    BroadcastSchedule legacy;
-    legacy.source = 0;
-    legacy.rounds.push_back(Round{{Call{{0}}}});
-    cases.push_back(Case{"degenerate call", FlatSchedule::from_legacy(legacy), k2});
+    // A one-vertex call, sealed without the builder's >= 2 check.
+    Case c{"degenerate call", {}, k2};
+    c.schedule.source = 0;
+    c.schedule.begin_round();
+    c.schedule.push_vertex(0);
+    c.schedule.end_call_unchecked();
+    cases.push_back(std::move(c));
   }
   {
     Case c{"caller not informed", {}, k2};
@@ -254,10 +254,10 @@ TEST(ValidatorParity, HandcraftedViolationsOfEveryClause) {
 
   for (const Case& c : cases) {
     const ValidationReport serial =
-        validate_broadcast(q3_virtual, c.schedule, c.opt);
+        validate_broadcast(q3, c.schedule, c.opt);
     for (int threads : {1, 2, 3}) {
       expect_same_report(
-          serial, validate_broadcast_streaming(q3_virtual, c.schedule, c.opt, threads),
+          serial, validate_broadcast_streaming(q3, c.schedule, c.opt, threads),
           c.name);
     }
   }
@@ -269,7 +269,7 @@ TEST(CongestionParity, ParallelShardsReproduceSerialStatsExactly) {
     const auto schedule = make_broadcast_schedule(spec, 0);
     const CongestionStats serial = analyze_congestion(schedule);
     for (int threads : {1, 2, 4, 7}) {
-      const CongestionStats par = analyze_congestion_parallel(schedule, threads);
+      const CongestionStats par = analyze_congestion(schedule, threads);
       EXPECT_TRUE(serial == par)
           << "threads=" << threads << ": distinct " << serial.distinct_edges_used
           << " vs " << par.distinct_edges_used << ", hops "
@@ -285,7 +285,7 @@ TEST(CongestionParity, ParallelShardsReproduceSerialStatsExactly) {
   std::mt19937_64 rng(7);
   const auto degraded = drop_calls(make_broadcast_schedule(spec, 0), 0.3, rng);
   EXPECT_TRUE(analyze_congestion(degraded) ==
-              analyze_congestion_parallel(degraded, 3));
+              analyze_congestion(degraded, 3));
 }
 
 TEST(CongestionParity, MergeFoldsEdgeDisjointShards) {

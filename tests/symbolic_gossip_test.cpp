@@ -61,7 +61,7 @@ void expect_same_report(const GossipReport& exact, const GossipReport& sym,
 
 TEST(SymbolicGossipParity, ExchangeReportsMatchExactForAllNUpTo13) {
   for (int n = 1; n <= 13; ++n) {
-    const HypercubeView qn(n);
+    const CubeOracle qn(n);
     const auto exact = validate_gossip(qn, hypercube_exchange_gossip(n), 1);
     const auto sym = certify_exchange_gossip_symbolic(n);
     expect_same_report(exact, sym.report, ("n=" + std::to_string(n)).c_str());

@@ -14,11 +14,11 @@ conventions that are easy to break silently in review.  This lint walks
   raw-thread        `std::thread` appears only in sim/worker_pool.hpp
                     (plus `std::thread::hardware_concurrency()` for
                     sizing).  Everything else shares the WorkerPool.
-  assert-guard      `assert(` in graph/, coding/, labeling/ translation
-                    units: a bare assert guarding caller input vanishes
-                    under NDEBUG (the PR 2 bug class).  Input guards
-                    throw std::invalid_argument; genuine internal
-                    invariants carry an explicit allow-comment.
+  assert-guard      `assert(` in graph/, coding/, labeling/, baseline/
+                    translation units: a bare assert guarding caller
+                    input vanishes under NDEBUG.  Input guards throw
+                    std::invalid_argument; genuine internal invariants
+                    carry an explicit allow-comment.
   nondeterminism    No `rand()`, `srand()`, `time()`, or default-seeded
                     `random_device` in src/ — reports must be bit-for-bit
                     reproducible; randomized helpers take a caller-seeded
@@ -90,7 +90,7 @@ THREAD_ALLOWED_FILES = ("src/sim/include/shc/sim/worker_pool.hpp",)
 
 # assert() policy applies to the modules whose functions take caller
 # input directly (the PR 2 bug class lived in graph/).
-ASSERT_DIRS = ("src/graph", "src/coding", "src/labeling")
+ASSERT_DIRS = ("src/graph", "src/coding", "src/labeling", "src/baseline")
 
 # Kernel layer: headers that sit below their own module's layering set.
 # subcube_batch.hpp is the leaf the hot paths build on — it may reach

@@ -125,6 +125,21 @@ class AssertGuardRule(LintHarness):
             "assert-guard",
         )
 
+    def test_baseline_bare_assert_flagged(self) -> None:
+        self.assert_finding(
+            {"src/baseline/src/a.cpp": "void f(int n) { assert(n >= 1); }\n"},
+            "assert-guard",
+        )
+
+    def test_baseline_allowed_invariant_clean(self) -> None:
+        self.assert_clean(
+            {
+                "src/baseline/src/a.cpp":
+                    "void f(int n) { assert(n >= 1);  "
+                    "// shc-lint: allow(assert-guard)\n}\n"
+            }
+        )
+
     def test_header_not_in_scope(self) -> None:
         self.assert_clean(
             {"src/graph/include/shc/graph/a.hpp": "#define X assert(1)\n"}
