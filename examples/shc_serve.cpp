@@ -323,6 +323,10 @@ int main(int argc, char** argv) {
     }
   }
   if (run_selftest) return selftest();
+  if (opt.threads > kMaxCheckThreads) {
+    std::cerr << "shc_serve: --threads must be <= " << kMaxCheckThreads << "\n";
+    return 2;
+  }
 
   ServeEngine engine(opt);
   if (!socket_path.empty()) return serve_socket(engine, socket_path);

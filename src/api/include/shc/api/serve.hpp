@@ -58,7 +58,9 @@ namespace shc {
 /// Service knobs (transport-independent).
 struct ServeOptions {
   /// Workers of the shared WorkerPool lent to queries (1 = every query
-  /// runs inline; the pool is never constructed).
+  /// runs inline; the pool is never constructed).  Above
+  /// kMaxCheckThreads the engine's constructor throws
+  /// std::invalid_argument.
   int threads = 1;
   /// Predicted group count at which a query counts as heavy.  The
   /// default puts the designed n = 47 symbolic certification (and

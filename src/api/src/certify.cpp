@@ -76,11 +76,7 @@ bool workload_from_name(const std::string& name, Workload* out) {
 }
 
 CertifyResult certify(const CertifyRequest& req) {
-  if (req.checks.threads <= 0) {
-    throw std::invalid_argument(
-        "shc::certify: checks.threads must be >= 1 (got " +
-        std::to_string(req.checks.threads) + ")");
-  }
+  require_check_threads("shc::certify: checks.threads", req.checks.threads);
 
   CertifyResult res;
   res.workload = req.workload;

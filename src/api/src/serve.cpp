@@ -297,7 +297,10 @@ struct ServeEngine::Parsed {
 };
 
 ServeEngine::ServeEngine(ServeOptions opt) : opt_(opt) {
-  if (opt_.threads > 1) pool_ = std::make_unique<WorkerPool>(opt_.threads);
+  if (opt_.threads > 1) {
+    require_check_threads("ServeEngine: threads", opt_.threads);
+    pool_ = std::make_unique<WorkerPool>(opt_.threads);
+  }
 }
 
 ServeEngine::~ServeEngine() = default;
@@ -403,7 +406,10 @@ std::string ServeEngine::handle_line(const std::string& line) {
           p.error = "threads must be an integer >= 1";
           break;
         }
-        if (!fits_int(num)) { p.error = "threads out of range"; break; }
+        if (!fits_int(num) || num > kMaxCheckThreads) {
+          p.error = "threads out of range";
+          break;
+        }
         p.req.checks.threads = static_cast<int>(num);
       } else if (key == "congestion") {
         if (val.kind != JsonValue::kBool) { p.error = "congestion must be a boolean"; break; }

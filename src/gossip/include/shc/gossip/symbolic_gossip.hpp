@@ -114,6 +114,7 @@ class SymbolicGossipValidator {
     if (sopt.pool) {
       pool_ = sopt.pool;
     } else if (sopt.threads > 1) {
+      require_check_threads("SymbolicGossipValidator: threads", sopt.threads);
       owned_pool_ = std::make_unique<WorkerPool>(sopt.threads);
       pool_ = owned_pool_.get();
     }
@@ -300,7 +301,7 @@ class SymbolicGossipValidator {
   /// into the family of its flip dimension.
   bool check_edge_collisions(const std::string& where) {
     occupancy_.clear();
-    detail::claim_round_edge_subcubes(round_, occupancy_);
+    detail::claim_round_edge_subcubes(round_, occupancy_, n_);
     saturating_acc_u64(stats_.occupancy_claims, occupancy_.num_claims());
     const OccupancyOutcome out =
         occupancy_.check(pool_, sopt_.ledger_budget_per_claim,

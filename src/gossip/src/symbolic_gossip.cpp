@@ -35,11 +35,7 @@ SymbolicSchedule make_symbolic_gossip_schedule(const SparseHypercubeSpec& spec,
 SymbolicGossipCertification certify_gossip_symbolic(
     const SparseHypercubeSpec& spec, Vertex root,
     const SymbolicGossipOptions& sopt) {
-  if (sopt.threads <= 0) {
-    throw std::invalid_argument(
-        "certify_gossip_symbolic: threads must be >= 1 (got " +
-        std::to_string(sopt.threads) + ")");
-  }
+  require_check_threads("certify_gossip_symbolic: threads", sopt.threads);
   SymbolicGossipCertification cert;
   if (root >= spec.num_vertices()) {
     // Same report the exact validators would give for a bad schedule
@@ -72,11 +68,7 @@ SymbolicGossipCertification certify_gossip_symbolic(
 
 SymbolicGossipCertification certify_exchange_gossip_symbolic(
     int n, const SymbolicGossipOptions& sopt) {
-  if (sopt.threads <= 0) {
-    throw std::invalid_argument(
-        "certify_exchange_gossip_symbolic: threads must be >= 1 (got " +
-        std::to_string(sopt.threads) + ")");
-  }
+  require_check_threads("certify_exchange_gossip_symbolic: threads", sopt.threads);
   SymbolicGossipCertification cert;
   if (n < 1 || n > kMaxCubeDim) {
     cert.report.ok = false;

@@ -16,6 +16,8 @@
 #pragma once
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "shc/bits/checked.hpp"
@@ -34,7 +36,8 @@ namespace shc {
 ///     followed by the edge {v, flip(v, i)}.
 /// The result starts at u, ends at flip(v, i) for some v that agrees
 /// with u on all dimensions >= the owning window's top, and has length
-/// <= level(i) + 2 <= k.
+/// <= level(i) + 2 <= k.  Throws std::invalid_argument for i outside
+/// 1..n.
 [[nodiscard]] std::vector<Vertex> route_flip(const SparseHypercubeSpec& spec, Vertex u,
                                              Dim i);
 
@@ -84,12 +87,20 @@ void route_flip_append(const SparseHypercubeSpec& spec, Vertex u, Dim i,
 /// Optional sink hooks (detected statically): reserve_round(calls,
 /// path_vertices) is called with exact per-round counts before each
 /// begin_round(); aborted() stops the sweep early (e.g. when a
-/// validating sink has already failed).  Pre: spec.n() <= 32.
+/// validating sink has already failed).  Throws std::invalid_argument
+/// for n > 32 or an out-of-range source.
 template <RoundSink Sink>
 void emit_broadcast_rounds(const SparseHypercubeSpec& spec, Vertex source,
                            Sink& sink) {
-  assert(spec.n() <= 32 && "producer holds the 2^n-vertex frontier in memory");
-  assert(source < spec.num_vertices());
+  if (spec.n() > 32) {
+    throw std::invalid_argument("emit_broadcast_rounds: n = " + std::to_string(spec.n()) +
+                                " exceeds 32 (the producer holds the 2^n-vertex "
+                                "frontier in memory)");
+  }
+  if (source >= spec.num_vertices()) {
+    throw std::invalid_argument("emit_broadcast_rounds: source " + std::to_string(source) +
+                                " out of range for n = " + std::to_string(spec.n()));
+  }
   const int n = spec.n();
 
   std::vector<Vertex> informed;
@@ -131,7 +142,8 @@ void emit_broadcast_rounds(const SparseHypercubeSpec& spec, Vertex source,
 /// sweeping dimension n - t + 1, informed set exactly doubling.  The
 /// schedule is k-line feasible for k = spec.k() (validated in tests via
 /// the simulator, never assumed).  Memory: 2^n - 1 flat calls, one
-/// arena; pre: n <= 28 (use certify_broadcast_streaming beyond).
+/// arena.  Throws std::invalid_argument for n > 28 (use
+/// certify_broadcast_streaming beyond) or an out-of-range source.
 [[nodiscard]] FlatSchedule make_broadcast_schedule(const SparseHypercubeSpec& spec,
                                                    Vertex source);
 
@@ -170,8 +182,9 @@ struct StreamingCertification {
     int threads = 1);
 
 /// Literal transcription of the paper's Scheme Broadcast_2 (two explicit
-/// phases).  Pre: spec.k() == 2.  Used by tests to certify that the
-/// unified scheme equals the published one.
+/// phases).  Throws std::invalid_argument unless spec.k() == 2,
+/// n <= 28 and the source is in range.  Used by tests to certify that
+/// the unified scheme equals the published one.
 [[nodiscard]] FlatSchedule make_broadcast2_literal(const SparseHypercubeSpec& spec,
                                                    Vertex source);
 

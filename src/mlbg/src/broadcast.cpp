@@ -3,15 +3,20 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "shc/sim/check_options.hpp"
 #include "shc/sim/streaming_validator.hpp"
 
 namespace shc {
 
 std::vector<Vertex> route_flip(const SparseHypercubeSpec& spec, Vertex u, Dim i) {
-  assert(i >= 1 && i <= spec.n());
+  if (i < 1 || i > spec.n()) {
+    throw std::invalid_argument("route_flip: dimension " + std::to_string(i) +
+                                " outside 1.." + std::to_string(spec.n()));
+  }
   if (spec.has_edge_dim(u, i)) return {u, flip(u, i)};
 
   const int t = spec.level_of_dim(i);
+  // shc-lint: allow(assert-guard) — internal invariant of the construction
   assert(t >= 0 && "core dimensions always have edges");
   const ConstructionLevel& lv = spec.levels()[static_cast<std::size_t>(t)];
   const Label owner = lv.dim_owner[static_cast<std::size_t>(i - lv.dim_lo - 1)];
@@ -20,6 +25,7 @@ std::vector<Vertex> route_flip(const SparseHypercubeSpec& spec, Vertex u, Dim i)
   // otherwise the edge would exist) carries the owner label.
   const Vertex win = window_value(u, lv.win_lo, lv.win_hi);
   const Dim rel = lv.labeling.flip_towards(win, owner);
+  // shc-lint: allow(assert-guard) — Condition A of the labeling
   assert(rel >= 1 && "flip_towards returned self although edge is absent");
   const Dim bridge = lv.win_lo + rel;
 
@@ -28,8 +34,8 @@ std::vector<Vertex> route_flip(const SparseHypercubeSpec& spec, Vertex u, Dim i)
   // the owner label and the i-edge exists there.
   std::vector<Vertex> path = route_flip(spec, u, bridge);
   const Vertex v = path.back();
-  assert(spec.label_at(v, t) == owner);
-  assert(spec.has_edge_dim(v, i));
+  assert(spec.label_at(v, t) == owner);  // shc-lint: allow(assert-guard) — bridge lemma
+  assert(spec.has_edge_dim(v, i));       // shc-lint: allow(assert-guard) — bridge lemma
   path.push_back(flip(v, i));
   return path;
 }
@@ -55,7 +61,7 @@ std::uint64_t pool_upper_bound(const SparseHypercubeSpec& spec) {
         checked_mul_u64(static_cast<std::uint64_t>(route_length_bound(spec, i) + 1),
                         cube_order(spec.n() - i), term) &&
         checked_acc_u64(bound, term);
-    assert(fits);
+    assert(fits);  // shc-lint: allow(assert-guard) — n <= 32 keeps the bound far below 2^64
     (void)fits;
   }
   return bound;
@@ -64,8 +70,14 @@ std::uint64_t pool_upper_bound(const SparseHypercubeSpec& spec) {
 }  // namespace
 
 FlatSchedule make_broadcast_schedule(const SparseHypercubeSpec& spec, Vertex source) {
-  assert(spec.n() <= 28 && "schedule materializes 2^n flat calls");
-  assert(source < spec.num_vertices());
+  if (spec.n() > 28) {
+    throw std::invalid_argument("make_broadcast_schedule: n = " + std::to_string(spec.n()) +
+                                " exceeds 28 (the schedule materializes 2^n flat calls)");
+  }
+  if (source >= spec.num_vertices()) {
+    throw std::invalid_argument("make_broadcast_schedule: source " + std::to_string(source) +
+                                " out of range for n = " + std::to_string(spec.n()));
+  }
   const int n = spec.n();
   const std::uint64_t order = spec.num_vertices();
 
@@ -87,11 +99,7 @@ StreamingCertification certify_broadcast_streaming(const SparseHypercubeSpec& sp
   // engine but "serial" in the symbolic ones — an inconsistency callers
   // tripped over).  The validators' internal threads<=1 paths still run
   // inline; only the public entry is strict.
-  if (threads <= 0) {
-    throw std::invalid_argument(
-        "certify_broadcast_streaming: threads must be >= 1 (got " +
-        std::to_string(threads) + ")");
-  }
+  require_check_threads("certify_broadcast_streaming: threads", threads);
   const int n = spec.n();
 
   StreamingCertification cert;
@@ -129,7 +137,7 @@ StreamingCertification certify_broadcast_streaming(const SparseHypercubeSpec& sp
                                      route_length_bound(spec, i) + 1),
                           pool) &&
                       checked_acc_u64(whole_pool, pool);
-    assert(fits);
+    assert(fits);  // shc-lint: allow(assert-guard) — n <= 32 keeps the bound far below 2^64
     (void)fits;
     cert.largest_round_arena_bytes =
         std::max(cert.largest_round_arena_bytes,
@@ -151,8 +159,18 @@ StreamingCertification certify_broadcast_streaming(const SparseHypercubeSpec& sp
 }
 
 FlatSchedule make_broadcast2_literal(const SparseHypercubeSpec& spec, Vertex source) {
-  assert(spec.k() == 2);
-  assert(spec.n() <= 28);
+  if (spec.k() != 2) {
+    throw std::invalid_argument("make_broadcast2_literal: k = " + std::to_string(spec.k()) +
+                                " (the literal Broadcast_2 needs k == 2)");
+  }
+  if (spec.n() > 28) {
+    throw std::invalid_argument("make_broadcast2_literal: n = " + std::to_string(spec.n()) +
+                                " exceeds 28 (the schedule materializes 2^n flat calls)");
+  }
+  if (source >= spec.num_vertices()) {
+    throw std::invalid_argument("make_broadcast2_literal: source " + std::to_string(source) +
+                                " out of range for n = " + std::to_string(spec.n()));
+  }
   const int n = spec.n();
   const int m = spec.core_dim();
   const std::uint64_t order = spec.num_vertices();
@@ -181,7 +199,7 @@ FlatSchedule make_broadcast2_literal(const SparseHypercubeSpec& spec, Vertex sou
         schedule.push_vertex(flip(w, i));
       } else {
         const Dim j = lv.labeling.flip_towards(window_value(w, 0, m), owner);
-        assert(j >= 1 && j <= m);
+        assert(j >= 1 && j <= m);  // shc-lint: allow(assert-guard) — Condition A of the labeling
         const Vertex via = flip(w, j);
         schedule.push_vertex(via);
         schedule.push_vertex(flip(via, i));

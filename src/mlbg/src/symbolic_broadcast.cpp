@@ -22,11 +22,7 @@ SymbolicCertification certify_broadcast_symbolic(const SparseHypercubeSpec& spec
                                                  Vertex source,
                                                  const ValidationOptions& opt,
                                                  const SymbolicCheckOptions& sopt) {
-  if (sopt.threads <= 0) {
-    throw std::invalid_argument(
-        "certify_broadcast_symbolic: threads must be >= 1 (got " +
-        std::to_string(sopt.threads) + ")");
-  }
+  require_check_threads("certify_broadcast_symbolic: threads", sopt.threads);
   SymbolicCertification cert;
   if (source >= spec.num_vertices()) {
     // Same report the other validators give; guarded here so the

@@ -107,9 +107,16 @@ class TraceRecorder {
   }
 
   /// Next main-track sequence number.  Call sites on the engine thread
-  /// draw these in program order; that order IS the merge order.
-  [[nodiscard]] std::uint64_t next_seq() noexcept {
-    return seq_.fetch_add(1, std::memory_order_relaxed);
+  /// draw these in program order; that order IS the merge order.  On a
+  /// thread holding a SeqLease the number comes from the lease instead.
+  [[nodiscard]] std::uint64_t next_seq() noexcept;
+
+  /// Reserves `count` consecutive main-track sequence numbers and
+  /// returns the first.  The engine thread reserves a block for a job
+  /// it is about to fork, so the job's events keep their serial-order
+  /// place whichever thread runs it (see SeqLease).
+  [[nodiscard]] std::uint64_t reserve_seqs(std::uint64_t count) noexcept {
+    return seq_.fetch_add(count, std::memory_order_relaxed);
   }
 
   /// Appends a completed phase scope (TraceScope's destructor).
@@ -149,6 +156,32 @@ class TraceRecorder {
   std::atomic<std::uint64_t> seq_{0};
   mutable std::mutex mu_;  ///< buffer registration
   std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
+};
+
+/// Routes the calling thread's main-track sequence draws into a block
+/// reserved with TraceRecorder::reserve_seqs, for the lifetime of the
+/// lease.  A forked job (one side of a WorkerPool run) opens its lease
+/// first thing: every scope, counter and nested scope it records then
+/// takes the next number of its own block, in the job's program order,
+/// so the merged trace does not depend on which thread ran the job or
+/// on how the jobs interleaved.  A job that records more events than
+/// its block holds falls back to the shared counter (still a valid
+/// trace, no longer reproducible); size blocks to the job's maximum.
+/// A null recorder makes the lease a no-op.
+class SeqLease {
+ public:
+  SeqLease(const TraceRecorder* rec, std::uint64_t first,
+           std::uint64_t count) noexcept;
+  SeqLease(const SeqLease&) = delete;
+  SeqLease& operator=(const SeqLease&) = delete;
+  ~SeqLease();
+
+ private:
+  friend class TraceRecorder;
+  const TraceRecorder* rec_;
+  SeqLease* prev_ = nullptr;
+  std::uint64_t next_ = 0;
+  std::uint64_t end_ = 0;
 };
 
 /// RAII phase scope.  Constructed cost when disabled: one atomic load.

@@ -78,7 +78,31 @@ struct LocalCache {
 };
 thread_local LocalCache t_cache;
 
+/// The calling thread's innermost open SeqLease (leases nest).
+thread_local SeqLease* t_lease = nullptr;
+
 }  // namespace
+
+SeqLease::SeqLease(const TraceRecorder* rec, std::uint64_t first,
+                   std::uint64_t count) noexcept
+    : rec_(rec), next_(first), end_(first + count) {
+  if (rec_ != nullptr) {
+    prev_ = t_lease;
+    t_lease = this;
+  }
+}
+
+SeqLease::~SeqLease() {
+  if (rec_ != nullptr) t_lease = prev_;
+}
+
+std::uint64_t TraceRecorder::next_seq() noexcept {
+  if (SeqLease* lease = t_lease;
+      lease != nullptr && lease->rec_ == this && lease->next_ < lease->end_) {
+    return lease->next_++;
+  }
+  return seq_.fetch_add(1, std::memory_order_relaxed);
+}
 
 TraceRecorder::TraceRecorder()
     : id_(g_next_recorder_id.fetch_add(1, std::memory_order_relaxed)) {}

@@ -18,10 +18,34 @@
 // thread count and for borrowed vs. owned pools.
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
 namespace shc {
 
 class WorkerPool;
+
+/// Largest worker count any engine entry accepts.  Each worker is an
+/// operating-system thread, so an unchecked count from a request is a
+/// way to exhaust the process; the cap is far above any useful value
+/// for these kernels.
+inline constexpr int kMaxCheckThreads = 256;
+
+/// The thread-count guard of the engine entry points, applied before
+/// any WorkerPool is built: throws std::invalid_argument unless
+/// 1 <= threads <= kMaxCheckThreads.  `what` names the entry and the
+/// knob, e.g. "certify_broadcast_symbolic: threads".
+inline void require_check_threads(const std::string& what, int threads) {
+  if (threads <= 0) {
+    throw std::invalid_argument(what + " must be >= 1 (got " +
+                                std::to_string(threads) + ")");
+  }
+  if (threads > kMaxCheckThreads) {
+    throw std::invalid_argument(what + " must be <= " +
+                                std::to_string(kMaxCheckThreads) + " (got " +
+                                std::to_string(threads) + ")");
+  }
+}
 
 /// Knobs shared by every symbolic check engine (all have safe defaults;
 /// caps make the engines fail explicitly instead of thrashing on
@@ -46,16 +70,19 @@ struct CommonCheckOptions {
   std::uint64_t ledger_budget_per_claim = 512;
   std::uint64_t ledger_bucket_budget_base = 4096;
 
-  /// Workers for the per-round group checks — they shard over a
-  /// persistent WorkerPool.  1 (the default) runs fully inline.  The
+  /// Workers of the persistent WorkerPool the engine runs its checks
+  /// on (the broadcast validator runs each round's checks on one worker
+  /// beside its frontier insert and shards its endgame; the gossip
+  /// validator shards its ledger walks and class reductions).  1 (the
+  /// default) runs fully inline.  The
   /// verdict, report, and error strings are thread-count independent:
   /// per-entry and per-bucket budgets are deterministic and the failure
   /// with the smallest index wins, exactly as the serial loop picks it.
-  /// Ignored when `pool` is set.
+  /// At most kMaxCheckThreads.  Ignored when `pool` is set.
   int threads = 1;
 
-  /// Optional borrowed WorkerPool.  When non-null the validator shards
-  /// its checks over this pool instead of constructing one from
+  /// Optional borrowed WorkerPool.  When non-null the validator runs
+  /// its checks on this pool instead of constructing one from
   /// `threads`; the caller keeps ownership and must keep the pool alive
   /// for the validator's lifetime.  Lets a long-lived server reuse one
   /// pool across queries.  Null (the default) preserves the historical

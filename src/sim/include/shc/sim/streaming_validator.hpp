@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "shc/bits/checked.hpp"
+#include "shc/sim/check_options.hpp"
 #include "shc/sim/flat_schedule.hpp"
 #include "shc/sim/round_sink.hpp"
 #include "shc/sim/validator.hpp"
@@ -249,14 +250,14 @@ template <AdjacencyOracle Net>
 class StreamingBroadcastValidator {
  public:
   /// Keeps a reference to `net`; it must outlive the validator.
-  /// threads <= 0 picks hardware_concurrency().
+  /// threads <= 0 picks hardware_concurrency() (at most
+  /// kMaxCheckThreads); an explicit count above kMaxCheckThreads throws
+  /// std::invalid_argument before any worker starts.
   StreamingBroadcastValidator(const Net& net, Vertex source,
                               const ValidationOptions& opt, int threads = 1)
       : net_(&net),
         opt_(opt),
-        threads_(threads <= 0
-                     ? static_cast<int>(std::max(1u, std::thread::hardware_concurrency()))
-                     : threads),
+        threads_(worker_count(threads)),
         order_(net.num_vertices()),
         state_(order_, opt) {
     scratch_.source = source;
@@ -340,6 +341,16 @@ class StreamingBroadcastValidator {
   }
 
  private:
+  [[nodiscard]] static int worker_count(int threads) {
+    if (threads <= 0) {
+      return static_cast<int>(std::min<unsigned>(
+          std::max(1u, std::thread::hardware_concurrency()),
+          static_cast<unsigned>(kMaxCheckThreads)));
+    }
+    require_check_threads("StreamingBroadcastValidator: threads", threads);
+    return threads;
+  }
+
   void flush_round() {
     if (!open_) return;
     open_ = false;

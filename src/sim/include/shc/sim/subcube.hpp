@@ -41,10 +41,10 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -432,9 +432,9 @@ class MaskClassMap {
 ///     multiplicity, prefixes one non-free bit apart) merge into a
 ///     subcube of one higher dimension, cascading.  The producer's and
 ///     validator's informed-set representation.
-///   * add_raw() / take() — plain keyed accumulation / checked
-///     consumption, used for the validator's round-local call-group
-///     ledger (no geometric merging wanted there).
+///   * add_raw() / take() / consume() — plain keyed accumulation /
+///     checked consumption, used for the validator's round-local
+///     call-group ledger (no geometric merging wanted there).
 ///
 /// total_count() tracks the multiset cardinality (sum of mult * 2^dim)
 /// with overflow-checked arithmetic — at n = 63 the count reaches 2^63
@@ -542,25 +542,13 @@ class SubcubeFrontier {
   }
 
   /// take() without the erase: deducts `v` but leaves the (possibly
-  /// zero-valued) entry in place, so the table structure never mutates.
-  /// This is what makes the parallel caller-tiling sweep race-free: the
-  /// structure is read-only and the value deduction is a CAS loop, so
-  /// even when two workers' entries descend to the *same* key (possible
-  /// only for malformed schedules whose frontier entries overlap) the
-  /// outcome is a correct lost-nothing decrement, not a data race.
-  /// Callers scan for nonzero leftovers afterwards and clear() for the
-  /// next round.
+  /// zero-valued) entry in place, so the table structure never changes
+  /// under a caller that walks it.  Callers scan for nonzero leftovers
+  /// afterwards and clear() for the next round.
   [[nodiscard]] bool consume(Vertex p, Vertex M, std::uint64_t v) {
-    detail::PrefixTable* t = classes_.find_class(M);
-    if (!t) return false;
-    std::uint64_t* cur = t->find(p);
-    if (!cur) return false;
-    std::atomic_ref<std::uint64_t> slot(*cur);
-    std::uint64_t have = slot.load(std::memory_order_relaxed);
-    do {
-      if (have < v) return false;
-    } while (!slot.compare_exchange_weak(have, have - v,
-                                         std::memory_order_relaxed));
+    std::uint64_t* cur = find(p, M);
+    if (cur == nullptr || *cur < v) return false;
+    *cur -= v;
     return true;
   }
 
@@ -600,6 +588,18 @@ class SubcubeFrontier {
       out.push_back({p, m, mult});
     });
     return out;
+  }
+
+  /// Rebuilds the multiset from a to_entries() snapshot: the same keys
+  /// and multiplicities, placed as they are (no coalescing), so the
+  /// entry count and total come back exactly.  Only the iteration
+  /// order may differ from the frontier the snapshot was taken of.
+  void assign(std::span<const WeightedSubcube> entries) {
+    clear();
+    for (const WeightedSubcube& e : entries) {
+      bump_count(e.mask, e.mult);
+      add_raw(e.prefix, e.mask, e.mult);
+    }
   }
 
   void clear() {

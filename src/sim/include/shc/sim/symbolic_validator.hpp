@@ -36,6 +36,20 @@
 //     their population (detail::VertexSet), so the replay costs
 //     O(sampled calls) per round at every n, never O(2^n).
 //
+// Round batching: end_call_group only records a group into the round's
+// SymbolicRound; end_round runs two jobs over the recorded batch.  The
+// engine job builds the raw caller ledger and the collision claims, then
+// adds the round's receivers to the frontier in group order.  The check
+// job runs the per-group clauses in group order, then the caller
+// tiling, the collision check and the sampled replay.  With a
+// WorkerPool of two or more workers the check job runs on a pooled
+// worker beside the engine job (the tiling reads a snapshot of the
+// frontier the insert is growing, and a rejected round gets its
+// frontier back from that snapshot); without one the jobs run in turn,
+// and the insert only after the checks pass.  The insert order, hence
+// the greedy coalescing and every report, is the same at every thread
+// count.  The endgame's occupancy check shards over the whole pool.
+//
 // Model scope: the symbolic engine certifies the paper's exact model
 // (edge_capacity == 1, forbid_redundant_receivers, require_completion)
 // and additionally requires every informed vertex to call each round —
@@ -175,18 +189,24 @@ template <class Net>
 /// keyed by flip dimension (1-based, so family 0 stays free).  This is
 /// the ONE definition of the edge-subcube encoding both the broadcast
 /// and gossip symbolic validators consume — a fix here cannot silently
-/// miss one engine.  Patterns must already have passed
-/// check_symbolic_call_group (hops are single in-range dimension flips
-/// and free dims avoid them, so (prefix & mask) == 0 holds per claim).
+/// miss one engine.  For patterns that passed check_symbolic_call_group
+/// (hops are single in-range dimension flips and free dims avoid them)
+/// every hop is claimed; a hop that is not such a flip, or whose claim
+/// would set bits inside the group's free mask, is skipped, so the
+/// broadcast validator can claim a round before its clauses have run.
 inline void claim_round_edge_subcubes(const SymbolicRound& round,
-                                      OccupancyLedger& occ) {
+                                      OccupancyLedger& occ, int n) {
+  const Vertex cube = mask_low(n);
   for (std::size_t gi = 0; gi < round.groups.size(); ++gi) {
     const CallGroup& g = round.groups[gi];
     const std::span<const Vertex> patt = round.pattern_of_group(gi);
     for (std::size_t j = 0; j + 1 < patt.size(); ++j) {
       const Vertex diff = patt[j] ^ patt[j + 1];
-      occ.claim(differing_dim(patt[j], patt[j + 1]),
-                (g.prefix ^ patt[j]) & ~diff, g.free_mask,
+      const Vertex prefix = (g.prefix ^ patt[j]) & ~diff;
+      if (weight(diff) != 1 || (diff & ~cube) != 0 || (prefix & g.free_mask) != 0) {
+        continue;
+      }
+      occ.claim(differing_dim(patt[j], patt[j + 1]), prefix, g.free_mask,
                 static_cast<std::uint32_t>(gi));
     }
   }
@@ -242,6 +262,7 @@ class SymbolicBroadcastValidator {
     if (sopt.pool) {
       pool_ = sopt.pool;
     } else if (sopt.threads > 1) {
+      require_check_threads("SymbolicBroadcastValidator: threads", sopt.threads);
       owned_pool_ = std::make_unique<WorkerPool>(sopt.threads);
       pool_ = owned_pool_.get();
     }
@@ -276,33 +297,25 @@ class SymbolicBroadcastValidator {
 
   void end_call_group(const CallGroup& g, std::span<const Vertex> pattern) {
     if (failed_) return;
-    // `where` is built lazily (round_where()): this method runs once per
-    // group — 14M+ times per round on the designed n = 63 spec — and the
-    // prefix is only ever read on the failure paths.
-
-    int length = 0;
-    if (std::string msg = detail::check_symbolic_call_group(
-            *net_, n_, opt_.k, opt_.require_vertex_disjoint, g, pattern,
-            length);
-        !msg.empty()) {
-      return fail(round_where() + msg);
-    }
-    rep_.max_call_length = std::max(rep_.max_call_length, length);
-    if (!checked_acc_u64(rep_.total_calls, g.count)) {
-      return fail(round_where() + "total call count overflowed 64 bits");
-    }
-    ++stats_.groups;
-    if (length >= 2) round_multihop_ = true;
-
+    // Records the group and nothing else: this method runs once per
+    // group — 14M+ times per round on the designed n = 63 spec — and
+    // every clause is checked in end_round's check job, in group order.
+    //
     // The round-local pattern pool uses 32-bit offsets (SymbolicRound's
     // layout); a round whose summed pattern lengths reach 2^32 must
     // fail explicitly (the engine's contract on adversarial input), not
-    // wrap the offsets.
+    // wrap the offsets.  Such a group cannot be recorded, so the groups
+    // before it and the group itself are checked here, and a clause
+    // failure among them still wins over the overflow.
     if (round_.pattern_pool.size() + pattern.size() >
         std::numeric_limits<std::uint32_t>::max()) {
-      return fail(round_where() + "round pattern pool exceeds 32-bit offsets");
+      const std::string where = round_where();
+      if (check_groups(where) && check_group(where, g, pattern)) {
+        fail(where + "round pattern pool exceeds 32-bit offsets");
+      }
+      return;
     }
-    ledger_.add_raw(g.prefix, g.free_mask, g.count);
+    if (pattern.size() > 2) round_multihop_ = true;
     round_.groups.push_back(g);
     round_.group_pattern.push_back(
         static_cast<std::uint32_t>(round_.num_patterns()));
@@ -312,37 +325,72 @@ class SymbolicBroadcastValidator {
         static_cast<std::uint32_t>(round_.pattern_pool.size()));
   }
 
+  /// Checks the recorded round and inserts its receivers.  Two jobs
+  /// share the read-only round.  The engine job builds the round's two
+  /// ledgers (the raw caller ledger and the collision claims), then
+  /// inserts the receivers into the frontier; the check job runs the
+  /// per-group clauses, the caller tiling, the collision check and the
+  /// sampled replay, waiting for each ledger just before its first use.
+  /// With a pool of two or more workers the check job runs on a pooled
+  /// worker beside the engine job — the tiling reads a snapshot of the
+  /// frontier the insert is growing, and a round the checks reject gets
+  /// its frontier back from that snapshot.  The ledgers and the
+  /// frontier, which grow with the round, are built on the engine
+  /// thread, so their memory lives in one malloc arena as it does
+  /// without a pool (grown on the worker, their freed blocks would stay
+  /// resident in its arena beside the engine thread's).
+  /// Without a pool the jobs run in turn and the insert only after the
+  /// checks pass.  Either way the insert sees the same receivers in the
+  /// same order, so the frontier, every counter and every report are
+  /// the same at every thread count.
   void end_round() {
     if (failed_) return;
     const std::string where = round_where();
     if (round_.groups.empty()) return fail(where + "empty round");
 
-    stats_.peak_round_groups =
-        std::max(stats_.peak_round_groups, static_cast<std::uint64_t>(round_.groups.size()));
+    const bool overlap = pool_ != nullptr && pool_->workers() >= 2;
+    std::vector<WeightedSubcube> snapshot;
+    if (overlap) snapshot = frontier_.to_entries();
+    SHC_TRACE_COUNTER("round_batch_bytes",
+                      round_bytes() + snapshot.size() * sizeof(WeightedSubcube));
 
-    {
-      SHC_TRACE_SCOPE("caller_tiling");
-      if (!check_caller_tiling(where)) return;
-    }
-    if (round_multihop_) {
-      SHC_TRACE_SCOPE("collision_check");
-      if (!check_collisions(where)) return;
-    }
-    if (sopt_.sample_groups_per_round > 0) {
-      SHC_TRACE_SCOPE("sampled_replay");
-      if (!sampled_replay(where)) return;
-    }
-
-    {
+    // Trace numbers for every event of both jobs, reserved here in the
+    // serial order (ledgers, checks, insert), so the merged trace is the
+    // same whichever thread runs which job and however they interleave.
+    obs::TraceRecorder* const rec = obs::TraceRecorder::active();
+    const std::uint64_t seq0 =
+        rec != nullptr ? rec->reserve_seqs(kCheckJobSeqs + 2) : 0;
+    RoundLedgers ready;
+    bool checked = false;
+    const auto build_ledgers = [&] {
+      const obs::SeqLease lease(rec, seq0, 1);
+      SHC_TRACE_SCOPE("ledger_build");
+      build_round_ledgers(ready);
+    };
+    const auto check_job = [&](const std::vector<WeightedSubcube>* entries) {
+      const obs::SeqLease lease(rec, seq0 + 1, kCheckJobSeqs);
+      checked = check_round(where, entries, ready);
+    };
+    const auto insert_job = [&] {
+      const obs::SeqLease lease(rec, seq0 + 1 + kCheckJobSeqs, 1);
       SHC_TRACE_SCOPE("frontier_insert");
-      // Receivers join the informed multiset; any overlap anywhere in the
-      // run surfaces in the endgame canonical form.
-      for (std::size_t gi = 0; gi < round_.groups.size(); ++gi) {
-        const CallGroup& g = round_.groups[gi];
-        const Vertex last = pattern_of(gi).back();
-        frontier_.insert(g.prefix ^ last, g.free_mask);
-      }
+      insert_receivers();
+    };
+    if (overlap) {
+      pool_->run_beside(
+          [&] {
+            build_ledgers();
+            insert_job();
+          },
+          [&] { check_job(&snapshot); });
+      if (!checked) frontier_.assign(snapshot);
+    } else {
+      build_ledgers();
+      check_job(nullptr);
+      if (checked) insert_job();
     }
+    if (!checked) return;
+
     if (!frontier_.count_ok()) {
       return fail(where + "informed-set count overflowed 64 bits");
     }
@@ -425,6 +473,24 @@ class SymbolicBroadcastValidator {
   [[nodiscard]] const SymbolicRunStats& stats() const noexcept { return stats_; }
 
  private:
+  /// Set once each ledger of the round is complete; the check job waits
+  /// on them.  Publish sets its flag on scope exit, so a build that
+  /// throws still releases a waiting check job.
+  struct RoundLedgers {
+    std::atomic<bool> callers{false};
+    std::atomic<bool> claims{false};
+  };
+  struct Publish {
+    std::atomic<bool>& flag;
+    explicit Publish(std::atomic<bool>& f) noexcept : flag(f) {}
+    Publish(const Publish&) = delete;
+    Publish& operator=(const Publish&) = delete;
+    ~Publish() {
+      flag.store(true, std::memory_order_release);
+      flag.notify_all();
+    }
+  };
+
   void fail(const std::string& msg) {
     if (failed_) return;
     failed_ = true;
@@ -444,16 +510,140 @@ class SymbolicBroadcastValidator {
     return round_.pattern_of_group(gi);
   }
 
+  /// Bytes held by the recorded round (its four arrays' capacity).
+  [[nodiscard]] std::uint64_t round_bytes() const noexcept {
+    return round_.groups.capacity() * sizeof(CallGroup) +
+           round_.group_pattern.capacity() * sizeof(std::uint32_t) +
+           round_.pattern_pool.capacity() * sizeof(Vertex) +
+           round_.pattern_off.capacity() * sizeof(std::uint32_t);
+  }
+
+  /// The check job: Definitions 1/2 on the recorded round.  Tiling
+  /// reads `entries` (a snapshot of the frontier as the round found it)
+  /// when the insert runs concurrently, else the frontier in place; it
+  /// and the collision check first wait for the engine job's ledgers.
+  /// Nested pool runs are not allowed inside a job, so nothing here
+  /// shards.
+  bool check_round(const std::string& where,
+                   const std::vector<WeightedSubcube>* entries,
+                   RoundLedgers& ready) {
+    {
+      SHC_TRACE_SCOPE("group_checks");
+      if (!check_groups(where)) return false;
+    }
+    stats_.peak_round_groups = std::max(
+        stats_.peak_round_groups, static_cast<std::uint64_t>(round_.groups.size()));
+    {
+      SHC_TRACE_SCOPE("caller_tiling");
+      ready.callers.wait(false, std::memory_order_acquire);
+      if (!check_caller_tiling(where, entries)) return false;
+    }
+    if (round_multihop_) {
+      SHC_TRACE_SCOPE("collision_check");
+      ready.claims.wait(false, std::memory_order_acquire);
+      if (!check_collisions(where)) return false;
+    }
+    if (sopt_.sample_groups_per_round > 0) {
+      SHC_TRACE_SCOPE("sampled_replay");
+      if (!sampled_replay(where)) return false;
+    }
+    return true;
+  }
+
+  /// Per-group clauses of every recorded group, in group order: the
+  /// first failing group names the error, and the run totals stop at
+  /// it, as if each group had been checked on arrival.
+  bool check_groups(const std::string& where) {
+    for (std::size_t gi = 0; gi < round_.groups.size(); ++gi) {
+      if (!check_group(where, round_.groups[gi], pattern_of(gi))) return false;
+    }
+    return true;
+  }
+
+  /// One group's clauses and its share of the run totals.
+  bool check_group(const std::string& where, const CallGroup& g,
+                   std::span<const Vertex> pattern) {
+    int length = 0;
+    if (std::string msg = detail::check_symbolic_call_group(
+            *net_, n_, opt_.k, opt_.require_vertex_disjoint, g, pattern,
+            length);
+        !msg.empty()) {
+      fail(where + msg);
+      return false;
+    }
+    rep_.max_call_length = std::max(rep_.max_call_length, length);
+    if (!checked_acc_u64(rep_.total_calls, g.count)) {
+      fail(where + "total call count overflowed 64 bits");
+      return false;
+    }
+    ++stats_.groups;
+    return true;
+  }
+
+  /// The engine job's first half: the raw caller ledger the tiling
+  /// consumes and — on a round with multi-hop calls — the collision
+  /// claims.  Both run ahead of the clauses that vet the groups, so
+  /// they skip what would break their own structures: a group that is
+  /// not a well-formed in-range subcube, and a hop that is not one
+  /// in-range dimension flip off the group's free dims.  A round with
+  /// such a group fails its clauses, so the skipped entries are never
+  /// read; on a round that passes, nothing is skipped.
+  void build_round_ledgers(RoundLedgers& ready) {
+    const Publish claims_done{ready.claims};
+    {
+      const Publish callers_done{ready.callers};
+      const Vertex cube = mask_low(n_);
+      for (const CallGroup& g : round_.groups) {
+        if ((g.prefix & g.free_mask) != 0 || ((g.prefix | g.free_mask) & ~cube) != 0) {
+          continue;
+        }
+        ledger_.add_raw(g.prefix, g.free_mask, g.count);
+      }
+    }
+    if (!round_multihop_) return;
+    occupancy_.clear();
+    detail::claim_round_edge_subcubes(round_, occupancy_, n_);
+    if (opt_.require_vertex_disjoint) {
+      for (std::size_t gi = 0; gi < round_.groups.size(); ++gi) {
+        const CallGroup& g = round_.groups[gi];
+        for (const Vertex x : pattern_of(gi)) {
+          if (((g.prefix ^ x) & g.free_mask) != 0) continue;
+          occupancy_.claim(n_ + 1, g.prefix ^ x, g.free_mask,
+                           static_cast<std::uint32_t>(gi));
+        }
+      }
+    }
+  }
+
+  /// The insert job: receivers join the informed multiset in group
+  /// order, so greedy coalescing is the same at every thread count.  A
+  /// receiver that is not a well-formed in-range subcube is skipped —
+  /// the concurrent insert runs ahead of the clauses that reject its
+  /// group, and the frontier's mask classes rely on (prefix & mask) == 0.
+  void insert_receivers() {
+    const Vertex cube = mask_low(n_);
+    for (std::size_t gi = 0; gi < round_.groups.size(); ++gi) {
+      const CallGroup& g = round_.groups[gi];
+      const std::span<const Vertex> patt = pattern_of(gi);
+      if (patt.empty()) continue;
+      const Vertex receiver = g.prefix ^ patt.back();
+      if ((receiver & g.free_mask) != 0 || ((receiver | g.free_mask) & ~cube) != 0) {
+        continue;
+      }
+      frontier_.insert(receiver, g.free_mask);
+    }
+  }
+
   /// Every informed vertex must place exactly one call: consume the
   /// round's group ledger by recursively matching each frontier entry
   /// against its dyadic split pieces; both sides must come out empty.
-  /// Frontier entries are disjoint subcubes, so their dyadic pieces hit
-  /// disjoint ledger keys — sharding entries across the pool is
-  /// race-free (ledger_.consume never mutates the table structure) and
-  /// the per-entry budget keeps the verdict thread-count independent.
-  bool check_caller_tiling(const std::string& where) {
-    std::atomic<bool> mismatch{false};
-    std::atomic<bool> budget_hit{false};
+  /// Every entry is evaluated even after a failure, so the budget and
+  /// mismatch flags — and hence the error string — do not depend on
+  /// the entry order.
+  bool check_caller_tiling(const std::string& where,
+                           const std::vector<WeightedSubcube>* entries) {
+    bool mismatch = false;
+    bool budget_hit = false;
     const std::uint64_t per_entry_budget =
         sopt_.tiling_budget != 0
             ? sopt_.tiling_budget
@@ -462,7 +652,7 @@ class SymbolicBroadcastValidator {
       std::uint64_t budget = per_entry_budget;
       auto consume = [&](auto&& self, Vertex p, Vertex m) -> bool {
         if (budget == 0) {
-          budget_hit.store(true, std::memory_order_relaxed);
+          budget_hit = true;
           return false;
         }
         --budget;
@@ -473,50 +663,27 @@ class SymbolicBroadcastValidator {
         const Vertex b = m & (~m + 1);  // lowest free bit: splits low-first
         return self(self, p, m & ~b) && self(self, p | b, m & ~b);
       };
-      if (mult != 1 || !consume(consume, ep, em)) {
-        mismatch.store(true, std::memory_order_relaxed);
-      }
+      if (mult != 1 || !consume(consume, ep, em)) mismatch = true;
     };
-    if (pool_) {
-      // Sharded path: snapshot the frontier and split it across the
-      // pool.  Entries being disjoint subcubes, their dyadic descents
-      // hit disjoint ledger keys (and consume's CAS covers even the
-      // overlapping entries a malformed schedule can produce).
-      const auto entries = frontier_.to_entries();
-      const std::size_t count = entries.size();
-      const int jobs = static_cast<int>(std::min<std::size_t>(
-          static_cast<std::size_t>(pool_->workers()), std::max<std::size_t>(count, 1)));
-      pool_->run(jobs, [&](int j) {
-        const std::size_t lo = count * static_cast<std::size_t>(j) /
-                               static_cast<std::size_t>(jobs);
-        const std::size_t hi = count * (static_cast<std::size_t>(j) + 1) /
-                               static_cast<std::size_t>(jobs);
-        for (std::size_t i = lo; i < hi; ++i) {
-          check_entry(entries[i].prefix, entries[i].mask, entries[i].mult);
-        }
-      });
+    if (entries != nullptr) {
+      for (const WeightedSubcube& e : *entries) check_entry(e.prefix, e.mask, e.mult);
     } else {
-      // Serial path: iterate in place (no snapshot allocation — the
-      // frontier can hold millions of subcubes).  Every entry is
-      // evaluated even after a failure, exactly like the sharded path,
-      // so the budget/mismatch flags — and hence the error string — are
-      // thread-count independent by construction.
-      frontier_.for_each([&](Vertex p, Vertex m, std::uint64_t mult) {
-        check_entry(p, m, mult);
-      });
+      // No snapshot: iterate in place (the frontier can hold millions
+      // of subcubes).
+      frontier_.for_each(check_entry);
     }
     bool leftover = false;
     ledger_.for_each([&](Vertex, Vertex, std::uint64_t v) {
       if (v != 0) leftover = true;
     });
     ledger_.clear();
-    if (budget_hit.load(std::memory_order_relaxed)) {
+    if (budget_hit) {
       fail(where + "caller tiling budget exceeded (per-entry budget " +
            std::to_string(per_entry_budget) +
            "; raise SymbolicCheckOptions::tiling_budget)");
       return false;
     }
-    if (mismatch.load(std::memory_order_relaxed)) {
+    if (mismatch) {
       fail(where + "callers do not tile the informed set (some informed "
                    "vertex places no call)");
       return false;
@@ -536,21 +703,10 @@ class SymbolicBroadcastValidator {
   /// double-claim is an exact collision, with no candidate pair ever
   /// enumerated.
   bool check_collisions(const std::string& where) {
-    occupancy_.clear();
     const int vertex_family = n_ + 1;
-    detail::claim_round_edge_subcubes(round_, occupancy_);
-    if (opt_.require_vertex_disjoint) {
-      for (std::size_t gi = 0; gi < round_.groups.size(); ++gi) {
-        const CallGroup& g = round_.groups[gi];
-        for (const Vertex x : pattern_of(gi)) {
-          occupancy_.claim(vertex_family, g.prefix ^ x, g.free_mask,
-                           static_cast<std::uint32_t>(gi));
-        }
-      }
-    }
     saturating_acc_u64(stats_.occupancy_claims, occupancy_.num_claims());
     const OccupancyOutcome out =
-        occupancy_.check(pool_, sopt_.ledger_budget_per_claim,
+        occupancy_.check(nullptr, sopt_.ledger_budget_per_claim,
                          sopt_.ledger_bucket_budget_base);
     switch (out.status) {
       case OccupancyStatus::kDisjoint:
@@ -628,10 +784,19 @@ class SymbolicBroadcastValidator {
   SubcubeFrontier frontier_;  ///< informed multiset, cross-round
   SubcubeFrontier ledger_;    ///< round-local caller ledger (raw mode)
   std::mt19937_64 rng_;
-  /// Check-sharding pool: sopt.pool when the caller lends one (server
-  /// reuse across queries), else owned_pool_ iff sopt.threads > 1.
+  /// sopt.pool when the caller lends one (server reuse across queries),
+  /// else owned_pool_ iff sopt.threads > 1.  Rounds use two of its
+  /// workers (the engine and check jobs); the endgame shards over all.
   WorkerPool* pool_ = nullptr;
   std::unique_ptr<WorkerPool> owned_pool_;
+
+  /// Main-track trace numbers reserved per round for the check job:
+  /// it records at most group_checks, caller_tiling, collision_check
+  /// with its nested ledger_check scope and ledger_claims counter, and
+  /// sampled_replay — six events.  The engine job records one scope
+  /// before the checks' block (ledger_build) and one after
+  /// (frontier_insert).
+  static constexpr std::uint64_t kCheckJobSeqs = 8;
 
   // Round-local group storage: one recycled SymbolicRound (patterns
   // pooled in its 32-bit-offset layout; no deduplication needed here).

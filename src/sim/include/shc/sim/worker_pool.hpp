@@ -76,6 +76,31 @@ class WorkerPool {
       for (int j = 0; j < jobs; ++j) fn(j);
       return;
     }
+    generation(jobs, fn, nullptr);
+  }
+
+  /// Runs `mine` on the calling thread while one pooled worker runs
+  /// `theirs`, and returns when both finished.  Unlike run(), which
+  /// thread runs which job is fixed, so each job's allocations stay in
+  /// its thread's malloc arena round after round (a structure that
+  /// grew on alternating threads would leave freed blocks in both).
+  /// If no worker has taken `theirs` by the time `mine` returns, the
+  /// caller runs it.  Exceptions as in run().  Not reentrant.
+  void run_beside(const std::function<void()>& mine,
+                  const std::function<void()>& theirs) {
+    if (threads_.empty()) {
+      mine();
+      theirs();
+      return;
+    }
+    generation(1, [&theirs](int) { theirs(); }, &mine);
+  }
+
+ private:
+  /// One published generation of `jobs` jobs; the caller first runs
+  /// `mine` (when given), then pulls jobs like any worker.
+  void generation(int jobs, const std::function<void(int)>& fn,
+                  const std::function<void()>* mine) {
     // Per-generation flight-recorder probe: one "pool_gen" scope (value
     // = job count) plus the generation's summed per-job busy time, both
     // recorded from the calling thread (run() is not reentrant, so that
@@ -109,6 +134,7 @@ class WorkerPool {
       ++generation_;
     }
     cv_work_.notify_all();
+    if (mine != nullptr) run_timed(*mine);
     pull_jobs(fn, jobs);
     std::unique_lock<std::mutex> lock(m_);
     cv_done_.wait(lock, [&] { return done_.load(std::memory_order_acquire) >= jobs_; });
@@ -118,7 +144,7 @@ class WorkerPool {
     if (rec != nullptr) {
       rec->scope_event("pool_gen", obs::kMainTrack, rec_seq, rec_t0,
                        obs::trace_now_ns() - rec_t0,
-                       static_cast<std::uint64_t>(jobs));
+                       static_cast<std::uint64_t>(jobs + (mine != nullptr ? 1 : 0)));
       rec->counter("pool_busy_ns",
                    busy_ns_.load(std::memory_order_relaxed) - rec_busy0);
     }
@@ -129,26 +155,29 @@ class WorkerPool {
     }
   }
 
- private:
+  /// Runs one job body, adding its time to busy_ns_ while tracing and
+  /// capturing (first wins) instead of propagating its exception.
+  template <class Body>
+  void run_timed(Body&& body) {
+    const bool timed = obs::TraceRecorder::active() != nullptr;
+    const std::uint64_t t0 = timed ? obs::trace_now_ns() : 0;
+    try {
+      body();
+    } catch (...) {
+      failed_.store(true, std::memory_order_relaxed);
+      std::lock_guard<std::mutex> lock(m_);
+      if (!error_) error_ = std::current_exception();
+    }
+    if (timed) {
+      busy_ns_.fetch_add(obs::trace_now_ns() - t0, std::memory_order_relaxed);
+    }
+  }
+
   void pull_jobs(const std::function<void(int)>& fn, int jobs) {
     for (;;) {
       const int j = next_.fetch_add(1, std::memory_order_relaxed);
       if (j >= jobs) return;
-      if (!failed_.load(std::memory_order_relaxed)) {
-        const bool timed = obs::TraceRecorder::active() != nullptr;
-        const std::uint64_t jt0 = timed ? obs::trace_now_ns() : 0;
-        try {
-          fn(j);
-        } catch (...) {
-          failed_.store(true, std::memory_order_relaxed);
-          std::lock_guard<std::mutex> lock(m_);
-          if (!error_) error_ = std::current_exception();
-        }
-        if (timed) {
-          busy_ns_.fetch_add(obs::trace_now_ns() - jt0,
-                             std::memory_order_relaxed);
-        }
-      }
+      if (!failed_.load(std::memory_order_relaxed)) run_timed([&] { fn(j); });
       if (done_.fetch_add(1, std::memory_order_acq_rel) + 1 >= jobs) {
         std::lock_guard<std::mutex> lock(m_);
         cv_done_.notify_all();

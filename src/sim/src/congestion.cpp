@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "shc/sim/check_options.hpp"
 #include "shc/sim/validator.hpp"  // detail::EdgeKey / EdgeKeyHash
 #include "shc/sim/worker_pool.hpp"
 
@@ -155,10 +156,7 @@ CongestionStats& CongestionStats::merge(const CongestionStats& other) {
 }
 
 CongestionStats analyze_congestion(const FlatSchedule& schedule, int threads) {
-  if (threads < 1) {
-    throw std::invalid_argument("analyze_congestion: threads must be >= 1, got " +
-                                std::to_string(threads));
-  }
+  require_check_threads("analyze_congestion: threads", threads);
   const auto shards = static_cast<unsigned>(threads);
   if (shards == 1) return analyze_congestion_shard(schedule, 0, 1);
 

@@ -15,6 +15,9 @@
 
 #include "shc/api/certify.hpp"
 #include "shc/mlbg/params.hpp"
+#include "shc/sim/congestion.hpp"
+#include "shc/sim/streaming_validator.hpp"
+#include "shc/sim/symbolic_validator.hpp"
 #include "shc/sim/worker_pool.hpp"
 
 namespace shc {
@@ -237,6 +240,105 @@ TEST(ApiFacade, EveryEngineRejectsNonPositiveThreads) {
   req.n = 8;
   req.checks.threads = 0;
   EXPECT_THROW({ auto r = certify(req); (void)r; }, std::invalid_argument);
+}
+
+/// to_json_row minus its wall-time field.
+std::string row_without_seconds(const CertifyResult& r) {
+  std::string row = to_json_row(r);
+  const std::size_t at = row.find(",\"seconds\":");
+  if (at == std::string::npos) return row;
+  const std::size_t end = row.find_first_of(",}", at + 1);
+  return row.erase(at, end - at);
+}
+
+TEST(ApiFacade, SymbolicBroadcastRowsAreByteIdenticalAtOneTwoFourAndEightThreads) {
+  // From two threads up the validator's checks run beside its frontier
+  // insert; the row must not notice, clean or failing.  The failing
+  // request starves the collision ledger's budget, so the rejection
+  // comes from the check job after the concurrent insert has run.
+  CertifyRequest clean;
+  clean.workload = Workload::kBroadcastSymbolic;
+  clean.n = 16;
+  clean.k = 3;
+  CertifyRequest failing = clean;
+  failing.checks.ledger_budget_per_claim = 0;
+  failing.checks.ledger_bucket_budget_base = 1;
+  for (const bool ok : {true, false}) {
+    CertifyRequest req = ok ? clean : failing;
+    req.checks.threads = 1;
+    const CertifyResult serial = certify(req);
+    EXPECT_EQ(serial.ok, ok) << serial.report.error;
+    if (!ok) {
+      EXPECT_NE(serial.report.error.find("collision analysis exceeded its budget"),
+                std::string::npos)
+          << serial.report.error;
+    }
+    const std::string expect = row_without_seconds(serial);
+    for (const int threads : {2, 4, 8}) {
+      req.checks.threads = threads;
+      const CertifyResult r = certify(req);
+      EXPECT_EQ(row_without_seconds(r), expect) << "threads=" << threads;
+      EXPECT_EQ(r.producer.final_frontier_subcubes, serial.producer.final_frontier_subcubes)
+          << "threads=" << threads;
+      EXPECT_EQ(r.producer.peak_frontier_subcubes, serial.producer.peak_frontier_subcubes)
+          << "threads=" << threads;
+    }
+  }
+}
+
+TEST(ApiFacade, EveryEngineRejectsThreadsAboveTheCapBeforeStartingAPool) {
+  // One past kMaxCheckThreads: each entry must throw before it builds a
+  // WorkerPool, so no worker thread is ever started here.
+  constexpr int kOver = kMaxCheckThreads + 1;
+  const auto spec = design_sparse_hypercube(8, 2);
+  const SpecView view(spec);
+  ValidationOptions opt;
+  opt.k = spec.k();
+
+  EXPECT_THROW(
+      { auto c = certify_broadcast_streaming(spec, 0, opt, kOver); (void)c; },
+      std::invalid_argument);
+  EXPECT_THROW(
+      { StreamingBroadcastValidator<SpecView> v(view, 0, opt, kOver); },
+      std::invalid_argument);
+  const FlatSchedule schedule = make_broadcast_schedule(spec, 0);
+  EXPECT_THROW(
+      { auto c = analyze_congestion(schedule, kOver); (void)c; },
+      std::invalid_argument);
+
+  SymbolicCheckOptions sopt;
+  sopt.threads = kOver;
+  EXPECT_THROW(
+      { auto c = certify_broadcast_symbolic(spec, 0, opt, sopt); (void)c; },
+      std::invalid_argument);
+  EXPECT_THROW(
+      { SymbolicBroadcastValidator<SpecView> v(view, 0, opt, sopt); },
+      std::invalid_argument);
+
+  SymbolicGossipOptions gopt;
+  gopt.threads = kOver;
+  EXPECT_THROW(
+      { auto c = certify_gossip_symbolic(spec, 0, gopt); (void)c; },
+      std::invalid_argument);
+  EXPECT_THROW(
+      { auto c = certify_exchange_gossip_symbolic(8, gopt); (void)c; },
+      std::invalid_argument);
+
+  CertifyRequest req;
+  req.n = 8;
+  req.checks.threads = kOver;
+  try {
+    (void)certify(req);
+    ADD_FAILURE() << "certify accepted threads = " << kOver;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(std::to_string(kOver)), std::string::npos)
+        << e.what();
+  }
+  // The cap itself is accepted (no pool is built for a lent one).
+  WorkerPool lent(1);
+  req.checks.threads = kMaxCheckThreads;
+  req.checks.pool = &lent;
+  EXPECT_TRUE(certify(req).ok);
 }
 
 TEST(ApiFacade, JsonRowKeepsSweepSchema) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "shc/bits/bitstring.hpp"
 #include "shc/mlbg/broadcast.hpp"
@@ -229,6 +231,51 @@ TEST(Broadcast, MaxCallLengthMatchesLevelStructure) {
   const auto schedule = make_broadcast_schedule(spec, 0);
   EXPECT_LE(schedule.max_call_length(), spec.k());
   EXPECT_GE(schedule.max_call_length(), 3);
+}
+
+/// Runs `fn`, expecting std::invalid_argument whose message names `value`.
+template <class Fn>
+void expect_invalid_naming(Fn&& fn, const std::string& value) {
+  try {
+    fn();
+    ADD_FAILURE() << "no std::invalid_argument (expected one naming " << value << ")";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(value), std::string::npos) << e.what();
+  }
+}
+
+/// Sink that counts rounds; emit_broadcast_rounds must refuse before
+/// producing any.
+struct CountingRoundSink {
+  int rounds = 0;
+  Vertex last = 0;
+  void begin_round() { ++rounds; }
+  void end_round() {}
+  void end_call() {}
+  void push_vertex(Vertex v) { last = v; }
+  [[nodiscard]] Vertex last_vertex() const { return last; }
+};
+
+TEST(BroadcastGuards, EntryPointsThrowTypedErrorsNamingTheValue) {
+  const auto g29 = design_sparse_hypercube(29, 2);
+  expect_invalid_naming([&] { (void)make_broadcast_schedule(g29, 0); }, "n = 29");
+  expect_invalid_naming([&] { (void)make_broadcast2_literal(g29, 0); }, "n = 29");
+
+  const auto g10 = design_sparse_hypercube(10, 2);
+  expect_invalid_naming([&] { (void)make_broadcast_schedule(g10, 1024); }, "source 1024");
+  expect_invalid_naming([&] { (void)make_broadcast2_literal(g10, 1024); }, "source 1024");
+  expect_invalid_naming([&] { (void)route_flip(g10, 0, 11); }, "dimension 11");
+  expect_invalid_naming([&] { (void)route_flip(g10, 0, 0); }, "dimension 0");
+
+  const auto g10k3 = design_sparse_hypercube(10, 3);
+  ASSERT_EQ(g10k3.k(), 3);
+  expect_invalid_naming([&] { (void)make_broadcast2_literal(g10k3, 0); }, "k = 3");
+
+  CountingRoundSink sink;
+  const auto g33 = SparseHypercubeSpec::construct(33, {7});
+  expect_invalid_naming([&] { emit_broadcast_rounds(g33, 0, sink); }, "n = 33");
+  expect_invalid_naming([&] { emit_broadcast_rounds(g10, 1024, sink); }, "source 1024");
+  EXPECT_EQ(sink.rounds, 0);
 }
 
 TEST(FormatSchedule, ShowsRoundsAndVias) {

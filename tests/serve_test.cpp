@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -165,6 +166,16 @@ TEST(ServeEngine, OutOfRangeIntegersAnswerErrorRowsNotWrappedRows) {
     EXPECT_EQ(row.find("\"n\":20"), std::string::npos) << line << " -> " << row;
   }
   EXPECT_EQ(engine.stats().errors, std::size(probes));
+
+  // One past the engines' worker cap answers the same row; the engine
+  // never sees the request.
+  const std::string over = engine.handle_line(
+      "{\"workload\":\"broadcast-symbolic\",\"n\":12,\"k\":2,\"threads\":" +
+      std::to_string(kMaxCheckThreads + 1) + "}");
+  EXPECT_EQ(over, "{\"ok\":false,\"error\":\"threads out of range\"}");
+  ServeOptions too_many;
+  too_many.threads = kMaxCheckThreads + 1;
+  EXPECT_THROW(ServeEngine{too_many}, std::invalid_argument);
 
   // Still serving.
   const std::string row = engine.handle_line(

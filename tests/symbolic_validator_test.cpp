@@ -11,6 +11,7 @@
 // and every handcrafted violation of the group structure is rejected.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -490,9 +491,10 @@ TEST(SymbolicScale, DesignedK2AtN32CertifiesWithoutCubeSizedScratch) {
 }
 
 TEST(SymbolicThreads, ShardedGroupChecksReproduceTheSerialReport) {
-  // The per-round caller-tiling consumption and occupancy-ledger walks
-  // shard over the persistent WorkerPool when sopt.threads > 1; the
-  // report must be bit-for-bit the single-thread one, clean or failing.
+  // With sopt.threads > 1 each round's checks run on a pooled worker
+  // beside the frontier insert and the endgame's ledger walks shard over
+  // the pool; the report must be bit-for-bit the single-thread one,
+  // clean or failing.
   for (const int n : {12, 16}) {
     const auto spec = design_sparse_hypercube(n, 3);
     ValidationOptions opt;
@@ -519,6 +521,203 @@ TEST(SymbolicThreads, ShardedGroupChecksReproduceTheSerialReport) {
   const auto sharded_rep = validate_broadcast_symbolic(view, bad, opt, sharded);
   EXPECT_FALSE(serial_rep.ok);
   expect_same_report(serial_rep, sharded_rep, "threads=4 vs threads=1 failing");
+}
+
+// ---- round batching: failing runs at every thread count ---------------
+
+/// A run's report plus every SymbolicRunStats field.
+struct RunOutcome {
+  ValidationReport report;
+  SymbolicRunStats stats;
+};
+
+RunOutcome run_at(const SymbolicSchedule& s, int threads, int n = 10, int k = 2) {
+  const auto spec = design_sparse_hypercube(n, k);
+  const SpecView view(spec);
+  ValidationOptions opt;
+  opt.k = spec.k();
+  SymbolicCheckOptions sopt;
+  sopt.threads = threads;
+  RunOutcome out;
+  out.report = validate_broadcast_symbolic(view, s, opt, sopt, &out.stats);
+  return out;
+}
+
+void expect_same_outcome(const RunOutcome& a, const RunOutcome& b,
+                         const std::string& what) {
+  expect_same_report(a.report, b.report, what.c_str());
+  EXPECT_EQ(a.stats.groups, b.stats.groups) << what;
+  EXPECT_EQ(a.stats.peak_round_groups, b.stats.peak_round_groups) << what;
+  EXPECT_EQ(a.stats.peak_frontier_subcubes, b.stats.peak_frontier_subcubes) << what;
+  EXPECT_EQ(a.stats.final_frontier_subcubes, b.stats.final_frontier_subcubes) << what;
+  EXPECT_EQ(a.stats.occupancy_claims, b.stats.occupancy_claims) << what;
+  EXPECT_EQ(a.stats.sampled_calls, b.stats.sampled_calls) << what;
+  EXPECT_EQ(a.stats.rounds_checked, b.stats.rounds_checked) << what;
+  EXPECT_EQ(a.stats.union_cache_hits, b.stats.union_cache_hits) << what;
+  EXPECT_EQ(a.stats.union_cache_misses, b.stats.union_cache_misses) << what;
+}
+
+/// The round of clean_schedule() the mutations below break: the first
+/// with at least four groups, one of them (not the first) a subcube.
+struct Target {
+  std::size_t round = 0;
+  std::size_t group = 0;
+};
+
+Target mid_round_subcube_group(const SymbolicSchedule& s) {
+  for (std::size_t r = 1; r < s.rounds.size(); ++r) {
+    const auto& groups = s.rounds[r].groups;
+    if (groups.size() < 4) continue;
+    for (std::size_t g = groups.size() / 2; g < groups.size(); ++g) {
+      if (groups[g].free_mask != 0) return {r, g};
+    }
+  }
+  ADD_FAILURE() << "no round with a mid-round subcube group";
+  return {};
+}
+
+TEST(RoundBatch, FailingRunsAreIdenticalAtOneTwoAndFourThreads) {
+  const auto clean = clean_schedule();
+  const Target t = mid_round_subcube_group(clean);
+  ASSERT_GT(t.round, 0u);
+
+  // The run state a failure in round t.round must leave: the totals of
+  // the rounds before it, then (for a bad group) the groups before the
+  // bad one; the frontier as round t.round found it.
+  SymbolicSchedule before = clean;
+  before.rounds.resize(t.round);
+  const RunOutcome prefix = run_at(before, 1);
+  std::uint64_t calls_before_group = prefix.report.total_calls;
+  for (std::size_t g = 0; g < t.group; ++g) {
+    calls_before_group += clean.rounds[t.round].groups[g].count;
+  }
+
+  struct Case {
+    const char* name;
+    void (*mutate)(SymbolicSchedule&, const Target&);
+    const char* error;
+    bool group_clause;  ///< rejected by the per-group clauses
+  };
+  const Case cases[] = {
+      {"widened mask",
+       [](SymbolicSchedule& s, const Target& at) {
+         CallGroup& g = s.rounds[at.round].groups[at.group];
+         const Vertex pinned = ~g.free_mask & ~g.prefix & mask_low(10);
+         g.free_mask |= pinned & (~pinned + 1);
+       },
+       "multiplicity accounting", true},
+      {"widened mask, count fixed",
+       [](SymbolicSchedule& s, const Target& at) {
+         CallGroup& g = s.rounds[at.round].groups[at.group];
+         const Vertex pinned = ~g.free_mask & ~g.prefix & mask_low(10);
+         g.free_mask |= pinned & (~pinned + 1);
+         g.count *= 2;
+       },
+       "", true},
+      {"prefix inside the free mask",
+       [](SymbolicSchedule& s, const Target& at) {
+         CallGroup& g = s.rounds[at.round].groups[at.group];
+         g.prefix |= g.free_mask & (~g.free_mask + 1);
+       },
+       "prefix sets bits inside its free mask", true},
+      {"mask outside the cube",
+       [](SymbolicSchedule& s, const Target& at) {
+         CallGroup& g = s.rounds[at.round].groups[at.group];
+         g.free_mask |= Vertex{1} << 12;
+       },
+       "out of range", true},
+      {"dropped group",
+       [](SymbolicSchedule& s, const Target& at) {
+         auto& round = s.rounds[at.round];
+         round.groups.erase(round.groups.begin() + static_cast<std::ptrdiff_t>(at.group));
+         round.group_pattern.erase(round.group_pattern.begin() +
+                                   static_cast<std::ptrdiff_t>(at.group));
+       },
+       "callers do not tile the informed set", false},
+  };
+  for (const Case& c : cases) {
+    SymbolicSchedule bad = clean;
+    c.mutate(bad, t);
+    const RunOutcome serial = run_at(bad, 1);
+    ASSERT_FALSE(serial.report.ok) << c.name;
+    const std::string where = "round " + std::to_string(t.round + 1) + ": ";
+    EXPECT_EQ(serial.report.error.rfind(where, 0), 0u) << c.name << ": " << serial.report.error;
+    EXPECT_NE(serial.report.error.find(c.error), std::string::npos)
+        << c.name << ": " << serial.report.error;
+    EXPECT_EQ(serial.stats.final_frontier_subcubes, prefix.stats.final_frontier_subcubes)
+        << c.name << ": the failing round's receivers must not stay in the frontier";
+    EXPECT_EQ(serial.stats.peak_frontier_subcubes, prefix.stats.peak_frontier_subcubes)
+        << c.name;
+    EXPECT_EQ(serial.stats.rounds_checked, t.round) << c.name;
+    if (c.group_clause) {
+      // Totals stop at the first failing group, as when groups were
+      // checked on arrival.
+      EXPECT_EQ(serial.stats.groups, prefix.stats.groups + t.group) << c.name;
+      EXPECT_EQ(serial.report.total_calls, calls_before_group) << c.name;
+    }
+    for (const int threads : {2, 4}) {
+      expect_same_outcome(serial, run_at(bad, threads),
+                          std::string(c.name) + ", threads=" + std::to_string(threads));
+    }
+  }
+}
+
+TEST(RoundBatch, MalformedReceiverNeverReachesTheFrontier) {
+  // At two or more threads the receivers are inserted while the clauses
+  // that reject their groups are still running, so the insert itself
+  // must skip a receiver that is not a well-formed in-range subcube.
+  // Had one reached SubcubeFrontier::insert, its own contract checks
+  // (assert in Debug builds, SHC_AUDIT_CHECK in audit builds — the CI
+  // sanitizer legs run both) would abort here.  In every build the
+  // rejected round must leave the frontier exactly as it found it.
+  const auto clean = clean_schedule();
+  const Target t = mid_round_subcube_group(clean);
+  const auto spec = design_sparse_hypercube(10, 2);
+  const SpecView view(spec);
+  ValidationOptions opt;
+  opt.k = spec.k();
+  const auto sorted_entries = [](const SubcubeFrontier& f) {
+    auto e = f.to_entries();
+    std::sort(e.begin(), e.end(), [](const WeightedSubcube& a, const WeightedSubcube& b) {
+      return a.prefix != b.prefix ? a.prefix < b.prefix : a.mask < b.mask;
+    });
+    return e;
+  };
+  const auto feed = [](SymbolicBroadcastValidator<SpecView>& v, const SymbolicRound& r) {
+    v.begin_round();
+    for (std::size_t g = 0; g < r.groups.size(); ++g) {
+      v.end_call_group(r.groups[g], r.pattern_of_group(g));
+    }
+    v.end_round();
+  };
+  for (const int variant : {0, 1, 2}) {
+    SymbolicSchedule bad = clean;
+    auto& round = bad.rounds[t.round];
+    CallGroup& g = round.groups[t.group];
+    if (variant == 0) g.prefix |= g.free_mask & (~g.free_mask + 1);  // p & M != 0
+    if (variant == 1) g.free_mask |= Vertex{1} << 12;                 // outside Q_10
+    if (variant == 2) {
+      // The route's last hop flips a free dimension of the group.
+      const Vertex free_bit = g.free_mask & (~g.free_mask + 1);
+      auto patt = round.pattern_of_group(t.group);
+      const std::uint32_t last = round.pattern_off[round.group_pattern[t.group]] +
+                                 static_cast<std::uint32_t>(patt.size()) - 1;
+      round.pattern_pool[last] = patt[patt.size() - 2] ^ free_bit;
+    }
+    for (const int threads : {1, 2, 4}) {
+      SymbolicCheckOptions sopt;
+      sopt.threads = threads;
+      SymbolicBroadcastValidator<SpecView> v(view, bad.source, opt, sopt);
+      for (std::size_t r = 0; r < t.round; ++r) feed(v, bad.rounds[r]);
+      ASSERT_FALSE(v.aborted());
+      const auto before = sorted_entries(v.informed_frontier());
+      feed(v, bad.rounds[t.round]);
+      EXPECT_TRUE(v.aborted()) << "variant " << variant << " threads=" << threads;
+      EXPECT_EQ(sorted_entries(v.informed_frontier()), before)
+          << "variant " << variant << " threads=" << threads;
+      EXPECT_EQ(v.informed_frontier().total_count(), std::uint64_t{1} << t.round);
+    }
+  }
 }
 
 // ---- handcrafted collisions against the exact validator ----------------

@@ -46,6 +46,18 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc{};
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
+// The nothrow forms too (std::stable_sort's temporary buffer uses one):
+// left to the runtime, they would hand the replaced delete a block it
+// did not allocate with malloc.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  ++g_alloc_count;
+  return std::malloc(size ? size : 1);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
@@ -105,7 +117,10 @@ std::vector<EventSig> traced_run_signature(int n, int threads) {
 }
 
 TEST(DeterministicMerge, EventOrderIsReproducibleAtEveryThreadCount) {
-  for (const int threads : {1, 4}) {
+  // At two or more threads each round's check job runs on a pooled
+  // worker beside the engine thread's ledger build and frontier insert;
+  // their events still merge in one order.
+  for (const int threads : {1, 2, 4}) {
     const auto first = traced_run_signature(16, threads);
     const auto second = traced_run_signature(16, threads);
     ASSERT_FALSE(first.empty());
@@ -116,26 +131,77 @@ TEST(DeterministicMerge, EventOrderIsReproducibleAtEveryThreadCount) {
 }
 
 TEST(DeterministicMerge, RoundMarksMatchTheReportedRounds) {
-  obs::TraceSession session({});
-  ValidationOptions opt;
-  const auto spec = design_sparse_hypercube(14, 2);
-  opt.k = spec.k();
-  const auto cert = certify_broadcast_symbolic(spec, 0, opt);
-  ASSERT_TRUE(cert.report.ok) << cert.report.error;
-  int rounds = 0;
-  std::uint64_t prev_seq = 0;
-  bool have_prev = false;
-  for (const obs::TraceEvent& e : session.recorder().merged_events()) {
-    ASSERT_EQ(e.track, obs::kMainTrack)
-        << "the engines record on the main track only";
-    if (have_prev) {
-      EXPECT_GT(e.seq, prev_seq) << "merge order must be strictly by seq";
+  for (const int threads : {1, 2}) {
+    obs::TraceSession session({});
+    ValidationOptions opt;
+    const auto spec = design_sparse_hypercube(14, 2);
+    opt.k = spec.k();
+    SymbolicCheckOptions sopt;
+    sopt.threads = threads;
+    const auto cert = certify_broadcast_symbolic(spec, 0, opt, sopt);
+    ASSERT_TRUE(cert.report.ok) << cert.report.error;
+    int rounds = 0;
+    std::uint64_t prev_seq = 0;
+    bool have_prev = false;
+    for (const obs::TraceEvent& e : session.recorder().merged_events()) {
+      ASSERT_EQ(e.track, obs::kMainTrack)
+          << "the engines record on the main track only";
+      if (have_prev) {
+        EXPECT_GT(e.seq, prev_seq)
+            << "merge order must be strictly by seq (threads=" << threads << ")";
+      }
+      prev_seq = e.seq;
+      have_prev = true;
+      if (e.kind == obs::EventKind::kRound) ++rounds;
     }
-    prev_seq = e.seq;
-    have_prev = true;
-    if (e.kind == obs::EventKind::kRound) ++rounds;
+    EXPECT_EQ(rounds, cert.report.rounds) << "threads=" << threads;
   }
-  EXPECT_EQ(rounds, cert.report.rounds);
+}
+
+TEST(DeterministicMerge, ForkedJobsKeepTheSerialPhaseOrder) {
+  // The jobs of a round draw their trace numbers from blocks reserved
+  // on the engine thread, so the phases of every round merge in the
+  // serial order whichever thread ran them: the same phase sequence at
+  // one thread and at two, where the check job runs beside the insert.
+  const auto phases = [](int threads) {
+    obs::TraceSession session({});
+    ValidationOptions opt;
+    const auto spec = design_sparse_hypercube(14, 2);
+    opt.k = spec.k();
+    SymbolicCheckOptions sopt;
+    sopt.threads = threads;
+    const auto cert = certify_broadcast_symbolic(spec, 0, opt, sopt);
+    EXPECT_TRUE(cert.report.ok) << cert.report.error;
+    std::vector<std::string> names;
+    for (const obs::TraceEvent& e : session.recorder().merged_events()) {
+      const std::string name = e.name;
+      // The pool's own probes exist only when a pool runs.
+      if (name != "pool_gen" && name != "pool_busy_ns") names.push_back(name);
+    }
+    return names;
+  };
+  const std::vector<std::string> serial = phases(1);
+  ASSERT_FALSE(serial.empty());
+  EXPECT_EQ(phases(2), serial);
+}
+
+TEST(SeqLease, ALeaseSpendsItsBlockThenFallsBackToTheSharedCounter) {
+  obs::TraceSession session({});
+  obs::TraceRecorder& rec = session.recorder();
+  const std::uint64_t first = rec.reserve_seqs(2);
+  const std::uint64_t after = rec.next_seq();
+  EXPECT_EQ(after, first + 2) << "a reserved block is skipped by later draws";
+  {
+    const obs::SeqLease lease(&rec, first, 2);
+    EXPECT_EQ(rec.next_seq(), first);
+    EXPECT_EQ(rec.next_seq(), first + 1);
+    EXPECT_EQ(rec.next_seq(), after + 1) << "an exhausted lease falls back";
+  }
+  EXPECT_EQ(rec.next_seq(), after + 2) << "the lease ends with its scope";
+  {
+    const obs::SeqLease inert(nullptr, 1000, 4);
+    EXPECT_EQ(rec.next_seq(), after + 3) << "a null-recorder lease is inert";
+  }
 }
 
 // ---- report parity ------------------------------------------------------

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "shc/sim/worker_pool.hpp"
@@ -112,6 +113,58 @@ TEST(WorkerPoolStressTest, RepeatedFailuresDoNotWedgeThePool) {
   std::atomic<int> ok{0};
   pool.run(8, [&](int) { ok.fetch_add(1, std::memory_order_relaxed); });
   EXPECT_EQ(ok.load(), 8);
+}
+
+TEST(WorkerPoolRunBeside, MineRunsOnTheCallerBesideAPooledTheirs) {
+  WorkerPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int gen = 0; gen < 200; ++gen) {
+    std::thread::id mine_on;
+    std::atomic<int> theirs_runs{0};
+    pool.run_beside([&] { mine_on = std::this_thread::get_id(); },
+                    [&] { theirs_runs.fetch_add(1, std::memory_order_relaxed); });
+    EXPECT_EQ(mine_on, caller) << "generation " << gen;
+    EXPECT_EQ(theirs_runs.load(), 1) << "generation " << gen;
+  }
+}
+
+TEST(WorkerPoolRunBeside, TheirsMayWaitOnMine) {
+  // The validator's check job waits for ledgers the engine job
+  // publishes; the reverse wait never happens.  Whether a worker or the
+  // caller (after mine) runs theirs, the wait must resolve.
+  WorkerPool pool(2);
+  for (int gen = 0; gen < 200; ++gen) {
+    std::atomic<bool> published{false};
+    int seen = 0;
+    int value = 0;
+    pool.run_beside(
+        [&] {
+          value = gen;
+          published.store(true, std::memory_order_release);
+          published.notify_all();
+        },
+        [&] {
+          published.wait(false, std::memory_order_acquire);
+          seen = value;
+        });
+    EXPECT_EQ(seen, gen);
+  }
+}
+
+TEST(WorkerPoolRunBeside, ExceptionsPropagateAndThePoolStaysReusable) {
+  WorkerPool pool(3);
+  EXPECT_THROW(pool.run_beside([] { throw std::runtime_error("mine"); }, [] {}),
+               std::runtime_error);
+  EXPECT_THROW(pool.run_beside([] {}, [] { throw std::invalid_argument("theirs"); }),
+               std::invalid_argument);
+  std::atomic<int> ok{0};
+  pool.run(8, [&](int) { ok.fetch_add(1, std::memory_order_relaxed); });
+  EXPECT_EQ(ok.load(), 8);
+
+  WorkerPool inline_pool(1);  // no workers: mine, then theirs, in order
+  std::vector<int> order;
+  inline_pool.run_beside([&] { order.push_back(0); }, [&] { order.push_back(1); });
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
 }
 
 }  // namespace

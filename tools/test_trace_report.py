@@ -82,6 +82,34 @@ class Render(unittest.TestCase):
             self.assertIn(f"round    {r}", top)
         self.assertNotIn("round    3", top)
 
+    def test_no_overlap_note_when_phases_fit_the_wall(self) -> None:
+        with tempfile.TemporaryDirectory() as tmp:
+            status, out, _ = run_main(rows_to_file(tmp, SAMPLE))
+        self.assertEqual(status, 0)
+        self.assertNotIn("note:", out)
+
+    def test_overlapping_phases_are_noted(self) -> None:
+        # A 2-worker round: the check phases ran on a pooled worker while
+        # the engine thread inserted, so 1.7 ms of phases fit in 1.0 ms.
+        rows = [
+            {"round": 1, "ts_ms": 1.0, "wall_ms": 1.0,
+             "counters": {"round_groups": 10, "pool_busy_ns": 700000},
+             "phases_ms": {"ledger_build": 0.1, "frontier_insert": 0.8,
+                           "group_checks": 0.2, "caller_tiling": 0.6}},
+            {"round": 2, "ts_ms": 2.0, "wall_ms": 1.0,
+             "counters": {"round_groups": 12},
+             "phases_ms": {"frontier_insert": 0.5}},
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            status, out, err = run_main(rows_to_file(tmp, rows))
+        self.assertEqual(status, 0, err)
+        self.assertIn("note: phases sum past wall time in 1 of 2 windows", out)
+        self.assertIn("frontier_insert overlapping the check phases", out)
+        # The breakdown still reports every phase, past 100 % in total.
+        breakdown = out.split("phase breakdown:")[1]
+        self.assertIn("frontier_insert", breakdown)
+        self.assertIn("65.0%", breakdown)
+
     def test_rows_without_optional_counters(self) -> None:
         rows = [{"round": 0, "ts_ms": 0.1, "wall_ms": 0.1,
                  "counters": {"rss_hwm_kb": 1024}, "phases_ms": {}}]

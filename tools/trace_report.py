@@ -13,6 +13,15 @@ mark).  The report shows:
   * the aggregate phase breakdown across the whole run;
   * the top-5 slowest rounds by wall time.
 
+Phase sums can exceed wall time.  Nested scopes count in full (the
+occupancy ledger's `ledger_check` runs inside `collision_check`), and
+with a worker pool of two or more the broadcast validator runs each
+round's check phases (`group_checks`, `caller_tiling`,
+`collision_check`, `sampled_replay`) on a pooled worker while the
+engine thread runs `ledger_build` and `frontier_insert`, so their
+durations overlap.  The report says so when a round's phases add up to
+more than its wall time.
+
 Only the Python standard library is used; the tool never interprets
 verdicts (traces are telemetry — the reports they describe are produced
 and gated elsewhere).
@@ -116,6 +125,13 @@ def render(rows: list[dict], out=None) -> None:
           + f"   total wall: {total_wall:.2f} ms", file=out)
 
     if phase_totals:
+        overlapped = [r for r in rows
+                      if sum(float(ms) for ms in r.get("phases_ms", {}).values())
+                      > float(r.get("wall_ms", 0.0))]
+        if overlapped:
+            print(f"note: phases sum past wall time in {len(overlapped)} of "
+                  f"{len(rows)} windows — nested scopes, and at >= 2 workers "
+                  "frontier_insert overlapping the check phases", file=out)
         print("phase breakdown:", file=out)
         for name, ms in sorted(phase_totals.items(),
                                key=lambda kv: (-kv[1], kv[0])):
