@@ -608,9 +608,10 @@ void BM_SubcubeKernels_SiblingScan(benchmark::State& state) {
   const KernelFixture fx(count);
   Vertex probe = 0;
   for (auto _ : state) {
-    probe = batch::sibling_scan(fx.family.prefix.data(), fx.vals.data(),
-                                fx.family.size(), ~Vertex{0} - 1,
-                                probe & mask_low(40), 1);
+    const batch::SiblingProbe r =
+        batch::sibling_probe(fx.family.prefix.data(), fx.vals.data(),
+                             fx.family.size(), probe & mask_low(40), 1);
+    probe ^= r.bit | r.hit;
     benchmark::DoNotOptimize(probe);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

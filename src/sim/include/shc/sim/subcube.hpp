@@ -33,18 +33,25 @@
 //
 // Storage is structure-of-arrays throughout (see subcube_batch.hpp for
 // the kernel layer and the rationale): the frontier's per-class tables
-// keep separate contiguous key/value arrays so the coalesce scan — the
-// hottest loop of a designed-spec certification — runs as one
-// vectorizable min-reduction, and mask classes live in a recycled dense
-// pool instead of an unordered_map (class churn was ~11 % of the
-// designed-63 profile).
+// keep separate contiguous key/value arrays so each coalesce step — the
+// hottest loop of a symbolic certification — runs as one fused
+// OR-reduction (batch::sibling_probe) that finds the inserted prefix
+// and its merge partner in one pass over any class of up to 16 n
+// slots; larger classes probe their n candidate siblings by hash.
+// Mask classes live in a recycled dense pool instead of an
+// unordered_map (class churn was ~11 % of the designed-63 profile),
+// with a small most-recent cache in front of its hash, since
+// consecutive receivers share their class and their cascade class.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -125,6 +132,18 @@ struct WeightedSubcube {
 
 namespace detail {
 
+/// `n` when 1 <= n <= kMaxCubeDim; otherwise throws
+/// std::invalid_argument naming `what` (mask_low(n) is undefined
+/// outside that range).
+inline int require_cube_dim(const char* what, int n) {
+  if (n < 1 || n > kMaxCubeDim) {
+    throw std::invalid_argument(std::string(what) + ": cube dimension " +
+                                std::to_string(n) + " outside [1, " +
+                                std::to_string(kMaxCubeDim) + "]");
+  }
+  return n;
+}
+
 /// splitmix finalizer — the frontier tables hash prefixes with it.
 inline std::uint64_t mix_u64(std::uint64_t x) noexcept {
   x ^= x >> 30;
@@ -136,8 +155,8 @@ inline std::uint64_t mix_u64(std::uint64_t x) noexcept {
 }
 
 /// Open-addressing prefix -> value table for one mask class, stored SoA
-/// (separate contiguous key and value arrays) so the sibling-coalesce
-/// scan vectorizes — see batch::sibling_scan.  Prefixes are < 2^63
+/// (separate contiguous key and value arrays) so the coalesce probe
+/// vectorizes — see batch::sibling_probe.  Prefixes are < 2^63
 /// (n <= kMaxCubeDim), so the two top-bit-set sentinels can never
 /// collide with a key.
 class PrefixTable {
@@ -172,32 +191,37 @@ class PrefixTable {
     return false;
   }
 
-  /// Inserts p -> v, or adds v to the existing value.
-  void add(Vertex p, std::uint64_t v) {
+  /// Inserts p -> v, or adds v to the existing value, in one probe;
+  /// true when it created the entry.  The table grows only to make room
+  /// for a new key.
+  bool add(Vertex p, std::uint64_t v) {
     assert(p < kTomb);
-    reserve_one();
+    if (keys_.empty()) reserve_one();
     std::size_t i = mix_u64(p) & mask_;
     std::size_t tomb = SIZE_MAX;
     for (;;) {
       const Vertex k = keys_[i];
       if (k == p) {
         vals_[i] += v;
-        return;
+        return false;
       }
       if (k == kTomb && tomb == SIZE_MAX) tomb = i;
-      if (k == kEmpty) {
-        const std::size_t at = tomb != SIZE_MAX ? tomb : i;
-        keys_[at] = p;
-        vals_[at] = v;
-        ++size_;
-        ++used_;
-        if (tomb != SIZE_MAX) {
-          --used_;  // reused a tombstone: occupancy unchanged
-        }
-        return;
-      }
+      if (k == kEmpty) break;
       i = (i + 1) & mask_;
     }
+    if (needs_room()) {
+      reserve_one();
+      return add(p, v);  // p is still absent: the re-probe places it
+    }
+    const std::size_t at = tomb != SIZE_MAX ? tomb : i;
+    keys_[at] = p;
+    vals_[at] = v;
+    ++size_;
+    ++used_;
+    if (tomb != SIZE_MAX) {
+      --used_;  // reused a tombstone: occupancy unchanged
+    }
+    return true;
   }
 
   /// Removes p; returns false when absent.
@@ -222,19 +246,21 @@ class PrefixTable {
     }
   }
 
-  /// Live prefix at Hamming distance 1 from `p` whose value is `want`,
-  /// with the *lowest* differing bit (the same preference as probing
+  /// One pass over the slot arrays (batch::sibling_probe): the slot
+  /// holding `p`, and the lowest bit in which a live prefix whose value
+  /// is `want` differs from `p` alone — the same preference as probing
   /// candidate dimensions in ascending order, so the coalesced
-  /// structure is identical either way); kEmpty when none.  For the
-  /// small mask classes the frontier is made of, one vectorized scan
-  /// over the slot arrays (batch::sibling_scan) beats probing every one
-  /// of n candidate sibling keys.
-  [[nodiscard]] Vertex find_sibling_scan(Vertex p, std::uint64_t want) const noexcept {
-    return batch::sibling_scan(keys_.data(), vals_.data(), keys_.size(),
-                               kTomb, p, want);
+  /// structure is identical either way.  For the small mask classes the
+  /// frontier is made of, this beats hashing p and its n candidate
+  /// siblings one by one.
+  [[nodiscard]] batch::SiblingProbe probe(Vertex p, std::uint64_t want) const noexcept {
+    return batch::sibling_probe(keys_.data(), vals_.data(), keys_.size(), p, want);
   }
 
-  /// Slot-array length (scan cost of find_sibling_scan).
+  /// Value in slot `i` (a probe() hit, which is hit - 1).
+  [[nodiscard]] std::uint64_t& value_at(std::size_t i) noexcept { return vals_[i]; }
+
+  /// Slot-array length (the cost of probe()).
   [[nodiscard]] std::size_t capacity() const noexcept { return keys_.size(); }
 
   /// Back to empty without releasing the slot arrays — recycling a
@@ -252,6 +278,11 @@ class PrefixTable {
     return mix_u64(p) & mask_;
   }
 
+  /// True when one more key would take the table past 70 % occupancy.
+  [[nodiscard]] bool needs_room() const noexcept {
+    return (used_ + 1) * 10 > keys_.size() * 7;
+  }
+
   void reserve_one() {
     if (keys_.empty()) {
       keys_.assign(16, kEmpty);
@@ -259,7 +290,7 @@ class PrefixTable {
       mask_ = 15;
       return;
     }
-    if ((used_ + 1) * 10 <= keys_.size() * 7) return;
+    if (!needs_room()) return;
     std::vector<Vertex> old_keys = std::move(keys_);
     std::vector<std::uint64_t> old_vals = std::move(vals_);
     const std::size_t cap = std::max<std::size_t>(
@@ -289,6 +320,15 @@ class PrefixTable {
 /// class just reset()s its table and parks the index on a free list, so
 /// steady-state operation performs no allocation at all.  Masks are
 /// < 2^63 like prefixes, so the same sentinels work.
+///
+/// A 4-entry cache of the most recently used mask -> pool index pairs
+/// sits in front of the hash: consecutive receivers of a round share
+/// their mask class and their cascade class (mask | b), so most lookups
+/// never hash.  erase() drops the erased mask's entry and clear() all
+/// of them, so a cached index always names its mask's live table even
+/// after the pool slot is recycled.  Only non-const lookups read or
+/// fill the cache; const ones hash, so concurrent readers stay
+/// read-only.
 class MaskClassMap {
  public:
   static constexpr Vertex kEmpty = ~Vertex{0};
@@ -297,55 +337,67 @@ class MaskClassMap {
   [[nodiscard]] std::size_t class_count() const noexcept { return size_; }
 
   /// Table for mask `m`, creating (or recycling) an empty one if absent.
+  /// The map grows only to make room for a new class.
   [[nodiscard]] PrefixTable& get_or_create(Vertex m) {
     assert(m < kTomb);
-    reserve_one();
+    if (const std::uint32_t idx = cached(m); idx != kNoIndex) return tables_[idx];
+    if (keys_.empty()) reserve_one();
     std::size_t i = mix_u64(m) & mask_;
     std::size_t tomb = SIZE_MAX;
     for (;;) {
       const Vertex k = keys_[i];
-      if (k == m) return tables_[vals_[i]];
-      if (k == kTomb && tomb == SIZE_MAX) tomb = i;
-      if (k == kEmpty) {
-        const std::size_t at = tomb != SIZE_MAX ? tomb : i;
-        std::uint32_t idx;
-        if (!free_.empty()) {
-          idx = free_.back();  // recycled: already reset()
-          free_.pop_back();
-        } else {
-          idx = static_cast<std::uint32_t>(tables_.size());
-          tables_.emplace_back();
-          table_mask_.push_back(kEmpty);
-        }
-        keys_[at] = m;
-        vals_[at] = idx;
-        table_mask_[idx] = m;
-        ++size_;
-        ++used_;
-        if (tomb != SIZE_MAX) --used_;
-        return tables_[idx];
+      if (k == m) {
+        remember(m, vals_[i]);
+        return tables_[vals_[i]];
       }
+      if (k == kTomb && tomb == SIZE_MAX) tomb = i;
+      if (k == kEmpty) break;
       i = (i + 1) & mask_;
     }
+    if (needs_room()) {
+      reserve_one();
+      return get_or_create(m);  // m is still absent: the re-probe places it
+    }
+    const std::size_t at = tomb != SIZE_MAX ? tomb : i;
+    std::uint32_t idx;
+    if (!free_.empty()) {
+      idx = free_.back();  // recycled: already reset()
+      free_.pop_back();
+    } else {
+      idx = static_cast<std::uint32_t>(tables_.size());
+      tables_.emplace_back();
+      table_mask_.push_back(kEmpty);
+    }
+    keys_[at] = m;
+    vals_[at] = idx;
+    table_mask_[idx] = m;
+    ++size_;
+    ++used_;
+    if (tomb != SIZE_MAX) --used_;
+    remember(m, idx);
+    return tables_[idx];
   }
 
   [[nodiscard]] PrefixTable* find_class(Vertex m) noexcept {
-    if (keys_.empty()) return nullptr;
-    std::size_t i = mix_u64(m) & mask_;
-    for (;;) {
-      const Vertex k = keys_[i];
-      if (k == m) return &tables_[vals_[i]];
-      if (k == kEmpty) return nullptr;
-      i = (i + 1) & mask_;
+    std::uint32_t idx = cached(m);
+    if (idx == kNoIndex) {
+      idx = lookup(m);
+      if (idx == kNoIndex) return nullptr;
+      remember(m, idx);
     }
+    return &tables_[idx];
   }
   [[nodiscard]] const PrefixTable* find_class(Vertex m) const noexcept {
-    return const_cast<MaskClassMap*>(this)->find_class(m);
+    const std::uint32_t idx = lookup(m);
+    return idx == kNoIndex ? nullptr : &tables_[idx];
   }
 
   /// Drops mask class `m`, recycling its table (capacity kept).
   void erase(Vertex m) noexcept {
     if (keys_.empty()) return;
+    for (Vertex& w : cache_mask_) {
+      if (w == m) w = kEmpty;
+    }
     std::size_t i = mix_u64(m) & mask_;
     for (;;) {
       const Vertex k = keys_[i];
@@ -374,6 +426,7 @@ class MaskClassMap {
 
   /// Back to empty; every table is recycled, all capacity kept.
   void clear() noexcept {
+    cache_mask_.fill(kEmpty);
     std::fill(keys_.begin(), keys_.end(), kEmpty);
     size_ = 0;
     used_ = 0;
@@ -386,6 +439,41 @@ class MaskClassMap {
   }
 
  private:
+  static constexpr std::uint32_t kNoIndex = ~std::uint32_t{0};
+  static constexpr std::size_t kCacheWays = 4;
+
+  /// Pool index of `m` from the cache, or kNoIndex.
+  [[nodiscard]] std::uint32_t cached(Vertex m) const noexcept {
+    for (std::size_t w = 0; w < kCacheWays; ++w) {
+      if (cache_mask_[w] == m) return cache_idx_[w];
+    }
+    return kNoIndex;
+  }
+
+  /// Caches m -> idx over the oldest entry.
+  void remember(Vertex m, std::uint32_t idx) noexcept {
+    cache_mask_[cache_next_] = m;
+    cache_idx_[cache_next_] = idx;
+    cache_next_ = (cache_next_ + 1) % kCacheWays;
+  }
+
+  /// Pool index of `m` from the hash, or kNoIndex.
+  [[nodiscard]] std::uint32_t lookup(Vertex m) const noexcept {
+    if (keys_.empty()) return kNoIndex;
+    std::size_t i = mix_u64(m) & mask_;
+    for (;;) {
+      const Vertex k = keys_[i];
+      if (k == m) return vals_[i];
+      if (k == kEmpty) return kNoIndex;
+      i = (i + 1) & mask_;
+    }
+  }
+
+  /// True when one more key would take the map past 70 % occupancy.
+  [[nodiscard]] bool needs_room() const noexcept {
+    return (used_ + 1) * 10 > keys_.size() * 7;
+  }
+
   void reserve_one() {
     if (keys_.empty()) {
       keys_.assign(16, kEmpty);
@@ -393,7 +481,7 @@ class MaskClassMap {
       mask_ = 15;
       return;
     }
-    if ((used_ + 1) * 10 <= keys_.size() * 7) return;
+    if (!needs_room()) return;
     std::vector<Vertex> old_keys = std::move(keys_);
     std::vector<std::uint32_t> old_vals = std::move(vals_);
     const std::size_t cap = std::max<std::size_t>(
@@ -421,6 +509,9 @@ class MaskClassMap {
   std::vector<PrefixTable> tables_;
   std::vector<Vertex> table_mask_;  // kEmpty when pool slot is free
   std::vector<std::uint32_t> free_;
+  std::array<Vertex, kCacheWays> cache_mask_ = {kEmpty, kEmpty, kEmpty, kEmpty};
+  std::array<std::uint32_t, kCacheWays> cache_idx_ = {};
+  std::size_t cache_next_ = 0;
 };
 
 }  // namespace detail
@@ -441,7 +532,9 @@ class MaskClassMap {
 /// and one unchecked multiply away from wrapping.
 class SubcubeFrontier {
  public:
-  explicit SubcubeFrontier(int n) : n_(n) { assert(n >= 1 && n <= kMaxCubeDim); }
+  /// Throws std::invalid_argument unless 1 <= n <= kMaxCubeDim.
+  explicit SubcubeFrontier(int n)
+      : n_(detail::require_cube_dim("SubcubeFrontier", n)) {}
 
   /// Coalescing multiset insert of `mult` copies of (p, M).
   void insert(Vertex p, Vertex M, std::uint64_t mult = 1) {
@@ -450,53 +543,49 @@ class SubcubeFrontier {
                     "SubcubeFrontier entries must be well-formed in-range "
                     "subcubes (mask-class disjointness depends on it)");
     bump_count(M, mult);
+    // Classes up to this many slots are probed by one fused scan; both
+    // paths pick the same sibling (the lowest differing bit).
+    const std::size_t scan_slots = static_cast<std::size_t>(16 * n_);
     for (;;) {
       detail::PrefixTable& t = classes_.get_or_create(M);
-      if (std::uint64_t* v = t.find(p)) {
-        // Duplicate coverage: record it as multiplicity — the endgame
-        // canonical_reduce turns it into a hard validation failure.
-        *v += mult;
-        return;
-      }
-      bool merged = false;
       // A merge partner lives in the same mask class at Hamming distance
       // one.  Small classes (the common case: the frontier's distinct
-      // masks outnumber entries-per-class) are scanned in one pass;
-      // large ones are probed per candidate dimension.
-      if (t.capacity() <= static_cast<std::size_t>(2 * n_)) {
-        const Vertex sib = t.find_sibling_scan(p, mult);
-        if (sib != detail::PrefixTable::kEmpty) {
-          const Vertex b = sib ^ p;
-          t.erase(sib);
-          if (t.empty()) classes_.erase(M);
-          p &= ~b;
-          M |= b;
-          merged = true;
+      // masks outnumber entries-per-class) are scanned in one pass that
+      // also finds p itself; large ones are probed per candidate
+      // dimension.  Duplicate coverage is recorded as multiplicity — the
+      // endgame canonical_reduce turns it into a hard validation failure.
+      Vertex b = 0;
+      if (t.capacity() <= scan_slots) {
+        const batch::SiblingProbe probe = t.probe(p, mult);
+        if (probe.hit != 0) {
+          t.value_at(probe.hit - 1) += mult;
+          return;
         }
+        b = probe.bit;
       } else {
+        if (std::uint64_t* v = t.find(p)) {
+          *v += mult;
+          return;
+        }
         for (int d = 0; d < n_; ++d) {
-          const Vertex b = Vertex{1} << d;
-          if (M & b) continue;
-          if (std::uint64_t* sv = t.find(p ^ b); sv && *sv == mult) {
-            t.erase(p ^ b);
-            if (t.empty()) classes_.erase(M);
-            p &= ~b;
-            M |= b;
-            merged = true;
+          const Vertex bit = Vertex{1} << d;
+          if (M & bit) continue;
+          if (const std::uint64_t* sv = t.find(p ^ bit); sv && *sv == mult) {
+            b = bit;
             break;
           }
         }
       }
-      if (!merged) {
+      if (b == 0) {
 #if SHC_AUDIT_ENABLED
         // Coalesce postcondition: the greedy loop settles only when no
         // equal-multiplicity sibling remains in the destination class —
         // re-verify with direct probes (per-mask-class disjointness is
         // keyed uniqueness plus the (p & M) == 0 checks below).
         for (int d = 0; d < n_; ++d) {
-          const Vertex b = Vertex{1} << d;
-          if (M & b) continue;
-          const std::uint64_t* sv = t.find(p ^ b);
+          const Vertex bit = Vertex{1} << d;
+          if (M & bit) continue;
+          const std::uint64_t* sv = t.find(p ^ bit);
           SHC_AUDIT_CHECK(!(sv && *sv == mult),
                           "SubcubeFrontier: insert() must not leave an "
                           "equal-multiplicity sibling uncoalesced");
@@ -506,6 +595,10 @@ class SubcubeFrontier {
         ++entries_;
         return;
       }
+      t.erase(p ^ b);
+      if (t.empty()) classes_.erase(M);
+      p &= ~b;
+      M |= b;
       --entries_;  // consumed the sibling; the loop re-inserts the merged cube
     }
   }
@@ -516,13 +609,7 @@ class SubcubeFrontier {
     SHC_AUDIT_CHECK((p & M) == 0 && ((p | M) & ~mask_low(n_)) == 0,
                     "SubcubeFrontier raw keys must be well-formed in-range "
                     "subcubes");
-    detail::PrefixTable& t = classes_.get_or_create(M);
-    if (std::uint64_t* cur = t.find(p)) {
-      *cur += v;
-    } else {
-      t.add(p, v);
-      ++entries_;
-    }
+    if (classes_.get_or_create(M).add(p, v)) ++entries_;
   }
 
   /// Deducts `v` from key (p, M); erases at zero.  Returns false when
@@ -647,6 +734,7 @@ class SubcubeFrontier {
 /// greedy coalescing fragmented it; duplicate coverage surfaces as
 /// mult > 1 entries.  Returns nullopt when the recursion exceeds
 /// `budget` processed entries (pathologically interleaved inputs).
+/// Throws std::invalid_argument unless 1 <= n <= kMaxCubeDim.
 [[nodiscard]] std::optional<std::vector<WeightedSubcube>> canonical_reduce(
     std::vector<WeightedSubcube> entries, int n, std::uint64_t budget = 1u << 26);
 
@@ -666,7 +754,8 @@ class WorkerPool;
 /// zero overhead).  When `tree_tasks` is non-null, the number of
 /// subtrees farmed over the pool is accumulated into it (saturating;
 /// the fall-through paths add nothing) — a thread-count-dependent
-/// effort counter, never part of any verdict.
+/// effort counter, never part of any verdict.  Throws
+/// std::invalid_argument unless 1 <= n <= kMaxCubeDim.
 [[nodiscard]] std::optional<std::vector<WeightedSubcube>> canonical_reduce_tree(
     std::vector<WeightedSubcube> entries, int n, std::uint64_t budget,
     WorkerPool* pool, std::uint64_t* tree_tasks = nullptr);

@@ -11,8 +11,11 @@
 // scalar.  This header provides the same operations as *batch kernels*
 // over structure-of-arrays data — separate contiguous prefix[] /
 // mask[] / mult[] arrays — written as branch-light store-and-bump or
-// min-reduction loops so the compiler auto-vectorizes them (no
-// intrinsics; see BM_SubcubeKernels for the measured effect).
+// OR-reduction loops so the compiler auto-vectorizes them (no
+// intrinsics; see BM_SubcubeKernels for the measured effect).  One
+// kernel, sibling_probe, is also compiled per ISA (subcube.cpp): the
+// library targets baseline x86-64, where its 64-bit compares would
+// otherwise stay scalar.
 //
 // Layering: this is the bottom of the sim module — it includes only
 // bits/ headers (enforced by tools/shc_lint.py) so the kernels stay
@@ -83,35 +86,52 @@ struct SubcubeBatch {
 
 namespace batch {
 
-/// "No result" sentinel of sibling_scan — all-ones can never be a
-/// subcube prefix (n <= kMaxCubeDim = 63 keeps the top bit clear).
-inline constexpr Vertex kNotFound = ~Vertex{0};
+/// What sibling_probe finds in one slot array: `hit` is 1 + the slot
+/// holding `p` (0 when p is absent), `bit` the lowest bit in which an
+/// equal-valued live key differs from `p` alone (0 when none).
+struct SiblingProbe {
+  std::size_t hit = 0;
+  Vertex bit = 0;
+};
 
-/// Sibling-coalesce scan over one open-addressing slot array in SoA
-/// form: among the live keys (keys[i] < live_below) whose value equals
-/// `want`, find the one at Hamming distance exactly 1 from `p`,
-/// preferring the *lowest* differing bit; kNotFound when none.  This is
-/// SubcubeFrontier::insert's merge-partner probe — the single hottest
-/// loop of a designed-spec certification — recast as a pure
-/// min-reduction over the differing bit so it auto-vectorizes.
-[[nodiscard]] inline Vertex sibling_scan(const Vertex* keys,
-                                         const std::uint64_t* vals,
-                                         std::size_t count, Vertex live_below,
-                                         Vertex p, std::uint64_t want) noexcept {
-  // Branch-light: every slot contributes a candidate bit (kNotFound for
-  // non-matches) and the loop is a min-reduction with no data-dependent
-  // control flow.
-  Vertex best_bit = kNotFound;
+/// The coalesce step's probe over one open-addressing slot array in SoA
+/// form, in one pass: the slot holding `p`, and the live key whose
+/// value equals `want` at Hamming distance exactly 1 from `p`,
+/// preferring the *lowest* differing bit.  Keys are distinct live
+/// prefixes (< 2^63, since n <= kMaxCubeDim = 63) or the table's
+/// sentinels, which have bit 63 set.  The loop is two OR-reductions
+/// with no data-dependent control flow:
+///   * exact slot — live keys are distinct, so at most one slot has
+///     keys[i] ^ p == 0 and OR-ing i + 1 over such slots recovers it;
+///   * sibling — OR-ing every single-bit difference of an equal-valued
+///     slot loses nothing the lowest-bit choice needs;
+///   * sentinels — a sentinel XOR a prefix keeps bit 63 set and no real
+///     sibling differs in bit 63, so clearing it drops them all.
+/// This is the formulation; sibling_probe is the same loop compiled per
+/// ISA, and the tests compare the two.
+[[nodiscard]] inline SiblingProbe sibling_probe_loop(const Vertex* keys,
+                                                     const std::uint64_t* vals,
+                                                     std::size_t count, Vertex p,
+                                                     std::uint64_t want) noexcept {
+  std::size_t hit = 0;
+  Vertex bits = 0;
   for (std::size_t i = 0; i < count; ++i) {
     const Vertex d = keys[i] ^ p;
-    const bool one_bit = d != 0 && (d & (d - 1)) == 0;
-    const bool live = keys[i] < live_below;
-    const bool match = vals[i] == want;
-    const Vertex cand = (live && match && one_bit) ? d : kNotFound;
-    best_bit = cand < best_bit ? cand : best_bit;
+    hit |= d == 0 ? i + 1 : 0;
+    bits |= (vals[i] == want && (d & (d - 1)) == 0) ? d : 0;
   }
-  return best_bit == kNotFound ? kNotFound : (p ^ best_bit);
+  bits &= ~(Vertex{1} << 63);
+  return {hit, bits & (~bits + 1)};
 }
+
+/// sibling_probe_loop compiled once per ISA (AVX2 and baseline x86-64)
+/// and picked when the program loads; a plain call where the toolchain
+/// cannot clone (see subcube.cpp).  SubcubeFrontier::insert's probe —
+/// the hottest loop of a symbolic broadcast certification.
+[[nodiscard]] SiblingProbe sibling_probe(const Vertex* keys,
+                                         const std::uint64_t* vals,
+                                         std::size_t count, Vertex p,
+                                         std::uint64_t want) noexcept;
 
 /// The dyadic divide step shared by every divide-on-pinned-dimension
 /// sweep, over an *index* family: ids whose subcube frees `bit`

@@ -1,13 +1,46 @@
 #include "shc/sim/subcube.hpp"
 
-#include <cassert>
-
 #include "shc/bits/checked.hpp"
 #include "shc/obs/recorder.hpp"
 #include "shc/sim/worker_pool.hpp"
 
+// The one ISA-cloned kernel.  The library builds for baseline x86-64,
+// where the coalesce probe's 64-bit compares stay scalar; cloning it
+// lets the compiler emit an AVX2 copy beside the baseline one and pick
+// between them when the program loads (an ifunc), with no build knob,
+// no -march change and no hand-written SIMD.  Toolchains without
+// ifunc support (non-x86-64, non-ELF, non-glibc) get one plain copy,
+// and so do ThreadSanitizer builds: TSan instruments the ifunc
+// resolver, which the loader runs before the TSan runtime exists (the
+// program crashes at start-up).
+#if defined(__SANITIZE_THREAD__)
+#define SHC_NO_ISA_CLONES
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define SHC_NO_ISA_CLONES
+#endif
+#endif
+#if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) && \
+    defined(__has_attribute) && !defined(SHC_NO_ISA_CLONES)
+#if __has_attribute(target_clones)
+#define SHC_ISA_CLONES __attribute__((target_clones("avx2", "default")))
+#endif
+#endif
+#ifndef SHC_ISA_CLONES
+#define SHC_ISA_CLONES
+#endif
+
 namespace shc {
 namespace {
+
+/// The clones live behind an internal name so that the public
+/// batch::sibling_probe declaration stays an ordinary function: clang
+/// wants the multiversioning attribute on every declaration.
+SHC_ISA_CLONES batch::SiblingProbe sibling_probe_clones(
+    const Vertex* keys, const std::uint64_t* vals, std::size_t count, Vertex p,
+    std::uint64_t want) noexcept {
+  return batch::sibling_probe_loop(keys, vals, count, p, want);
+}
 
 /// Open-addressing scratch for the lift-matching step, reset by
 /// generation stamp instead of deallocation: canon_recurse matches the
@@ -222,9 +255,16 @@ struct TreeTask {
 
 }  // namespace
 
+batch::SiblingProbe batch::sibling_probe(const Vertex* keys,
+                                         const std::uint64_t* vals,
+                                         std::size_t count, Vertex p,
+                                         std::uint64_t want) noexcept {
+  return sibling_probe_clones(keys, vals, count, p, want);
+}
+
 std::optional<std::vector<WeightedSubcube>> canonical_reduce(
     std::vector<WeightedSubcube> entries, int n, std::uint64_t budget) {
-  assert(n >= 1 && n <= kMaxCubeDim);
+  detail::require_cube_dim("canonical_reduce", n);
   CanonCtx ctx;
   SubcubeBatch batch;
   batch.reserve(entries.size());
@@ -241,7 +281,7 @@ std::optional<std::vector<WeightedSubcube>> canonical_reduce(
 std::optional<std::vector<WeightedSubcube>> canonical_reduce_tree(
     std::vector<WeightedSubcube> entries, int n, std::uint64_t budget,
     WorkerPool* pool, std::uint64_t* tree_tasks) {
-  assert(n >= 1 && n <= kMaxCubeDim);
+  detail::require_cube_dim("canonical_reduce_tree", n);
   if (pool == nullptr || pool->workers() <= 1 ||
       entries.size() <= kTreeChunk) {
     return canonical_reduce(std::move(entries), n, budget);

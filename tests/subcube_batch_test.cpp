@@ -11,9 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bitset>
 #include <cstdint>
 #include <random>
+#include <set>
 #include <vector>
 
 #include "shc/sim/subcube.hpp"
@@ -52,63 +54,124 @@ std::vector<Subcube> all_q4_subcubes() {
   return out;
 }
 
-// ---- sibling_scan ------------------------------------------------------
+// ---- sibling_probe -----------------------------------------------------
 
-TEST(BatchKernels, SiblingScanMatchesBruteForceOnRandomSlotArrays) {
-  // Synthetic open-addressing slot arrays: live keys below the
-  // tombstone sentinel, plus empty/tomb slots sprinkled in — exactly
-  // what PrefixTable's storage looks like mid-life.
-  constexpr Vertex kEmpty = ~Vertex{0};
-  constexpr Vertex kTomb = ~Vertex{0} - 1;
-  std::mt19937_64 rng(0xb41cull);
-  for (int trial = 0; trial < 2000; ++trial) {
-    const std::size_t count = rng() % 64;
-    std::vector<Vertex> keys(count);
-    std::vector<std::uint64_t> vals(count);
-    for (std::size_t i = 0; i < count; ++i) {
+constexpr Vertex kEmptySlot = ~Vertex{0};
+constexpr Vertex kTombSlot = ~Vertex{0} - 1;
+
+/// Brute-force reference: the live slot holding p, and the lowest
+/// single-bit difference among live equal-valued slots.
+batch::SiblingProbe probe_reference(const std::vector<Vertex>& keys,
+                                    const std::vector<std::uint64_t>& vals,
+                                    Vertex p, std::uint64_t want) {
+  batch::SiblingProbe r;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (keys[i] >= kTombSlot) continue;
+    const Vertex d = keys[i] ^ p;
+    if (d == 0) r.hit = i + 1;
+    if (vals[i] == want && weight(d) == 1 && (r.bit == 0 || d < r.bit)) {
+      r.bit = d;
+    }
+  }
+  return r;
+}
+
+TEST(BatchKernels, SiblingProbeMatchesItsLoopAndBruteForceOnRandomSlotArrays) {
+  // Synthetic open-addressing slot arrays the way PrefixTable stores
+  // them mid-life: distinct live keys near p (so siblings exist),
+  // kEmpty / kTomb slots holding stale values (want among them), and p
+  // itself present under another value in some trials.  The dispatched
+  // kernel runs whichever clone the host picks; sibling_probe_loop,
+  // inlined here, is the same loop at the default ISA — on an AVX2 host
+  // this comparison is the only coverage the baseline clone gets.
+  std::mt19937_64 rng(0x5b1bull);
+  for (int trial = 0; trial < 4000; ++trial) {
+    const std::size_t cap = std::size_t{16} << (trial % 7);  // 16 .. 1024
+    const int n = std::array<int, 4>{8, 16, 40, 63}[static_cast<std::size_t>(trial / 7 % 4)];
+    const Vertex p = rng() & mask_low(n);
+    const std::uint64_t want = 1 + rng() % 2;
+    std::vector<Vertex> keys(cap);
+    std::vector<std::uint64_t> vals(cap);
+    std::set<Vertex> used;
+    for (std::size_t i = 0; i < cap; ++i) {
+      vals[i] = 1 + rng() % 3;
+      Vertex k = 0;
       switch (rng() % 8) {
-        case 0: keys[i] = kEmpty; break;
-        case 1: keys[i] = kTomb; break;
-        default: keys[i] = rng() & mask_low(16); break;
+        case 0: keys[i] = kEmptySlot; continue;
+        case 1: keys[i] = kTombSlot; continue;
+        case 2: k = p ^ (Vertex{1} << (rng() % static_cast<unsigned>(n))); break;
+        case 3:
+          k = p ^ (Vertex{1} << (rng() % static_cast<unsigned>(n))) ^
+              (Vertex{1} << (rng() % static_cast<unsigned>(n)));
+          break;
+        case 4:
+          k = p;
+          vals[i] = want + 1;  // present, under a value that must not merge
+          break;
+        default: k = rng() & mask_low(n); break;
       }
-      vals[i] = (rng() % 2) ? 7 : 9;
-    }
-    const Vertex p = rng() & mask_low(16);
-    const std::uint64_t want = 7;
-
-    // Scalar reference: lowest differing bit among live matches at
-    // Hamming distance 1.
-    Vertex expect = batch::kNotFound;
-    Vertex expect_bit = ~Vertex{0};
-    for (std::size_t i = 0; i < count; ++i) {
-      if (keys[i] >= kTomb || vals[i] != want) continue;
-      const Vertex d = keys[i] ^ p;
-      if (d != 0 && (d & (d - 1)) == 0 && d < expect_bit) {
-        expect_bit = d;
-        expect = keys[i];
+      if (!used.insert(k).second) {
+        keys[i] = kEmptySlot;
+        continue;
       }
+      keys[i] = k;
     }
-    ASSERT_EQ(batch::sibling_scan(keys.data(), vals.data(), count, kTomb, p,
-                                  want),
-              expect)
-        << "trial " << trial;
+    const batch::SiblingProbe expect = probe_reference(keys, vals, p, want);
+    const batch::SiblingProbe loop =
+        batch::sibling_probe_loop(keys.data(), vals.data(), cap, p, want);
+    const batch::SiblingProbe got =
+        batch::sibling_probe(keys.data(), vals.data(), cap, p, want);
+    ASSERT_EQ(loop.hit, expect.hit) << "trial " << trial;
+    ASSERT_EQ(loop.bit, expect.bit) << "trial " << trial;
+    ASSERT_EQ(got.hit, expect.hit) << "trial " << trial;
+    ASSERT_EQ(got.bit, expect.bit) << "trial " << trial;
   }
 }
 
-TEST(BatchKernels, SiblingScanPrefersTheLowestDifferingBit) {
+TEST(BatchKernels, SiblingProbeDropsSentinelsThatDifferFromPInOneBit) {
+  // At n = 63, p = 2^63 - 1 makes kEmpty ^ p the single bit 63, and
+  // p = 2^63 - 2 does the same for kTomb; with the sentinel slots'
+  // stale values equal to `want`, only the bit-63 clear keeps them out.
+  for (const Vertex p : {mask_low(63), mask_low(63) - 1}) {
+    for (const std::size_t cap : {std::size_t{16}, std::size_t{64}, std::size_t{1024}}) {
+      std::vector<Vertex> keys(cap, kEmptySlot);
+      std::vector<std::uint64_t> vals(cap, 1);
+      for (std::size_t i = 0; i < cap; i += 3) keys[i] = kTombSlot;
+      batch::SiblingProbe got = batch::sibling_probe(keys.data(), vals.data(), cap, p, 1);
+      EXPECT_EQ(got.hit, 0u);
+      EXPECT_EQ(got.bit, 0u);
+      // A real sibling along bit 62 is still found, and p itself.
+      keys[cap - 1] = p ^ (Vertex{1} << 62);
+      keys[cap / 2 + 1] = p;
+      got = batch::sibling_probe(keys.data(), vals.data(), cap, p, 1);
+      EXPECT_EQ(got.hit, cap / 2 + 2);
+      EXPECT_EQ(got.bit, Vertex{1} << 62);
+      const batch::SiblingProbe loop =
+          batch::sibling_probe_loop(keys.data(), vals.data(), cap, p, 1);
+      EXPECT_EQ(loop.hit, got.hit);
+      EXPECT_EQ(loop.bit, got.bit);
+    }
+  }
+}
+
+TEST(BatchKernels, SiblingProbePrefersTheLowestDifferingBit) {
   // p = 0b0100 has live siblings along bits 0 and 3; bit 0 must win
-  // (the coalesce order SubcubeFrontier::insert's probe loop used).
+  // (the order SubcubeFrontier::insert's per-dimension probe uses).
   const Vertex keys[] = {0b1100, 0b0101, 0b0111};
   const std::uint64_t vals[] = {1, 1, 1};
-  EXPECT_EQ(batch::sibling_scan(keys, vals, 3, ~Vertex{0} - 1, 0b0100, 1),
-            Vertex{0b0101});
+  batch::SiblingProbe r = batch::sibling_probe(keys, vals, 3, 0b0100, 1);
+  EXPECT_EQ(r.bit, Vertex{0b0001});
+  EXPECT_EQ(r.hit, 0u);
   // Value filter: when the low sibling's coverage differs, the high one
   // is the only legal merge partner.
   const std::uint64_t vals2[] = {1, 2, 1};
-  EXPECT_EQ(batch::sibling_scan(keys, vals2, 3, ~Vertex{0} - 1, 0b0100, 1),
-            Vertex{0b1100});
-  EXPECT_EQ(batch::sibling_scan(keys, vals2, 3, ~Vertex{0} - 1, 0b0100, 5),
-            batch::kNotFound);
+  EXPECT_EQ(batch::sibling_probe(keys, vals2, 3, 0b0100, 1).bit, Vertex{0b1000});
+  EXPECT_EQ(batch::sibling_probe(keys, vals2, 3, 0b0100, 5).bit, Vertex{0});
+  // p itself is found whatever its value, beside its siblings.
+  const Vertex keys3[] = {0b1100, 0b0101, 0b0100};
+  r = batch::sibling_probe(keys3, vals2, 3, 0b0100, 1);
+  EXPECT_EQ(r.hit, 3u);
+  EXPECT_EQ(r.bit, Vertex{0b1000});
 }
 
 // ---- dyadic partition kernels ------------------------------------------

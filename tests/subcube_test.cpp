@@ -9,9 +9,13 @@
 #include <atomic>
 #include <bitset>
 #include <random>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "shc/bits/checked.hpp"
+#include "shc/mlbg/spec.hpp"
+#include "shc/mlbg/symbolic_broadcast.hpp"
 #include "shc/sim/subcube.hpp"
 #include "shc/sim/worker_pool.hpp"
 
@@ -156,6 +160,178 @@ TEST(SubcubeFrontierTest, RawLedgerTakeConsumesExactly) {
   EXPECT_TRUE(ledger.take(3, 0x30, 4));
   EXPECT_TRUE(ledger.empty());
   EXPECT_FALSE(ledger.take(3, 0x30, 1));
+}
+
+TEST(SubcubeFrontierTest, RawAddCountsEachKeyOnce) {
+  // add_raw accumulates onto an existing key in one probe; only a new
+  // key counts as an entry, and assign() rebuilds the same count.
+  SubcubeFrontier ledger(8);
+  ledger.add_raw(3, 0x30, 4);
+  ledger.add_raw(3, 0x30, 2);
+  ledger.add_raw(1, 0x30, 1);
+  ledger.add_raw(3, 0x04, 1);
+  EXPECT_EQ(ledger.num_subcubes(), 3u);
+  ASSERT_NE(ledger.find(3, 0x30), nullptr);
+  EXPECT_EQ(*ledger.find(3, 0x30), 6u);
+  SubcubeFrontier copy(8);
+  copy.assign(ledger.to_entries());
+  EXPECT_EQ(copy.num_subcubes(), 3u);
+  EXPECT_EQ(*copy.find(3, 0x30), 6u);
+}
+
+TEST(MaskClassMapTest, RecycledPoolSlotNeverAnswersForTheErasedMask) {
+  // The class cache maps a mask to a pool index.  Erasing a class
+  // recycles its index; when another mask takes it, the erased mask
+  // must come back as a fresh, empty table, not the new owner's.
+  detail::MaskClassMap map;
+  const Vertex a = 0b0011;
+  const Vertex b = 0b0101;
+  map.get_or_create(a).add(0b1000, 1);
+  ASSERT_NE(map.find_class(a), nullptr);  // cached by both lookups
+  const detail::PrefixTable* a_table = map.find_class(a);
+  map.erase(a);
+  EXPECT_EQ(map.find_class(a), nullptr);
+  detail::PrefixTable& tb = map.get_or_create(b);
+  EXPECT_EQ(&tb, a_table) << "b should take a's recycled pool slot";
+  EXPECT_TRUE(tb.empty());
+  tb.add(0b1010, 7);
+  detail::PrefixTable& ta = map.get_or_create(a);
+  EXPECT_NE(&ta, &tb);
+  EXPECT_TRUE(ta.empty());
+  EXPECT_EQ(map.class_count(), 2u);
+  ASSERT_NE(map.find_class(b), nullptr);
+  ASSERT_NE(map.find_class(b)->find(0b1010), nullptr);
+  EXPECT_EQ(*map.find_class(b)->find(0b1010), 7u);
+  // clear() forgets every cached class.
+  map.clear();
+  EXPECT_EQ(map.find_class(a), nullptr);
+  EXPECT_EQ(map.find_class(b), nullptr);
+  EXPECT_EQ(map.class_count(), 0u);
+}
+
+TEST(MaskClassMapTest, CachedAndHashedLookupsAgreeThroughChurn) {
+  // Many more classes than cache ways, erased and recreated in a
+  // seeded order (map growth and tombstones included): every cached
+  // (non-const) lookup must agree with the plain hashed (const) one.
+  detail::MaskClassMap map;
+  const detail::MaskClassMap& hashed = map;
+  std::mt19937_64 rng(0xcac4e);
+  std::vector<std::uint64_t> expect(256, 0);
+  for (int step = 0; step < 20000; ++step) {
+    const Vertex m = rng() % 256;
+    switch (rng() % 3) {
+      case 0: {
+        const bool created = map.get_or_create(m).add(1, 1);
+        EXPECT_EQ(created, expect[m] == 0);
+        ++expect[m];
+        break;
+      }
+      case 1:
+        map.erase(m);
+        expect[m] = 0;
+        break;
+      default: {
+        const detail::PrefixTable* t = map.find_class(m);
+        ASSERT_EQ(t, hashed.find_class(m)) << "step " << step;
+        if (expect[m] == 0) {
+          EXPECT_TRUE(t == nullptr || t->empty());
+        } else {
+          ASSERT_NE(t, nullptr);
+          EXPECT_EQ(*t->find(1), expect[m]);
+        }
+        break;
+      }
+    }
+  }
+}
+
+TEST(SubcubeFrontierTest, TakeEmptiesAClassAndTheMaskStartsFresh) {
+  SubcubeFrontier f(8);
+  f.add_raw(0x01, 0x30, 2);
+  ASSERT_TRUE(f.take(0x01, 0x30, 2));  // class 0x30 erased, slot recycled
+  f.add_raw(0x02, 0x0c, 5);            // takes the recycled slot
+  EXPECT_EQ(f.find(0x01, 0x30), nullptr);
+  EXPECT_FALSE(f.consume(0x02, 0x30, 1));
+  ASSERT_NE(f.find(0x02, 0x0c), nullptr);
+  EXPECT_TRUE(f.consume(0x02, 0x0c, 5));
+  f.add_raw(0x01, 0x30, 1);
+  EXPECT_EQ(*f.find(0x01, 0x30), 1u);
+  EXPECT_EQ(f.num_subcubes(), 2u);
+}
+
+/// Replays a symbolic broadcast's receiver stream into a lent frontier
+/// the way SymbolicBroadcastValidator does (each round's receivers
+/// join in group order at end_round) and folds the frontier's for_each
+/// sequence into an FNV-1a hash after every round.
+class LayoutPinSink {
+ public:
+  LayoutPinSink(int n, Vertex source) : frontier_(n) { frontier_.insert(source, 0); }
+
+  void begin_round() { receivers_.clear(); }
+  void end_call_group(const CallGroup& g, std::span<const Vertex> pattern) {
+    receivers_.push_back({g.prefix ^ pattern.back(), g.free_mask});
+  }
+  void end_round() {
+    for (const Subcube& r : receivers_) frontier_.insert(r.prefix, r.mask);
+    frontier_.for_each([&](Vertex p, Vertex m, std::uint64_t mult) {
+      mix(p);
+      mix(m);
+      mix(mult);
+    });
+    ++rounds_;
+  }
+  [[nodiscard]] const SubcubeFrontier& informed_frontier() const noexcept {
+    return frontier_;
+  }
+  [[nodiscard]] std::uint64_t hash() const noexcept { return hash_; }
+  [[nodiscard]] int rounds() const noexcept { return rounds_; }
+
+ private:
+  void mix(std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (x >> (8 * i)) & 0xff;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+
+  SubcubeFrontier frontier_;
+  std::vector<Subcube> receivers_;
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+  int rounds_ = 0;
+};
+
+TEST(SubcubeFrontierTest, CoalescedLayoutIsPinnedOnBroadcastReceiverStreams) {
+  // The greedy coalescing and every table's slot layout set for_each's
+  // order, which sets the producer's group order and so every gated
+  // counter.  A change to the probe, the hash, the capacities, growth
+  // or tombstone rules, or the pool recycling shows up here first.
+  struct Pin {
+    int n;
+    Vertex source;
+    std::uint64_t hash;
+  };
+  for (const Pin& pin : {Pin{24, Vertex{0x5a5a5} << 7, 0x499763f3fe91530fULL},
+                         Pin{28, Vertex{0x1b3c5d} << 7, 0x11aafeef2e023c4bULL}}) {
+    const SparseHypercubeSpec spec = SparseHypercubeSpec::construct(pin.n, {7});
+    LayoutPinSink sink(pin.n, pin.source & mask_low(pin.n));
+    static_cast<void>(emit_broadcast_rounds_symbolic(spec, pin.source & mask_low(pin.n), sink));
+    EXPECT_EQ(sink.rounds(), pin.n);
+    EXPECT_EQ(sink.informed_frontier().total_count(), cube_order(pin.n));
+    EXPECT_EQ(sink.hash(), pin.hash) << "construct(" << pin.n << ", [7])";
+  }
+}
+
+TEST(SubcubeGuards, OutOfRangeCubeDimensionsThrow) {
+  for (const int n : {-1, 0, kMaxCubeDim + 1}) {
+    EXPECT_THROW(SubcubeFrontier{n}, std::invalid_argument) << n;
+    EXPECT_THROW(static_cast<void>(canonical_reduce({}, n)), std::invalid_argument) << n;
+    EXPECT_THROW(static_cast<void>(canonical_reduce_tree({}, n, 1 << 20, nullptr)),
+                 std::invalid_argument)
+        << n;
+  }
+  EXPECT_NO_THROW(SubcubeFrontier{1});
+  EXPECT_NO_THROW(SubcubeFrontier{kMaxCubeDim});
+  EXPECT_TRUE(canonical_reduce({}, kMaxCubeDim).has_value());
 }
 
 TEST(CanonicalReduce, NormalizesAnyDisjointPartitionOfTheCube) {

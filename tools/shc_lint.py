@@ -15,8 +15,8 @@ conventions that are easy to break silently in review.  This lint walks
                     (plus `std::thread::hardware_concurrency()` for
                     sizing).  Everything else shares the WorkerPool.
   assert-guard      `assert(` in graph/, coding/, labeling/, baseline/
-                    translation units and mlbg/src/broadcast.cpp: a
-                    bare assert guarding caller
+                    translation units, mlbg/src/broadcast.cpp and
+                    sim/src/subcube.cpp: a bare assert guarding caller
                     input vanishes under NDEBUG.  Input guards throw
                     std::invalid_argument; genuine internal invariants
                     carry an explicit allow-comment.
@@ -92,7 +92,7 @@ THREAD_ALLOWED_FILES = ("src/sim/include/shc/sim/worker_pool.hpp",)
 # assert() policy applies to the modules whose functions take caller
 # input directly (the PR 2 bug class lived in graph/).
 ASSERT_DIRS = ("src/graph", "src/coding", "src/labeling", "src/baseline",
-               "src/mlbg/src/broadcast.cpp")
+               "src/mlbg/src/broadcast.cpp", "src/sim/src/subcube.cpp")
 
 # Kernel layer: headers that sit below their own module's layering set.
 # subcube_batch.hpp is the leaf the hot paths build on — it may reach

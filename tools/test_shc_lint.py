@@ -131,6 +131,17 @@ class AssertGuardRule(LintHarness):
             "assert-guard",
         )
 
+    def test_subcube_translation_unit_flagged(self) -> None:
+        self.assert_finding(
+            {"src/sim/src/subcube.cpp": "void f(int n) { assert(n >= 1); }\n"},
+            "assert-guard",
+        )
+
+    def test_other_sim_translation_unit_not_in_scope(self) -> None:
+        self.assert_clean(
+            {"src/sim/src/congestion.cpp": "void f(int n) { assert(n >= 1); }\n"}
+        )
+
     def test_baseline_allowed_invariant_clean(self) -> None:
         self.assert_clean(
             {
