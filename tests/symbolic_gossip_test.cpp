@@ -331,6 +331,58 @@ TEST(SymbolicGossipViolations, DimensionMismatchRefused) {
   EXPECT_NE(rep.error.find("does not match"), std::string::npos) << rep.error;
 }
 
+// ---- ledger-budget refusals ---------------------------------------------
+
+/// Options whose occupancy-ledger buckets get no budget at all: any
+/// bucket holding two claims is refused before its walk starts.
+SymbolicGossipOptions starved_ledger() {
+  SymbolicGossipOptions sopt;
+  sopt.ledger_budget_per_claim = 0;
+  sopt.ledger_bucket_budget_base = 0;
+  return sopt;
+}
+
+TEST(SymbolicGossipBudgets, EndpointRefusalNamesRoundBudgetAndKnob) {
+  // Round 2 repeats its only group: its two identical caller claims
+  // share one endpoint bucket, which a zero budget cannot walk.  Round
+  // 1's two endpoint cubes differ on a pinned bit, so they sit in
+  // separate buckets and need no walk.
+  auto s = hypercube_exchange_gossip_symbolic(5);
+  s.rounds[1].groups.push_back(s.rounds[1].groups[0]);
+  s.rounds[1].group_pattern.push_back(s.rounds[1].group_pattern[0]);
+  const CubeOracle oracle(5);
+  const auto rep = validate_gossip_symbolic(oracle, s, 1, starved_ledger());
+  EXPECT_FALSE(rep.ok);
+  EXPECT_EQ(rep.error,
+            "round 2: endpoint disjointness analysis exceeded its budget "
+            "(ledger bucket budget 0; raise "
+            "SymbolicGossipOptions::ledger_budget_per_claim)");
+}
+
+TEST(SymbolicGossipBudgets, EdgeCollisionRefusalNamesRoundBudgetAndKnob) {
+  // The shared-edge round of SharedEdgeBetweenGroupsDetected: its four
+  // endpoints are distinct vertices (one bucket each), but both
+  // dimension-2 hops claim edge {0, 1}, and that bucket gets no budget.
+  SymbolicScheduleBuilder b(0, 3);
+  b.begin_round();
+  CallGroup g;
+  g.prefix = 0b010;
+  g.free_mask = 0;
+  g.count = 1;
+  const Vertex patt[] = {0, 0b010, 0b011};
+  b.end_call_group(g, patt);
+  g.prefix = 0b011;
+  b.end_call_group(g, patt);
+  b.end_round();
+  const auto s = std::move(b).take();
+  const CubeOracle oracle(3);
+  const auto rep = validate_gossip_symbolic(oracle, s, 2, starved_ledger());
+  EXPECT_FALSE(rep.ok);
+  EXPECT_EQ(rep.error,
+            "round 1: collision analysis exceeded its budget (ledger bucket "
+            "budget 0; raise SymbolicGossipOptions::ledger_budget_per_claim)");
+}
+
 // ---- the boundary ------------------------------------------------------
 
 TEST(SymbolicGossipBoundary, ExchangeGossipCertifiesAtN59WithExactCount) {

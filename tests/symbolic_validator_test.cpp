@@ -896,6 +896,56 @@ TEST(BudgetDiagnostics, LedgerBudgetMessageNamesRoundBudgetAndKnob) {
             "budget 0; raise SymbolicCheckOptions::ledger_budget_per_claim)");
 }
 
+TEST(BudgetDiagnostics, EndgameLedgerMessageNamesBudgetAndKnob) {
+  // Q_3 hand-built with single-hop rounds only (no collision check), so
+  // that the final frontier is a tiling no sibling merge can shrink:
+  // {00*}, {1*0}, {*11}, {010}, {101}.  Those five entries pin no bit
+  // in common, so the endgame puts them into one ledger bucket, which a
+  // zero budget cannot walk.
+  SymbolicScheduleBuilder b(0, 3);
+  CallGroup g;
+  g.free_mask = 0;
+  g.count = 1;
+  const auto call = [&](Vertex caller, Vertex flip) {
+    g.prefix = caller;
+    const Vertex patt[] = {0, flip};
+    b.end_call_group(g, patt);
+  };
+  b.begin_round();
+  call(0b000, 0b001);
+  b.end_round();
+  b.begin_round();
+  call(0b000, 0b100);
+  call(0b001, 0b010);
+  b.end_round();
+  b.begin_round();
+  call(0b100, 0b010);
+  call(0b011, 0b100);
+  call(0b000, 0b010);
+  call(0b001, 0b100);
+  b.end_round();
+  const auto s = std::move(b).take();
+  const CubeOracle oracle(3);
+  ValidationOptions opt;
+  opt.k = 1;
+
+  // Sane budgets: the schedule is a clean minimum-time broadcast.
+  SymbolicRunStats stats;
+  const auto ok = validate_broadcast_symbolic(oracle, s, opt, {}, &stats);
+  ASSERT_TRUE(ok.ok) << ok.error;
+  EXPECT_TRUE(ok.minimum_time);
+  EXPECT_EQ(stats.final_frontier_subcubes, 5u);
+
+  SymbolicCheckOptions starved;
+  starved.ledger_budget_per_claim = 0;
+  starved.ledger_bucket_budget_base = 0;
+  const auto rep = validate_broadcast_symbolic(oracle, s, opt, starved);
+  EXPECT_FALSE(rep.ok);
+  EXPECT_EQ(rep.error,
+            "endgame occupancy check exceeded its budget (ledger bucket "
+            "budget 0; raise SymbolicCheckOptions::ledger_budget_per_claim)");
+}
+
 // ---- one informed set per run ----------------------------------------
 
 static_assert(InformedFrontierSink<SymbolicBroadcastValidator<SpecView>>,
