@@ -50,8 +50,31 @@ SparseHypercubeSpec resolve_spec(const CertifyRequest& req) {
   return design_sparse_hypercube(req.n, req.k);
 }
 
-int resolve_threads(const CommonCheckOptions& checks) {
-  return checks.pool ? checks.pool->workers() : checks.threads;
+/// Fills the gossip fields and mirrors the verdict into `report`, so
+/// result.report.ok works uniformly across workloads.
+void take_gossip(CertifyResult& res, const SymbolicGossipCertification& cert) {
+  res.gossip = cert.report;
+  res.gossip_checks = cert.checks;
+  res.ok = cert.report.ok;
+  res.report.ok = cert.report.ok;
+  res.report.error = cert.report.error;
+  res.report.rounds = cert.report.rounds;
+  res.report.max_call_length = cert.report.max_call_length;
+  res.report.total_calls = cert.report.total_exchanges;
+  res.report.minimum_time = cert.report.minimum_time;
+}
+
+/// The rows' tail: the error of a failed run, then the broadcast rows'
+/// optional congestion fields.
+void append_tail(std::ostringstream& os, bool ok, const std::string& error,
+                 const CertifyResult& res) {
+  if (!ok) os << ",\"error\":\"" << json_escape(error) << '"';
+  if (!res.has_congestion) return;
+  os << ",\"distinct_edges_used\":" << res.congestion.distinct_edges_used
+     << ",\"total_edge_hops\":" << res.congestion.total_edge_hops
+     << ",\"max_edge_load_total\":" << res.congestion.max_edge_load_total
+     << ",\"required_edge_capacity\":" << res.congestion.max_edge_load_per_round
+     << ",\"mean_edge_load\":" << res.congestion.mean_edge_load;
 }
 
 }  // namespace
@@ -84,23 +107,12 @@ CertifyResult certify(const CertifyRequest& req) {
   res.model = req.vertex_disjoint ? "vertex-disjoint" : "edge-disjoint";
 
   if (req.workload == Workload::kExchangeGossip) {
-    SymbolicGossipOptions sopt;
-    static_cast<CommonCheckOptions&>(sopt) = req.checks;
     const std::uint64_t t0 = obs::trace_now_ns();
     const SymbolicGossipCertification cert =
-        certify_exchange_gossip_symbolic(req.n, sopt);
+        certify_exchange_gossip_symbolic(req.n, req.checks);
     res.seconds = static_cast<double>(obs::trace_now_ns() - t0) * 1e-9;
     res.k = 1;
-    res.gossip = cert.report;
-    res.gossip_checks = cert.checks;
-    res.ok = cert.report.ok;
-    // Mirror the gossip verdict so result.report.ok works uniformly.
-    res.report.ok = cert.report.ok;
-    res.report.error = cert.report.error;
-    res.report.rounds = cert.report.rounds;
-    res.report.max_call_length = cert.report.max_call_length;
-    res.report.total_calls = cert.report.total_exchanges;
-    res.report.minimum_time = cert.report.minimum_time;
+    take_gossip(res, cert);
     return res;
   }
 
@@ -116,7 +128,7 @@ CertifyResult certify(const CertifyRequest& req) {
     case Workload::kBroadcastStreaming: {
       const std::uint64_t t0 = obs::trace_now_ns();
       const StreamingCertification cert = certify_broadcast_streaming(
-          spec, req.source, opt, resolve_threads(req.checks));
+          spec, req.source, opt, req.checks.threads, req.checks.pool);
       res.seconds = static_cast<double>(obs::trace_now_ns() - t0) * 1e-9;
       res.report = cert.report;
       res.peak_round_arena_bytes = cert.peak_round_arena_bytes;
@@ -140,21 +152,11 @@ CertifyResult certify(const CertifyRequest& req) {
       break;
     }
     case Workload::kGossipSymbolic: {
-      SymbolicGossipOptions sopt;
-      static_cast<CommonCheckOptions&>(sopt) = req.checks;
       const std::uint64_t t0 = obs::trace_now_ns();
       const SymbolicGossipCertification cert =
-          certify_gossip_symbolic(spec, req.source, sopt);
+          certify_gossip_symbolic(spec, req.source, req.checks);
       res.seconds = static_cast<double>(obs::trace_now_ns() - t0) * 1e-9;
-      res.gossip = cert.report;
-      res.gossip_checks = cert.checks;
-      res.ok = cert.report.ok;
-      res.report.ok = cert.report.ok;
-      res.report.error = cert.report.error;
-      res.report.rounds = cert.report.rounds;
-      res.report.max_call_length = cert.report.max_call_length;
-      res.report.total_calls = cert.report.total_exchanges;
-      res.report.minimum_time = cert.report.minimum_time;
+      take_gossip(res, cert);
       break;
     }
     case Workload::kExchangeGossip:
@@ -168,7 +170,8 @@ CertifyResult certify(const CertifyRequest& req) {
       (req.workload == Workload::kBroadcastStreaming ||
        req.workload == Workload::kBroadcastSymbolic)) {
     const FlatSchedule schedule = make_broadcast_schedule(spec, req.source);
-    res.congestion = analyze_congestion(schedule, resolve_threads(req.checks));
+    res.congestion = analyze_congestion(
+        schedule, req.checks.pool ? req.checks.pool->workers() : req.checks.threads);
     res.has_congestion = true;
   }
   return res;
@@ -190,17 +193,7 @@ std::string to_json_row(const CertifyResult& res) {
          << ",\"largest_round_arena_bytes\":" << res.largest_round_arena_bytes
          << ",\"whole_schedule_arena_bytes\":" << res.whole_schedule_arena_bytes
          << ",\"seconds\":" << res.seconds;
-      if (!res.report.ok) {
-        os << ",\"error\":\"" << json_escape(res.report.error) << '"';
-      }
-      if (res.has_congestion) {
-        os << ",\"distinct_edges_used\":" << res.congestion.distinct_edges_used
-           << ",\"total_edge_hops\":" << res.congestion.total_edge_hops
-           << ",\"max_edge_load_total\":" << res.congestion.max_edge_load_total
-           << ",\"required_edge_capacity\":"
-           << res.congestion.max_edge_load_per_round
-           << ",\"mean_edge_load\":" << res.congestion.mean_edge_load;
-      }
+      append_tail(os, res.report.ok, res.report.error, res);
       os << '}';
       break;
     }
@@ -222,17 +215,7 @@ std::string to_json_row(const CertifyResult& res) {
          << ",\"union_cache_hits\":" << res.checks.union_cache_hits
          << ",\"union_cache_misses\":" << res.checks.union_cache_misses
          << ",\"seconds\":" << res.seconds;
-      if (!res.report.ok) {
-        os << ",\"error\":\"" << json_escape(res.report.error) << '"';
-      }
-      if (res.has_congestion) {
-        os << ",\"distinct_edges_used\":" << res.congestion.distinct_edges_used
-           << ",\"total_edge_hops\":" << res.congestion.total_edge_hops
-           << ",\"max_edge_load_total\":" << res.congestion.max_edge_load_total
-           << ",\"required_edge_capacity\":"
-           << res.congestion.max_edge_load_per_round
-           << ",\"mean_edge_load\":" << res.congestion.mean_edge_load;
-      }
+      append_tail(os, res.report.ok, res.report.error, res);
       os << '}';
       break;
     }
@@ -263,9 +246,7 @@ std::string to_json_row(const CertifyResult& res) {
          << ",\"reduce_tree_tasks\":"
          << res.gossip_checks.classes.reduce_tree_tasks
          << ",\"seconds\":" << res.seconds;
-      if (!res.gossip.ok) {
-        os << ",\"error\":\"" << json_escape(res.gossip.error) << '"';
-      }
+      append_tail(os, res.gossip.ok, res.gossip.error, res);
       os << '}';
       break;
     }

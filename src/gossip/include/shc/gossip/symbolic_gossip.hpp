@@ -28,6 +28,10 @@
 // kernel against the real adjacency oracle — the same bit-level
 // algebra-vs-graph spot check the broadcast engine uses.
 //
+// Everything around the gossip clauses is the broadcast validator's
+// shared core (detail::SymbolicRoundCore, symbolic_validator.hpp).
+// Settable fields: SymbolicGossipOptions is CommonCheckOptions (six).
+//
 // On clean runs the GossipReport is bit-for-bit the exact
 // validate_gossip's (enforced by parity tests for n <= 13, k in
 // {2, 3, 4}, both producers); failure strings are the symbolic engine's
@@ -39,15 +43,11 @@
 #pragma once
 
 #include <algorithm>
-#include <concepts>
 #include <cstdint>
-#include <limits>
-#include <memory>
 #include <random>
 #include <span>
 #include <string>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "shc/bits/checked.hpp"
@@ -64,16 +64,10 @@
 
 namespace shc {
 
-/// Knobs of the symbolic gossip checks (safe defaults; caps fail
-/// explicitly instead of thrashing on adversarial input).  The
-/// sampling, ledger-budget, and threading knobs shared with the
-/// broadcast engine live in the CommonCheckOptions base
-/// (check_options.hpp); only the gossip-specific knobs are declared
-/// here.
-struct SymbolicGossipOptions : CommonCheckOptions {
-  /// Budgets and caps of the knowledge-class partition.
-  KnowledgeClassOptions classes;
-};
+/// Knobs of the symbolic gossip checks: exactly the shared sampling,
+/// ledger-budget and threading knobs (check_options.hpp).  The
+/// knowledge partition runs on its defaults.
+using SymbolicGossipOptions = CommonCheckOptions;
 
 /// Group/knowledge statistics of one symbolic gossip run.  The union
 /// cache and reduce-tree effort counters live in `classes`
@@ -91,18 +85,17 @@ struct SymbolicGossipStats {
 /// stream by.  The oracle must be a full 2^n-vertex cube (SpecView or
 /// CubeOracle).
 template <SymbolicOracle Net>
-class SymbolicGossipValidator {
+class SymbolicGossipValidator
+    : public detail::SymbolicRoundCore<SymbolicGossipOptions, GossipReport,
+                                       SymbolicGossipStats> {
  public:
   SymbolicGossipValidator(const Net& net, int k,
                           const SymbolicGossipOptions& sopt = {})
-      : net_(&net),
+      : SymbolicRoundCore(net.cube_dim(), net.num_vertices(), sopt,
+                          "SymbolicGossipValidator: threads", "SymbolicGossipOptions"),
+        net_(&net),
         k_(k),
-        sopt_(sopt),
-        n_(net.cube_dim()),
-        order_(net.num_vertices()),
-        state_(n_ >= 1 && n_ <= kMaxCubeDim ? n_ : 1, sopt.classes),
-        rng_(sopt.sample_seed),
-        occupancy_(n_ >= 1 && n_ <= kMaxCubeDim ? n_ : 1) {
+        state_(std::clamp(n_, 1, kMaxCubeDim)) {
     if (n_ < 1 || n_ > kMaxCubeDim || order_ != cube_order(n_)) {
       fail("symbolic gossip validator requires a full 2^n-vertex cube oracle");
       return;
@@ -111,31 +104,18 @@ class SymbolicGossipValidator {
       fail("symbolic gossip validator requires k >= 1");
       return;
     }
-    if (sopt.pool) {
-      pool_ = sopt.pool;
-    } else if (sopt.threads > 1) {
-      require_check_threads("SymbolicGossipValidator: threads", sopt.threads);
-      owned_pool_ = std::make_unique<WorkerPool>(sopt.threads);
-      pool_ = owned_pool_.get();
-    }
     // The knowledge partition farms its heavy reductions (union
     // canonicalization, class re-coalesce merge trees) over the same
     // pool; reports are bit-for-bit identical at every thread count.
-    state_.set_pool(pool_);
+    state_.set_pool(pool_.get());
   }
 
   // ---- SymbolicRoundSink interface ------------------------------------
 
   void begin_round() {
     if (failed_) return;
-    ++rep_.rounds;
-    round_.groups.clear();
-    round_.group_pattern.clear();
-    round_.pattern_pool.clear();
-    round_.pattern_off.assign(1, 0);
-    endpoints_.clear();
+    open_round();
     exchanges_.clear();
-    round_multihop_ = false;
   }
 
   void end_call_group(const CallGroup& g, std::span<const Vertex> pattern) {
@@ -166,19 +146,9 @@ class SymbolicGossipValidator {
 
     // The round-local pattern pool uses 32-bit offsets (SymbolicRound's
     // layout); refuse rather than wrap on adversarial input.
-    if (round_.pattern_pool.size() + pattern.size() >
-        std::numeric_limits<std::uint32_t>::max()) {
+    if (!round_.append(g, pattern)) {
       return fail(round_where() + "round pattern pool exceeds 32-bit offsets");
     }
-    round_.groups.push_back(g);
-    round_.group_pattern.push_back(
-        static_cast<std::uint32_t>(round_.num_patterns()));
-    round_.pattern_pool.insert(round_.pattern_pool.end(), pattern.begin(),
-                               pattern.end());
-    round_.pattern_off.push_back(
-        static_cast<std::uint32_t>(round_.pattern_pool.size()));
-    endpoints_.push_back(g.callers());
-    endpoints_.push_back(Subcube{g.prefix ^ delta, g.free_mask});
     exchanges_.push_back({g.callers(), delta});
   }
 
@@ -222,8 +192,6 @@ class SymbolicGossipValidator {
     SHC_TRACE_ROUND(rep_.rounds);
   }
 
-  [[nodiscard]] bool aborted() const noexcept { return failed_; }
-
   // ---- results ---------------------------------------------------------
 
   /// Final verdict: the knowledge endgame plus completion/minimum-time.
@@ -244,28 +212,7 @@ class SymbolicGossipValidator {
     return rep_;
   }
 
-  [[nodiscard]] const SymbolicGossipStats& stats() const noexcept {
-    return stats_;
-  }
-
  private:
-  void fail(const std::string& msg) {
-    if (failed_) return;
-    failed_ = true;
-    rep_.ok = false;
-    rep_.error = msg;
-  }
-
-  /// Error-message prefix of the round in progress — failure paths and
-  /// end_round only, never the per-group hot loop.
-  [[nodiscard]] std::string round_where() const {
-    return "round " + std::to_string(rep_.rounds) + ": ";
-  }
-
-  [[nodiscard]] std::span<const Vertex> pattern_of(std::size_t gi) const noexcept {
-    return round_.pattern_of_group(gi);
-  }
-
   /// Gossip's receiver-uniqueness: both ends of an exchange are
   /// endpoints, so the 2R endpoint subcubes of a round must be pairwise
   /// disjoint.  (Within one group the two cubes are disjoint by
@@ -274,27 +221,17 @@ class SymbolicGossipValidator {
   /// occupancy family.
   bool check_endpoint_uniqueness(const std::string& where) {
     occupancy_.clear();
-    for (std::size_t ei = 0; ei < endpoints_.size(); ++ei) {
-      occupancy_.claim(1, endpoints_[ei].prefix, endpoints_[ei].mask,
-                       static_cast<std::uint32_t>(ei / 2));
+    for (std::size_t gi = 0; gi < exchanges_.size(); ++gi) {
+      const KnowledgeClassPartition::Exchange& x = exchanges_[gi];
+      const auto group = static_cast<std::uint32_t>(gi);
+      occupancy_.claim(1, x.callers.prefix, x.callers.mask, group);
+      occupancy_.claim(1, x.callers.prefix ^ x.delta, x.callers.mask, group);
     }
-    saturating_acc_u64(stats_.occupancy_claims, occupancy_.num_claims());
-    const OccupancyOutcome out =
-        occupancy_.check(pool_, sopt_.ledger_budget_per_claim,
-                         sopt_.ledger_bucket_budget_base);
-    if (out.status == OccupancyStatus::kBudgetExceeded) {
-      fail(where + "endpoint disjointness analysis exceeded its budget "
-                   "(ledger bucket budget " +
-           std::to_string(out.budget) +
-           "; raise SymbolicGossipOptions::ledger_budget_per_claim)");
-      return false;
-    }
-    if (out.status == OccupancyStatus::kDoubleClaim) {
-      fail(where + "a vertex takes part in two exchanges "
-                   "(endpoint subcubes overlap)");
-      return false;
-    }
-    return true;
+    return check_ledger(where, pool_.get(), "endpoint disjointness analysis",
+                        [](const OccupancyOutcome&) {
+                          return "a vertex takes part in two exchanges "
+                                 "(endpoint subcubes overlap)";
+                        });
   }
 
   /// Per-round edge disjointness: every hop's edge subcube is claimed
@@ -302,55 +239,16 @@ class SymbolicGossipValidator {
   bool check_edge_collisions(const std::string& where) {
     occupancy_.clear();
     detail::claim_round_edge_subcubes(round_, occupancy_, n_);
-    saturating_acc_u64(stats_.occupancy_claims, occupancy_.num_claims());
-    const OccupancyOutcome out =
-        occupancy_.check(pool_, sopt_.ledger_budget_per_claim,
-                         sopt_.ledger_bucket_budget_base);
-    if (out.status == OccupancyStatus::kBudgetExceeded) {
-      fail(where + "collision analysis exceeded its budget (ledger bucket "
-                   "budget " +
-           std::to_string(out.budget) +
-           "; raise SymbolicGossipOptions::ledger_budget_per_claim)");
-      return false;
-    }
-    if (out.status == OccupancyStatus::kDoubleClaim) {
-      fail(where + "edge collision between concurrent call groups");
-      return false;
-    }
-    return true;
+    return check_ledger(where, pool_.get(), "collision analysis",
+                        [](const OccupancyOutcome&) {
+                          return "edge collision between concurrent call groups";
+                        });
   }
 
   /// Expands a seeded random subset of groups to concrete exchanges and
   /// replays them through the exact validator's structural round kernel.
   bool sampled_replay(const std::string& where) {
-    const std::uint64_t want = std::min<std::uint64_t>(
-        sopt_.sample_groups_per_round, round_.groups.size());
-    std::vector<std::size_t> chosen;
-    while (chosen.size() < want) {
-      const std::size_t gi = static_cast<std::size_t>(
-          rng_() % static_cast<std::uint64_t>(round_.groups.size()));
-      if (std::find(chosen.begin(), chosen.end(), gi) == chosen.end()) {
-        chosen.push_back(gi);
-      }
-    }
-    FlatSchedule mini;
-    mini.begin_round();
-    for (const std::size_t gi : chosen) {
-      const CallGroup& g = round_.groups[gi];
-      const std::span<const Vertex> patt = pattern_of(gi);
-      std::vector<Vertex> picked;
-      for (std::uint64_t c = 0; c < sopt_.sample_calls_per_group; ++c) {
-        const Vertex assign = rng_() & g.free_mask;
-        if (std::find(picked.begin(), picked.end(), assign) != picked.end()) {
-          continue;  // duplicate free-assignment: same concrete exchange
-        }
-        picked.push_back(assign);
-        const Vertex u = g.prefix | assign;
-        for (const Vertex x : patt) mini.push_vertex(u ^ x);
-        mini.end_call_unchecked();
-        ++stats_.sampled_calls;
-      }
-    }
+    const FlatSchedule mini = sample_round([](Vertex) {});
     int scratch_len = 0;
     std::uint64_t scratch_count = 0;
     std::unordered_set<detail::EdgeKey, detail::EdgeKeyHash> edges;
@@ -367,28 +265,8 @@ class SymbolicGossipValidator {
 
   const Net* net_;
   int k_;
-  SymbolicGossipOptions sopt_;
-  int n_;
-  std::uint64_t order_;
   KnowledgeClassPartition state_;
-  std::mt19937_64 rng_;
-  /// Check-sharding pool: sopt.pool when the caller lends one (server
-  /// reuse across queries), else owned_pool_ iff sopt.threads > 1.
-  WorkerPool* pool_ = nullptr;
-  std::unique_ptr<WorkerPool> owned_pool_;
-
-  // Round-local group storage: one recycled SymbolicRound (patterns
-  // pooled in its 32-bit-offset layout; no deduplication needed here).
-  SymbolicRound round_;
-  std::vector<Subcube> endpoints_;
-  OccupancyLedger occupancy_;  ///< endpoint and edge disjointness
   std::vector<KnowledgeClassPartition::Exchange> exchanges_;
-  bool round_multihop_ = false;
-
-  GossipReport rep_;
-  SymbolicGossipStats stats_;
-  bool failed_ = false;
-  bool finished_ = false;
 };
 
 static_assert(SymbolicRoundSink<SymbolicGossipValidator<CubeOracle>>);
@@ -399,26 +277,9 @@ template <SymbolicOracle Net>
 [[nodiscard]] GossipReport validate_gossip_symbolic(
     const Net& net, const SymbolicSchedule& schedule, int k,
     const SymbolicGossipOptions& sopt = {}, SymbolicGossipStats* stats = nullptr) {
-  if (schedule.n != net.cube_dim()) {
-    GossipReport rep;
-    rep.ok = false;
-    rep.error = "symbolic schedule dimension " + std::to_string(schedule.n) +
-                " does not match the oracle's " + std::to_string(net.cube_dim());
-    if (stats) *stats = {};
-    return rep;
-  }
-  SymbolicGossipValidator<Net> sink(net, k, sopt);
-  for (const SymbolicRound& round : schedule.rounds) {
-    if (sink.aborted()) break;
-    sink.begin_round();
-    for (std::size_t g = 0; g < round.groups.size(); ++g) {
-      sink.end_call_group(round.groups[g], round.pattern_of_group(g));
-    }
-    sink.end_round();
-  }
-  const GossipReport rep = sink.finish();
-  if (stats) *stats = sink.stats();
-  return rep;
+  return detail::replay_symbolic(schedule, net.cube_dim(), stats, [&] {
+    return SymbolicGossipValidator<Net>(net, k, sopt);
+  });
 }
 
 // ---- symbolic producers ------------------------------------------------
@@ -441,19 +302,8 @@ template <SymbolicOracle Net>
 template <SymbolicRoundSink Sink>
 void emit_gather_broadcast_gossip_symbolic(const SymbolicSchedule& forward,
                                            Sink& sink) {
-  const auto aborted = [&]() -> bool {
-    if constexpr (requires(const Sink& s) {
-                    { s.aborted() } -> std::convertible_to<bool>;
-                  }) {
-      return sink.aborted();
-    } else {
-      return false;
-    }
-  };
   std::vector<Vertex> rev;
-  for (std::size_t t = forward.rounds.size(); t-- > 0;) {
-    if (aborted()) return;
-    const SymbolicRound& round = forward.rounds[t];
+  const auto emit = [&](const SymbolicRound& round, bool reversed) {
     sink.begin_round();
     {
       // Covers emission plus the sink's streamed per-group checks; the
@@ -462,6 +312,10 @@ void emit_gather_broadcast_gossip_symbolic(const SymbolicSchedule& forward,
       for (std::size_t gi = 0; gi < round.groups.size(); ++gi) {
         const CallGroup& g = round.groups[gi];
         const std::span<const Vertex> patt = round.pattern_of_group(gi);
+        if (!reversed) {
+          sink.end_call_group(g, patt);
+          continue;
+        }
         const Vertex back = patt.empty() ? 0 : patt.back();
         CallGroup r;
         r.prefix = g.prefix ^ back;
@@ -475,17 +329,14 @@ void emit_gather_broadcast_gossip_symbolic(const SymbolicSchedule& forward,
       }
     }
     sink.end_round();
+  };
+  for (std::size_t t = forward.rounds.size(); t-- > 0;) {
+    if (detail::sink_aborted(sink)) return;
+    emit(forward.rounds[t], true);
   }
   for (const SymbolicRound& round : forward.rounds) {
-    if (aborted()) return;
-    sink.begin_round();
-    {
-      SHC_TRACE_SCOPE("produce_round");
-      for (std::size_t gi = 0; gi < round.groups.size(); ++gi) {
-        sink.end_call_group(round.groups[gi], round.pattern_of_group(gi));
-      }
-    }
-    sink.end_round();
+    if (detail::sink_aborted(sink)) return;
+    emit(round, false);
   }
 }
 

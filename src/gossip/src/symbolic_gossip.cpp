@@ -46,23 +46,10 @@ SymbolicGossipCertification certify_gossip_symbolic(
   }
   const SpecView view(spec);
   SymbolicGossipValidator<SpecView> sink(view, spec.k(), sopt);
-  try {
-    const SymbolicSchedule forward = make_symbolic_broadcast_schedule(spec, root);
-    emit_gather_broadcast_gossip_symbolic(forward, sink);
-  } catch (const std::exception& e) {
-    cert.checks = sink.stats();
-    if (!sink.aborted()) {
-      // Producer-side failure (frontier caps, pathological splits):
-      // surface it as a failed report rather than an escaped exception.
-      cert.report.ok = false;
-      cert.report.error = std::string("symbolic producer: ") + e.what();
-      return cert;
-    }
-    // The sink failed first and the producer tripped over the abort —
-    // fall through to the sink's own report.
-  }
-  cert.report = sink.finish();
-  cert.checks = sink.stats();
+  cert.report = detail::certify_produced(sink, &cert.checks, [&] {
+    emit_gather_broadcast_gossip_symbolic(make_symbolic_broadcast_schedule(spec, root),
+                                          sink);
+  });
   return cert;
 }
 
@@ -76,18 +63,9 @@ SymbolicGossipCertification certify_exchange_gossip_symbolic(
     return cert;
   }
   const CubeOracle oracle(n);
-  SymbolicGossipValidator<CubeOracle> sink(oracle, /*k=*/1, sopt);
-  const SymbolicSchedule schedule = hypercube_exchange_gossip_symbolic(n);
-  for (const SymbolicRound& round : schedule.rounds) {
-    if (sink.aborted()) break;
-    sink.begin_round();
-    for (std::size_t g = 0; g < round.groups.size(); ++g) {
-      sink.end_call_group(round.groups[g], round.pattern_of_group(g));
-    }
-    sink.end_round();
-  }
-  cert.report = sink.finish();
-  cert.checks = sink.stats();
+  cert.report = detail::replay_symbolic(
+      hypercube_exchange_gossip_symbolic(n), n, &cert.checks,
+      [&] { return SymbolicGossipValidator<CubeOracle>(oracle, /*k=*/1, sopt); });
   return cert;
 }
 

@@ -28,6 +28,8 @@
 
 namespace shc {
 
+class WorkerPool;
+
 /// Path realizing the dimension-i flip from u (the paper's Remark 1 /
 /// Phase-1 detour):
 ///   * the direct edge {u, flip(u, i)} when present (length 1);
@@ -107,11 +109,7 @@ void emit_broadcast_rounds(const SparseHypercubeSpec& spec, Vertex source,
   informed.reserve(spec.num_vertices());
   informed.push_back(source);
   for (Dim i = n; i >= 1; --i) {
-    if constexpr (requires(const Sink& s) {
-                    { s.aborted() } -> std::convertible_to<bool>;
-                  }) {
-      if (sink.aborted()) return;
-    }
+    if (detail::sink_aborted(sink)) return;
     const std::size_t frontier = informed.size();
     if constexpr (requires(Sink& s) {
                     s.reserve_round(std::size_t{}, std::size_t{});
@@ -174,12 +172,13 @@ struct StreamingCertification {
 
 /// Runs Broadcast_k from `source` through the streaming pipeline:
 /// emit_broadcast_rounds producing into a StreamingBroadcastValidator
-/// over the implicit SpecView oracle, `threads` workers sharding each
-/// round's checks.  No schedule is ever materialized; peak schedule
-/// memory is the largest single round.  Pre: spec.n() <= 32.
+/// over the implicit SpecView oracle, each round's checks sharded over
+/// `pool` when lent, else over `threads` workers.  No schedule is ever
+/// materialized; peak schedule memory is the largest single round.
+/// Pre: spec.n() <= 32.
 [[nodiscard]] StreamingCertification certify_broadcast_streaming(
     const SparseHypercubeSpec& spec, Vertex source, const ValidationOptions& opt,
-    int threads = 1);
+    int threads = 1, WorkerPool* pool = nullptr);
 
 /// Literal transcription of the paper's Scheme Broadcast_2 (two explicit
 /// phases).  Throws std::invalid_argument unless spec.k() == 2,

@@ -42,7 +42,6 @@
 
 #include <algorithm>
 #include <array>
-#include <concepts>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -112,15 +111,6 @@ SymbolicProducerStats emit_broadcast_rounds_symbolic(
   if (source >= spec.num_vertices()) {
     throw std::invalid_argument("source out of range");
   }
-  const auto aborted = [&]() -> bool {
-    if constexpr (requires(const Sink& s) {
-                    { s.aborted() } -> std::convertible_to<bool>;
-                  }) {
-      return sink.aborted();
-    } else {
-      return false;
-    }
-  };
 
   // Owned path only: the producer's own informed set, plus a reused
   // snapshot buffer — receivers are inserted into `owned` while its
@@ -147,7 +137,7 @@ SymbolicProducerStats emit_broadcast_rounds_symbolic(
     frontier().for_each([&](Vertex p, Vertex m, std::uint64_t mult) {
       at_source = at_source && p == source && m == 0 && mult == 1;
     });
-    if (!at_source && !aborted()) {
+    if (!at_source && !detail::sink_aborted(sink)) {
       throw std::invalid_argument("sink's informed frontier does not start at the source");
     }
   }
@@ -155,7 +145,7 @@ SymbolicProducerStats emit_broadcast_rounds_symbolic(
   SymbolicProducerStats stats;
   stats.peak_frontier_subcubes = frontier().num_subcubes();
   for (Dim i = n; i >= 1; --i) {
-    if (aborted()) break;
+    if (detail::sink_aborted(sink)) break;
     const int t = spec.level_of_dim(i);
     const Vertex low = t < 0 ? 0 : mask_low(spec.cuts()[static_cast<std::size_t>(t)]);
 
@@ -221,8 +211,8 @@ SymbolicProducerStats emit_broadcast_rounds_symbolic(
     if constexpr (kShared) {
       // Doubling: a clean round r leaves exactly 2^r informed vertices.
       SHC_AUDIT_CHECK(
-          aborted() || (after.count_ok() &&
-                        after.total_count() == (std::uint64_t{1} << (n - i + 1))),
+          detail::sink_aborted(sink) ||
+              (after.count_ok() && after.total_count() == (std::uint64_t{1} << (n - i + 1))),
           "shared informed frontier must double every clean round");
     }
     stats.peak_frontier_subcubes =

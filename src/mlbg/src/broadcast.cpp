@@ -93,12 +93,9 @@ FlatSchedule make_broadcast_schedule(const SparseHypercubeSpec& spec, Vertex sou
 StreamingCertification certify_broadcast_streaming(const SparseHypercubeSpec& spec,
                                                    Vertex source,
                                                    const ValidationOptions& opt,
-                                                   int threads) {
-  // Every certify_* entry point rejects a non-positive worker count the
-  // same way (a 0 here used to mean "hardware concurrency" in this
-  // engine but "serial" in the symbolic ones — an inconsistency callers
-  // tripped over).  The validators' internal threads<=1 paths still run
-  // inline; only the public entry is strict.
+                                                   int threads, WorkerPool* pool) {
+  // Every certify_* entry point rejects a worker count outside
+  // [1, kMaxCheckThreads] the same way, lent pool or not.
   require_check_threads("certify_broadcast_streaming: threads", threads);
   const int n = spec.n();
 
@@ -148,7 +145,7 @@ StreamingCertification certify_broadcast_streaming(const SparseHypercubeSpec& sp
       static_cast<std::size_t>(spec.num_vertices()) - 1, whole_pool);
 
   const SpecView view(spec);
-  StreamingBroadcastValidator<SpecView> sink(view, source, opt, threads);
+  StreamingBroadcastValidator<SpecView> sink(view, source, opt, threads, pool);
   emit_broadcast_rounds(spec, source, sink);
   cert.report = sink.finish();
   cert.peak_round_arena_bytes = sink.peak_round_arena_bytes();

@@ -68,20 +68,16 @@ struct GossipKnowledge {
 
 using GossipKnowledgePtr = std::shared_ptr<const GossipKnowledge>;
 
-/// Budgets and caps of the partition machinery — like the symbolic
-/// broadcast validator's, these make adversarially fragmented input fail
-/// explicitly instead of thrashing.
+/// Cap of the partition machinery — like the symbolic broadcast
+/// validator's, it makes adversarially fragmented input fail explicitly
+/// instead of thrashing.  The node budgets of the reductions and
+/// subtractions are fixed (knowledge_classes.cpp).
 struct KnowledgeClassOptions {
   /// Hard cap on classes (memory guard).  The class count plateaus at
   /// the geometric complexity of the schedule's participation regions —
   /// roughly half the producer's total group count for gather-broadcast
   /// (~2M at n = 40 on the designed cuts).
   std::uint64_t max_classes = std::uint64_t{1} << 23;
-  /// Node budget per canonical_reduce (knowledge unions, class merges).
-  std::uint64_t reduce_budget = std::uint64_t{1} << 28;
-  /// Node budget per refinement sweep and per round of subcube
-  /// subtractions (union dedup + class remainders).
-  std::uint64_t subtract_budget = std::uint64_t{1} << 32;
 };
 
 /// Size/effort counters of one partition run.
@@ -115,6 +111,7 @@ struct KnowledgeClassStats {
 /// its own token.  Not thread-safe; one instance per validation run.
 class KnowledgeClassPartition {
  public:
+  /// Throws std::invalid_argument unless 1 <= n <= kMaxCubeDim.
   explicit KnowledgeClassPartition(int n, KnowledgeClassOptions opt = {});
 
   /// One round's exchanges: every vertex v of `callers` exchanges with
@@ -144,7 +141,8 @@ class KnowledgeClassPartition {
   [[nodiscard]] const KnowledgeClassStats& stats() const noexcept { return stats_; }
 
   /// Relative knowledge of the class containing `v` (linear scan; for
-  /// tests and diagnostics, not the hot path).
+  /// tests and diagnostics, not the hot path).  Throws
+  /// std::out_of_range for a `v` outside the cube.
   [[nodiscard]] const GossipKnowledge& knowledge_of(Vertex v) const;
 
   /// Optional worker pool for the heavy reductions (knowledge unions

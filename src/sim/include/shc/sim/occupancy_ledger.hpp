@@ -85,7 +85,8 @@ struct OccupancyOutcome {
 /// vertex collisions.
 class OccupancyLedger {
  public:
-  explicit OccupancyLedger(int n) : n_(n) { assert(n >= 1 && n <= kMaxCubeDim); }
+  /// Throws std::invalid_argument unless 1 <= n <= kMaxCubeDim.
+  explicit OccupancyLedger(int n) : n_(detail::require_cube_dim("OccupancyLedger", n)) {}
 
   /// Registers the subcube (prefix, mask) as claimed by `group` in
   /// `family` (0 <= family; families are checked in ascending order).

@@ -22,7 +22,9 @@
 //   * reserve_round(calls, path_vertices) — exact pre-sizing of the
 //     consumer's round buffer (keeps the scratch arena allocation-tight);
 //   * aborted() -> bool — consumer asks the producer to stop early
-//     (e.g. the streamed schedule already failed validation).
+//     (e.g. the streamed schedule already failed validation).  Every
+//     producer, concrete or symbolic, reads it through
+//     detail::sink_aborted.
 #pragma once
 
 #include <concepts>
@@ -40,5 +42,22 @@ concept RoundSink = requires(S& s, const S& cs, Vertex v) {
   s.end_call();
   s.end_round();
 };
+
+namespace detail {
+
+/// The optional aborted() hook of any sink (RoundSink or
+/// SymbolicRoundSink): false for sinks without one.
+template <class S>
+[[nodiscard]] bool sink_aborted(const S& sink) {
+  if constexpr (requires {
+                  { sink.aborted() } -> std::convertible_to<bool>;
+                }) {
+    return sink.aborted();
+  } else {
+    return false;
+  }
+}
+
+}  // namespace detail
 
 }  // namespace shc

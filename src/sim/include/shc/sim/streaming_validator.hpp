@@ -34,7 +34,6 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
-#include <thread>
 #include <vector>
 
 #include "shc/bits/checked.hpp"
@@ -128,7 +127,7 @@ bool try_validate_round_clean(const Net& net, const FlatSchedule& schedule,
                               std::size_t first_call, std::size_t last_call,
                               const ValidationOptions& opt,
                               BroadcastRunState& state, ValidationReport& rep,
-                              WorkerPool& pool, RoundEdgeTable& edges) {
+                              WorkerPool* pool, RoundEdgeTable& edges) {
   const std::uint64_t order = net.num_vertices();
   if (order > (std::uint64_t{1} << 32)) return false;  // packed keys need 32-bit ids
   const std::size_t count = last_call - first_call;
@@ -136,7 +135,7 @@ bool try_validate_round_clean(const Net& net, const FlatSchedule& schedule,
 
   // ---- phase A: sharded read-only checks ------------------------------
   const int workers = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(std::max(pool.workers(), 1)), count));
+      pool != nullptr ? static_cast<std::size_t>(pool->workers()) : 1, count));
   std::atomic<bool> flagged{false};
   std::vector<int> local_max(static_cast<std::size_t>(workers), 0);
 
@@ -180,7 +179,7 @@ bool try_validate_round_clean(const Net& net, const FlatSchedule& schedule,
     // but executed on the persistent pool.
     const std::size_t chunk = (count + static_cast<std::size_t>(workers) - 1) /
                               static_cast<std::size_t>(workers);
-    pool.run(workers, [&](int w) {
+    pool->run(workers, [&](int w) {
       const std::size_t lo = first_call + static_cast<std::size_t>(w) * chunk;
       const std::size_t hi = std::min(lo + chunk, last_call);
       scan_range(lo, hi, w);
@@ -249,15 +248,17 @@ bool try_validate_round_clean(const Net& net, const FlatSchedule& schedule,
 template <AdjacencyOracle Net>
 class StreamingBroadcastValidator {
  public:
-  /// Keeps a reference to `net`; it must outlive the validator.
-  /// threads <= 0 picks hardware_concurrency() (at most
-  /// kMaxCheckThreads); an explicit count above kMaxCheckThreads throws
-  /// std::invalid_argument before any worker starts.
+  /// Keeps a reference to `net`; it must outlive the validator.  Shards
+  /// each round over `lent` when non-null (the caller keeps it alive),
+  /// else over an owned pool of `threads` workers (CheckPool): a count
+  /// outside [1, kMaxCheckThreads] throws std::invalid_argument before
+  /// any worker starts.
   StreamingBroadcastValidator(const Net& net, Vertex source,
-                              const ValidationOptions& opt, int threads = 1)
+                              const ValidationOptions& opt, int threads = 1,
+                              WorkerPool* lent = nullptr)
       : net_(&net),
         opt_(opt),
-        threads_(worker_count(threads)),
+        pool_(lent, threads, "StreamingBroadcastValidator: threads"),
         order_(net.num_vertices()),
         state_(order_, opt) {
     scratch_.source = source;
@@ -341,16 +342,6 @@ class StreamingBroadcastValidator {
   }
 
  private:
-  [[nodiscard]] static int worker_count(int threads) {
-    if (threads <= 0) {
-      return static_cast<int>(std::min<unsigned>(
-          std::max(1u, std::thread::hardware_concurrency()),
-          static_cast<unsigned>(kMaxCheckThreads)));
-    }
-    require_check_threads("StreamingBroadcastValidator: threads", threads);
-    return threads;
-  }
-
   void flush_round() {
     if (!open_) return;
     open_ = false;
@@ -360,7 +351,7 @@ class StreamingBroadcastValidator {
     ++rep_.rounds;
     const std::size_t calls = scratch_.num_calls();
     if (!detail::try_validate_round_clean(*net_, scratch_, 0, calls, opt_,
-                                          state_, rep_, pool_, edges_) &&
+                                          state_, rep_, pool_.get(), edges_) &&
         !detail::validate_round_serial(*net_, scratch_, 0, calls, rep_.rounds,
                                        opt_, state_, rep_)) {
       failed_ = true;
@@ -369,8 +360,7 @@ class StreamingBroadcastValidator {
 
   const Net* net_;
   ValidationOptions opt_;
-  int threads_;
-  WorkerPool pool_{threads_};  ///< persistent workers, reused every round
+  CheckPool pool_;  ///< persistent workers, reused every round
   std::uint64_t order_;
   detail::BroadcastRunState state_;
   detail::RoundEdgeTable edges_;

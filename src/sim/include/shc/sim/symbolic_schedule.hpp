@@ -93,6 +93,29 @@ struct SymbolicRound {
   [[nodiscard]] std::span<const Vertex> pattern_of_group(std::size_t g) const noexcept {
     return pattern(group_pattern[g]);
   }
+
+  /// Empties the round, keeping its capacity (validators recycle one
+  /// round across the run).
+  void clear() {
+    groups.clear();
+    group_pattern.clear();
+    pattern_pool.clear();
+    pattern_off.assign(1, 0);
+  }
+
+  /// Records `g` with its own copy of `pattern` (no deduplication).
+  /// Returns false, recording nothing, when the pattern pool would
+  /// outgrow its 32-bit offsets; the caller picks the refusal.
+  [[nodiscard]] bool append(const CallGroup& g, std::span<const Vertex> pattern) {
+    if (pattern_pool.size() + pattern.size() > std::numeric_limits<std::uint32_t>::max()) {
+      return false;
+    }
+    groups.push_back(g);
+    group_pattern.push_back(static_cast<std::uint32_t>(num_patterns()));
+    pattern_pool.insert(pattern_pool.end(), pattern.begin(), pattern.end());
+    pattern_off.push_back(static_cast<std::uint32_t>(pattern_pool.size()));
+    return true;
+  }
 };
 
 /// A whole symbolic schedule — the compressed counterpart of

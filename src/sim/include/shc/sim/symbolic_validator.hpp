@@ -50,6 +50,14 @@
 // the greedy coalescing and every report, is the same at every thread
 // count.  The endgame's occupancy check shards over the whole pool.
 //
+// Shared core: detail::SymbolicRoundCore holds what both symbolic
+// validators (this one and gossip's) keep around their own clauses —
+// round recording, the CheckPool, the ledger check and its one message
+// mapping (ledger_verdict), the sampled expansion and the first-failure
+// report; detail::replay_symbolic and detail::certify_produced drive
+// either.  Settable fields (SymbolicCheckOptions): the six of
+// CommonCheckOptions plus max_frontier_subcubes.
+//
 // Model scope: the symbolic engine certifies the paper's exact model
 // (edge_capacity == 1, forbid_redundant_receivers, require_completion)
 // and additionally requires every informed vertex to call each round —
@@ -67,18 +75,19 @@
 #include <atomic>
 #include <concepts>
 #include <cstdint>
-#include <limits>
-#include <memory>
+#include <exception>
 #include <random>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "shc/bits/audit.hpp"
 #include "shc/bits/bitstring.hpp"
 #include "shc/bits/checked.hpp"
 #include "shc/obs/recorder.hpp"
 #include "shc/sim/check_options.hpp"
 #include "shc/sim/occupancy_ledger.hpp"
+#include "shc/sim/round_sink.hpp"
 #include "shc/sim/subcube.hpp"
 #include "shc/sim/symbolic_schedule.hpp"
 #include "shc/sim/validator.hpp"
@@ -212,21 +221,210 @@ inline void claim_round_edge_subcubes(const SymbolicRound& round,
   }
 }
 
+/// One occupancy-ledger outcome as an error message without the round
+/// prefix, or empty when the claims are disjoint — the one mapping of
+/// every ledger check of both symbolic validators.  A budget refusal
+/// reads "<clause> exceeded its budget (ledger bucket budget B; raise
+/// <options>::ledger_budget_per_claim)"; a double claim reads
+/// `collision`.
+[[nodiscard]] inline std::string ledger_verdict(const OccupancyOutcome& out,
+                                                const char* clause,
+                                                const char* options,
+                                                const char* collision) {
+  switch (out.status) {
+    case OccupancyStatus::kDisjoint:
+      return {};
+    case OccupancyStatus::kBudgetExceeded:
+      return std::string(clause) + " exceeded its budget (ledger bucket budget " +
+             std::to_string(out.budget) + "; raise " + options +
+             "::ledger_budget_per_claim)";
+    case OccupancyStatus::kDoubleClaim:
+      return collision;
+  }
+  return {};  // unreachable
+}
+
+/// The materialized-schedule driver of both symbolic validators.
+/// Refuses a schedule over another cube before `make()` builds the
+/// validator (and any pool it owns), streams the rounds into it until
+/// it aborts, and returns finish(), copying stats() to `*stats` (zeroed
+/// on a refusal).
+template <class Stats, class Make>
+[[nodiscard]] auto replay_symbolic(const SymbolicSchedule& schedule, int cube_dim,
+                                   Stats* stats, Make&& make) {
+  using Report = decltype(make().finish());
+  if (schedule.n != cube_dim) {
+    if (stats) *stats = {};
+    Report rep;
+    rep.ok = false;
+    rep.error = "symbolic schedule dimension " + std::to_string(schedule.n) +
+                " does not match the oracle's " + std::to_string(cube_dim);
+    return rep;
+  }
+  auto sink = make();
+  for (const SymbolicRound& round : schedule.rounds) {
+    if (sink.aborted()) break;
+    sink.begin_round();
+    for (std::size_t g = 0; g < round.groups.size(); ++g) {
+      sink.end_call_group(round.groups[g], round.pattern_of_group(g));
+    }
+    sink.end_round();
+  }
+  const Report rep = sink.finish();
+  if (stats) *stats = sink.stats();
+  return rep;
+}
+
+/// Runs `produce()`, a producer streaming into `sink`, and returns the
+/// sink's verdict with stats() copied to `*stats`.  A producer
+/// exception (frontier caps, pathological splits, a bad source) becomes
+/// a failed "symbolic producer: ..." report rather than an escaped
+/// exception, and finish() is not called; if the sink had failed first
+/// and the producer tripped over the abort, the sink's own report
+/// stands.
+template <class Sink, class Stats, class Produce>
+[[nodiscard]] auto certify_produced(Sink& sink, Stats* stats, Produce&& produce) {
+  decltype(sink.finish()) rep;
+  bool produced = true;
+  try {
+    produce();
+  } catch (const std::exception& e) {
+    produced = sink.aborted();
+    rep.ok = false;
+    rep.error = std::string("symbolic producer: ") + e.what();
+  }
+  if (produced) rep = sink.finish();
+  *stats = sink.stats();
+  return rep;
+}
+
+/// The state and verbs both symbolic validators share around their own
+/// clauses: the check pool, the seeded sample generator, the recycled
+/// round with its multi-hop flag, the occupancy ledger, and the report
+/// whose first failure wins.  `options_name` names the engine's options
+/// type in its ledger refusals.
+template <class Options, class Report, class Stats>
+class SymbolicRoundCore {
+ public:
+  [[nodiscard]] bool aborted() const noexcept { return failed_; }
+  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
+
+ protected:
+  SymbolicRoundCore(int n, std::uint64_t order, const Options& sopt,
+                    const char* pool_what, const char* options_name)
+      : sopt_(sopt),
+        n_(n),
+        order_(order),
+        options_name_(options_name),
+        pool_(sopt.pool, sopt.threads, pool_what),
+        occupancy_(std::clamp(n, 1, kMaxCubeDim)) {}
+
+  /// Opens the next round: counts it and empties the recorded round.
+  void open_round() {
+    ++rep_.rounds;
+    round_.clear();
+    round_multihop_ = false;
+  }
+
+  void fail(const std::string& msg) {
+    if (failed_) return;
+    failed_ = true;
+    rep_.ok = false;
+    rep_.error = msg;
+  }
+
+  /// Error-message prefix of the round in progress.  Only called on
+  /// failure paths and once per end_round — never in the per-group hot
+  /// loop (string construction there was a measurable slice of a
+  /// designed-spec run).
+  [[nodiscard]] std::string round_where() const {
+    return "round " + std::to_string(rep_.rounds) + ": ";
+  }
+
+  /// Resolves the claims in occupancy_ under the ledger budgets (walks
+  /// sharded over `pool` when non-null) and counts them.  On a refusal
+  /// or a double claim fails with `where` plus the ledger_verdict
+  /// message; `collision(out)` words the double claim.
+  template <class Collision>
+  bool check_ledger(const std::string& where, WorkerPool* pool, const char* clause,
+                    Collision&& collision) {
+    saturating_acc_u64(stats_.occupancy_claims, occupancy_.num_claims());
+    const OccupancyOutcome out = occupancy_.check(
+        pool, sopt_.ledger_budget_per_claim, sopt_.ledger_bucket_budget_base);
+    const std::string err = ledger_verdict(out, clause, options_name_, collision(out));
+    if (!err.empty()) fail(where + err);
+    return err.empty();
+  }
+
+  /// The sampled replay's concrete expansion.  Draws
+  /// min(sample_groups_per_round, groups) distinct recorded groups
+  /// (re-expanding a group would duplicate its calls and trip the
+  /// kernel's receiver-uniqueness check), then per group
+  /// sample_calls_per_group free assignments, skipping repeats, and
+  /// returns their concrete calls as one round.  `on_caller(u)` sees
+  /// each call's caller before its path is pushed.
+  template <class OnCaller>
+  [[nodiscard]] FlatSchedule sample_round(OnCaller&& on_caller) {
+    const std::uint64_t want =
+        std::min<std::uint64_t>(sopt_.sample_groups_per_round, round_.groups.size());
+    std::vector<std::size_t> chosen;
+    while (chosen.size() < want) {
+      const std::size_t gi = static_cast<std::size_t>(
+          rng_() % static_cast<std::uint64_t>(round_.groups.size()));
+      if (std::find(chosen.begin(), chosen.end(), gi) == chosen.end()) {
+        chosen.push_back(gi);
+      }
+    }
+    FlatSchedule mini;
+    mini.begin_round();
+    std::vector<Vertex> picked;
+    for (const std::size_t gi : chosen) {
+      const CallGroup& g = round_.groups[gi];
+      picked.clear();
+      for (std::uint64_t c = 0; c < sopt_.sample_calls_per_group; ++c) {
+        const Vertex assign = rng_() & g.free_mask;
+        if (std::find(picked.begin(), picked.end(), assign) != picked.end()) {
+          continue;  // duplicate free-assignment: same concrete call
+        }
+        picked.push_back(assign);
+        const Vertex u = g.prefix | assign;
+        on_caller(u);
+        for (const Vertex x : round_.pattern_of_group(gi)) mini.push_vertex(u ^ x);
+        mini.end_call_unchecked();
+        ++stats_.sampled_calls;
+      }
+    }
+    return mini;
+  }
+
+  Options sopt_;
+  int n_;
+  std::uint64_t order_;
+  const char* options_name_;
+  std::mt19937_64 rng_{kSampleSeed};
+  CheckPool pool_;
+  /// The recorded round: one recycled SymbolicRound (patterns pooled in
+  /// its 32-bit-offset layout; no deduplication needed here).
+  SymbolicRound round_;
+  bool round_multihop_ = false;
+  OccupancyLedger occupancy_;
+  Report rep_;
+  Stats stats_;
+  bool failed_ = false;
+  bool finished_ = false;
+};
+
 }  // namespace detail
 
 /// Knobs of the symbolic checks (all have safe defaults; caps make the
 /// engine fail explicitly instead of thrashing on adversarial input).
 /// The sampling, ledger-budget, and threading knobs shared with the
 /// gossip engine live in the CommonCheckOptions base
-/// (check_options.hpp); only the broadcast-specific budgets are
-/// declared here.
+/// (check_options.hpp); only the broadcast-specific cap is declared
+/// here.
 struct SymbolicCheckOptions : CommonCheckOptions {
   /// Hard cap on informed-set subcubes (memory guard).
   std::uint64_t max_frontier_subcubes = std::uint64_t{1} << 26;
-  /// Per-entry budget of the caller-tiling dyadic consumption; 0 (the
-  /// default) derives it from the round's group count
-  /// (4 * groups + 65536).
-  std::uint64_t tiling_budget = 0;
 };
 
 /// Group/expansion statistics of one symbolic run.
@@ -245,27 +443,19 @@ struct SymbolicRunStats {
 };
 
 template <SymbolicOracle Net>
-class SymbolicBroadcastValidator {
+class SymbolicBroadcastValidator
+    : public detail::SymbolicRoundCore<SymbolicCheckOptions, ValidationReport,
+                                       SymbolicRunStats> {
  public:
   SymbolicBroadcastValidator(const Net& net, Vertex source,
                              const ValidationOptions& opt,
                              const SymbolicCheckOptions& sopt = {})
-      : net_(&net),
+      : SymbolicRoundCore(net.cube_dim(), net.num_vertices(), sopt,
+                          "SymbolicBroadcastValidator: threads", "SymbolicCheckOptions"),
+        net_(&net),
         opt_(opt),
-        sopt_(sopt),
-        n_(net.cube_dim()),
-        order_(net.num_vertices()),
-        frontier_(std::clamp(net.cube_dim(), 1, kMaxCubeDim)),
-        ledger_(std::clamp(net.cube_dim(), 1, kMaxCubeDim)),
-        rng_(sopt.sample_seed),
-        occupancy_(std::clamp(net.cube_dim(), 1, kMaxCubeDim)) {
-    if (sopt.pool) {
-      pool_ = sopt.pool;
-    } else if (sopt.threads > 1) {
-      require_check_threads("SymbolicBroadcastValidator: threads", sopt.threads);
-      owned_pool_ = std::make_unique<WorkerPool>(sopt.threads);
-      pool_ = owned_pool_.get();
-    }
+        frontier_(std::clamp(n_, 1, kMaxCubeDim)),
+        ledger_(std::clamp(n_, 1, kMaxCubeDim)) {
     if (n_ < 1 || n_ > kMaxCubeDim || order_ != cube_order(n_)) {
       fail("symbolic validator requires a full 2^n-vertex cube oracle");
       return;
@@ -286,13 +476,7 @@ class SymbolicBroadcastValidator {
   // ---- SymbolicRoundSink interface ------------------------------------
 
   void begin_round() {
-    if (failed_) return;
-    ++rep_.rounds;
-    round_.groups.clear();
-    round_.group_pattern.clear();
-    round_.pattern_pool.clear();
-    round_.pattern_off.assign(1, 0);
-    round_multihop_ = false;
+    if (!failed_) open_round();
   }
 
   void end_call_group(const CallGroup& g, std::span<const Vertex> pattern) {
@@ -307,8 +491,7 @@ class SymbolicBroadcastValidator {
     // wrap the offsets.  Such a group cannot be recorded, so the groups
     // before it and the group itself are checked here, and a clause
     // failure among them still wins over the overflow.
-    if (round_.pattern_pool.size() + pattern.size() >
-        std::numeric_limits<std::uint32_t>::max()) {
+    if (!round_.append(g, pattern)) {
       const std::string where = round_where();
       if (check_groups(where) && check_group(where, g, pattern)) {
         fail(where + "round pattern pool exceeds 32-bit offsets");
@@ -316,13 +499,6 @@ class SymbolicBroadcastValidator {
       return;
     }
     if (pattern.size() > 2) round_multihop_ = true;
-    round_.groups.push_back(g);
-    round_.group_pattern.push_back(
-        static_cast<std::uint32_t>(round_.num_patterns()));
-    round_.pattern_pool.insert(round_.pattern_pool.end(), pattern.begin(),
-                               pattern.end());
-    round_.pattern_off.push_back(
-        static_cast<std::uint32_t>(round_.pattern_pool.size()));
   }
 
   /// Checks the recorded round and inserts its receivers.  Two jobs
@@ -348,7 +524,8 @@ class SymbolicBroadcastValidator {
     const std::string where = round_where();
     if (round_.groups.empty()) return fail(where + "empty round");
 
-    const bool overlap = pool_ != nullptr && pool_->workers() >= 2;
+    WorkerPool* const pool = pool_.get();
+    const bool overlap = pool != nullptr && pool->workers() >= 2;
     std::vector<WeightedSubcube> snapshot;
     if (overlap) snapshot = frontier_.to_entries();
     SHC_TRACE_COUNTER("round_batch_bytes",
@@ -377,7 +554,7 @@ class SymbolicBroadcastValidator {
       insert_receivers();
     };
     if (overlap) {
-      pool_->run_beside(
+      pool->run_beside(
           [&] {
             build_ledgers();
             insert_job();
@@ -408,8 +585,6 @@ class SymbolicBroadcastValidator {
     SHC_TRACE_COUNTER("occupancy_claims", stats_.occupancy_claims);
     SHC_TRACE_ROUND(rep_.rounds);
   }
-
-  [[nodiscard]] bool aborted() const noexcept { return failed_; }
 
   /// The informed multiset, lent read-only (InformedFrontierSink): it
   /// changes only in end_round(), and the caller tiling checks the
@@ -449,28 +624,24 @@ class SymbolicBroadcastValidator {
       occupancy_.claim(1, p, m, idx++);
     });
     saturating_acc_u64(stats_.occupancy_claims, occupancy_.num_claims());
-    const OccupancyOutcome out =
-        mult_clean ? occupancy_.check(pool_, sopt_.ledger_budget_per_claim,
-                                      sopt_.ledger_bucket_budget_base)
-                   : OccupancyOutcome{};
-    if (mult_clean && out.status == OccupancyStatus::kBudgetExceeded) {
-      fail("endgame occupancy check exceeded its budget (ledger bucket "
-           "budget " +
-           std::to_string(out.budget) +
-           "; raise SymbolicCheckOptions::ledger_budget_per_claim)");
-      return rep_;
+    OccupancyOutcome out;
+    out.status = OccupancyStatus::kDoubleClaim;  // a multiplicity above one
+    if (mult_clean) {
+      out = occupancy_.check(pool_.get(), sopt_.ledger_budget_per_claim,
+                             sopt_.ledger_bucket_budget_base);
     }
-    if (!mult_clean || out.status == OccupancyStatus::kDoubleClaim) {
-      fail("informed multiset is not the cube covered exactly once "
-           "(receiver collision)");
+    if (std::string err = detail::ledger_verdict(
+            out, "endgame occupancy check", options_name_,
+            "informed multiset is not the cube covered exactly once "
+            "(receiver collision)");
+        !err.empty()) {
+      fail(err);
       return rep_;
     }
     rep_.ok = true;
     rep_.minimum_time = rep_.rounds == ceil_log2(order_) && rep_.informed == order_;
     return rep_;
   }
-
-  [[nodiscard]] const SymbolicRunStats& stats() const noexcept { return stats_; }
 
  private:
   /// Set once each ledger of the round is complete; the check job waits
@@ -490,25 +661,6 @@ class SymbolicBroadcastValidator {
       flag.notify_all();
     }
   };
-
-  void fail(const std::string& msg) {
-    if (failed_) return;
-    failed_ = true;
-    rep_.ok = false;
-    rep_.error = msg;
-  }
-
-  /// Error-message prefix of the round in progress.  Only called on
-  /// failure paths and once per end_round — never in the per-group hot
-  /// loop (string construction there was a measurable slice of a
-  /// designed-spec run).
-  [[nodiscard]] std::string round_where() const {
-    return "round " + std::to_string(rep_.rounds) + ": ";
-  }
-
-  [[nodiscard]] std::span<const Vertex> pattern_of(std::size_t gi) const noexcept {
-    return round_.pattern_of_group(gi);
-  }
 
   /// Bytes held by the recorded round (its four arrays' capacity).
   [[nodiscard]] std::uint64_t round_bytes() const noexcept {
@@ -555,7 +707,7 @@ class SymbolicBroadcastValidator {
   /// it, as if each group had been checked on arrival.
   bool check_groups(const std::string& where) {
     for (std::size_t gi = 0; gi < round_.groups.size(); ++gi) {
-      if (!check_group(where, round_.groups[gi], pattern_of(gi))) return false;
+      if (!check_group(where, round_.groups[gi], round_.pattern_of_group(gi))) return false;
     }
     return true;
   }
@@ -606,7 +758,7 @@ class SymbolicBroadcastValidator {
     if (opt_.require_vertex_disjoint) {
       for (std::size_t gi = 0; gi < round_.groups.size(); ++gi) {
         const CallGroup& g = round_.groups[gi];
-        for (const Vertex x : pattern_of(gi)) {
+        for (const Vertex x : round_.pattern_of_group(gi)) {
           if (((g.prefix ^ x) & g.free_mask) != 0) continue;
           occupancy_.claim(n_ + 1, g.prefix ^ x, g.free_mask,
                            static_cast<std::uint32_t>(gi));
@@ -624,7 +776,7 @@ class SymbolicBroadcastValidator {
     const Vertex cube = mask_low(n_);
     for (std::size_t gi = 0; gi < round_.groups.size(); ++gi) {
       const CallGroup& g = round_.groups[gi];
-      const std::span<const Vertex> patt = pattern_of(gi);
+      const std::span<const Vertex> patt = round_.pattern_of_group(gi);
       if (patt.empty()) continue;
       const Vertex receiver = g.prefix ^ patt.back();
       if ((receiver & g.free_mask) != 0 || ((receiver | g.free_mask) & ~cube) != 0) {
@@ -637,25 +789,18 @@ class SymbolicBroadcastValidator {
   /// Every informed vertex must place exactly one call: consume the
   /// round's group ledger by recursively matching each frontier entry
   /// against its dyadic split pieces; both sides must come out empty.
-  /// Every entry is evaluated even after a failure, so the budget and
-  /// mismatch flags — and hence the error string — do not depend on
-  /// the entry order.
+  /// Every entry is evaluated even after a failure, so the error string
+  /// does not depend on the entry order.  No budget is needed: the hit
+  /// leaves of one entry's tree consume distinct ledger keys (at most
+  /// one per group) and the first miss ends the entry, so an entry
+  /// visits at most 2 * groups + n + 1 nodes.
   bool check_caller_tiling(const std::string& where,
                            const std::vector<WeightedSubcube>* entries) {
     bool mismatch = false;
-    bool budget_hit = false;
-    const std::uint64_t per_entry_budget =
-        sopt_.tiling_budget != 0
-            ? sopt_.tiling_budget
-            : static_cast<std::uint64_t>(round_.groups.size()) * 4 + 65536;
     auto check_entry = [&](Vertex ep, Vertex em, std::uint64_t mult) {
-      std::uint64_t budget = per_entry_budget;
+      std::uint64_t visits = 0;
       auto consume = [&](auto&& self, Vertex p, Vertex m) -> bool {
-        if (budget == 0) {
-          budget_hit = true;
-          return false;
-        }
-        --budget;
+        ++visits;
         std::uint64_t calls = 0;
         if (!checked_shift_u64(static_cast<unsigned>(weight(m)), calls)) return false;
         if (ledger_.consume(p, m, calls)) return true;
@@ -664,6 +809,10 @@ class SymbolicBroadcastValidator {
         return self(self, p, m & ~b) && self(self, p | b, m & ~b);
       };
       if (mult != 1 || !consume(consume, ep, em)) mismatch = true;
+      SHC_AUDIT_CHECK(visits <= 2 * static_cast<std::uint64_t>(round_.groups.size()) +
+                                    static_cast<std::uint64_t>(n_) + 1,
+                      "caller tiling visits at most 2 * groups + n + 1 nodes per entry");
+      static_cast<void>(visits);
     };
     if (entries != nullptr) {
       for (const WeightedSubcube& e : *entries) check_entry(e.prefix, e.mask, e.mult);
@@ -677,12 +826,6 @@ class SymbolicBroadcastValidator {
       if (v != 0) leftover = true;
     });
     ledger_.clear();
-    if (budget_hit) {
-      fail(where + "caller tiling budget exceeded (per-entry budget " +
-           std::to_string(per_entry_budget) +
-           "; raise SymbolicCheckOptions::tiling_budget)");
-      return false;
-    }
     if (mismatch) {
       fail(where + "callers do not tile the informed set (some informed "
                    "vertex places no call)");
@@ -703,29 +846,11 @@ class SymbolicBroadcastValidator {
   /// double-claim is an exact collision, with no candidate pair ever
   /// enumerated.
   bool check_collisions(const std::string& where) {
-    const int vertex_family = n_ + 1;
-    saturating_acc_u64(stats_.occupancy_claims, occupancy_.num_claims());
-    const OccupancyOutcome out =
-        occupancy_.check(nullptr, sopt_.ledger_budget_per_claim,
-                         sopt_.ledger_bucket_budget_base);
-    switch (out.status) {
-      case OccupancyStatus::kDisjoint:
-        return true;
-      case OccupancyStatus::kBudgetExceeded:
-        fail(where + "collision analysis exceeded its budget (ledger bucket "
-                     "budget " +
-             std::to_string(out.budget) +
-             "; raise SymbolicCheckOptions::ledger_budget_per_claim)");
-        return false;
-      case OccupancyStatus::kDoubleClaim:
-        fail(where +
-             (out.family == vertex_family
-                  ? "vertex collision between concurrent call groups "
-                    "(vertex-disjoint model)"
-                  : "edge collision between concurrent call groups"));
-        return false;
-    }
-    return false;  // unreachable
+    return check_ledger(where, nullptr, "collision analysis", [&](const OccupancyOutcome& out) {
+      return out.family == n_ + 1 ? "vertex collision between concurrent call "
+                                    "groups (vertex-disjoint model)"
+                                  : "edge collision between concurrent call groups";
+    });
   }
 
   /// Expands a seeded random subset of groups to concrete calls and
@@ -733,38 +858,8 @@ class SymbolicBroadcastValidator {
   /// is fresh per round and holds only the sampled callers and
   /// receivers, so it stays in VertexSet's hashed form.
   bool sampled_replay(const std::string& where) {
-    const std::uint64_t want =
-        std::min<std::uint64_t>(sopt_.sample_groups_per_round, round_.groups.size());
-    // Distinct groups: re-expanding one group twice would duplicate its
-    // concrete calls and trip the kernel's receiver-uniqueness check.
-    std::vector<std::size_t> chosen;
-    while (chosen.size() < want) {
-      const std::size_t gi = static_cast<std::size_t>(
-          rng_() % static_cast<std::uint64_t>(round_.groups.size()));
-      if (std::find(chosen.begin(), chosen.end(), gi) == chosen.end()) {
-        chosen.push_back(gi);
-      }
-    }
-    FlatSchedule mini;
     detail::BroadcastRunState state(order_, opt_);
-    mini.begin_round();
-    for (const std::size_t gi : chosen) {
-      const CallGroup& g = round_.groups[gi];
-      const std::span<const Vertex> patt = pattern_of(gi);
-      std::vector<Vertex> picked;
-      for (std::uint64_t c = 0; c < sopt_.sample_calls_per_group; ++c) {
-        const Vertex assign = rng_() & g.free_mask;
-        if (std::find(picked.begin(), picked.end(), assign) != picked.end()) {
-          continue;  // duplicate free-assignment: same concrete call
-        }
-        picked.push_back(assign);
-        const Vertex u = g.prefix | assign;
-        state.informed.insert(u);
-        for (const Vertex x : patt) mini.push_vertex(u ^ x);
-        mini.end_call_unchecked();
-        ++stats_.sampled_calls;
-      }
-    }
+    const FlatSchedule mini = sample_round([&](Vertex u) { state.informed.insert(u); });
     ValidationOptions ropt = opt_;
     ropt.require_completion = false;
     ValidationReport scratch;
@@ -778,17 +873,8 @@ class SymbolicBroadcastValidator {
 
   const Net* net_;
   ValidationOptions opt_;
-  SymbolicCheckOptions sopt_;
-  int n_;
-  std::uint64_t order_;
   SubcubeFrontier frontier_;  ///< informed multiset, cross-round
   SubcubeFrontier ledger_;    ///< round-local caller ledger (raw mode)
-  std::mt19937_64 rng_;
-  /// sopt.pool when the caller lends one (server reuse across queries),
-  /// else owned_pool_ iff sopt.threads > 1.  Rounds use two of its
-  /// workers (the engine and check jobs); the endgame shards over all.
-  WorkerPool* pool_ = nullptr;
-  std::unique_ptr<WorkerPool> owned_pool_;
 
   /// Main-track trace numbers reserved per round for the check job:
   /// it records at most group_checks, caller_tiling, collision_check
@@ -797,17 +883,6 @@ class SymbolicBroadcastValidator {
   /// before the checks' block (ledger_build) and one after
   /// (frontier_insert).
   static constexpr std::uint64_t kCheckJobSeqs = 8;
-
-  // Round-local group storage: one recycled SymbolicRound (patterns
-  // pooled in its 32-bit-offset layout; no deduplication needed here).
-  SymbolicRound round_;
-  OccupancyLedger occupancy_;  ///< per-round collisions and the endgame
-  bool round_multihop_ = false;
-
-  ValidationReport rep_;
-  SymbolicRunStats stats_;
-  bool failed_ = false;
-  bool finished_ = false;
 };
 
 /// Validates a materialized symbolic schedule by streaming it through a
@@ -816,26 +891,9 @@ template <SymbolicOracle Net>
 [[nodiscard]] ValidationReport validate_broadcast_symbolic(
     const Net& net, const SymbolicSchedule& schedule, const ValidationOptions& opt,
     const SymbolicCheckOptions& sopt = {}, SymbolicRunStats* stats = nullptr) {
-  SymbolicBroadcastValidator<Net> sink(net, schedule.source, opt, sopt);
-  if (schedule.n != net.cube_dim()) {
-    ValidationReport rep;
-    rep.ok = false;
-    rep.error = "symbolic schedule dimension " + std::to_string(schedule.n) +
-                " does not match the oracle's " + std::to_string(net.cube_dim());
-    if (stats) *stats = {};
-    return rep;
-  }
-  for (const SymbolicRound& round : schedule.rounds) {
-    if (sink.aborted()) break;
-    sink.begin_round();
-    for (std::size_t g = 0; g < round.groups.size(); ++g) {
-      sink.end_call_group(round.groups[g], round.pattern_of_group(g));
-    }
-    sink.end_round();
-  }
-  const ValidationReport rep = sink.finish();
-  if (stats) *stats = sink.stats();
-  return rep;
+  return detail::replay_symbolic(schedule, net.cube_dim(), stats, [&] {
+    return SymbolicBroadcastValidator<Net>(net, schedule.source, opt, sopt);
+  });
 }
 
 }  // namespace shc

@@ -1,8 +1,8 @@
 #include "shc/sim/knowledge_classes.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <optional>
+#include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -14,6 +14,12 @@
 
 namespace shc {
 namespace {
+
+/// Node budget per canonical_reduce (knowledge unions, class merges).
+constexpr std::uint64_t kReduceBudget = std::uint64_t{1} << 28;
+/// Node budget per refinement sweep and per round of subcube
+/// subtractions (union dedup + class remainders).
+constexpr std::uint64_t kSubtractBudget = std::uint64_t{1} << 32;
 
 #if SHC_AUDIT_ENABLED
 /// Audit contract for every minted knowledge set: entries canonically
@@ -228,8 +234,7 @@ GossipKnowledgePtr translate_knowledge(const GossipKnowledgePtr& k, Vertex delta
 }  // namespace
 
 KnowledgeClassPartition::KnowledgeClassPartition(int n, KnowledgeClassOptions opt)
-    : n_(n), opt_(opt) {
-  assert(n >= 1 && n <= kMaxCubeDim);
+    : n_(detail::require_cube_dim("KnowledgeClassPartition", n)), opt_(opt) {
   auto self_only = std::make_shared<GossipKnowledge>();
   self_only->entries.push_back({0, 0, 1});  // offset 0: every vertex knows itself
   self_only->count = 1;
@@ -271,7 +276,7 @@ std::string KnowledgeClassPartition::apply_round(
   std::vector<OverlapHit> caller_hits;
   {
     SHC_TRACE_SCOPE("kc_refine");
-    PartitionRefiner refine(caller_cubes, class_cubes, opt_.subtract_budget);
+    PartitionRefiner refine(caller_cubes, class_cubes, kSubtractBudget);
     if (!refine.run(whole, caller_hits)) {
       return "knowledge refinement budget exceeded";
     }
@@ -286,7 +291,7 @@ std::string KnowledgeClassPartition::apply_round(
   std::vector<OverlapHit> partner_hits;
   {
     SHC_TRACE_SCOPE("kc_refine");
-    PartitionRefiner refine(partner_cubes, class_cubes, opt_.subtract_budget);
+    PartitionRefiner refine(partner_cubes, class_cubes, kSubtractBudget);
     if (!refine.run(whole, partner_hits)) {
       return "knowledge refinement budget exceeded";
     }
@@ -325,7 +330,7 @@ std::string KnowledgeClassPartition::apply_round(
     }
   };
   std::unordered_map<CacheKey, UnionResult, CacheKeyHash> cache;
-  std::uint64_t subtract_budget = opt_.subtract_budget;
+  std::uint64_t subtract_budget = kSubtractBudget;
   batch::SubtractSweep sweep;
 
   auto compute_union = [&](const Triple& t) -> std::pair<UnionResult, std::string> {
@@ -347,7 +352,7 @@ std::string KnowledgeClassPartition::apply_round(
     } else {
       std::vector<WeightedSubcube> raw = ka->entries;
       raw.insert(raw.end(), fresh.begin(), fresh.end());
-      auto canon = canonical_reduce_tree(std::move(raw), n_, opt_.reduce_budget,
+      auto canon = canonical_reduce_tree(std::move(raw), n_, kReduceBudget,
                                          pool_, &stats_.reduce_tree_tasks);
       if (!canon) return {{}, "knowledge union reduction budget exceeded"};
       auto merged = std::make_shared<GossipKnowledge>();
@@ -552,7 +557,7 @@ std::string KnowledgeClassPartition::merge_equal_classes(
     // single-task path runs on the engine thread and may count.
     const bool farmed = pending.size() > 1;
     t.reduced = canonical_reduce_tree(
-        std::move(t.cubes), n_, opt_.reduce_budget, farmed ? nullptr : pool_,
+        std::move(t.cubes), n_, kReduceBudget, farmed ? nullptr : pool_,
         farmed ? nullptr : &stats_.reduce_tree_tasks);
   };
   if (pool_ != nullptr && pool_->workers() > 1 && pending.size() > 1) {
@@ -620,8 +625,8 @@ const GossipKnowledge& KnowledgeClassPartition::knowledge_of(Vertex v) const {
   for (const ClassEntry& c : classes_) {
     if (c.cube.contains_vertex(v)) return *c.know;
   }
-  assert(false && "partition does not cover the cube");
-  return *classes_.front().know;
+  throw std::out_of_range("knowledge_of: vertex " + std::to_string(v) +
+                          " outside the " + std::to_string(n_) + "-cube");
 }
 
 }  // namespace shc

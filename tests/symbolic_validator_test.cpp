@@ -801,44 +801,6 @@ TEST(HandcraftedCollisions, VertexCollisionRejectedLikeTheExactValidator) {
 
 // ---- budget-exhaustion diagnostics ------------------------------------
 
-TEST(BudgetDiagnostics, TilingBudgetMessageNamesRoundBudgetAndKnob) {
-  // Q_2 hand-built: round 2's singleton groups force one dyadic split
-  // of the coalesced frontier entry {0, mask 01} — two extra consume
-  // nodes a per-entry budget of 1 cannot afford.
-  SymbolicScheduleBuilder b(0, 2);
-  CallGroup g;
-  g.prefix = 0;
-  g.free_mask = 0;
-  g.count = 1;
-  const Vertex d1[] = {0, 1};
-  const Vertex d2[] = {0, 2};
-  b.begin_round();
-  b.end_call_group(g, d1);
-  b.end_round();
-  b.begin_round();
-  b.end_call_group(g, d2);
-  g.prefix = 1;
-  b.end_call_group(g, d2);
-  b.end_round();
-  const auto s = std::move(b).take();
-  const CubeOracle oracle(2);
-  ValidationOptions opt;
-  opt.k = 2;
-
-  // Sane budgets: the schedule is a clean minimum-time broadcast.
-  const auto ok = validate_broadcast_symbolic(oracle, s, opt);
-  ASSERT_TRUE(ok.ok) << ok.error;
-  EXPECT_TRUE(ok.minimum_time);
-
-  SymbolicCheckOptions starved;
-  starved.tiling_budget = 1;
-  const auto rep = validate_broadcast_symbolic(oracle, s, opt, starved);
-  EXPECT_FALSE(rep.ok);
-  EXPECT_EQ(rep.error,
-            "round 2: caller tiling budget exceeded (per-entry budget 1; "
-            "raise SymbolicCheckOptions::tiling_budget)");
-}
-
 TEST(BudgetDiagnostics, LedgerBudgetMessageNamesRoundBudgetAndKnob) {
   // Q_3 hand-built so that round 3's dimension-3 edge family puts two
   // claims into one ledger bucket (singleton callers 1 and 3 agree on

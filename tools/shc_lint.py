@@ -15,8 +15,9 @@ conventions that are easy to break silently in review.  This lint walks
                     (plus `std::thread::hardware_concurrency()` for
                     sizing).  Everything else shares the WorkerPool.
   assert-guard      `assert(` in graph/, coding/, labeling/, baseline/
-                    translation units, mlbg/src/broadcast.cpp and
-                    sim/src/subcube.cpp: a bare assert guarding caller
+                    translation units, mlbg/src/broadcast.cpp,
+                    sim/src/subcube.cpp and sim/src/knowledge_classes.cpp:
+                    a bare assert guarding caller
                     input vanishes under NDEBUG.  Input guards throw
                     std::invalid_argument; genuine internal invariants
                     carry an explicit allow-comment.
@@ -92,7 +93,8 @@ THREAD_ALLOWED_FILES = ("src/sim/include/shc/sim/worker_pool.hpp",)
 # assert() policy applies to the modules whose functions take caller
 # input directly (the PR 2 bug class lived in graph/).
 ASSERT_DIRS = ("src/graph", "src/coding", "src/labeling", "src/baseline",
-               "src/mlbg/src/broadcast.cpp", "src/sim/src/subcube.cpp")
+               "src/mlbg/src/broadcast.cpp", "src/sim/src/subcube.cpp",
+               "src/sim/src/knowledge_classes.cpp")
 
 # Kernel layer: headers that sit below their own module's layering set.
 # subcube_batch.hpp is the leaf the hot paths build on — it may reach
@@ -126,6 +128,8 @@ LAYERING = {
 # in src/ is the duplicated-knob layout PR 10 collapsed (threads and
 # pool are deliberately absent — those words are too generic to match
 # declarations reliably; the distinctive knob names below are unique).
+# sample_seed is no knob any more (the seed is the fixed kSampleSeed);
+# it stays listed so no engine grows its own seed knob again.
 DUPLICATE_KNOBS = (
     "sample_groups_per_round",
     "sample_calls_per_group",
