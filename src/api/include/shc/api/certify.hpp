@@ -93,8 +93,8 @@ struct CertifyRequest {
   bool with_congestion = false;
 
   /// Shared engine knobs: threads / borrowed pool, occupancy-ledger
-  /// budgets, sampling.  `checks.threads` also drives
-  /// the streaming validator's worker count.
+  /// budgets, sampling.  `checks.threads` and `checks.pool` also drive
+  /// the streaming validator's workers.
   CommonCheckOptions checks;
 };
 

@@ -7,6 +7,7 @@
 
 #include <random>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "shc/sim/knowledge_classes.hpp"
@@ -195,6 +196,19 @@ TEST(KnowledgeClasses, ClassCapFailsExplicitly) {
   const std::string err = p.apply_round(
       {{Subcube{0, 0}, 1}, {Subcube{4, 0}, 3}, {Subcube{8, 0}, 5}});
   EXPECT_NE(err.find("class cap"), std::string::npos) << err;
+}
+
+TEST(KnowledgeClasses, GuardsThrowInsteadOfAsserting) {
+  // Bad dimensions and out-of-cube vertices are caller input: they throw
+  // in every build type instead of tripping (or, under NDEBUG, skipping)
+  // an assert.
+  for (const int n : {0, -1, kMaxCubeDim + 1}) {
+    EXPECT_THROW(KnowledgeClassPartition{n}, std::invalid_argument) << "n=" << n;
+  }
+  const KnowledgeClassPartition p(4);
+  EXPECT_NO_THROW((void)p.knowledge_of(15));
+  EXPECT_THROW((void)p.knowledge_of(16), std::out_of_range);
+  EXPECT_THROW((void)p.knowledge_of(~Vertex{0}), std::out_of_range);
 }
 
 }  // namespace

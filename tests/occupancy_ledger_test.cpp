@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "shc/sim/occupancy_ledger.hpp"
@@ -216,6 +217,13 @@ TEST(OccupancyLedger, ClearRecyclesAcrossRounds) {
   EXPECT_EQ(ledger.num_claims(), 0u);
   ledger.claim(1, 0, 0, 0);
   EXPECT_EQ(ledger.check(nullptr, 512).status, OccupancyStatus::kDisjoint);
+}
+
+TEST(OccupancyLedger, BadDimensionThrowsInsteadOfAsserting) {
+  for (const int n : {0, -1, kMaxCubeDim + 1}) {
+    EXPECT_THROW(OccupancyLedger{n}, std::invalid_argument) << "n=" << n;
+  }
+  EXPECT_NO_THROW(OccupancyLedger{kMaxCubeDim});
 }
 
 }  // namespace

@@ -263,6 +263,29 @@ TEST(ServeEngine, CacheHitReturnsByteIdenticalRow) {
   EXPECT_EQ(uncached.stats().cache_hits, 0u);
 }
 
+TEST(ServeEngine, StreamingRowOnTheLentPoolEqualsTheInlineRow) {
+  // A threads = 2 engine lends its pool to a streaming query, which
+  // shards on it instead of building a pool of its own; the row must
+  // be the inline engine's, wall time aside.
+  const auto without_seconds = [](std::string row) {
+    const std::size_t at = row.find(",\"seconds\":");
+    if (at != std::string::npos) row.erase(at, row.find_first_of(",}", at + 1) - at);
+    return strip_envelope(row);
+  };
+  ServeOptions two;
+  two.threads = 2;
+  ServeEngine pooled(two);
+  ServeEngine inline_engine{ServeOptions{}};
+  for (const char* line :
+       {"{\"workload\":\"broadcast-streaming\",\"n\":12,\"k\":3}",
+        "{\"workload\":\"broadcast-streaming\",\"n\":11,\"k\":2,"
+        "\"model\":\"vertex-disjoint\",\"source\":5}"}) {
+    const std::string serial = without_seconds(inline_engine.handle_line(line));
+    EXPECT_NE(serial.find("\"ok\":true"), std::string::npos) << serial;
+    EXPECT_EQ(without_seconds(pooled.handle_line(line)), serial) << line;
+  }
+}
+
 TEST(ServeEngine, SixtyFourConcurrentClientsAllAnswered) {
   // 64 client threads × a 4-query mix; every response must be an ok row
   // and every repeat of a key must match the first answer byte-for-byte

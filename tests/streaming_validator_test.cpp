@@ -21,6 +21,7 @@
 #include "shc/sim/round_sink.hpp"
 #include "shc/sim/streaming_validator.hpp"
 #include "shc/sim/validator.hpp"
+#include "shc/sim/worker_pool.hpp"
 
 namespace shc {
 namespace {
@@ -88,6 +89,40 @@ TEST(ValidatorParity, DropCallsMutilationsDetectedIdentically) {
       const auto serial = validate_broadcast(view, degraded, opt);
       EXPECT_FALSE(serial.ok);  // 2^8 - 1 calls at 25% drop always loses some
       expect_all_validators_agree(view, degraded, opt, "drop_calls mutilation");
+    }
+  }
+}
+
+TEST(ValidatorParity, BorrowedPoolsReproduceTheSerialReport) {
+  // A lent pool replaces the validator's own: at 1, 2 and 4 borrowed
+  // workers the streamed reports, clean and mutilated, are the serial
+  // validator's, and the pool serves every run in turn.
+  for (const int workers : {1, 2, 4}) {
+    WorkerPool pool(workers);
+    for (const auto& [n, cuts] : sweep_specs()) {
+      const auto spec = SparseHypercubeSpec::construct(n, cuts);
+      const SpecView view(spec);
+      ValidationOptions opt;
+      opt.k = spec.k();
+      const auto schedule = make_broadcast_schedule(spec, 0);
+      const auto cert = certify_broadcast_streaming(spec, 0, opt, 1, &pool);
+      ASSERT_TRUE(cert.report.ok) << cert.report.error;
+      expect_same_report(validate_broadcast(view, schedule, opt), cert.report,
+                         "certify on a borrowed pool");
+
+      std::mt19937_64 rng(2026);
+      const auto degraded = drop_calls(schedule, 0.25, rng);
+      StreamingBroadcastValidator<SpecView> sink(view, 0, opt, 1, &pool);
+      for (int t = 0; t < degraded.num_rounds() && !sink.aborted(); ++t) {
+        sink.begin_round();
+        for (const FlatSchedule::CallView call : degraded.round(t)) {
+          for (const Vertex v : call) sink.push_vertex(v);
+          sink.end_call();
+        }
+        sink.end_round();
+      }
+      expect_same_report(validate_broadcast(view, degraded, opt), sink.finish(),
+                         "mutilated schedule on a borrowed pool");
     }
   }
 }
