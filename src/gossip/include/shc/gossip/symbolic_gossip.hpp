@@ -303,7 +303,9 @@ template <SymbolicRoundSink Sink>
 void emit_gather_broadcast_gossip_symbolic(const SymbolicSchedule& forward,
                                            Sink& sink) {
   std::vector<Vertex> rev;
-  const auto emit = [&](const SymbolicRound& round, bool reversed) {
+  for (std::size_t t = forward.rounds.size(); t-- > 0;) {
+    if (detail::sink_aborted(sink)) return;
+    const SymbolicRound& round = forward.rounds[t];
     sink.begin_round();
     {
       // Covers emission plus the sink's streamed per-group checks; the
@@ -312,10 +314,6 @@ void emit_gather_broadcast_gossip_symbolic(const SymbolicSchedule& forward,
       for (std::size_t gi = 0; gi < round.groups.size(); ++gi) {
         const CallGroup& g = round.groups[gi];
         const std::span<const Vertex> patt = round.pattern_of_group(gi);
-        if (!reversed) {
-          sink.end_call_group(g, patt);
-          continue;
-        }
         const Vertex back = patt.empty() ? 0 : patt.back();
         CallGroup r;
         r.prefix = g.prefix ^ back;
@@ -329,14 +327,17 @@ void emit_gather_broadcast_gossip_symbolic(const SymbolicSchedule& forward,
       }
     }
     sink.end_round();
-  };
-  for (std::size_t t = forward.rounds.size(); t-- > 0;) {
-    if (detail::sink_aborted(sink)) return;
-    emit(forward.rounds[t], true);
   }
   for (const SymbolicRound& round : forward.rounds) {
     if (detail::sink_aborted(sink)) return;
-    emit(round, false);
+    sink.begin_round();
+    {
+      SHC_TRACE_SCOPE("produce_round");
+      for (std::size_t gi = 0; gi < round.groups.size(); ++gi) {
+        sink.end_call_group(round.groups[gi], round.pattern_of_group(gi));
+      }
+    }
+    sink.end_round();
   }
 }
 
