@@ -44,7 +44,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <random>
 #include <span>
 #include <string>
 #include <unordered_set>
