@@ -799,6 +799,25 @@ TEST(HandcraftedCollisions, VertexCollisionRejectedLikeTheExactValidator) {
       fallthrough, "edge-disjoint fallthrough");
 }
 
+TEST(SymbolicViolations, DimensionMismatchRefusedBeforeAnyValidatorIsBuilt) {
+  // The driver checks the schedule's dimension first: with a worker
+  // count the validator's pool would reject, the answer is still the
+  // mismatch report, not an exception from building the validator.
+  const auto spec = design_sparse_hypercube(6, 2);
+  const auto s = make_symbolic_broadcast_schedule(spec, 0);
+  const CubeOracle oracle(7);
+  ValidationOptions opt;
+  opt.k = spec.k();
+  SymbolicCheckOptions sopt;
+  sopt.threads = kMaxCheckThreads + 1;
+  SymbolicRunStats stats;
+  stats.groups = 1;
+  const auto rep = validate_broadcast_symbolic(oracle, s, opt, sopt, &stats);
+  EXPECT_FALSE(rep.ok);
+  EXPECT_EQ(rep.error, "symbolic schedule dimension 6 does not match the oracle's 7");
+  EXPECT_EQ(stats.groups, 0u);
+}
+
 // ---- budget-exhaustion diagnostics ------------------------------------
 
 TEST(BudgetDiagnostics, LedgerBudgetMessageNamesRoundBudgetAndKnob) {
