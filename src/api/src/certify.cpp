@@ -170,8 +170,7 @@ CertifyResult certify(const CertifyRequest& req) {
       (req.workload == Workload::kBroadcastStreaming ||
        req.workload == Workload::kBroadcastSymbolic)) {
     const FlatSchedule schedule = make_broadcast_schedule(spec, req.source);
-    res.congestion = analyze_congestion(
-        schedule, req.checks.pool ? req.checks.pool->workers() : req.checks.threads);
+    res.congestion = analyze_congestion(schedule, req.checks.threads, req.checks.pool);
     res.has_congestion = true;
   }
   return res;

@@ -17,6 +17,8 @@
 
 namespace shc {
 
+class WorkerPool;
+
 /// Aggregate edge-load statistics of one schedule.
 struct CongestionStats {
   std::size_t distinct_edges_used = 0;  ///< edges carrying >= 1 call hop
@@ -44,13 +46,17 @@ struct CongestionStats {
 /// values tell the capacity a dilated (multi-edge) network would need to
 /// run this schedule as-is.
 ///
-/// With threads > 1, edges are partitioned across `threads` workers by
-/// hash, each worker accounts its own edges over the whole schedule, and
-/// the per-shard stats are merge()d: the result is identical to the
+/// With more than one worker, edges are partitioned across the workers
+/// by hash, each worker accounts its own edges over the whole schedule,
+/// and the per-shard stats are merge()d: the result is identical to the
 /// serial analysis (including the histogram and the mean, bit for bit).
-/// Throws std::invalid_argument when threads < 1.
+/// The workers are `pool`'s when one is lent (the caller keeps it; its
+/// worker count sets the shards and `threads` is ignored), else an
+/// owned pool of `threads` (CheckPool).  Without a lent pool, throws
+/// std::invalid_argument unless 1 <= threads <= kMaxCheckThreads.
 [[nodiscard]] CongestionStats analyze_congestion(const FlatSchedule& schedule,
-                                                 int threads = 1);
+                                                 int threads = 1,
+                                                 WorkerPool* pool = nullptr);
 
 /// Outcome of the symbolic congestion analysis.
 struct SymbolicCongestionReport {

@@ -102,11 +102,15 @@ struct Subcube {
 }
 
 /// Splits `outer` minus `inner` into disjoint subcubes (one per free
-/// dimension of outer that inner pins).  Pre: subcube_contains(outer,
-/// inner).  The symbolic congestion overlay's refinement step.
+/// dimension of outer that inner pins).  Throws std::invalid_argument
+/// unless subcube_contains(outer, inner): the pieces of a subtraction
+/// from outside would overlap `inner`.  The symbolic congestion
+/// overlay's refinement step.
 [[nodiscard]] inline std::vector<Subcube> subcube_subtract(const Subcube& outer,
                                                            const Subcube& inner) {
-  assert(subcube_contains(outer, inner));
+  if (!subcube_contains(outer, inner)) {
+    throw std::invalid_argument("subcube_subtract: inner is not inside outer");
+  }
   std::vector<Subcube> pieces;
   Subcube cur = outer;
   Vertex split = outer.mask & ~inner.mask;

@@ -38,13 +38,19 @@
 //
 // Round batching: end_call_group only records a group into the round's
 // SymbolicRound; end_round runs two jobs over the recorded batch.  The
-// engine job builds the raw caller ledger and the collision claims, then
-// adds the round's receivers to the frontier in group order.  The check
-// job runs the per-group clauses in group order, then the caller
-// tiling, the collision check and the sampled replay.  With a
-// WorkerPool of two or more workers the check job runs on a pooled
-// worker beside the engine job (the tiling reads a snapshot of the
-// frontier the insert is growing, and a rejected round gets its
+// engine job builds the collision claims, then adds the round's
+// receivers to the frontier in group order.  The check job runs the
+// per-group clauses in group order, then the caller tiling, the
+// collision check and the sampled replay.  The caller tiling first
+// walks the frontier beside the groups in one in-order merge that can
+// only accept: when the groups are the frontier's entries in iteration
+// order, each split on its lowest free bits as the producer splits it,
+// the round tiles.  Any other round (a replay in another order, or a
+// schedule that does not tile) builds the hashed caller ledger and
+// runs the dyadic consume, which decides it and words every error.
+// With a WorkerPool of two or more workers the check job runs on a
+// pooled worker beside the engine job (the tiling reads a snapshot of
+// the frontier the insert is growing, and a rejected round gets its
 // frontier back from that snapshot); without one the jobs run in turn,
 // and the insert only after the checks pass.  The insert order, hence
 // the greedy coalescing and every report, is the same at every thread
@@ -502,19 +508,20 @@ class SymbolicBroadcastValidator
   }
 
   /// Checks the recorded round and inserts its receivers.  Two jobs
-  /// share the read-only round.  The engine job builds the round's two
-  /// ledgers (the raw caller ledger and the collision claims), then
-  /// inserts the receivers into the frontier; the check job runs the
-  /// per-group clauses, the caller tiling, the collision check and the
-  /// sampled replay, waiting for each ledger just before its first use.
-  /// With a pool of two or more workers the check job runs on a pooled
-  /// worker beside the engine job — the tiling reads a snapshot of the
-  /// frontier the insert is growing, and a round the checks reject gets
-  /// its frontier back from that snapshot.  The ledgers and the
-  /// frontier, which grow with the round, are built on the engine
-  /// thread, so their memory lives in one malloc arena as it does
-  /// without a pool (grown on the worker, their freed blocks would stay
-  /// resident in its arena beside the engine thread's).
+  /// share the read-only round.  The engine job builds the collision
+  /// claims, then inserts the receivers into the frontier; the check
+  /// job runs the per-group clauses, the caller tiling, the collision
+  /// check (waiting for the claims just before it) and the sampled
+  /// replay.  With a pool of two or more workers the check job runs on
+  /// a pooled worker beside the engine job — the tiling reads a
+  /// snapshot of the frontier the insert is growing, and a round the
+  /// checks reject gets its frontier back from that snapshot.  The
+  /// claims and the frontier, which grow with the round, are built on
+  /// the engine thread, so their memory lives in one malloc arena as it
+  /// does without a pool (grown on the worker, their freed blocks would
+  /// stay resident in its arena beside the engine thread's).  Only a
+  /// round the in-order tiling cannot match builds a caller ledger, on
+  /// whichever thread runs the check job.
   /// Without a pool the jobs run in turn and the insert only after the
   /// checks pass.  Either way the insert sees the same receivers in the
   /// same order, so the frontier, every counter and every report are
@@ -532,21 +539,22 @@ class SymbolicBroadcastValidator
                       round_bytes() + snapshot.size() * sizeof(WeightedSubcube));
 
     // Trace numbers for every event of both jobs, reserved here in the
-    // serial order (ledgers, checks, insert), so the merged trace is the
+    // serial order (claims, checks, insert), so the merged trace is the
     // same whichever thread runs which job and however they interleave.
     obs::TraceRecorder* const rec = obs::TraceRecorder::active();
     const std::uint64_t seq0 =
         rec != nullptr ? rec->reserve_seqs(kCheckJobSeqs + 2) : 0;
-    RoundLedgers ready;
+    std::atomic<bool> claimed{false};
     bool checked = false;
-    const auto build_ledgers = [&] {
+    const auto build_claims = [&] {
       const obs::SeqLease lease(rec, seq0, 1);
       SHC_TRACE_SCOPE("ledger_build");
-      build_round_ledgers(ready);
+      const Publish done{claimed};
+      build_round_claims();
     };
     const auto check_job = [&](const std::vector<WeightedSubcube>* entries) {
       const obs::SeqLease lease(rec, seq0 + 1, kCheckJobSeqs);
-      checked = check_round(where, entries, ready);
+      checked = check_round(where, entries, claimed);
     };
     const auto insert_job = [&] {
       const obs::SeqLease lease(rec, seq0 + 1 + kCheckJobSeqs, 1);
@@ -556,13 +564,13 @@ class SymbolicBroadcastValidator
     if (overlap) {
       pool->run_beside(
           [&] {
-            build_ledgers();
+            build_claims();
             insert_job();
           },
           [&] { check_job(&snapshot); });
       if (!checked) frontier_.assign(snapshot);
     } else {
-      build_ledgers();
+      build_claims();
       check_job(nullptr);
       if (checked) insert_job();
     }
@@ -644,13 +652,9 @@ class SymbolicBroadcastValidator
   }
 
  private:
-  /// Set once each ledger of the round is complete; the check job waits
-  /// on them.  Publish sets its flag on scope exit, so a build that
-  /// throws still releases a waiting check job.
-  struct RoundLedgers {
-    std::atomic<bool> callers{false};
-    std::atomic<bool> claims{false};
-  };
+  /// Sets the round's claims flag, on which the check job's collision
+  /// check waits, on scope exit, so a build that throws still releases
+  /// a waiting check job.
   struct Publish {
     std::atomic<bool>& flag;
     explicit Publish(std::atomic<bool>& f) noexcept : flag(f) {}
@@ -672,13 +676,12 @@ class SymbolicBroadcastValidator
 
   /// The check job: Definitions 1/2 on the recorded round.  Tiling
   /// reads `entries` (a snapshot of the frontier as the round found it)
-  /// when the insert runs concurrently, else the frontier in place; it
-  /// and the collision check first wait for the engine job's ledgers.
-  /// Nested pool runs are not allowed inside a job, so nothing here
-  /// shards.
+  /// when the insert runs concurrently, else the frontier in place; the
+  /// collision check first waits for the engine job's claims.  Nested
+  /// pool runs are not allowed inside a job, so nothing here shards.
   bool check_round(const std::string& where,
                    const std::vector<WeightedSubcube>* entries,
-                   RoundLedgers& ready) {
+                   const std::atomic<bool>& claimed) {
     {
       SHC_TRACE_SCOPE("group_checks");
       if (!check_groups(where)) return false;
@@ -687,12 +690,11 @@ class SymbolicBroadcastValidator
         stats_.peak_round_groups, static_cast<std::uint64_t>(round_.groups.size()));
     {
       SHC_TRACE_SCOPE("caller_tiling");
-      ready.callers.wait(false, std::memory_order_acquire);
       if (!check_caller_tiling(where, entries)) return false;
     }
     if (round_multihop_) {
       SHC_TRACE_SCOPE("collision_check");
-      ready.claims.wait(false, std::memory_order_acquire);
+      claimed.wait(false, std::memory_order_acquire);
       if (!check_collisions(where)) return false;
     }
     if (sopt_.sample_groups_per_round > 0) {
@@ -732,26 +734,14 @@ class SymbolicBroadcastValidator
     return true;
   }
 
-  /// The engine job's first half: the raw caller ledger the tiling
-  /// consumes and — on a round with multi-hop calls — the collision
-  /// claims.  Both run ahead of the clauses that vet the groups, so
-  /// they skip what would break their own structures: a group that is
-  /// not a well-formed in-range subcube, and a hop that is not one
-  /// in-range dimension flip off the group's free dims.  A round with
-  /// such a group fails its clauses, so the skipped entries are never
-  /// read; on a round that passes, nothing is skipped.
-  void build_round_ledgers(RoundLedgers& ready) {
-    const Publish claims_done{ready.claims};
-    {
-      const Publish callers_done{ready.callers};
-      const Vertex cube = mask_low(n_);
-      for (const CallGroup& g : round_.groups) {
-        if ((g.prefix & g.free_mask) != 0 || ((g.prefix | g.free_mask) & ~cube) != 0) {
-          continue;
-        }
-        ledger_.add_raw(g.prefix, g.free_mask, g.count);
-      }
-    }
+  /// The engine job's first half: on a round with multi-hop calls, the
+  /// collision claims.  They are built ahead of the clauses that vet
+  /// the groups, so a hop that is not one in-range dimension flip off
+  /// the group's free dims is skipped (claim_round_edge_subcubes), as
+  /// is a vertex claim that would set bits inside the free mask.  A
+  /// round with such a group fails its clauses, so the skipped claims
+  /// are never read; on a round that passes, nothing is skipped.
+  void build_round_claims() {
     if (!round_multihop_) return;
     occupancy_.clear();
     detail::claim_round_edge_subcubes(round_, occupancy_, n_);
@@ -786,18 +776,97 @@ class SymbolicBroadcastValidator
     }
   }
 
-  /// Every informed vertex must place exactly one call: consume the
-  /// round's group ledger by recursively matching each frontier entry
-  /// against its dyadic split pieces; both sides must come out empty.
-  /// Every entry is evaluated even after a failure, so the error string
-  /// does not depend on the entry order.  No budget is needed: the hit
-  /// leaves of one entry's tree consume distinct ledger keys (at most
-  /// one per group) and the first miss ends the entry, so an entry
-  /// visits at most 2 * groups + n + 1 nodes.
+  /// Every informed vertex must place exactly one call: the round's
+  /// caller groups must tile the frontier as the round found it
+  /// (`entries` when the insert runs concurrently, else the frontier in
+  /// place).  The in-order merge (tiles_in_order) accepts the produced
+  /// rounds without a ledger; a round it cannot match is decided by the
+  /// dyadic consume (dyadic_tiling_error), which words every error.
+  /// Audit builds run the dyadic consume on the merged rounds too and
+  /// require it to accept.
   bool check_caller_tiling(const std::string& where,
                            const std::vector<WeightedSubcube>* entries) {
+    const bool in_order = tiles_in_order(entries);
+    SHC_TRACE_COUNTER("caller_tiling_fallback", in_order ? 0 : 1);
+    if (in_order) {
+      SHC_AUDIT_CHECK(dyadic_tiling_error(entries).empty(),
+                      "a caller tiling the in-order merge accepts must pass "
+                      "the dyadic consume");
+      return true;
+    }
+    const std::string err = dyadic_tiling_error(entries);
+    if (!err.empty()) fail(where + err);
+    return err.empty();
+  }
+
+  /// fn(prefix, mask, mult) over the frontier as the round found it.
+  template <class Fn>
+  void for_each_caller_entry(const std::vector<WeightedSubcube>* entries, Fn&& fn) const {
+    if (entries != nullptr) {
+      for (const WeightedSubcube& e : *entries) fn(e.prefix, e.mask, e.mult);
+    } else {
+      // No snapshot: iterate in place (the frontier can hold millions
+      // of subcubes).
+      frontier_.for_each(fn);
+    }
+  }
+
+  /// The accept-only tiling: steps through the groups in order beside
+  /// the frontier's entries in iteration order (the order the producer
+  /// walks them).  Each entry of multiplicity one must be the next 2^s
+  /// groups: the entry split on its s lowest free bits, rest = the
+  /// entry's mask without them, the pieces' prefixes the entry's prefix
+  /// plus each assignment of the split bits in ascending order, each of
+  /// count 2^|rest|.  Every entry must match and every group be used.
+  /// Sound because each matched group is a node of its entry's own
+  /// lowest-bit-first split tree, the tree the dyadic consume descends:
+  /// a tiling accepted here the consume accepts too, so false decides
+  /// nothing.
+  [[nodiscard]] bool tiles_in_order(const std::vector<WeightedSubcube>* entries) const {
+    const std::vector<CallGroup>& groups = round_.groups;
+    std::size_t next = 0;
+    bool ok = true;
+    for_each_caller_entry(entries, [&](Vertex p, Vertex m, std::uint64_t mult) {
+      if (!ok) return;
+      ok = false;
+      if (mult != 1 || next == groups.size()) return;
+      const Vertex rest = groups[next].free_mask;
+      const Vertex split = m & ~rest;
+      // rest keeps m's high free bits: every split bit lies below its lowest.
+      if ((rest & ~m) != 0 || (rest != 0 && split >= (rest & (~rest + 1)))) return;
+      if ((std::uint64_t{1} << weight(split)) > groups.size() - next) return;
+      const std::uint64_t count = std::uint64_t{1} << weight(rest);
+      for (Vertex a = 0;; a = (a - split) & split) {  // ascending subsets of split
+        const CallGroup& g = groups[next++];
+        if (g.free_mask != rest || g.prefix != (p | a) || g.count != count) return;
+        if (a == split) break;
+      }
+      ok = true;
+    });
+    return ok && next == groups.size();
+  }
+
+  /// The dyadic consume: hashes the groups into the raw caller ledger,
+  /// then recursively matches each frontier entry against its dyadic
+  /// split pieces; both sides must come out empty.  Returns the error
+  /// (without the round prefix) or empty.  Every entry is evaluated
+  /// even after a failure, so the error string does not depend on the
+  /// entry order.  No budget is needed: the hit leaves of one entry's
+  /// tree consume distinct ledger keys (at most one per group) and the
+  /// first miss ends the entry, so an entry visits at most
+  /// 2 * groups + n + 1 nodes.  The ledger skips a group that is not a
+  /// well-formed in-range subcube (its clauses have failed the round
+  /// first).
+  [[nodiscard]] std::string dyadic_tiling_error(const std::vector<WeightedSubcube>* entries) {
+    const Vertex cube = mask_low(n_);
+    for (const CallGroup& g : round_.groups) {
+      if ((g.prefix & g.free_mask) != 0 || ((g.prefix | g.free_mask) & ~cube) != 0) {
+        continue;
+      }
+      ledger_.add_raw(g.prefix, g.free_mask, g.count);
+    }
     bool mismatch = false;
-    auto check_entry = [&](Vertex ep, Vertex em, std::uint64_t mult) {
+    for_each_caller_entry(entries, [&](Vertex ep, Vertex em, std::uint64_t mult) {
       std::uint64_t visits = 0;
       auto consume = [&](auto&& self, Vertex p, Vertex m) -> bool {
         ++visits;
@@ -813,30 +882,21 @@ class SymbolicBroadcastValidator
                                     static_cast<std::uint64_t>(n_) + 1,
                       "caller tiling visits at most 2 * groups + n + 1 nodes per entry");
       static_cast<void>(visits);
-    };
-    if (entries != nullptr) {
-      for (const WeightedSubcube& e : *entries) check_entry(e.prefix, e.mask, e.mult);
-    } else {
-      // No snapshot: iterate in place (the frontier can hold millions
-      // of subcubes).
-      frontier_.for_each(check_entry);
-    }
+    });
     bool leftover = false;
     ledger_.for_each([&](Vertex, Vertex, std::uint64_t v) {
       if (v != 0) leftover = true;
     });
     ledger_.clear();
     if (mismatch) {
-      fail(where + "callers do not tile the informed set (some informed "
-                   "vertex places no call)");
-      return false;
+      return "callers do not tile the informed set (some informed vertex "
+             "places no call)";
     }
     if (leftover) {
-      fail(where + "caller group outside the informed set (uninformed caller "
-                   "or a vertex calling twice)");
-      return false;
+      return "caller group outside the informed set (uninformed caller or a "
+             "vertex calling twice)";
     }
-    return true;
+    return {};
   }
 
   /// Concurrent-group disjointness by the dyadic occupancy ledger:
@@ -874,13 +934,14 @@ class SymbolicBroadcastValidator
   const Net* net_;
   ValidationOptions opt_;
   SubcubeFrontier frontier_;  ///< informed multiset, cross-round
-  SubcubeFrontier ledger_;    ///< round-local caller ledger (raw mode)
+  SubcubeFrontier ledger_;    ///< caller ledger of the dyadic consume (raw mode)
 
   /// Main-track trace numbers reserved per round for the check job:
-  /// it records at most group_checks, caller_tiling, collision_check
-  /// with its nested ledger_check scope and ledger_claims counter, and
-  /// sampled_replay — six events.  The engine job records one scope
-  /// before the checks' block (ledger_build) and one after
+  /// it records at most group_checks, caller_tiling with its
+  /// caller_tiling_fallback counter, collision_check with its nested
+  /// ledger_check scope and ledger_claims counter, and sampled_replay —
+  /// seven events.  The engine job records one scope before the checks'
+  /// block (ledger_build, the collision claims) and one after
   /// (frontier_insert).
   static constexpr std::uint64_t kCheckJobSeqs = 8;
 };

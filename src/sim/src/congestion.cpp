@@ -79,7 +79,7 @@ class SubcubeLoadMap {
           *subcube_intersection({cur.prefix, cur.mask}, {p2, m2});
       const bool taken = entries_.take(p2, m2, l2);
       (void)taken;
-      assert(taken);
+      assert(taken);  // shc-lint: allow(assert-guard) — find_overlap just found it
       entries_.insert(inter.prefix, inter.mask, l2 + cur.mult);
       for (const Subcube& rest : subcube_subtract({p2, m2}, inter)) {
         entries_.insert(rest.prefix, rest.mask, l2);
@@ -155,14 +155,16 @@ CongestionStats& CongestionStats::merge(const CongestionStats& other) {
   return *this;
 }
 
-CongestionStats analyze_congestion(const FlatSchedule& schedule, int threads) {
-  require_check_threads("analyze_congestion: threads", threads);
-  const auto shards = static_cast<unsigned>(threads);
+CongestionStats analyze_congestion(const FlatSchedule& schedule, int threads,
+                                   WorkerPool* pool) {
+  const CheckPool workers(pool, threads, "analyze_congestion: threads");
+  WorkerPool* const run_on = workers.get();
+  const auto shards =
+      run_on == nullptr ? 1u : static_cast<unsigned>(run_on->workers());
   if (shards == 1) return analyze_congestion_shard(schedule, 0, 1);
 
   std::vector<CongestionStats> parts(shards);
-  WorkerPool pool(threads);
-  pool.run(threads, [&schedule, &parts, shards](int w) {
+  run_on->run(static_cast<int>(shards), [&schedule, &parts, shards](int w) {
     parts[static_cast<unsigned>(w)] =
         analyze_congestion_shard(schedule, static_cast<unsigned>(w), shards);
   });

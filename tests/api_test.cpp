@@ -286,6 +286,28 @@ TEST(ApiFacade, SymbolicBroadcastRowsAreByteIdenticalAtOneTwoFourAndEightThreads
   }
 }
 
+TEST(ApiFacade, CongestionRowOnALentPoolMatchesTheSerialRow) {
+  // The congestion analysis runs on the lent pool itself, as the
+  // engines do, instead of building a second pool of its size.
+  for (const Workload workload : {Workload::kBroadcastStreaming, Workload::kBroadcastSymbolic}) {
+    CertifyRequest req;
+    req.workload = workload;
+    req.n = 12;
+    req.k = 2;
+    req.with_congestion = true;
+    const CertifyResult serial = certify(req);
+    ASSERT_TRUE(serial.ok) << serial.report.error;
+    ASSERT_TRUE(serial.has_congestion);
+    WorkerPool lent(2);
+    req.checks.pool = &lent;
+    const CertifyResult pooled = certify(req);
+    EXPECT_TRUE(pooled.has_congestion);
+    EXPECT_EQ(pooled.congestion, serial.congestion) << workload_name(workload);
+    EXPECT_EQ(row_without_seconds(pooled), row_without_seconds(serial))
+        << workload_name(workload);
+  }
+}
+
 TEST(ApiFacade, EveryEngineRejectsThreadsAboveTheCapBeforeStartingAPool) {
   // One past kMaxCheckThreads: each entry must throw before it builds a
   // WorkerPool, so no worker thread is ever started here.

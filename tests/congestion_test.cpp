@@ -7,8 +7,10 @@
 
 #include "shc/mlbg/broadcast.hpp"
 #include "shc/mlbg/spec.hpp"
+#include "shc/sim/check_options.hpp"
 #include "shc/sim/congestion.hpp"
 #include "shc/sim/validator.hpp"
+#include "shc/sim/worker_pool.hpp"
 
 namespace shc {
 namespace {
@@ -49,6 +51,19 @@ TEST(Congestion, RequiredCapacityIsOneForFeasibleSchedules) {
 TEST(Congestion, RejectsThreadCountBelowOne) {
   EXPECT_THROW((void)analyze_congestion(tiny_schedule(), 0), std::invalid_argument);
   EXPECT_THROW((void)analyze_congestion(tiny_schedule(), -3), std::invalid_argument);
+}
+
+TEST(Congestion, LentPoolShardsOverItsWorkersAndIgnoresThreads) {
+  // A lent pool sets the shard count; the thread knob is not read, so
+  // even a count past the cap builds nothing and throws nothing.
+  const auto schedule = make_broadcast_schedule(SparseHypercubeSpec::construct(10, {3}), 0);
+  const CongestionStats serial = analyze_congestion(schedule);
+  for (const int workers : {1, 2, 3}) {
+    WorkerPool lent(workers);
+    EXPECT_EQ(analyze_congestion(schedule, 1, &lent), serial) << "workers=" << workers;
+    EXPECT_EQ(analyze_congestion(schedule, kMaxCheckThreads + 1, &lent), serial)
+        << "workers=" << workers;
+  }
 }
 
 TEST(Congestion, EmptyScheduleIsZero) {

@@ -104,6 +104,19 @@ TEST(SubcubeAlgebra, SubtractSplitsIntoDisjointCover) {
   }
 }
 
+TEST(SubcubeAlgebra, SubtractRefusesAnInnerSubcubeOutsideOuter) {
+  // Release builds used to return pieces overlapping `inner` here.
+  const Subcube outer{0b0000, 0b0011};
+  EXPECT_THROW(static_cast<void>(subcube_subtract(outer, {0b0100, 0b0001})),
+               std::invalid_argument)
+      << "inner pins a bit outer pins differently";
+  EXPECT_THROW(static_cast<void>(subcube_subtract(outer, {0b0000, 0b0111})),
+               std::invalid_argument)
+      << "inner frees a bit outer pins";
+  EXPECT_EQ(subcube_subtract(outer, outer).size(), 0u);
+  EXPECT_EQ(subcube_subtract(outer, {0b0001, 0b0010}).size(), 1u);
+}
+
 TEST(SubcubeFrontierTest, CoalescesATilingToOneCubeAndCountsExactly) {
   // Insert all 2^10 singletons in random order: sibling coalescing must
   // collapse them into few subcubes totalling exactly 2^10.

@@ -12,15 +12,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <numeric>
+#include <random>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "shc/mlbg/broadcast.hpp"
 #include "shc/mlbg/params.hpp"
 #include "shc/mlbg/spec.hpp"
 #include "shc/mlbg/symbolic_broadcast.hpp"
+#include "shc/obs/recorder.hpp"
 #include "shc/sim/congestion.hpp"
 #include "shc/sim/streaming_validator.hpp"
 #include "shc/sim/symbolic_validator.hpp"
@@ -531,8 +537,8 @@ struct RunOutcome {
   SymbolicRunStats stats;
 };
 
-RunOutcome run_at(const SymbolicSchedule& s, int threads, int n = 10, int k = 2) {
-  const auto spec = design_sparse_hypercube(n, k);
+RunOutcome run_spec(const SparseHypercubeSpec& spec, const SymbolicSchedule& s,
+                    int threads) {
   const SpecView view(spec);
   ValidationOptions opt;
   opt.k = spec.k();
@@ -541,6 +547,10 @@ RunOutcome run_at(const SymbolicSchedule& s, int threads, int n = 10, int k = 2)
   RunOutcome out;
   out.report = validate_broadcast_symbolic(view, s, opt, sopt, &out.stats);
   return out;
+}
+
+RunOutcome run_at(const SymbolicSchedule& s, int threads, int n = 10, int k = 2) {
+  return run_spec(design_sparse_hypercube(n, k), s, threads);
 }
 
 void expect_same_outcome(const RunOutcome& a, const RunOutcome& b,
@@ -1099,6 +1109,274 @@ TEST(SharedFrontier, SinkFrontierMustStartAtTheSource) {
   SymbolicBroadcastValidator<SpecView> validator(view, 3, opt);
   EXPECT_THROW(emit_broadcast_rounds_symbolic(spec, 5, validator),
                std::invalid_argument);
+}
+
+// ---- in-order caller tiling --------------------------------------------
+
+/// `s` with every round's groups put in the order `order(&indices)`
+/// leaves their indices; each group keeps its pattern.
+template <class Order>
+SymbolicSchedule permute_groups(SymbolicSchedule s, Order&& order) {
+  for (SymbolicRound& round : s.rounds) {
+    std::vector<std::size_t> idx(round.groups.size());
+    std::iota(idx.begin(), idx.end(), std::size_t{0});
+    order(idx);
+    std::vector<CallGroup> groups;
+    std::vector<std::uint32_t> patterns;
+    for (const std::size_t i : idx) {
+      groups.push_back(round.groups[i]);
+      patterns.push_back(round.group_pattern[i]);
+    }
+    round.groups = std::move(groups);
+    round.group_pattern = std::move(patterns);
+  }
+  return s;
+}
+
+SymbolicSchedule reversed_groups(const SymbolicSchedule& s) {
+  return permute_groups(s, [](std::vector<std::size_t>& idx) {
+    std::reverse(idx.begin(), idx.end());
+  });
+}
+
+SymbolicSchedule shuffled_groups(const SymbolicSchedule& s, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  return permute_groups(s, [&](std::vector<std::size_t>& idx) {
+    std::shuffle(idx.begin(), idx.end(), rng);
+  });
+}
+
+/// Replaces group `gi` of `round` by `pieces` (each with the group's
+/// pattern), in the given order.
+void replace_group(SymbolicRound& round, std::size_t gi, const std::vector<CallGroup>& pieces) {
+  const std::uint32_t pattern = round.group_pattern[gi];
+  const auto at = static_cast<std::ptrdiff_t>(gi);
+  round.groups.erase(round.groups.begin() + at);
+  round.group_pattern.erase(round.group_pattern.begin() + at);
+  round.groups.insert(round.groups.begin() + at, pieces.begin(), pieces.end());
+  round.group_pattern.insert(round.group_pattern.begin() + at, pieces.size(), pattern);
+}
+
+/// `g` split on the free bits `bits` into 2^|bits| pieces, in the
+/// producer's ascending enumeration of the split assignments.
+std::vector<CallGroup> split_group(const CallGroup& g, Vertex bits) {
+  std::vector<CallGroup> pieces;
+  const Vertex rest = g.free_mask & ~bits;
+  for (Vertex a = 0;; a = (a - bits) & bits) {
+    pieces.push_back({g.prefix | a, rest, std::uint64_t{1} << weight(rest)});
+    if (a == bits) break;
+  }
+  return pieces;
+}
+
+/// `s` with every group of the last round that has two or more free
+/// dims split on its two lowest (on its lowest when it has exactly two)
+/// — the round a producer splitting entries on their lowest free bits
+/// emits.  A piece's calls follow its group's pattern, so the schedule
+/// makes the same calls.  (Splitting earlier rounds too would change
+/// how the receivers coalesce, and the later rounds would no longer
+/// tile the validator's frontier.)
+SymbolicSchedule split_last_round(SymbolicSchedule s) {
+  SymbolicRound& round = s.rounds.back();
+  for (std::size_t gi = round.groups.size(); gi-- > 0;) {
+    const Vertex m = round.groups[gi].free_mask;
+    if (weight(m) < 2) continue;
+    const Vertex low = m & (~m + 1);
+    const Vertex next = (m & ~low) & (~(m & ~low) + 1);
+    replace_group(round, gi, split_group(round.groups[gi], weight(m) > 2 ? low | next : low));
+  }
+  return s;
+}
+
+/// A run's report and every SymbolicRunStats field on one line.
+std::string outcome_digest(const RunOutcome& o) {
+  const auto u = [](std::uint64_t v) { return std::to_string(v); };
+  const ValidationReport& r = o.report;
+  const SymbolicRunStats& st = o.stats;
+  return "ok=" + u(r.ok) + " rounds=" + u(static_cast<std::uint64_t>(r.rounds)) +
+         " informed=" + u(r.informed) + " calls=" + u(r.total_calls) +
+         " maxlen=" + u(static_cast<std::uint64_t>(r.max_call_length)) +
+         " min=" + u(r.minimum_time) + " | groups=" + u(st.groups) +
+         " prg=" + u(st.peak_round_groups) + " pfs=" + u(st.peak_frontier_subcubes) +
+         " ffs=" + u(st.final_frontier_subcubes) + " occ=" + u(st.occupancy_claims) +
+         " samp=" + u(st.sampled_calls) + " rc=" + u(st.rounds_checked) + " | " + r.error;
+}
+
+/// The caller_tiling_fallback counter of every round `run()` checks.
+template <class Run>
+std::vector<std::uint64_t> tiling_fallbacks(Run&& run) {
+  obs::TraceSession session({});
+  run();
+  std::vector<std::uint64_t> out;
+  for (const obs::TraceEvent& e : session.recorder().merged_events()) {
+    if (e.kind == obs::EventKind::kCounter &&
+        std::string_view(e.name) == "caller_tiling_fallback") {
+      out.push_back(e.value);
+    }
+  }
+  return out;
+}
+
+TEST(InOrderTiling, ReorderedRoundsKeepTheDyadicConsumeOutcome) {
+  // The in-order merge accepts only the producer's order; a round in
+  // any other order falls back to the dyadic consume.  The outcomes
+  // below were recorded with a validator that had only the dyadic
+  // consume: the merge may only accept what the consume accepts, so the
+  // report and every stat must stay exactly these, at every thread
+  // count.  Reordering changes how the receivers coalesce, so a
+  // reordered replay ends on another frontier, and some fail a later
+  // round's tiling (the consume matches groups against the entries'
+  // lowest-bit-first split trees only).  A change to the frontier's
+  // iteration order re-records these lines.
+  struct Case {
+    int n, k;
+    bool split;  ///< last round split on its groups' lowest free bits
+    const char* in_order;
+    const char* reversed;
+    const char* shuffled;
+  };
+  const Case cases[] = {
+      {12, 2, false,
+       "ok=1 rounds=12 informed=4096 calls=4095 maxlen=2 min=1 | groups=473 prg=105 pfs=105 ffs=27 occ=329 samp=83 rc=12 | ",
+       "ok=1 rounds=12 informed=4096 calls=4095 maxlen=2 min=1 | groups=473 prg=105 pfs=105 ffs=14 occ=316 samp=94 rc=12 | ",
+       "ok=1 rounds=12 informed=4096 calls=4095 maxlen=2 min=1 | groups=473 prg=105 pfs=105 ffs=29 occ=331 samp=88 rc=12 | "},
+      {12, 3, false,
+       "ok=1 rounds=12 informed=4096 calls=4095 maxlen=3 min=1 | groups=761 prg=230 pfs=230 ffs=25 occ=891 samp=74 rc=12 | ",
+       "ok=0 rounds=10 informed=0 calls=1023 maxlen=3 min=0 | groups=334 prg=136 pfs=136 ffs=136 occ=383 samp=57 rc=9 | round 10: callers do not tile the informed set (some informed vertex places no call)",
+       "ok=0 rounds=10 informed=0 calls=1023 maxlen=3 min=0 | groups=334 prg=136 pfs=136 ffs=136 occ=383 samp=46 rc=9 | round 10: callers do not tile the informed set (some informed vertex places no call)"},
+      {16, 2, false,
+       "ok=1 rounds=16 informed=65536 calls=65535 maxlen=2 min=1 | groups=1606 prg=316 pfs=316 ffs=67 occ=1142 samp=140 rc=16 | ",
+       "ok=1 rounds=16 informed=65536 calls=65535 maxlen=2 min=1 | groups=1606 prg=316 pfs=316 ffs=58 occ=1133 samp=145 rc=16 | ",
+       "ok=1 rounds=16 informed=65536 calls=65535 maxlen=2 min=1 | groups=1606 prg=316 pfs=316 ffs=66 occ=1141 samp=145 rc=16 | "},
+      {16, 3, false,
+       "ok=1 rounds=16 informed=65536 calls=65535 maxlen=3 min=1 | groups=2655 prg=792 pfs=792 ffs=110 occ=3083 samp=138 rc=16 | ",
+       "ok=0 rounds=14 informed=0 calls=16383 maxlen=3 min=0 | groups=1209 prg=449 pfs=449 ffs=449 occ=1382 samp=104 rc=13 | round 14: callers do not tile the informed set (some informed vertex places no call)",
+       "ok=0 rounds=14 informed=0 calls=16383 maxlen=3 min=0 | groups=1209 prg=449 pfs=449 ffs=449 occ=1382 samp=105 rc=13 | round 14: callers do not tile the informed set (some informed vertex places no call)"},
+      {16, 2, true,
+       "ok=1 rounds=16 informed=65536 calls=65535 maxlen=2 min=1 | groups=2385 prg=1044 pfs=316 ffs=67 occ=1142 samp=139 rc=16 | ",
+       "ok=1 rounds=16 informed=65536 calls=65535 maxlen=2 min=1 | groups=2385 prg=1044 pfs=316 ffs=58 occ=1133 samp=143 rc=16 | ",
+       "ok=1 rounds=16 informed=65536 calls=65535 maxlen=2 min=1 | groups=2385 prg=1044 pfs=316 ffs=83 occ=1158 samp=142 rc=16 | "},
+  };
+  for (const Case& c : cases) {
+    const auto spec = design_sparse_hypercube(c.n, c.k);
+    SymbolicSchedule in_order = make_symbolic_broadcast_schedule(spec, 0);
+    if (c.split) in_order = split_last_round(std::move(in_order));
+    const std::string name = "n=" + std::to_string(c.n) + " k=" + std::to_string(c.k) +
+                             (c.split ? " split" : "");
+    for (const auto& [how, schedule, want] :
+         {std::tuple{"in order", in_order, c.in_order},
+          std::tuple{"reversed", reversed_groups(in_order), c.reversed},
+          std::tuple{"shuffled", shuffled_groups(in_order, 0xC0FFEE), c.shuffled}}) {
+      for (const int threads : {1, 2, 4}) {
+        EXPECT_EQ(outcome_digest(run_spec(spec, schedule, threads)), want)
+            << name << ", " << how << ", threads=" << threads;
+      }
+    }
+  }
+}
+
+TEST(InOrderTiling, SplitPiecesOutOfAscendingOrderAreAccepted) {
+  const auto spec = design_sparse_hypercube(12, 3);
+  const SymbolicSchedule clean = make_symbolic_broadcast_schedule(spec, 0);
+  const Target t = mid_round_subcube_group(clean);
+  const CallGroup g = clean.rounds[t.round].groups[t.group];
+  const Vertex low = g.free_mask & (~g.free_mask + 1);
+
+  SymbolicSchedule ascending = clean;
+  replace_group(ascending.rounds[t.round], t.group, split_group(g, low));
+  std::vector<CallGroup> pieces = split_group(g, low);
+  std::swap(pieces[0], pieces[1]);
+  SymbolicSchedule swapped = clean;
+  replace_group(swapped.rounds[t.round], t.group, pieces);
+
+  const RunOutcome want = run_spec(spec, ascending, 1);
+  ASSERT_TRUE(want.report.ok) << want.report.error;
+  for (const int threads : {1, 2, 4}) {
+    expect_same_outcome(want, run_spec(spec, swapped, threads),
+                        "swapped pieces, threads=" + std::to_string(threads));
+  }
+  const auto fallbacks = tiling_fallbacks([&] { static_cast<void>(run_spec(spec, swapped, 1)); });
+  ASSERT_GT(fallbacks.size(), t.round);
+  EXPECT_EQ(fallbacks[t.round], 1u) << "the swapped round is decided by the dyadic consume";
+  EXPECT_EQ(tiling_fallbacks([&] { static_cast<void>(run_spec(spec, ascending, 1)); }),
+            std::vector<std::uint64_t>(clean.rounds.size(), 0))
+      << "ascending pieces are the merge's own order";
+}
+
+TEST(InOrderTiling, SplitOnANonLowestFreeBitFailsTheTiling) {
+  // Two pieces that cover their entry exactly, split on the entry's
+  // highest free bit: not a node of the entry's lowest-bit-first split
+  // tree, so the entry finds no call.
+  const auto clean = clean_schedule();
+  Target t;
+  for (std::size_t r = 1; r < clean.rounds.size() && t.round == 0; ++r) {
+    const auto& groups = clean.rounds[r].groups;
+    for (std::size_t g = groups.size() / 2; g < groups.size(); ++g) {
+      if (weight(groups[g].free_mask) >= 2) {
+        t = {r, g};
+        break;
+      }
+    }
+  }
+  ASSERT_GT(t.round, 0u) << "need a mid-round group with two free dims";
+  const CallGroup g = clean.rounds[t.round].groups[t.group];
+  SymbolicSchedule bad = clean;
+  replace_group(bad.rounds[t.round], t.group,
+                split_group(g, Vertex{1} << (63 - std::countl_zero(g.free_mask))));
+  const RunOutcome serial = run_at(bad, 1);
+  EXPECT_EQ(serial.report.error,
+            "round " + std::to_string(t.round + 1) +
+                ": callers do not tile the informed set (some informed vertex "
+                "places no call)");
+  for (const int threads : {2, 4}) {
+    expect_same_outcome(serial, run_at(bad, threads),
+                        "non-lowest split, threads=" + std::to_string(threads));
+  }
+}
+
+TEST(InOrderTiling, InOrderDuplicatedPieceFailsAsACallerOutsideTheInformedSet) {
+  const auto clean = clean_schedule();
+  const Target t = mid_round_subcube_group(clean);
+  SymbolicSchedule bad = clean;
+  const CallGroup g = clean.rounds[t.round].groups[t.group];
+  replace_group(bad.rounds[t.round], t.group, {g, g});
+  const RunOutcome serial = run_at(bad, 1);
+  EXPECT_EQ(serial.report.error,
+            "round " + std::to_string(t.round + 1) +
+                ": caller group outside the informed set (uninformed caller or "
+                "a vertex calling twice)");
+  for (const int threads : {2, 4}) {
+    expect_same_outcome(serial, run_at(bad, threads),
+                        "duplicated piece, threads=" + std::to_string(threads));
+  }
+}
+
+TEST(InOrderTiling, ProducedRoundsNeverFallBackAndShuffledOnesDo) {
+  for (const int threads : {1, 2}) {
+    const auto spec = design_sparse_hypercube(16, 2);
+    ValidationOptions opt;
+    opt.k = spec.k();
+    SymbolicCheckOptions sopt;
+    sopt.threads = threads;
+    int rounds = 0;
+    const auto produced = tiling_fallbacks([&] {
+      const auto cert = certify_broadcast_symbolic(spec, 0, opt, sopt);
+      EXPECT_TRUE(cert.report.ok) << cert.report.error;
+      rounds = cert.report.rounds;
+    });
+    EXPECT_EQ(produced, std::vector<std::uint64_t>(static_cast<std::size_t>(rounds), 0))
+        << "threads=" << threads;
+
+    const SymbolicSchedule schedule = make_symbolic_broadcast_schedule(spec, 0);
+    EXPECT_EQ(tiling_fallbacks([&] { static_cast<void>(run_spec(spec, schedule, threads)); }),
+              produced)
+        << "a materialized schedule replays in the producer's order, threads=" << threads;
+    const auto shuffled = tiling_fallbacks(
+        [&] { static_cast<void>(run_spec(spec, shuffled_groups(schedule, 7), threads)); });
+    EXPECT_EQ(shuffled.size(), static_cast<std::size_t>(rounds));
+    EXPECT_GT(std::accumulate(shuffled.begin(), shuffled.end(), std::uint64_t{0}), 0u)
+        << "threads=" << threads;
+  }
 }
 
 TEST(SymbolicStats, GroupCompressionIsPolynomialWhileCallsAreExponential) {

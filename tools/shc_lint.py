@@ -16,7 +16,8 @@ conventions that are easy to break silently in review.  This lint walks
                     sizing).  Everything else shares the WorkerPool.
   assert-guard      `assert(` in graph/, coding/, labeling/, baseline/
                     translation units, mlbg/src/broadcast.cpp,
-                    sim/src/subcube.cpp and sim/src/knowledge_classes.cpp:
+                    sim/src/subcube.cpp, sim/src/knowledge_classes.cpp
+                    and sim/src/congestion.cpp:
                     a bare assert guarding caller
                     input vanishes under NDEBUG.  Input guards throw
                     std::invalid_argument; genuine internal invariants
@@ -94,7 +95,7 @@ THREAD_ALLOWED_FILES = ("src/sim/include/shc/sim/worker_pool.hpp",)
 # input directly (the PR 2 bug class lived in graph/).
 ASSERT_DIRS = ("src/graph", "src/coding", "src/labeling", "src/baseline",
                "src/mlbg/src/broadcast.cpp", "src/sim/src/subcube.cpp",
-               "src/sim/src/knowledge_classes.cpp")
+               "src/sim/src/knowledge_classes.cpp", "src/sim/src/congestion.cpp")
 
 # Kernel layer: headers that sit below their own module's layering set.
 # subcube_batch.hpp is the leaf the hot paths build on — it may reach

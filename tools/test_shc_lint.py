@@ -153,9 +153,24 @@ class AssertGuardRule(LintHarness):
             }
         )
 
+    def test_congestion_translation_unit_flagged(self) -> None:
+        self.assert_finding(
+            {"src/sim/src/congestion.cpp": "void f(int n) { assert(n >= 1); }\n"},
+            "assert-guard",
+        )
+
+    def test_congestion_allowed_invariant_clean(self) -> None:
+        self.assert_clean(
+            {
+                "src/sim/src/congestion.cpp":
+                    "void f(int n) { assert(n >= 1);  "
+                    "// shc-lint: allow(assert-guard)\n}\n"
+            }
+        )
+
     def test_other_sim_translation_unit_not_in_scope(self) -> None:
         self.assert_clean(
-            {"src/sim/src/congestion.cpp": "void f(int n) { assert(n >= 1); }\n"}
+            {"src/sim/src/flat_schedule.cpp": "void f(int n) { assert(n >= 1); }\n"}
         )
 
     def test_baseline_allowed_invariant_clean(self) -> None:
