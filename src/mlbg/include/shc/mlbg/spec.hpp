@@ -63,10 +63,12 @@ class SparseHypercubeSpec {
   /// The paper's Construct(k, (n, cuts_{k-1}, ..., cuts_1)) with the
   /// Lemma-2 labeling on every level.  `cuts` = (n_1, ..., n_{k-1})
   /// strictly increasing, 1 <= n_1, n_{k-1} < n.  k = cuts.size() + 1.
+  /// Throws std::invalid_argument ("construct: ...") on bad n or cuts.
   [[nodiscard]] static SparseHypercubeSpec construct(int n, std::vector<int> cuts);
 
   /// Fully custom: one labeling per level, levels.size() == cuts.size();
-  /// labeling t must cover Q_{cuts[t] - cuts[t-1]}.
+  /// labeling t must be a Condition-A labeling of Q_{cuts[t] - cuts[t-1]}
+  /// (else std::invalid_argument, as for bad cuts).
   [[nodiscard]] static SparseHypercubeSpec construct(int n, std::vector<int> cuts,
                                                      std::vector<CubeLabeling> labelings);
 
@@ -112,7 +114,7 @@ class SparseHypercubeSpec {
   /// Exact edge count (closed form over label-class sizes).
   [[nodiscard]] std::uint64_t num_edges() const;
 
-  /// Materializes the CSR graph.  Pre: n <= 26.
+  /// Materializes the CSR graph.  Throws std::invalid_argument if n > 26.
   [[nodiscard]] Graph materialize() const;
 
   /// Neighbor list of `u` (present dimensions), ascending by dimension.
@@ -159,7 +161,8 @@ class SpecView {
 /// Partitions the dimension range (lo, hi] into `classes` subsets with
 /// sizes differing by at most one (the paper's Step 2), assigning
 /// ascending dimensions to ascending class indices.  Some classes may be
-/// empty when hi - lo < classes.
+/// empty when hi - lo < classes.  Throws std::invalid_argument unless
+/// lo <= hi and classes >= 1.
 [[nodiscard]] std::vector<std::vector<Dim>> partition_dims(int lo, int hi,
                                                            Label classes);
 

@@ -2,8 +2,33 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
+#include <stdexcept>
+#include <string>
 
 namespace shc {
+namespace {
+
+/// Throws std::invalid_argument unless 2 <= n <= kMaxCubeDim, `cuts` is
+/// nonempty, strictly increasing and within [1, n), and there is one
+/// labeling per cut.  Cut vectors come from clients: checked, not asserted.
+void require_cuts(int n, const std::vector<int>& cuts, std::size_t labelings) {
+  const auto fail = [](const std::string& what) {
+    throw std::invalid_argument("construct: " + what);
+  };
+  if (n < 2 || n > kMaxCubeDim) fail("n must be in [2, 63], got " + std::to_string(n));
+  if (cuts.empty()) fail("cuts must not be empty");
+  if (std::adjacent_find(cuts.begin(), cuts.end(), std::greater_equal<>()) != cuts.end()) {
+    fail("cuts must be strictly increasing");
+  }
+  if (cuts.front() < 1) fail("cuts must be >= 1, got " + std::to_string(cuts.front()));
+  if (cuts.back() >= n) {
+    fail("last cut " + std::to_string(cuts.back()) + " must be below n = " + std::to_string(n));
+  }
+  if (labelings != cuts.size()) fail("need one labeling per cut, got " + std::to_string(labelings));
+}
+
+}  // namespace
 
 std::size_t ConstructionLevel::max_owned() const {
   std::size_t best = 0;
@@ -18,7 +43,9 @@ std::size_t ConstructionLevel::min_owned() const {
 }
 
 std::vector<std::vector<Dim>> partition_dims(int lo, int hi, Label classes) {
-  assert(lo <= hi && classes >= 1);
+  if (lo > hi || classes < 1) {
+    throw std::invalid_argument("partition_dims: need lo <= hi and classes >= 1");
+  }
   const int count = hi - lo;
   const int base = count / static_cast<int>(classes);
   const int extra = count % static_cast<int>(classes);
@@ -29,7 +56,7 @@ std::vector<std::vector<Dim>> partition_dims(int lo, int hi, Label classes) {
     out[j].reserve(static_cast<std::size_t>(size));
     for (int t = 0; t < size; ++t) out[j].push_back(next++);
   }
-  assert(next == hi + 1);
+  assert(next == hi + 1);  // shc-lint: allow(assert-guard) — the sizes sum to hi - lo
   return out;
 }
 
@@ -43,10 +70,11 @@ SparseHypercubeSpec SparseHypercubeSpec::construct_base(int n, int m,
 }
 
 SparseHypercubeSpec SparseHypercubeSpec::construct_base(int n, int m) {
-  return construct_base(n, m, lemma2_labeling(m));
+  return construct(n, {m});
 }
 
 SparseHypercubeSpec SparseHypercubeSpec::construct(int n, std::vector<int> cuts) {
+  require_cuts(n, cuts, cuts.size());
   std::vector<CubeLabeling> labelings;
   labelings.reserve(cuts.size());
   int prev = 0;
@@ -59,14 +87,7 @@ SparseHypercubeSpec SparseHypercubeSpec::construct(int n, std::vector<int> cuts)
 
 SparseHypercubeSpec SparseHypercubeSpec::construct(int n, std::vector<int> cuts,
                                                    std::vector<CubeLabeling> labelings) {
-  assert(n >= 2 && n <= kMaxCubeDim);
-  assert(!cuts.empty() && cuts.size() == labelings.size());
-  assert(std::is_sorted(cuts.begin(), cuts.end()));
-  assert(cuts.front() >= 1 && cuts.back() < n);
-#ifndef NDEBUG
-  for (std::size_t t = 0; t + 1 < cuts.size(); ++t) assert(cuts[t] < cuts[t + 1]);
-#endif
-
+  require_cuts(n, cuts, labelings.size());
   std::vector<ConstructionLevel> levels;
   levels.reserve(cuts.size());
   int prev = 0;
@@ -75,9 +96,11 @@ SparseHypercubeSpec SparseHypercubeSpec::construct(int n, std::vector<int> cuts,
     const int win_hi = cuts[t];
     const int dim_lo = cuts[t];
     const int dim_hi = (t + 1 < cuts.size()) ? cuts[t + 1] : n;
-    assert(labelings[t].m() == win_hi - win_lo && "labeling must match window size");
-    assert(labelings[t].satisfies_condition_a() &&
-           "construction requires a Condition-A labeling");
+    if (labelings[t].m() != win_hi - win_lo || !labelings[t].satisfies_condition_a()) {
+      throw std::invalid_argument("construct: labeling " + std::to_string(t) +
+                                  " is not a Condition-A labeling of its " +
+                                  std::to_string(win_hi - win_lo) + "-dim window");
+    }
 
     ConstructionLevel level{win_lo, win_hi, dim_lo, dim_hi, std::move(labelings[t]),
                             {}, {}};
@@ -95,7 +118,8 @@ SparseHypercubeSpec SparseHypercubeSpec::construct(int n, std::vector<int> cuts,
 }
 
 int SparseHypercubeSpec::level_of_dim(Dim i) const noexcept {
-  assert(i >= 1 && i <= n_);
+  // Every caller walks the spec's own dims 1..n.
+  assert(i >= 1 && i <= n_);  // shc-lint: allow(assert-guard)
   if (i <= cuts_.front()) return -1;
   // levels_[t] governs (cuts_[t], next]; linear scan is fine (k <= 8).
   for (std::size_t t = 0; t < levels_.size(); ++t) {
@@ -165,12 +189,12 @@ std::uint64_t SparseHypercubeSpec::num_edges() const {
       twice_edges += copies * sizes[j] * lv.owned_dims[j].size();
     }
   }
-  assert(twice_edges % 2 == 0);
+  assert(twice_edges % 2 == 0);  // shc-lint: allow(assert-guard) — a degree sum
   return twice_edges / 2;
 }
 
 Graph SparseHypercubeSpec::materialize() const {
-  assert(n_ <= 26 && "materialization guarded; use the implicit oracle instead");
+  if (n_ > 26) throw std::invalid_argument("materialize: n > 26; use the implicit oracle");
   GraphBuilder b(static_cast<VertexId>(num_vertices()));
   for (Vertex u = 0; u < num_vertices(); ++u) {
     for (Dim i = 1; i <= n_; ++i) {

@@ -527,9 +527,10 @@ class MaskClassMap {
 ///     multiplicity, prefixes one non-free bit apart) merge into a
 ///     subcube of one higher dimension, cascading.  The producer's and
 ///     validator's informed-set representation.
-///   * add_raw() / take() / consume() — plain keyed accumulation /
-///     checked consumption, used for the validator's round-local
-///     call-group ledger (no geometric merging wanted there).
+///   * add_raw() / take() — plain keyed accumulation / checked
+///     deduction, no geometric merging: assign() rebuilds a snapshot
+///     with add_raw(), and the congestion load map take()s an entry out
+///     before it inserts the entry's refined pieces.
 ///
 /// total_count() tracks the multiset cardinality (sum of mult * 2^dim)
 /// with overflow-checked arithmetic — at n = 63 the count reaches 2^63
@@ -557,7 +558,8 @@ class SubcubeFrontier {
       // masks outnumber entries-per-class) are scanned in one pass that
       // also finds p itself; large ones are probed per candidate
       // dimension.  Duplicate coverage is recorded as multiplicity — the
-      // endgame canonical_reduce turns it into a hard validation failure.
+      // validator's endgame occupancy check turns it into a hard
+      // validation failure.
       Vertex b = 0;
       if (t.capacity() <= scan_slots) {
         const batch::SiblingProbe probe = t.probe(p, mult);
@@ -629,17 +631,6 @@ class SubcubeFrontier {
       --entries_;
       if (t->empty()) classes_.erase(M);
     }
-    return true;
-  }
-
-  /// take() without the erase: deducts `v` but leaves the (possibly
-  /// zero-valued) entry in place, so the table structure never changes
-  /// under a caller that walks it.  Callers scan for nonzero leftovers
-  /// afterwards and clear() for the next round.
-  [[nodiscard]] bool consume(Vertex p, Vertex M, std::uint64_t v) {
-    std::uint64_t* cur = find(p, M);
-    if (cur == nullptr || *cur < v) return false;
-    *cur -= v;
     return true;
   }
 

@@ -45,9 +45,10 @@
 // walks the frontier beside the groups in one in-order merge that can
 // only accept: when the groups are the frontier's entries in iteration
 // order, each split on its lowest free bits as the producer splits it,
-// the round tiles.  Any other round (a replay in another order, or a
-// schedule that does not tile) builds the hashed caller ledger and
-// runs the dyadic consume, which decides it and words every error.
+// the round tiles.  Any other round (a replay in another order or
+// split, or a schedule that does not tile) is decided by comparing the
+// canonical_reduce normal forms of the callers and of the frontier,
+// which also words every error.
 // With a WorkerPool of two or more workers the check job runs on a
 // pooled worker beside the engine job (the tiling reads a snapshot of
 // the frontier the insert is growing, and a rejected round gets its
@@ -85,6 +86,7 @@
 #include <random>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "shc/bits/audit.hpp"
@@ -460,8 +462,7 @@ class SymbolicBroadcastValidator
                           "SymbolicBroadcastValidator: threads", "SymbolicCheckOptions"),
         net_(&net),
         opt_(opt),
-        frontier_(std::clamp(n_, 1, kMaxCubeDim)),
-        ledger_(std::clamp(n_, 1, kMaxCubeDim)) {
+        frontier_(std::clamp(n_, 1, kMaxCubeDim)) {
     if (n_ < 1 || n_ > kMaxCubeDim || order_ != cube_order(n_)) {
       fail("symbolic validator requires a full 2^n-vertex cube oracle");
       return;
@@ -507,25 +508,12 @@ class SymbolicBroadcastValidator
     if (pattern.size() > 2) round_multihop_ = true;
   }
 
-  /// Checks the recorded round and inserts its receivers.  Two jobs
-  /// share the read-only round.  The engine job builds the collision
-  /// claims, then inserts the receivers into the frontier; the check
-  /// job runs the per-group clauses, the caller tiling, the collision
-  /// check (waiting for the claims just before it) and the sampled
-  /// replay.  With a pool of two or more workers the check job runs on
-  /// a pooled worker beside the engine job — the tiling reads a
-  /// snapshot of the frontier the insert is growing, and a round the
-  /// checks reject gets its frontier back from that snapshot.  The
-  /// claims and the frontier, which grow with the round, are built on
-  /// the engine thread, so their memory lives in one malloc arena as it
-  /// does without a pool (grown on the worker, their freed blocks would
-  /// stay resident in its arena beside the engine thread's).  Only a
-  /// round the in-order tiling cannot match builds a caller ledger, on
-  /// whichever thread runs the check job.
-  /// Without a pool the jobs run in turn and the insert only after the
-  /// checks pass.  Either way the insert sees the same receivers in the
-  /// same order, so the frontier, every counter and every report are
-  /// the same at every thread count.
+  /// Checks the recorded round and inserts its receivers: the engine
+  /// and check jobs of the header's round batching.  The claims and the
+  /// frontier, which grow with the round, are built on the engine
+  /// thread, so their memory lives in one malloc arena as it does
+  /// without a pool (grown on the worker, their freed blocks would stay
+  /// resident in its arena beside the engine thread's).
   void end_round() {
     if (failed_) return;
     const std::string where = round_where();
@@ -780,21 +768,19 @@ class SymbolicBroadcastValidator
   /// caller groups must tile the frontier as the round found it
   /// (`entries` when the insert runs concurrently, else the frontier in
   /// place).  The in-order merge (tiles_in_order) accepts the produced
-  /// rounds without a ledger; a round it cannot match is decided by the
-  /// dyadic consume (dyadic_tiling_error), which words every error.
-  /// Audit builds run the dyadic consume on the merged rounds too and
-  /// require it to accept.
+  /// rounds; the normal forms (normal_form_tiling_error) decide every
+  /// other round and word every error.  Audit builds require a merged
+  /// round to pass the normal forms too, or to be refused on the budget.
   bool check_caller_tiling(const std::string& where,
                            const std::vector<WeightedSubcube>* entries) {
     const bool in_order = tiles_in_order(entries);
     SHC_TRACE_COUNTER("caller_tiling_fallback", in_order ? 0 : 1);
-    if (in_order) {
-      SHC_AUDIT_CHECK(dyadic_tiling_error(entries).empty(),
-                      "a caller tiling the in-order merge accepts must pass "
-                      "the dyadic consume");
-      return true;
-    }
-    const std::string err = dyadic_tiling_error(entries);
+#if SHC_AUDIT_ENABLED
+    const std::string audit = in_order ? normal_form_tiling_error(entries) : std::string();
+    SHC_AUDIT_CHECK(audit.empty() || audit == kTilingBudgetRefusal,
+                    "a round the in-order merge accepts must pass the normal forms");
+#endif
+    const std::string err = in_order ? std::string() : normal_form_tiling_error(entries);
     if (!err.empty()) fail(where + err);
     return err.empty();
   }
@@ -818,10 +804,9 @@ class SymbolicBroadcastValidator
   /// entry's mask without them, the pieces' prefixes the entry's prefix
   /// plus each assignment of the split bits in ascending order, each of
   /// count 2^|rest|.  Every entry must match and every group be used.
-  /// Sound because each matched group is a node of its entry's own
-  /// lowest-bit-first split tree, the tree the dyadic consume descends:
-  /// a tiling accepted here the consume accepts too, so false decides
-  /// nothing.
+  /// Sound because the matched groups partition each entry, so the
+  /// callers are the informed multiset with every entry called once;
+  /// false decides nothing.
   [[nodiscard]] bool tiles_in_order(const std::vector<WeightedSubcube>* entries) const {
     const std::vector<CallGroup>& groups = round_.groups;
     std::size_t next = 0;
@@ -846,55 +831,46 @@ class SymbolicBroadcastValidator
     return ok && next == groups.size();
   }
 
-  /// The dyadic consume: hashes the groups into the raw caller ledger,
-  /// then recursively matches each frontier entry against its dyadic
-  /// split pieces; both sides must come out empty.  Returns the error
-  /// (without the round prefix) or empty.  Every entry is evaluated
-  /// even after a failure, so the error string does not depend on the
-  /// entry order.  No budget is needed: the hit leaves of one entry's
-  /// tree consume distinct ledger keys (at most one per group) and the
-  /// first miss ends the entry, so an entry visits at most
-  /// 2 * groups + n + 1 nodes.  The ledger skips a group that is not a
-  /// well-formed in-range subcube (its clauses have failed the round
-  /// first).
-  [[nodiscard]] std::string dyadic_tiling_error(const std::vector<WeightedSubcube>* entries) {
-    const Vertex cube = mask_low(n_);
-    for (const CallGroup& g : round_.groups) {
-      if ((g.prefix & g.free_mask) != 0 || ((g.prefix | g.free_mask) & ~cube) != 0) {
-        continue;
+  /// The normal-form tiling: the callers tile the informed set exactly
+  /// when canonical_reduce of the groups (multiplicity one each) and of
+  /// the frontier as the round found it are equal once sorted, with every
+  /// multiplicity one.  The error is a function of the two forms alone:
+  /// a caller multiplicity above one, or more caller than informed
+  /// vertices, is a caller outside the informed set; any other mismatch
+  /// leaves an informed vertex without a call.
+  [[nodiscard]] std::string normal_form_tiling_error(
+      const std::vector<WeightedSubcube>* entries) const {
+    std::vector<WeightedSubcube> callers;  // well-formed: their clauses passed
+    callers.reserve(round_.groups.size());
+    for (const CallGroup& g : round_.groups) callers.push_back({g.prefix, g.free_mask, 1});
+    auto caller_form = canonical_reduce(std::move(callers), n_);
+    auto informed_form = canonical_reduce(entries ? *entries : frontier_.to_entries(), n_);
+    if (!caller_form || !informed_form) return kTilingBudgetRefusal;
+    // Sorts a form, adds its vertex count to `vertices` and says whether
+    // every multiplicity is one.  mult << dim cannot wrap on the frontier
+    // (its count was checked last round), nor on callers counted once.
+    const auto settle = [](std::vector<WeightedSubcube>& form, std::uint64_t& vertices) {
+      std::sort(form.begin(), form.end(), [](const WeightedSubcube& a, const WeightedSubcube& b) {
+        return std::tie(a.mask, a.prefix, a.mult) < std::tie(b.mask, b.prefix, b.mult);
+      });
+      bool once = true;
+      for (const WeightedSubcube& e : form) {
+        once = once && e.mult == 1;
+        saturating_acc_u64(vertices, e.mult << weight(e.mask));
       }
-      ledger_.add_raw(g.prefix, g.free_mask, g.count);
-    }
-    bool mismatch = false;
-    for_each_caller_entry(entries, [&](Vertex ep, Vertex em, std::uint64_t mult) {
-      std::uint64_t visits = 0;
-      auto consume = [&](auto&& self, Vertex p, Vertex m) -> bool {
-        ++visits;
-        std::uint64_t calls = 0;
-        if (!checked_shift_u64(static_cast<unsigned>(weight(m)), calls)) return false;
-        if (ledger_.consume(p, m, calls)) return true;
-        if (m == 0) return false;
-        const Vertex b = m & (~m + 1);  // lowest free bit: splits low-first
-        return self(self, p, m & ~b) && self(self, p | b, m & ~b);
-      };
-      if (mult != 1 || !consume(consume, ep, em)) mismatch = true;
-      SHC_AUDIT_CHECK(visits <= 2 * static_cast<std::uint64_t>(round_.groups.size()) +
-                                    static_cast<std::uint64_t>(n_) + 1,
-                      "caller tiling visits at most 2 * groups + n + 1 nodes per entry");
-      static_cast<void>(visits);
-    });
-    bool leftover = false;
-    ledger_.for_each([&](Vertex, Vertex, std::uint64_t v) {
-      if (v != 0) leftover = true;
-    });
-    ledger_.clear();
-    if (mismatch) {
-      return "callers do not tile the informed set (some informed vertex "
-             "places no call)";
-    }
-    if (leftover) {
+      return once;
+    };
+    std::uint64_t caller_vertices = 0;
+    std::uint64_t informed_vertices = 0;
+    const bool callers_once = settle(*caller_form, caller_vertices);
+    settle(*informed_form, informed_vertices);
+    if (!callers_once || caller_vertices > informed_vertices) {
       return "caller group outside the informed set (uninformed caller or a "
              "vertex calling twice)";
+    }
+    if (*caller_form != *informed_form) {
+      return "callers do not tile the informed set (some informed vertex "
+             "places no call)";
     }
     return {};
   }
@@ -934,7 +910,10 @@ class SymbolicBroadcastValidator
   const Net* net_;
   ValidationOptions opt_;
   SubcubeFrontier frontier_;  ///< informed multiset, cross-round
-  SubcubeFrontier ledger_;    ///< caller ledger of the dyadic consume (raw mode)
+  /// A reduction past canonical_reduce's default budget: never a verdict.
+  static constexpr const char* kTilingBudgetRefusal =
+      "caller tiling refused: a normal form exceeded canonical_reduce's "
+      "default node budget (a round this fragmented is not decided)";
 
   /// Main-track trace numbers reserved per round for the check job:
   /// it records at most group_checks, caller_tiling with its

@@ -91,6 +91,43 @@ TEST(ServeEngine, DesignArgumentsOutOfRangeAnswerErrorRows) {
   EXPECT_NE(row.find("\"ok\":true"), std::string::npos) << row;
 }
 
+TEST(ServeEngine, HostileCutsAnswerNamedSpecErrors) {
+  // The cut vector arrives from the client.  construct used to guard it
+  // with asserts only, so these rows read a std::vector length error,
+  // an ok:true k = 2 row for a cut at n, or a stray lemma2_labeling
+  // message.
+  ServeEngine engine{ServeOptions{}};
+  const std::pair<const char*, const char*> cases[] = {
+      {"\"n\":10,\"cuts\":[11]", "spec: construct: last cut 11 must be below n = 10"},
+      {"\"n\":10,\"cuts\":[10]", "spec: construct: last cut 10 must be below n = 10"},
+      {"\"n\":10,\"cuts\":[5,3]", "spec: construct: cuts must be strictly increasing"},
+      {"\"n\":10,\"cuts\":[3,3]", "spec: construct: cuts must be strictly increasing"},
+      {"\"n\":10,\"cuts\":[0]", "spec: construct: cuts must be >= 1, got 0"},
+      {"\"n\":10,\"cuts\":[-2,4]", "spec: construct: cuts must be >= 1, got -2"},
+  };
+  std::uint64_t probes = 0;
+  for (const char* workload :
+       {"broadcast-streaming", "broadcast-symbolic", "gossip-symbolic"}) {
+    for (const auto& [args, error] : cases) {
+      const std::string line = std::string("{\"workload\":\"") + workload + "\"," + args + "}";
+      const std::string row = engine.handle_line(line);
+      ++probes;
+      EXPECT_NE(row.find("\"ok\":false"), std::string::npos) << line << " -> " << row;
+      EXPECT_NE(row.find(std::string("\"error\":\"") + error + "\""), std::string::npos)
+          << line << " -> " << row;
+      EXPECT_EQ(row.find("std::"), std::string::npos) << line << " -> " << row;
+      EXPECT_EQ(row.find("max_size()"), std::string::npos) << line << " -> " << row;
+      EXPECT_EQ(row.find("lemma2_labeling"), std::string::npos) << line << " -> " << row;
+    }
+  }
+  EXPECT_EQ(engine.stats().errors, probes);
+
+  // A valid cut vector still certifies.
+  const std::string row = engine.handle_line(
+      "{\"workload\":\"broadcast-symbolic\",\"n\":10,\"cuts\":[3,6]}");
+  EXPECT_NE(row.find("\"ok\":true"), std::string::npos) << row;
+}
+
 TEST(ServeEngine, ExchangeGossipRejectsKAndCutsItWouldIgnore) {
   // The exchange engine always runs k = 1 on the full cube, so a request
   // naming another k or a cut vector answers a spec: row instead of a

@@ -3,6 +3,11 @@
 // Examples 2 and 3 (Figures 2 and 3).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "shc/bits/bitstring.hpp"
 #include "shc/graph/algorithms.hpp"
 #include "shc/graph/generators.hpp"
@@ -32,6 +37,61 @@ TEST(PartitionDims, AllowsEmptyClasses) {
   EXPECT_TRUE(p[2].empty());
   EXPECT_TRUE(p[3].empty());
   // Sizes differ by at most one (the paper's Step 2 requirement).
+}
+
+TEST(PartitionDims, RefusesAnInvertedRangeOrNoClasses) {
+  EXPECT_THROW(static_cast<void>(partition_dims(5, 4, 2)), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(partition_dims(2, 4, 0)), std::invalid_argument);
+}
+
+/// The message construct(n, cuts) throws, or "" when it accepts.
+std::string construct_error(int n, std::vector<int> cuts) {
+  try {
+    static_cast<void>(SparseHypercubeSpec::construct(n, std::move(cuts)));
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(RecursiveConstruct, RefusesBadCutsWithNamedErrors) {
+  EXPECT_EQ(construct_error(10, {}), "construct: cuts must not be empty");
+  EXPECT_EQ(construct_error(10, {5, 3}), "construct: cuts must be strictly increasing");
+  EXPECT_EQ(construct_error(10, {3, 3}), "construct: cuts must be strictly increasing");
+  EXPECT_EQ(construct_error(10, {0}), "construct: cuts must be >= 1, got 0");
+  EXPECT_EQ(construct_error(10, {10}), "construct: last cut 10 must be below n = 10");
+  EXPECT_EQ(construct_error(10, {11}), "construct: last cut 11 must be below n = 10");
+  EXPECT_EQ(construct_error(1, {1}), "construct: n must be in [2, 63], got 1");
+  EXPECT_EQ(construct_error(64, {3}), "construct: n must be in [2, 63], got 64");
+  EXPECT_EQ(construct_error(10, {3, 6}), "");
+  EXPECT_THROW(static_cast<void>(SparseHypercubeSpec::construct_base(4, 4)),
+               std::invalid_argument);
+}
+
+TEST(RecursiveConstruct, RefusesALabelingThatDoesNotFitItsWindow) {
+  const auto error = [](std::vector<int> cuts, std::vector<CubeLabeling> labelings) {
+    try {
+      static_cast<void>(
+          SparseHypercubeSpec::construct(8, std::move(cuts), std::move(labelings)));
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  EXPECT_EQ(error({2, 5}, {example1_labeling_m2()}),
+            "construct: need one labeling per cut, got 1");
+  EXPECT_EQ(error({3}, {example1_labeling_m2()}),
+            "construct: labeling 0 is not a Condition-A labeling of its 3-dim window");
+  EXPECT_EQ(error({2, 5}, {example1_labeling_m2(), example1_labeling_m2()}),
+            "construct: labeling 1 is not a Condition-A labeling of its 3-dim window");
+  EXPECT_EQ(error({2}, {CubeLabeling(2, 2, {0, 0, 0, 1})}),
+            "construct: labeling 0 is not a Condition-A labeling of its 2-dim window");
+  EXPECT_EQ(error({2}, {example1_labeling_m2()}), "");
+}
+
+TEST(RecursiveConstruct, MaterializeRefusesBeyondN26) {
+  EXPECT_THROW(static_cast<void>(SparseHypercubeSpec::construct(27, {4}).materialize()),
+               std::invalid_argument);
 }
 
 /// Example 2: G_{4,2} with the Example-1 labeling of Q_2 and the

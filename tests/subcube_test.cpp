@@ -11,6 +11,7 @@
 #include <random>
 #include <span>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "shc/bits/checked.hpp"
@@ -131,7 +132,8 @@ TEST(SubcubeFrontierTest, CoalescesATilingToOneCubeAndCountsExactly) {
   EXPECT_TRUE(f.count_ok());
   EXPECT_EQ(f.total_count(), cube_order(n));
   // Greedy sibling merging is order-sensitive and may wedge in a local
-  // optimum (which is exactly why the endgame uses canonical_reduce);
+  // optimum (which is why the caller tiling compares canonical_reduce
+  // normal forms rather than frontier entries);
   // it must still collapse a substantial fraction of the tiling.
   EXPECT_LT(f.num_subcubes(), cube_order(n) / 2);
 
@@ -264,9 +266,13 @@ TEST(SubcubeFrontierTest, TakeEmptiesAClassAndTheMaskStartsFresh) {
   ASSERT_TRUE(f.take(0x01, 0x30, 2));  // class 0x30 erased, slot recycled
   f.add_raw(0x02, 0x0c, 5);            // takes the recycled slot
   EXPECT_EQ(f.find(0x01, 0x30), nullptr);
-  EXPECT_FALSE(f.consume(0x02, 0x30, 1));
+  EXPECT_EQ(f.find(0x02, 0x30), nullptr);  // class 0x30 stays gone
+  EXPECT_FALSE(f.take(0x02, 0x30, 1));
   ASSERT_NE(f.find(0x02, 0x0c), nullptr);
-  EXPECT_TRUE(f.consume(0x02, 0x0c, 5));
+  EXPECT_EQ(*f.find(0x02, 0x0c), 5u);
+  EXPECT_FALSE(f.take(0x02, 0x0c, 6));  // holds less: nothing deducted
+  EXPECT_TRUE(f.take(0x02, 0x0c, 4));
+  EXPECT_EQ(*f.find(0x02, 0x0c), 1u);
   f.add_raw(0x01, 0x30, 1);
   EXPECT_EQ(*f.find(0x01, 0x30), 1u);
   EXPECT_EQ(f.num_subcubes(), 2u);
@@ -375,6 +381,42 @@ TEST(CanonicalReduce, NormalizesAnyDisjointPartitionOfTheCube) {
     ASSERT_EQ(canon->size(), 1u) << "a partition of the cube must reduce to it";
     EXPECT_EQ((*canon)[0].mask, mask_low(n));
     EXPECT_EQ((*canon)[0].mult, 1u);
+  }
+}
+
+TEST(CanonicalReduce, IsANormalFormOfTheVertexSetForEverySubsetUpToN4) {
+  // The caller tiling compares normal forms, so a subset's normal form
+  // must not depend on the cover it is given in, and two subsets must
+  // never share one.  Every subset of Q_n for n <= 4 gets two covers:
+  // its vertices as raw singletons, and the same vertices greedily
+  // coalesced by SubcubeFrontier::insert in descending order.
+  const auto less = [](const WeightedSubcube& x, const WeightedSubcube& y) {
+    return std::tie(x.mask, x.prefix, x.mult) < std::tie(y.mask, y.prefix, y.mult);
+  };
+  for (int n = 1; n <= 4; ++n) {
+    const std::uint64_t order = cube_order(n);
+    std::vector<std::vector<WeightedSubcube>> forms;
+    for (std::uint64_t set = 0; set < (std::uint64_t{1} << order); ++set) {
+      std::vector<WeightedSubcube> singletons;
+      SubcubeFrontier greedy(n);
+      for (Vertex v = order; v-- > 0;) {
+        if ((set >> v) & 1) {
+          singletons.push_back({v, 0, 1});
+          greedy.insert(v, 0);
+        }
+      }
+      const auto a = canonical_reduce(std::move(singletons), n);
+      const auto b = canonical_reduce(greedy.to_entries(), n);
+      ASSERT_TRUE(a.has_value() && b.has_value()) << "n=" << n << " set=" << set;
+      ASSERT_EQ(*a, *b) << "n=" << n << " set=" << set;
+      forms.push_back(*a);
+      std::sort(forms.back().begin(), forms.back().end(), less);
+    }
+    std::sort(forms.begin(), forms.end(), [&](const auto& x, const auto& y) {
+      return std::lexicographical_compare(x.begin(), x.end(), y.begin(), y.end(), less);
+    });
+    EXPECT_EQ(std::adjacent_find(forms.begin(), forms.end()), forms.end())
+        << "two subsets of Q_" << n << " share a normal form";
   }
 }
 

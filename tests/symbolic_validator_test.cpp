@@ -19,7 +19,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "shc/mlbg/broadcast.hpp"
@@ -834,9 +834,8 @@ TEST(BudgetDiagnostics, LedgerBudgetMessageNamesRoundBudgetAndKnob) {
   // Q_3 hand-built so that round 3's dimension-3 edge family puts two
   // claims into one ledger bucket (singleton callers 1 and 3 agree on
   // the varying bucket bit), which a zero budget cannot walk.  The
-  // groups are low-first dyadic pieces of the frontier entry {0, mask
-  // 11}, so the caller-tiling consumption accepts them and the
-  // collision clause is what decides.
+  // groups tile the frontier entry {0, mask 11}, so the caller tiling
+  // accepts them and the collision clause is what decides.
   SymbolicScheduleBuilder b(0, 3);
   CallGroup g;
   g.prefix = 0;
@@ -1169,37 +1168,19 @@ std::vector<CallGroup> split_group(const CallGroup& g, Vertex bits) {
   return pieces;
 }
 
-/// `s` with every group of the last round that has two or more free
-/// dims split on its two lowest (on its lowest when it has exactly two)
-/// — the round a producer splitting entries on their lowest free bits
-/// emits.  A piece's calls follow its group's pattern, so the schedule
-/// makes the same calls.  (Splitting earlier rounds too would change
-/// how the receivers coalesce, and the later rounds would no longer
-/// tile the validator's frontier.)
-SymbolicSchedule split_last_round(SymbolicSchedule s) {
-  SymbolicRound& round = s.rounds.back();
-  for (std::size_t gi = round.groups.size(); gi-- > 0;) {
-    const Vertex m = round.groups[gi].free_mask;
-    if (weight(m) < 2) continue;
-    const Vertex low = m & (~m + 1);
-    const Vertex next = (m & ~low) & (~(m & ~low) + 1);
-    replace_group(round, gi, split_group(round.groups[gi], weight(m) > 2 ? low | next : low));
+/// `s` with every group of every round that has a free dim split on its
+/// highest one, the two pieces in ascending order.  A piece's calls
+/// follow its group's pattern, so the schedule makes the same calls.
+SymbolicSchedule split_on_highest_free_bit(SymbolicSchedule s) {
+  for (SymbolicRound& round : s.rounds) {
+    for (std::size_t gi = round.groups.size(); gi-- > 0;) {
+      const CallGroup g = round.groups[gi];
+      if (g.free_mask == 0) continue;
+      replace_group(round, gi,
+                    split_group(g, Vertex{1} << (63 - std::countl_zero(g.free_mask))));
+    }
   }
   return s;
-}
-
-/// A run's report and every SymbolicRunStats field on one line.
-std::string outcome_digest(const RunOutcome& o) {
-  const auto u = [](std::uint64_t v) { return std::to_string(v); };
-  const ValidationReport& r = o.report;
-  const SymbolicRunStats& st = o.stats;
-  return "ok=" + u(r.ok) + " rounds=" + u(static_cast<std::uint64_t>(r.rounds)) +
-         " informed=" + u(r.informed) + " calls=" + u(r.total_calls) +
-         " maxlen=" + u(static_cast<std::uint64_t>(r.max_call_length)) +
-         " min=" + u(r.minimum_time) + " | groups=" + u(st.groups) +
-         " prg=" + u(st.peak_round_groups) + " pfs=" + u(st.peak_frontier_subcubes) +
-         " ffs=" + u(st.final_frontier_subcubes) + " occ=" + u(st.occupancy_claims) +
-         " samp=" + u(st.sampled_calls) + " rc=" + u(st.rounds_checked) + " | " + r.error;
 }
 
 /// The caller_tiling_fallback counter of every round `run()` checks.
@@ -1217,60 +1198,63 @@ std::vector<std::uint64_t> tiling_fallbacks(Run&& run) {
   return out;
 }
 
-TEST(InOrderTiling, ReorderedRoundsKeepTheDyadicConsumeOutcome) {
-  // The in-order merge accepts only the producer's order; a round in
-  // any other order falls back to the dyadic consume.  The outcomes
-  // below were recorded with a validator that had only the dyadic
-  // consume: the merge may only accept what the consume accepts, so the
-  // report and every stat must stay exactly these, at every thread
-  // count.  Reordering changes how the receivers coalesce, so a
-  // reordered replay ends on another frontier, and some fail a later
-  // round's tiling (the consume matches groups against the entries'
-  // lowest-bit-first split trees only).  A change to the frontier's
-  // iteration order re-records these lines.
-  struct Case {
-    int n, k;
-    bool split;  ///< last round split on its groups' lowest free bits
-    const char* in_order;
-    const char* reversed;
-    const char* shuffled;
-  };
-  const Case cases[] = {
-      {12, 2, false,
-       "ok=1 rounds=12 informed=4096 calls=4095 maxlen=2 min=1 | groups=473 prg=105 pfs=105 ffs=27 occ=329 samp=83 rc=12 | ",
-       "ok=1 rounds=12 informed=4096 calls=4095 maxlen=2 min=1 | groups=473 prg=105 pfs=105 ffs=14 occ=316 samp=94 rc=12 | ",
-       "ok=1 rounds=12 informed=4096 calls=4095 maxlen=2 min=1 | groups=473 prg=105 pfs=105 ffs=29 occ=331 samp=88 rc=12 | "},
-      {12, 3, false,
-       "ok=1 rounds=12 informed=4096 calls=4095 maxlen=3 min=1 | groups=761 prg=230 pfs=230 ffs=25 occ=891 samp=74 rc=12 | ",
-       "ok=0 rounds=10 informed=0 calls=1023 maxlen=3 min=0 | groups=334 prg=136 pfs=136 ffs=136 occ=383 samp=57 rc=9 | round 10: callers do not tile the informed set (some informed vertex places no call)",
-       "ok=0 rounds=10 informed=0 calls=1023 maxlen=3 min=0 | groups=334 prg=136 pfs=136 ffs=136 occ=383 samp=46 rc=9 | round 10: callers do not tile the informed set (some informed vertex places no call)"},
-      {16, 2, false,
-       "ok=1 rounds=16 informed=65536 calls=65535 maxlen=2 min=1 | groups=1606 prg=316 pfs=316 ffs=67 occ=1142 samp=140 rc=16 | ",
-       "ok=1 rounds=16 informed=65536 calls=65535 maxlen=2 min=1 | groups=1606 prg=316 pfs=316 ffs=58 occ=1133 samp=145 rc=16 | ",
-       "ok=1 rounds=16 informed=65536 calls=65535 maxlen=2 min=1 | groups=1606 prg=316 pfs=316 ffs=66 occ=1141 samp=145 rc=16 | "},
-      {16, 3, false,
-       "ok=1 rounds=16 informed=65536 calls=65535 maxlen=3 min=1 | groups=2655 prg=792 pfs=792 ffs=110 occ=3083 samp=138 rc=16 | ",
-       "ok=0 rounds=14 informed=0 calls=16383 maxlen=3 min=0 | groups=1209 prg=449 pfs=449 ffs=449 occ=1382 samp=104 rc=13 | round 14: callers do not tile the informed set (some informed vertex places no call)",
-       "ok=0 rounds=14 informed=0 calls=16383 maxlen=3 min=0 | groups=1209 prg=449 pfs=449 ffs=449 occ=1382 samp=105 rc=13 | round 14: callers do not tile the informed set (some informed vertex places no call)"},
-      {16, 2, true,
-       "ok=1 rounds=16 informed=65536 calls=65535 maxlen=2 min=1 | groups=2385 prg=1044 pfs=316 ffs=67 occ=1142 samp=139 rc=16 | ",
-       "ok=1 rounds=16 informed=65536 calls=65535 maxlen=2 min=1 | groups=2385 prg=1044 pfs=316 ffs=58 occ=1133 samp=143 rc=16 | ",
-       "ok=1 rounds=16 informed=65536 calls=65535 maxlen=2 min=1 | groups=2385 prg=1044 pfs=316 ffs=83 occ=1158 samp=142 rc=16 | "},
-  };
-  for (const Case& c : cases) {
-    const auto spec = design_sparse_hypercube(c.n, c.k);
-    SymbolicSchedule in_order = make_symbolic_broadcast_schedule(spec, 0);
-    if (c.split) in_order = split_last_round(std::move(in_order));
-    const std::string name = "n=" + std::to_string(c.n) + " k=" + std::to_string(c.k) +
-                             (c.split ? " split" : "");
-    for (const auto& [how, schedule, want] :
-         {std::tuple{"in order", in_order, c.in_order},
-          std::tuple{"reversed", reversed_groups(in_order), c.reversed},
-          std::tuple{"shuffled", shuffled_groups(in_order, 0xC0FFEE), c.shuffled}}) {
-      for (const int threads : {1, 2, 4}) {
-        EXPECT_EQ(outcome_digest(run_spec(spec, schedule, threads)), want)
-            << name << ", " << how << ", threads=" << threads;
+TEST(InOrderTiling, ReorderedAndResplitRoundsGetTheExactVerdict) {
+  // The same calls in another group order, or split on other free bits,
+  // are the same schedule of the paper's model: the symbolic verdict
+  // must be the exact validator's on the expanded schedule, at every
+  // thread count.  Reordering and re-splitting change how the
+  // receivers coalesce, so these rounds are decided by the normal forms.
+  for (const int n : {10, 12, 16}) {
+    for (const int k : {2, 3}) {
+      const auto spec = design_sparse_hypercube(n, k);
+      const SpecView view(spec);
+      ValidationOptions opt;
+      opt.k = spec.k();
+      const SymbolicSchedule in_order = make_symbolic_broadcast_schedule(spec, 0);
+      const std::string name = "n=" + std::to_string(n) + " k=" + std::to_string(k);
+      for (const auto& [how, schedule] :
+           {std::pair{"reversed", reversed_groups(in_order)},
+            std::pair{"shuffled 1", shuffled_groups(in_order, 1)},
+            std::pair{"shuffled 2", shuffled_groups(in_order, 0xC0FFEE)},
+            std::pair{"shuffled 3", shuffled_groups(in_order, 0xBADC0DE)},
+            std::pair{"split on the highest free bit", split_on_highest_free_bit(in_order)}}) {
+        const ValidationReport exact =
+            validate_broadcast(view, FlatSchedule::from_symbolic(schedule), opt);
+        ASSERT_TRUE(exact.ok && exact.minimum_time) << name << ", " << how << ": " << exact.error;
+        for (const int threads : {1, 2, 4}) {
+          const ValidationReport rep = run_spec(spec, schedule, threads).report;
+          const std::string what =
+              name + ", " + how + ", threads=" + std::to_string(threads) + ": " + rep.error;
+          EXPECT_EQ(rep.ok, exact.ok) << what;
+          EXPECT_EQ(rep.rounds, exact.rounds) << what;
+          EXPECT_EQ(rep.minimum_time, exact.minimum_time) << what;
+          EXPECT_EQ(rep.total_calls, exact.total_calls) << what;
+        }
       }
+    }
+  }
+}
+
+TEST(InOrderTiling, DroppedGroupErrorIsTheSameInEveryOrderAndAtEveryThreadCount) {
+  const auto spec = design_sparse_hypercube(12, 3);
+  const SpecView view(spec);
+  ValidationOptions opt;
+  opt.k = spec.k();
+  const SymbolicSchedule clean = make_symbolic_broadcast_schedule(spec, 0);
+  const Target t = mid_round_subcube_group(clean);
+  SymbolicSchedule bad = clean;
+  replace_group(bad.rounds[t.round], t.group, {});
+  ASSERT_FALSE(validate_broadcast(view, FlatSchedule::from_symbolic(bad), opt).ok);
+  const std::string want = "round " + std::to_string(t.round + 1) +
+                           ": callers do not tile the informed set (some informed "
+                           "vertex places no call)";
+  for (const auto& [how, schedule] :
+       {std::pair{"group order", bad}, std::pair{"reversed", reversed_groups(bad)},
+        std::pair{"shuffled", shuffled_groups(bad, 0xC0FFEE)}}) {
+    for (const int threads : {1, 2, 4}) {
+      const ValidationReport rep = run_spec(spec, schedule, threads).report;
+      EXPECT_FALSE(rep.ok) << how << ", threads=" << threads;
+      EXPECT_EQ(rep.error, want) << how << ", threads=" << threads;
     }
   }
 }
@@ -1297,41 +1281,10 @@ TEST(InOrderTiling, SplitPiecesOutOfAscendingOrderAreAccepted) {
   }
   const auto fallbacks = tiling_fallbacks([&] { static_cast<void>(run_spec(spec, swapped, 1)); });
   ASSERT_GT(fallbacks.size(), t.round);
-  EXPECT_EQ(fallbacks[t.round], 1u) << "the swapped round is decided by the dyadic consume";
+  EXPECT_EQ(fallbacks[t.round], 1u) << "the swapped round is decided by the normal forms";
   EXPECT_EQ(tiling_fallbacks([&] { static_cast<void>(run_spec(spec, ascending, 1)); }),
             std::vector<std::uint64_t>(clean.rounds.size(), 0))
       << "ascending pieces are the merge's own order";
-}
-
-TEST(InOrderTiling, SplitOnANonLowestFreeBitFailsTheTiling) {
-  // Two pieces that cover their entry exactly, split on the entry's
-  // highest free bit: not a node of the entry's lowest-bit-first split
-  // tree, so the entry finds no call.
-  const auto clean = clean_schedule();
-  Target t;
-  for (std::size_t r = 1; r < clean.rounds.size() && t.round == 0; ++r) {
-    const auto& groups = clean.rounds[r].groups;
-    for (std::size_t g = groups.size() / 2; g < groups.size(); ++g) {
-      if (weight(groups[g].free_mask) >= 2) {
-        t = {r, g};
-        break;
-      }
-    }
-  }
-  ASSERT_GT(t.round, 0u) << "need a mid-round group with two free dims";
-  const CallGroup g = clean.rounds[t.round].groups[t.group];
-  SymbolicSchedule bad = clean;
-  replace_group(bad.rounds[t.round], t.group,
-                split_group(g, Vertex{1} << (63 - std::countl_zero(g.free_mask))));
-  const RunOutcome serial = run_at(bad, 1);
-  EXPECT_EQ(serial.report.error,
-            "round " + std::to_string(t.round + 1) +
-                ": callers do not tile the informed set (some informed vertex "
-                "places no call)");
-  for (const int threads : {2, 4}) {
-    expect_same_outcome(serial, run_at(bad, threads),
-                        "non-lowest split, threads=" + std::to_string(threads));
-  }
 }
 
 TEST(InOrderTiling, InOrderDuplicatedPieceFailsAsACallerOutsideTheInformedSet) {

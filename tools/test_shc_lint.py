@@ -168,6 +168,21 @@ class AssertGuardRule(LintHarness):
             }
         )
 
+    def test_spec_translation_unit_flagged(self) -> None:
+        self.assert_finding(
+            {"src/mlbg/src/spec.cpp": "void f(int n) { assert(n >= 1); }\n"},
+            "assert-guard",
+        )
+
+    def test_spec_allowed_invariant_clean(self) -> None:
+        self.assert_clean(
+            {
+                "src/mlbg/src/spec.cpp":
+                    "void f(int n) { assert(n >= 1);  "
+                    "// shc-lint: allow(assert-guard)\n}\n"
+            }
+        )
+
     def test_other_sim_translation_unit_not_in_scope(self) -> None:
         self.assert_clean(
             {"src/sim/src/flat_schedule.cpp": "void f(int n) { assert(n >= 1); }\n"}

@@ -21,9 +21,9 @@ round's check phases (`group_checks`, `caller_tiling`,
 engine thread runs `ledger_build` and `frontier_insert`, so their
 durations overlap.  The report says so when a round's phases add up to
 more than its wall time.  `ledger_build` holds only the collision
-claims: the caller ledger is built inside `caller_tiling`, and only on
-a round the in-order tiling cannot match (the per-round
-`caller_tiling_fallback` counter is 1 on such a round).
+claims: the caller tiling's normal forms are reduced inside
+`caller_tiling`, and only on a round the in-order tiling cannot match
+(the per-round `caller_tiling_fallback` counter is 1 on such a round).
 
 Only the Python standard library is used; the tool never interprets
 verdicts (traces are telemetry — the reports they describe are produced
