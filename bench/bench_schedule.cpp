@@ -619,21 +619,6 @@ void BM_SubcubeKernels_SiblingScan(benchmark::State& state) {
 }
 BENCHMARK(BM_SubcubeKernels_SiblingScan)->Arg(1 << 14);
 
-void BM_SubcubeKernels_IntersectAll(benchmark::State& state) {
-  const std::size_t count = static_cast<std::size_t>(state.range(0));
-  const KernelFixture fx(count);
-  SubcubeSoA out;
-  for (auto _ : state) {
-    out.clear();
-    batch::intersect_all(fx.family.prefix.data(), fx.family.mask.data(),
-                         fx.family.size(), 0, mask_low(30), out);
-    benchmark::DoNotOptimize(out.prefix.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(count));
-}
-BENCHMARK(BM_SubcubeKernels_IntersectAll)->Arg(1 << 14);
-
 void BM_SubcubeKernels_MaskScan(benchmark::State& state) {
   const std::size_t count = static_cast<std::size_t>(state.range(0));
   const KernelFixture fx(count);

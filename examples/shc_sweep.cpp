@@ -56,16 +56,6 @@ struct Scenario {
   int inner_threads = 1;                  // workers inside the validator
 };
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 /// Builds the scenario's facade request.  Symbolic/gossip scenarios
 /// pin the spec policy shared with the BM_SymbolicCertify bench rows
 /// (symbolic_showcase_spec) by passing its cut vector explicitly, so

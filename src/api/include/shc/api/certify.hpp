@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "shc/gossip/symbolic_gossip.hpp"
@@ -146,6 +147,12 @@ struct CertifyResult {
 /// engine tag "exchange-gossip".  Existing row consumers parse facade
 /// and server output unchanged.
 [[nodiscard]] std::string to_json_row(const CertifyResult& res);
+
+/// `s` escaped for the inside of a JSON string: `"` and `\` take a
+/// backslash, newline, carriage return and tab their short escapes, and
+/// every other byte below 0x20 a \u00XX escape, so a row stays one line
+/// whatever bytes a client sent.
+[[nodiscard]] std::string json_escape(std::string_view s);
 
 /// Admission-control cost model: predicted peak concurrent group count
 /// of the query (streaming: 2^n - 1 concrete calls; symbolic: groups

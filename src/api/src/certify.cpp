@@ -18,16 +18,6 @@ namespace shc {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 void append_cuts(std::ostringstream& os, const std::vector<int>& cuts) {
   os << "\"cuts\":[";
   for (std::size_t i = 0; i < cuts.size(); ++i) {
@@ -174,6 +164,30 @@ CertifyResult certify(const CertifyRequest& req) {
     res.has_congestion = true;
   }
   return res;
+}
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          static constexpr char kHex[] = "0123456789abcdef";
+          out += "\\u00";
+          out += kHex[(c >> 4) & 0xf];
+          out += kHex[c & 0xf];
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
 }
 
 std::string to_json_row(const CertifyResult& res) {

@@ -243,16 +243,6 @@ class JsonParser {
 
 // ---------------------------------------------------------------------------
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 /// Appends the service envelope before the row's closing brace.
 std::string with_envelope(std::string row, bool has_id, long long id,
                           bool has_hit, bool hit) {

@@ -12,8 +12,8 @@
 namespace shc {
 
 /// Theorem 5's core size for k = 2: m* = ceil(sqrt(2n + 4)) - 2,
-/// clamped into [1, n-1].  Pre: n >= 2.
-[[nodiscard]] int theorem5_core(int n) noexcept;
+/// clamped into [1, n-1].  Throws std::invalid_argument unless n >= 2.
+[[nodiscard]] int theorem5_core(int n);
 
 /// Theorem 7's cut points for k >= 3: n_i* = ceil((n-k)^(i/k)) + i - 1
 /// for i = 1 .. k-1, repaired to be strictly increasing inside [1, n-1]
@@ -24,7 +24,9 @@ namespace shc {
 
 /// Realized maximum degree of Construct(n, cuts) with Lemma-2 labelings,
 /// in closed form: n_1 + sum_t ceil((n_{t+1} - n_t) / lambda(n_t - n_{t-1})).
-[[nodiscard]] int realized_max_degree(int n, const std::vector<int>& cuts) noexcept;
+/// Throws std::invalid_argument unless `cuts` is nonempty, strictly
+/// increasing and within [1, n).
+[[nodiscard]] int realized_max_degree(int n, const std::vector<int>& cuts);
 
 /// Exact minimization of realized_max_degree over all strictly
 /// increasing cut vectors of length k-1 by dynamic programming,

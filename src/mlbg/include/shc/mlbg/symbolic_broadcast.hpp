@@ -20,14 +20,15 @@
 // One informed set per run: every informed vertex places exactly one
 // call per round, so the informed set is the only state the sweep
 // carries — and the symbolic validator already keeps it, inserting the
-// same receivers in the same order.  A sink that lends its frontier
-// (InformedFrontierSink, the validator) is therefore walked in place:
-// no producer-side frontier, snapshot or receiver insert.  Sinks that
-// keep no frontier (the schedule builder, counting and forwarding
-// sinks) get the producer's own, built identically, so the group order
-// and every report are the same on both paths.  Trust is unchanged: the
-// validator tiles the groups against its own frontier, whichever one
-// the producer walked.
+// same receivers in the same order.  A sink that lends its informed set
+// (InformedFrontierSink, the validator) is therefore read from its
+// round snapshot: no producer-side frontier, snapshot or receiver
+// insert.  Sinks that keep no informed set (the schedule builder,
+// counting and forwarding sinks) are wrapped in detail::InformedKeeper,
+// which keeps the producer's own InformedSet, built identically, so one
+// walk loop serves both and the group order and every report are the
+// same.  Trust is unchanged: the validator tiles the groups against its
+// own snapshot, whichever one the producer walked.
 //
 // The emitted splits are *ledger-friendly* by construction: a round
 // sweeping a dimension governed by level t splits every frontier
@@ -43,7 +44,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -88,143 +88,136 @@ struct XorPathSink {
   [[nodiscard]] std::span<const Vertex> span() const { return {xs.data(), len}; }
 };
 
+/// Lends a sink without the InformedFrontierSink hook the producer's
+/// own informed set: forwards every call, retakes the snapshot in
+/// begin_round and inserts each group's receivers in group order, as
+/// the validator does.
+template <SymbolicRoundSink Sink>
+class InformedKeeper {
+ public:
+  InformedKeeper(Sink& sink, int n, Vertex source) : sink_(sink), informed_(n) {
+    informed_.start(source);
+  }
+
+  void begin_round() {
+    informed_.snapshot();
+    sink_.begin_round();
+  }
+  void end_call_group(const CallGroup& g, std::span<const Vertex> pattern) {
+    sink_.end_call_group(g, pattern);
+    informed_.insert(g.prefix ^ pattern.back(), g.free_mask);
+  }
+  void end_round() { sink_.end_round(); }
+  [[nodiscard]] bool aborted() const { return sink_aborted(sink_); }
+  [[nodiscard]] const InformedSet& informed_set() const noexcept { return informed_; }
+
+ private:
+  Sink& sink_;
+  InformedSet informed_;
+};
+
 }  // namespace detail
 
 /// Emits the unified Broadcast_k dimension sweep from `source` as
 /// symbolic rounds of call groups into any SymbolicRoundSink.  Honors
 /// the sink's optional aborted() hook.  Into an InformedFrontierSink
-/// it walks the sink's frontier in place instead of keeping its own;
-/// that frontier must start as {source}, and the returned frontier
-/// stats then describe it as the sink left it (a sink that rejects a
-/// round stops growing it).  Throws std::invalid_argument for an
-/// out-of-range source or a lent frontier that does not start at it,
-/// and std::runtime_error when the frontier exceeds
-/// `max_frontier_subcubes` or a subcube would split into more than
-/// 2^24 pieces (pathological custom constructions; the paper's specs
-/// stay far below both).
+/// it walks the sink's round snapshot instead of keeping its own
+/// informed set; that set must start as {source}, and the returned
+/// frontier stats then describe it as the sink left it (a sink that
+/// rejects a round stops growing it).  Throws std::invalid_argument for
+/// an out-of-range source or a lent set that does not start at it, and
+/// std::runtime_error when the frontier exceeds `max_frontier_subcubes`
+/// or a subcube would split into more than 2^24 pieces (pathological
+/// custom constructions; the paper's specs stay far below both).
 template <SymbolicRoundSink Sink>
 SymbolicProducerStats emit_broadcast_rounds_symbolic(
     const SparseHypercubeSpec& spec, Vertex source, Sink& sink,
     std::uint64_t max_frontier_subcubes = std::uint64_t{1} << 26) {
-  constexpr bool kShared = InformedFrontierSink<Sink>;
   const int n = spec.n();
   if (source >= spec.num_vertices()) {
     throw std::invalid_argument("source out of range");
   }
-
-  // Owned path only: the producer's own informed set, plus a reused
-  // snapshot buffer — receivers are inserted into `owned` while its
-  // entries are iterated, so each round walks a stable copy, kept
-  // across rounds because the designed n = 63 cut peaks at ~11 M
-  // entries and a fresh 270 MB vector per round is pure churn.  The
-  // shared path needs neither: the sink changes its frontier only in
-  // end_round, never while the producer walks it.
-  std::optional<SubcubeFrontier> owned;
-  std::vector<WeightedSubcube> entries;
-  if constexpr (!kShared) {
-    owned.emplace(n);
-    owned->insert(source, 0);
-  }
-  const auto frontier = [&]() -> const SubcubeFrontier& {
-    if constexpr (kShared) {
-      return sink.informed_frontier();
-    } else {
-      return *owned;
-    }
-  };
-  if constexpr (kShared) {
-    bool at_source = frontier().num_subcubes() == 1;
-    frontier().for_each([&](Vertex p, Vertex m, std::uint64_t mult) {
-      at_source = at_source && p == source && m == 0 && mult == 1;
-    });
-    if (!at_source && !detail::sink_aborted(sink)) {
+  if constexpr (!InformedFrontierSink<Sink>) {
+    detail::InformedKeeper<Sink> keeper(sink, n, source);
+    return emit_broadcast_rounds_symbolic(spec, source, keeper, max_frontier_subcubes);
+  } else {
+    const std::span<const WeightedSubcube> start = sink.informed_set().round();
+    if ((start.size() != 1 || start[0] != WeightedSubcube{source, 0, 1}) &&
+        !detail::sink_aborted(sink)) {
       throw std::invalid_argument("sink's informed frontier does not start at the source");
     }
-  }
 
-  SymbolicProducerStats stats;
-  stats.peak_frontier_subcubes = frontier().num_subcubes();
-  for (Dim i = n; i >= 1; --i) {
-    if (detail::sink_aborted(sink)) break;
-    const int t = spec.level_of_dim(i);
-    const Vertex low = t < 0 ? 0 : mask_low(spec.cuts()[static_cast<std::size_t>(t)]);
+    SymbolicProducerStats stats;
+    stats.peak_frontier_subcubes = sink.informed_set().frontier().num_subcubes();
+    for (Dim i = n; i >= 1; --i) {
+      if (detail::sink_aborted(sink)) break;
+      const int t = spec.level_of_dim(i);
+      const Vertex low = t < 0 ? 0 : mask_low(spec.cuts()[static_cast<std::size_t>(t)]);
 
-    // One frontier entry's groups: split on the route-relevant free
-    // bits, one group per pinned assignment.
-    const auto emit_entry = [&](Vertex prefix, Vertex mask, std::uint64_t mult) {
-      if (mult != 1) {
-        throw std::runtime_error("producer frontier lost disjointness");
-      }
-      const Vertex split = mask & low;
-      const Vertex rest = mask & ~split;
-      if (weight(split) > 24) {
-        throw std::runtime_error("subcube split blow-up (2^" +
-                                 std::to_string(weight(split)) + " pieces)");
-      }
-      Vertex a = 0;
-      for (;;) {
-        const Vertex u = prefix | a;
-        detail::XorPathSink path;
-        path.base = u;
-        route_flip_append(spec, u, i, path);
-
-        CallGroup g;
-        g.prefix = u;
-        g.free_mask = rest;
-        std::uint64_t count = 0;
-        if (!checked_shift_u64(static_cast<unsigned>(weight(rest)), count)) {
-          throw std::runtime_error("group count overflow");
+      // One snapshot entry's groups: split on the route-relevant free
+      // bits, one group per pinned assignment.
+      const auto emit_entry = [&](const WeightedSubcube& e) {
+        if (e.mult != 1) {
+          throw std::runtime_error("producer frontier lost disjointness");
         }
-        g.count = count;
-        sink.end_call_group(g, path.span());
-        ++stats.groups_emitted;
-        if (split != 0 && a != 0) ++stats.split_groups;
+        const Vertex split = e.mask & low;
+        const Vertex rest = e.mask & ~split;
+        if (weight(split) > 24) {
+          throw std::runtime_error("subcube split blow-up (2^" +
+                                   std::to_string(weight(split)) + " pieces)");
+        }
+        Vertex a = 0;
+        for (;;) {
+          const Vertex u = e.prefix | a;
+          detail::XorPathSink path;
+          path.base = u;
+          route_flip_append(spec, u, i, path);
 
-        if constexpr (!kShared) owned->insert(u ^ path.span().back(), rest);
+          CallGroup g;
+          g.prefix = u;
+          g.free_mask = rest;
+          std::uint64_t count = 0;
+          if (!checked_shift_u64(static_cast<unsigned>(weight(rest)), count)) {
+            throw std::runtime_error("group count overflow");
+          }
+          g.count = count;
+          sink.end_call_group(g, path.span());
+          ++stats.groups_emitted;
+          if (split != 0 && a != 0) ++stats.split_groups;
 
-        if (a == split) break;
-        a = (a - split) & split;
+          if (a == split) break;
+          a = (a - split) & split;
+        }
+      };
+
+      sink.begin_round();
+      {
+        // Covers emission plus the sink's streamed per-group work (the
+        // validator's end_call_group records the group; a keeper also
+        // inserts its receivers); the sink's begin_round snapshot and
+        // end_round phases land outside this scope.
+        SHC_TRACE_SCOPE("produce_round");
+        for (const WeightedSubcube& e : sink.informed_set().round()) emit_entry(e);
       }
-    };
+      sink.end_round();
 
-    sink.begin_round();
-    {
-      // Covers emission plus the sink's streamed per-group checks (the
-      // sink IS the validator's end_call_group), and on the owned path
-      // the producer's frontier upkeep; the validator's own end_round
-      // phases, its frontier insert included, land outside this scope.
-      SHC_TRACE_SCOPE("produce_round");
-      if constexpr (kShared) {
-        frontier().for_each(emit_entry);
-      } else {
-        entries.clear();
-        entries.reserve(static_cast<std::size_t>(owned->num_subcubes()));
-        owned->for_each([&](Vertex p, Vertex m, std::uint64_t mult) {
-          entries.push_back({p, m, mult});
-        });
-        for (const WeightedSubcube& e : entries) emit_entry(e.prefix, e.mask, e.mult);
-      }
-    }
-    sink.end_round();
-
-    const SubcubeFrontier& after = frontier();
-    if constexpr (kShared) {
+      const SubcubeFrontier& after = sink.informed_set().frontier();
       // Doubling: a clean round r leaves exactly 2^r informed vertices.
       SHC_AUDIT_CHECK(
           detail::sink_aborted(sink) ||
               (after.count_ok() && after.total_count() == (std::uint64_t{1} << (n - i + 1))),
-          "shared informed frontier must double every clean round");
+          "informed frontier must double every clean round");
+      stats.peak_frontier_subcubes =
+          std::max(stats.peak_frontier_subcubes, after.num_subcubes());
+      if (after.num_subcubes() > max_frontier_subcubes) {
+        throw std::runtime_error(
+            "symbolic frontier exceeded the subcube cap (" +
+            std::to_string(after.num_subcubes()) + " subcubes)");
+      }
     }
-    stats.peak_frontier_subcubes =
-        std::max(stats.peak_frontier_subcubes, after.num_subcubes());
-    if (after.num_subcubes() > max_frontier_subcubes) {
-      throw std::runtime_error(
-          "symbolic frontier exceeded the subcube cap (" +
-          std::to_string(after.num_subcubes()) + " subcubes)");
-    }
+    stats.final_frontier_subcubes = sink.informed_set().frontier().num_subcubes();
+    return stats;
   }
-  stats.final_frontier_subcubes = frontier().num_subcubes();
-  return stats;
 }
 
 /// Materializes the whole symbolic schedule (pattern tables

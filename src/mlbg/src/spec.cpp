@@ -10,8 +10,10 @@ namespace shc {
 namespace {
 
 /// Throws std::invalid_argument unless 2 <= n <= kMaxCubeDim, `cuts` is
-/// nonempty, strictly increasing and within [1, n), and there is one
-/// labeling per cut.  Cut vectors come from clients: checked, not asserted.
+/// nonempty, strictly increasing and within [1, n), no level's window
+/// is wider than the 24 dims a labeling spans, and there is one
+/// labeling per cut.  Cut vectors come from clients: checked, not
+/// asserted, and before any labeling is built.
 void require_cuts(int n, const std::vector<int>& cuts, std::size_t labelings) {
   const auto fail = [](const std::string& what) {
     throw std::invalid_argument("construct: " + what);
@@ -24,6 +26,14 @@ void require_cuts(int n, const std::vector<int>& cuts, std::size_t labelings) {
   if (cuts.front() < 1) fail("cuts must be >= 1, got " + std::to_string(cuts.front()));
   if (cuts.back() >= n) {
     fail("last cut " + std::to_string(cuts.back()) + " must be below n = " + std::to_string(n));
+  }
+  for (std::size_t t = 0; t < cuts.size(); ++t) {
+    const int lo = t == 0 ? 0 : cuts[t - 1];
+    if (cuts[t] - lo > 24) {
+      fail("level " + std::to_string(t) + " window (" + std::to_string(lo) + ", " +
+           std::to_string(cuts[t]) + "] is " + std::to_string(cuts[t] - lo) +
+           " dims wide, above the 24 a labeling spans");
+    }
   }
   if (labelings != cuts.size()) fail("need one labeling per cut, got " + std::to_string(labelings));
 }

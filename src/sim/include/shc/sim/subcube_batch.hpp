@@ -267,56 +267,6 @@ struct MaskScan {
   return s;
 }
 
-/// Intersect every family entry with the query (qp, qm), appending the
-/// overlapping entries' intersections to `out` (stable order).  Returns
-/// the number appended.  Branch-light filter: unconditional store,
-/// conditional bump.
-inline std::size_t intersect_all(const Vertex* prefixes, const Vertex* masks,
-                                 std::size_t count, Vertex qp, Vertex qm,
-                                 SubcubeSoA& out) {
-  const std::size_t base = out.size();
-  out.prefix.resize(base + count);
-  out.mask.resize(base + count);
-  std::size_t k = base;
-  for (std::size_t i = 0; i < count; ++i) {
-    const Vertex p = prefixes[i];
-    const Vertex m = masks[i];
-    const Vertex both_pinned = ~(m | qm);
-    const bool hit = ((p ^ qp) & both_pinned) == 0;
-    const Vertex im = m & qm;
-    out.prefix[k] = (p | qp) & ~im;
-    out.mask[k] = im;
-    k += static_cast<std::size_t>(hit);
-  }
-  out.prefix.resize(k);
-  out.mask.resize(k);
-  return k - base;
-}
-
-/// Filter the family entries overlapping the query (qp, qm) into `out`
-/// unchanged (stable order) — the prefilter of the set-union
-/// subtraction.  `stride_prefix`/`stride_mask` walk AoS layouts too
-/// (stride in Vertex units; pass 1/1 with separate arrays for SoA).
-inline std::size_t overlap_filter(const Vertex* prefixes, const Vertex* masks,
-                                  std::size_t count, std::size_t stride,
-                                  Vertex qp, Vertex qm, SubcubeSoA& out) {
-  const std::size_t base = out.size();
-  out.prefix.resize(base + count);
-  out.mask.resize(base + count);
-  std::size_t k = base;
-  for (std::size_t i = 0; i < count; ++i) {
-    const Vertex p = prefixes[i * stride];
-    const Vertex m = masks[i * stride];
-    const bool hit = ((p ^ qp) & ~(m | qm)) == 0;
-    out.prefix[k] = p;
-    out.mask[k] = m;
-    k += static_cast<std::size_t>(hit);
-  }
-  out.prefix.resize(k);
-  out.mask.resize(k);
-  return k - base;
-}
-
 /// Recycling pool of index vectors for the divide sweeps: a
 /// divide-on-pinned-dimension recursion visits millions of nodes but is
 /// at most 64 deep, so a handful of recycled vectors replaces two heap

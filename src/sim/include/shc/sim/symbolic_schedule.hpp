@@ -21,8 +21,8 @@
 // Producers emit through the SymbolicRoundSink concept — the symbolic
 // channel of the streaming pipeline's RoundSink idea: begin_round(),
 // end_call_group() per group, end_round().  Optional hooks a producer
-// detects and honors: aborted() (stop early) and informed_frontier()
-// (see InformedFrontierSink).  Two sinks ship in-tree:
+// detects and honors: aborted() (stop early) and informed_set() (see
+// InformedFrontierSink).  Two sinks ship in-tree:
 // SymbolicScheduleBuilder materializes a SymbolicSchedule (pattern
 // tables deduplicated per round); SymbolicBroadcastValidator
 // (symbolic_validator.hpp) certifies rounds as they stream by and keeps
@@ -60,17 +60,62 @@ concept SymbolicRoundSink =
       s.end_round();
     };
 
+/// A broadcast run's informed multiset and the snapshot of it the
+/// current round walks.  Every informed vertex places exactly one call
+/// per round, so a round is one walk of the set as the round found it:
+/// the producer emits the groups from the snapshot, the caller tiling
+/// merges them against it, and a rejected round is restored from it.
+/// The snapshot is one vector reused across rounds (the designed
+/// n = 63 cut peaks at ~11 M entries, 270 MB); scanning it costs less
+/// than half a walk of the frontier's hashed mask classes, which
+/// snapshot() pays once per round.
+class InformedSet {
+ public:
+  explicit InformedSet(int n) : frontier_(n) {}
+
+  /// Starts the run at `source`: frontier and snapshot are {source}.
+  void start(Vertex source) {
+    frontier_.insert(source, 0);
+    snapshot();
+  }
+
+  /// Copies the frontier into the snapshot, in its iteration order.
+  void snapshot() {
+    round_.clear();
+    round_.reserve(static_cast<std::size_t>(frontier_.num_subcubes()));
+    frontier_.for_each([&](Vertex p, Vertex m, std::uint64_t mult) {
+      round_.push_back({p, m, mult});
+    });
+  }
+
+  /// Adds a receiver subcube (sibling coalescing, multiset semantics).
+  void insert(Vertex prefix, Vertex mask) { frontier_.insert(prefix, mask); }
+
+  /// Puts the frontier back as the snapshot holds it: the same entries
+  /// and count, only its iteration order may change.
+  void restore() { frontier_.assign(round_); }
+
+  /// The frontier as the round found it.
+  [[nodiscard]] std::span<const WeightedSubcube> round() const noexcept { return round_; }
+  [[nodiscard]] const SubcubeFrontier& frontier() const noexcept { return frontier_; }
+
+ private:
+  SubcubeFrontier frontier_;
+  std::vector<WeightedSubcube> round_;
+};
+
 /// Optional SymbolicRoundSink hook: a sink that keeps the run's
-/// informed set itself lends it read-only, so a broadcast producer can
-/// enumerate each round's callers from it instead of rebuilding the
-/// same multiset (emit_broadcast_rounds_symbolic detects this).  The
-/// sink may change the frontier only in end_round(), never between
-/// begin_round() and the round's last end_call_group().  Sinks without
-/// the hook (SymbolicScheduleBuilder, counting and forwarding sinks)
-/// leave the producer its own frontier.
+/// informed set itself lends it read-only, so a broadcast producer
+/// emits each round's callers from the sink's round snapshot instead of
+/// rebuilding the same multiset (emit_broadcast_rounds_symbolic detects
+/// this).  The snapshot holds {source} before the first round, and the
+/// sink may retake it only in begin_round(); the frontier's counts are
+/// read after end_round().  Sinks without the hook
+/// (SymbolicScheduleBuilder, counting and forwarding sinks) get the
+/// producer's own informed set through the same type.
 template <class S>
 concept InformedFrontierSink = requires(const S& s) {
-  { s.informed_frontier() } -> std::same_as<const SubcubeFrontier&>;
+  { s.informed_set() } -> std::same_as<const InformedSet&>;
 };
 
 /// A materialized symbolic round: groups plus a deduplicated pattern

@@ -36,26 +36,28 @@
 //     their population (detail::VertexSet), so the replay costs
 //     O(sampled calls) per round at every n, never O(2^n).
 //
-// Round batching: end_call_group only records a group into the round's
-// SymbolicRound; end_round runs two jobs over the recorded batch.  The
-// engine job builds the collision claims, then adds the round's
-// receivers to the frontier in group order.  The check job runs the
-// per-group clauses in group order, then the caller tiling, the
-// collision check and the sampled replay.  The caller tiling first
-// walks the frontier beside the groups in one in-order merge that can
-// only accept: when the groups are the frontier's entries in iteration
-// order, each split on its lowest free bits as the producer splits it,
-// the round tiles.  Any other round (a replay in another order or
-// split, or a schedule that does not tile) is decided by comparing the
-// canonical_reduce normal forms of the callers and of the frontier,
-// which also words every error.
-// With a WorkerPool of two or more workers the check job runs on a
-// pooled worker beside the engine job (the tiling reads a snapshot of
-// the frontier the insert is growing, and a rejected round gets its
-// frontier back from that snapshot); without one the jobs run in turn,
-// and the insert only after the checks pass.  The insert order, hence
-// the greedy coalescing and every report, is the same at every thread
-// count.  The endgame's occupancy check shards over the whole pool.
+// Round batching: begin_round copies the frontier once into the round
+// snapshot (InformedSet), which the producer walks, the caller tiling
+// reads and a rejected round is restored from.  end_call_group only
+// records a group into the round's SymbolicRound; end_round runs two
+// jobs over the recorded batch.  The engine job builds the collision
+// claims, then adds the round's receivers to the frontier in group
+// order.  The check job runs the per-group clauses in group order, then
+// the caller tiling, the collision check and the sampled replay.  The
+// caller tiling first scans the snapshot beside the groups in one
+// in-order merge that can only accept: when the groups are the
+// snapshot's entries in order, each split on its lowest free bits as
+// the producer splits it, the round tiles.  Any other round (a replay
+// in another order or split, or a schedule that does not tile) is
+// decided by comparing the canonical_reduce normal forms of the callers
+// and of the snapshot, which also words every error.
+// The jobs run in that one order at every thread count: with a
+// WorkerPool of two or more workers the check job runs on a pooled
+// worker beside the engine job, otherwise after it; either way a
+// rejected round gets its frontier back from the snapshot.  The insert
+// order, hence the greedy coalescing and every report, is the same at
+// every thread count.  The endgame's occupancy check shards over the
+// whole pool.
 //
 // Shared core: detail::SymbolicRoundCore holds what both symbolic
 // validators (this one and gossip's) keep around their own clauses —
@@ -462,7 +464,7 @@ class SymbolicBroadcastValidator
                           "SymbolicBroadcastValidator: threads", "SymbolicCheckOptions"),
         net_(&net),
         opt_(opt),
-        frontier_(std::clamp(n_, 1, kMaxCubeDim)) {
+        informed_(std::clamp(n_, 1, kMaxCubeDim)) {
     if (n_ < 1 || n_ > kMaxCubeDim || order_ != cube_order(n_)) {
       fail("symbolic validator requires a full 2^n-vertex cube oracle");
       return;
@@ -477,13 +479,15 @@ class SymbolicBroadcastValidator
       fail("source out of range");
       return;
     }
-    frontier_.insert(source, 0);
+    informed_.start(source);
   }
 
   // ---- SymbolicRoundSink interface ------------------------------------
 
   void begin_round() {
-    if (!failed_) open_round();
+    if (failed_) return;
+    open_round();
+    informed_.snapshot();
   }
 
   void end_call_group(const CallGroup& g, std::span<const Vertex> pattern) {
@@ -509,22 +513,17 @@ class SymbolicBroadcastValidator
   }
 
   /// Checks the recorded round and inserts its receivers: the engine
-  /// and check jobs of the header's round batching.  The claims and the
-  /// frontier, which grow with the round, are built on the engine
-  /// thread, so their memory lives in one malloc arena as it does
-  /// without a pool (grown on the worker, their freed blocks would stay
-  /// resident in its arena beside the engine thread's).
+  /// and check jobs of the header's round batching.  The engine job
+  /// runs on the engine thread, so the claims' and the frontier's
+  /// memory lives in one malloc arena at every thread count (grown on a
+  /// worker, their freed blocks would stay resident in its arena beside
+  /// the engine thread's).
   void end_round() {
     if (failed_) return;
     const std::string where = round_where();
     if (round_.groups.empty()) return fail(where + "empty round");
-
-    WorkerPool* const pool = pool_.get();
-    const bool overlap = pool != nullptr && pool->workers() >= 2;
-    std::vector<WeightedSubcube> snapshot;
-    if (overlap) snapshot = frontier_.to_entries();
     SHC_TRACE_COUNTER("round_batch_bytes",
-                      round_bytes() + snapshot.size() * sizeof(WeightedSubcube));
+                      round_bytes() + informed_.round().size_bytes());
 
     // Trace numbers for every event of both jobs, reserved here in the
     // serial order (claims, checks, insert), so the merged trace is the
@@ -534,59 +533,55 @@ class SymbolicBroadcastValidator
         rec != nullptr ? rec->reserve_seqs(kCheckJobSeqs + 2) : 0;
     std::atomic<bool> claimed{false};
     bool checked = false;
-    const auto build_claims = [&] {
-      const obs::SeqLease lease(rec, seq0, 1);
-      SHC_TRACE_SCOPE("ledger_build");
-      const Publish done{claimed};
-      build_round_claims();
-    };
-    const auto check_job = [&](const std::vector<WeightedSubcube>* entries) {
-      const obs::SeqLease lease(rec, seq0 + 1, kCheckJobSeqs);
-      checked = check_round(where, entries, claimed);
-    };
-    const auto insert_job = [&] {
+    const auto engine_job = [&] {
+      {
+        const obs::SeqLease lease(rec, seq0, 1);
+        SHC_TRACE_SCOPE("ledger_build");
+        const Publish done{claimed};
+        build_round_claims();
+      }
       const obs::SeqLease lease(rec, seq0 + 1 + kCheckJobSeqs, 1);
       SHC_TRACE_SCOPE("frontier_insert");
       insert_receivers();
     };
-    if (overlap) {
-      pool->run_beside(
-          [&] {
-            build_claims();
-            insert_job();
-          },
-          [&] { check_job(&snapshot); });
-      if (!checked) frontier_.assign(snapshot);
+    const auto check_job = [&] {
+      const obs::SeqLease lease(rec, seq0 + 1, kCheckJobSeqs);
+      checked = check_round(where, claimed);
+    };
+    if (WorkerPool* const pool = pool_.get()) {
+      pool->run_beside(engine_job, check_job);  // in turn below two workers
     } else {
-      build_claims();
-      check_job(nullptr);
-      if (checked) insert_job();
+      engine_job();
+      check_job();
     }
-    if (!checked) return;
+    if (!checked) return informed_.restore();
 
-    if (!frontier_.count_ok()) {
+    const SubcubeFrontier& frontier = informed_.frontier();
+    if (!frontier.count_ok()) {
       return fail(where + "informed-set count overflowed 64 bits");
     }
-    if (frontier_.num_subcubes() > sopt_.max_frontier_subcubes) {
+    if (frontier.num_subcubes() > sopt_.max_frontier_subcubes) {
       return fail(where + "informed-set subcube cap exceeded (" +
-                  std::to_string(frontier_.num_subcubes()) + " > " +
+                  std::to_string(frontier.num_subcubes()) + " > " +
                   std::to_string(sopt_.max_frontier_subcubes) + ")");
     }
     stats_.peak_frontier_subcubes =
-        std::max(stats_.peak_frontier_subcubes, frontier_.num_subcubes());
+        std::max(stats_.peak_frontier_subcubes, frontier.num_subcubes());
     saturating_acc_u64(stats_.rounds_checked, 1);
     SHC_TRACE_COUNTER("round_groups", round_.groups.size());
     SHC_TRACE_COUNTER("groups_total", stats_.groups);
-    SHC_TRACE_COUNTER("frontier_subcubes", frontier_.num_subcubes());
+    SHC_TRACE_COUNTER("frontier_subcubes", frontier.num_subcubes());
     SHC_TRACE_COUNTER("occupancy_claims", stats_.occupancy_claims);
     SHC_TRACE_ROUND(rep_.rounds);
   }
 
-  /// The informed multiset, lent read-only (InformedFrontierSink): it
-  /// changes only in end_round(), and the caller tiling checks the
-  /// groups against it whatever the producer walked.
+  /// The informed set and its round snapshot, lent read-only
+  /// (InformedFrontierSink): the snapshot is retaken only in
+  /// begin_round(), and the caller tiling checks the groups against it
+  /// whatever the producer walked.
+  [[nodiscard]] const InformedSet& informed_set() const noexcept { return informed_; }
   [[nodiscard]] const SubcubeFrontier& informed_frontier() const noexcept {
-    return frontier_;
+    return informed_.frontier();
   }
 
   // ---- results ---------------------------------------------------------
@@ -596,11 +591,12 @@ class SymbolicBroadcastValidator
   [[nodiscard]] ValidationReport finish() {
     if (finished_) return rep_;
     finished_ = true;
-    stats_.final_frontier_subcubes = frontier_.num_subcubes();
+    const SubcubeFrontier& frontier = informed_.frontier();
+    stats_.final_frontier_subcubes = frontier.num_subcubes();
     if (failed_) return rep_;
     SHC_TRACE_SCOPE("endgame");
 
-    rep_.informed = frontier_.count_ok() ? frontier_.total_count() : 0;
+    rep_.informed = frontier.count_ok() ? frontier.total_count() : 0;
     if (rep_.informed != order_) {
       fail("incomplete: informed " + std::to_string(rep_.informed) + " of " +
            std::to_string(order_));
@@ -615,7 +611,7 @@ class SymbolicBroadcastValidator
     occupancy_.clear();
     bool mult_clean = true;
     std::uint32_t idx = 0;
-    frontier_.for_each([&](Vertex p, Vertex m, std::uint64_t mult) {
+    frontier.for_each([&](Vertex p, Vertex m, std::uint64_t mult) {
       if (mult != 1) mult_clean = false;
       occupancy_.claim(1, p, m, idx++);
     });
@@ -662,14 +658,11 @@ class SymbolicBroadcastValidator
            round_.pattern_off.capacity() * sizeof(std::uint32_t);
   }
 
-  /// The check job: Definitions 1/2 on the recorded round.  Tiling
-  /// reads `entries` (a snapshot of the frontier as the round found it)
-  /// when the insert runs concurrently, else the frontier in place; the
-  /// collision check first waits for the engine job's claims.  Nested
-  /// pool runs are not allowed inside a job, so nothing here shards.
-  bool check_round(const std::string& where,
-                   const std::vector<WeightedSubcube>* entries,
-                   const std::atomic<bool>& claimed) {
+  /// The check job: Definitions 1/2 on the recorded round.  The tiling
+  /// reads the round snapshot; the collision check first waits for the
+  /// engine job's claims.  Nested pool runs are not allowed inside a
+  /// job, so nothing here shards.
+  bool check_round(const std::string& where, const std::atomic<bool>& claimed) {
     {
       SHC_TRACE_SCOPE("group_checks");
       if (!check_groups(where)) return false;
@@ -678,7 +671,7 @@ class SymbolicBroadcastValidator
         stats_.peak_round_groups, static_cast<std::uint64_t>(round_.groups.size()));
     {
       SHC_TRACE_SCOPE("caller_tiling");
-      if (!check_caller_tiling(where, entries)) return false;
+      if (!check_caller_tiling(where)) return false;
     }
     if (round_multihop_) {
       SHC_TRACE_SCOPE("collision_check");
@@ -745,10 +738,10 @@ class SymbolicBroadcastValidator
     }
   }
 
-  /// The insert job: receivers join the informed multiset in group
-  /// order, so greedy coalescing is the same at every thread count.  A
-  /// receiver that is not a well-formed in-range subcube is skipped —
-  /// the concurrent insert runs ahead of the clauses that reject its
+  /// The engine job's second half: receivers join the informed multiset
+  /// in group order, so greedy coalescing is the same at every thread
+  /// count.  A receiver that is not a well-formed in-range subcube is
+  /// skipped — the insert runs ahead of the clauses that reject its
   /// group, and the frontier's mask classes rely on (prefix & mask) == 0.
   void insert_receivers() {
     const Vertex cube = mask_low(n_);
@@ -760,91 +753,73 @@ class SymbolicBroadcastValidator
       if ((receiver & g.free_mask) != 0 || ((receiver | g.free_mask) & ~cube) != 0) {
         continue;
       }
-      frontier_.insert(receiver, g.free_mask);
+      informed_.insert(receiver, g.free_mask);
     }
   }
 
   /// Every informed vertex must place exactly one call: the round's
-  /// caller groups must tile the frontier as the round found it
-  /// (`entries` when the insert runs concurrently, else the frontier in
-  /// place).  The in-order merge (tiles_in_order) accepts the produced
-  /// rounds; the normal forms (normal_form_tiling_error) decide every
-  /// other round and word every error.  Audit builds require a merged
-  /// round to pass the normal forms too, or to be refused on the budget.
-  bool check_caller_tiling(const std::string& where,
-                           const std::vector<WeightedSubcube>* entries) {
-    const bool in_order = tiles_in_order(entries);
+  /// caller groups must tile the round snapshot.  The in-order merge
+  /// (tiles_in_order) accepts the produced rounds; the normal forms
+  /// (normal_form_tiling_error) decide every other round and word every
+  /// error.  Audit builds require a merged round to pass the normal
+  /// forms too, or to be refused on the budget.
+  bool check_caller_tiling(const std::string& where) {
+    const bool in_order = tiles_in_order();
     SHC_TRACE_COUNTER("caller_tiling_fallback", in_order ? 0 : 1);
 #if SHC_AUDIT_ENABLED
-    const std::string audit = in_order ? normal_form_tiling_error(entries) : std::string();
+    const std::string audit = in_order ? normal_form_tiling_error() : std::string();
     SHC_AUDIT_CHECK(audit.empty() || audit == kTilingBudgetRefusal,
                     "a round the in-order merge accepts must pass the normal forms");
 #endif
-    const std::string err = in_order ? std::string() : normal_form_tiling_error(entries);
+    const std::string err = in_order ? std::string() : normal_form_tiling_error();
     if (!err.empty()) fail(where + err);
     return err.empty();
   }
 
-  /// fn(prefix, mask, mult) over the frontier as the round found it.
-  template <class Fn>
-  void for_each_caller_entry(const std::vector<WeightedSubcube>* entries, Fn&& fn) const {
-    if (entries != nullptr) {
-      for (const WeightedSubcube& e : *entries) fn(e.prefix, e.mask, e.mult);
-    } else {
-      // No snapshot: iterate in place (the frontier can hold millions
-      // of subcubes).
-      frontier_.for_each(fn);
-    }
-  }
-
   /// The accept-only tiling: steps through the groups in order beside
-  /// the frontier's entries in iteration order (the order the producer
-  /// walks them).  Each entry of multiplicity one must be the next 2^s
-  /// groups: the entry split on its s lowest free bits, rest = the
-  /// entry's mask without them, the pieces' prefixes the entry's prefix
-  /// plus each assignment of the split bits in ascending order, each of
-  /// count 2^|rest|.  Every entry must match and every group be used.
-  /// Sound because the matched groups partition each entry, so the
-  /// callers are the informed multiset with every entry called once;
-  /// false decides nothing.
-  [[nodiscard]] bool tiles_in_order(const std::vector<WeightedSubcube>* entries) const {
+  /// the snapshot's entries (the order the producer emits them).  Each
+  /// entry of multiplicity one must be the next 2^s groups: the entry
+  /// split on its s lowest free bits, rest = the entry's mask without
+  /// them, the pieces' prefixes the entry's prefix plus each assignment
+  /// of the split bits in ascending order, each of count 2^|rest|.
+  /// Every entry must match and every group be used.  Sound because the
+  /// matched groups partition each entry, so the callers are the
+  /// informed multiset with every entry called once; false decides
+  /// nothing.
+  [[nodiscard]] bool tiles_in_order() const {
     const std::vector<CallGroup>& groups = round_.groups;
     std::size_t next = 0;
-    bool ok = true;
-    for_each_caller_entry(entries, [&](Vertex p, Vertex m, std::uint64_t mult) {
-      if (!ok) return;
-      ok = false;
-      if (mult != 1 || next == groups.size()) return;
+    for (const WeightedSubcube& e : informed_.round()) {
+      if (e.mult != 1 || next == groups.size()) return false;
       const Vertex rest = groups[next].free_mask;
-      const Vertex split = m & ~rest;
-      // rest keeps m's high free bits: every split bit lies below its lowest.
-      if ((rest & ~m) != 0 || (rest != 0 && split >= (rest & (~rest + 1)))) return;
-      if ((std::uint64_t{1} << weight(split)) > groups.size() - next) return;
+      const Vertex split = e.mask & ~rest;
+      // rest keeps the entry's high free bits: every split bit lies below its lowest.
+      if ((rest & ~e.mask) != 0 || (rest != 0 && split >= (rest & (~rest + 1)))) return false;
+      if ((std::uint64_t{1} << weight(split)) > groups.size() - next) return false;
       const std::uint64_t count = std::uint64_t{1} << weight(rest);
       for (Vertex a = 0;; a = (a - split) & split) {  // ascending subsets of split
         const CallGroup& g = groups[next++];
-        if (g.free_mask != rest || g.prefix != (p | a) || g.count != count) return;
+        if (g.free_mask != rest || g.prefix != (e.prefix | a) || g.count != count) return false;
         if (a == split) break;
       }
-      ok = true;
-    });
-    return ok && next == groups.size();
+    }
+    return next == groups.size();
   }
 
   /// The normal-form tiling: the callers tile the informed set exactly
   /// when canonical_reduce of the groups (multiplicity one each) and of
-  /// the frontier as the round found it are equal once sorted, with every
+  /// the round snapshot are equal once sorted, with every
   /// multiplicity one.  The error is a function of the two forms alone:
   /// a caller multiplicity above one, or more caller than informed
   /// vertices, is a caller outside the informed set; any other mismatch
   /// leaves an informed vertex without a call.
-  [[nodiscard]] std::string normal_form_tiling_error(
-      const std::vector<WeightedSubcube>* entries) const {
+  [[nodiscard]] std::string normal_form_tiling_error() const {
     std::vector<WeightedSubcube> callers;  // well-formed: their clauses passed
     callers.reserve(round_.groups.size());
     for (const CallGroup& g : round_.groups) callers.push_back({g.prefix, g.free_mask, 1});
     auto caller_form = canonical_reduce(std::move(callers), n_);
-    auto informed_form = canonical_reduce(entries ? *entries : frontier_.to_entries(), n_);
+    const std::span<const WeightedSubcube> informed = informed_.round();
+    auto informed_form = canonical_reduce({informed.begin(), informed.end()}, n_);
     if (!caller_form || !informed_form) return kTilingBudgetRefusal;
     // Sorts a form, adds its vertex count to `vertices` and says whether
     // every multiplicity is one.  mult << dim cannot wrap on the frontier
@@ -909,7 +884,7 @@ class SymbolicBroadcastValidator
 
   const Net* net_;
   ValidationOptions opt_;
-  SubcubeFrontier frontier_;  ///< informed multiset, cross-round
+  InformedSet informed_;  ///< informed multiset and its round snapshot
   /// A reduction past canonical_reduce's default budget: never a verdict.
   static constexpr const char* kTilingBudgetRefusal =
       "caller tiling refused: a normal form exceeded canonical_reduce's "

@@ -3,6 +3,7 @@
 // degrees to the published bounds across sweeps.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -215,6 +216,19 @@ TEST(Theorem5Core, FormulaAndClamping) {
   }
   // Unclamped formula: ceil(sqrt(2*16+4)) - 2 = 6 - 2 = 4.
   EXPECT_EQ(theorem5_core(16), 4);
+}
+
+TEST(ParamsGuards, BadInputsThrowNamedErrors) {
+  // Both are public entry points: a Release build must refuse bad input
+  // rather than compute from it.
+  EXPECT_THROW(static_cast<void>(theorem5_core(1)), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(theorem5_core(-5)), std::invalid_argument);
+  EXPECT_EQ(theorem5_core(std::numeric_limits<int>::max()), 65535);  // no int overflow
+  for (const std::vector<int>& cuts :
+       {std::vector<int>{}, {0}, {10}, {11}, {5, 3}, {3, 3}, {-2, 4}}) {
+    EXPECT_THROW(static_cast<void>(realized_max_degree(10, cuts)), std::invalid_argument);
+  }
+  EXPECT_EQ(realized_max_degree(10, {3, 6}), 3 + 1 + 1);
 }
 
 }  // namespace

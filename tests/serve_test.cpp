@@ -61,6 +61,16 @@ TEST(ServeEngine, MalformedLinesAnswerErrorRowsNotCrashes) {
   EXPECT_NE(badspec.find("\"ok\":false"), std::string::npos) << badspec;
 }
 
+TEST(ServeEngine, ControlCharactersInAnErrorAreEscapedOntoOneLine) {
+  // The field name arrives JSON-escaped and leaves in the error text; a
+  // raw 0x01 or newline in the row would break one line per request.
+  ServeEngine engine{ServeOptions{}};
+  const std::string row = engine.handle_line(
+      "{\"workload\":\"broadcast-symbolic\",\"n\":8,\"a\\u0001b\\nc\\r\\td\":1}");
+  EXPECT_EQ(row, "{\"ok\":false,\"error\":\"unknown field: a\\u0001b\\nc\\r\\td\"}");
+  EXPECT_EQ(json_escape(std::string("\"\\\x1f\x7f", 4)), "\\\"\\\\\\u001f\x7f");
+}
+
 TEST(ServeEngine, DesignArgumentsOutOfRangeAnswerErrorRows) {
   // The cut designers guard n > k >= 2 with typed exceptions; these
   // probes used to index past the designer's tables and crash.
@@ -104,6 +114,12 @@ TEST(ServeEngine, HostileCutsAnswerNamedSpecErrors) {
       {"\"n\":10,\"cuts\":[3,3]", "spec: construct: cuts must be strictly increasing"},
       {"\"n\":10,\"cuts\":[0]", "spec: construct: cuts must be >= 1, got 0"},
       {"\"n\":10,\"cuts\":[-2,4]", "spec: construct: cuts must be >= 1, got -2"},
+      {"\"n\":40,\"cuts\":[30]",
+       "spec: construct: level 0 window (0, 30] is 30 dims wide, above the 24 a labeling "
+       "spans"},
+      {"\"n\":40,\"cuts\":[3,33]",
+       "spec: construct: level 1 window (3, 33] is 30 dims wide, above the 24 a labeling "
+       "spans"},
   };
   std::uint64_t probes = 0;
   for (const char* workload :

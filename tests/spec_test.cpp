@@ -63,6 +63,10 @@ TEST(RecursiveConstruct, RefusesBadCutsWithNamedErrors) {
   EXPECT_EQ(construct_error(10, {11}), "construct: last cut 11 must be below n = 10");
   EXPECT_EQ(construct_error(1, {1}), "construct: n must be in [2, 63], got 1");
   EXPECT_EQ(construct_error(64, {3}), "construct: n must be in [2, 63], got 64");
+  EXPECT_EQ(construct_error(40, {30}),
+            "construct: level 0 window (0, 30] is 30 dims wide, above the 24 a labeling spans");
+  EXPECT_EQ(construct_error(40, {3, 33}),
+            "construct: level 1 window (3, 33] is 30 dims wide, above the 24 a labeling spans");
   EXPECT_EQ(construct_error(10, {3, 6}), "");
   EXPECT_THROW(static_cast<void>(SparseHypercubeSpec::construct_base(4, 4)),
                std::invalid_argument);

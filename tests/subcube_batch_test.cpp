@@ -336,86 +336,6 @@ TEST(BatchKernels, MaskScanMatchesReferenceReductions) {
   }
 }
 
-// ---- filters -----------------------------------------------------------
-
-TEST(BatchKernels, IntersectAllMatchesScalarAlgebraExhaustivelyQ4) {
-  // Every Q_4 query against the family of all Q_4 subcubes: the batch
-  // intersection must agree with subcubes_overlap / subcube_intersection
-  // pair by pair, in family order.
-  const auto cubes = all_q4_subcubes();
-  SubcubeSoA family;
-  for (const Subcube& s : cubes) family.push_back(s.prefix, s.mask);
-  for (const Subcube& q : cubes) {
-    SubcubeSoA out;
-    const std::size_t appended =
-        batch::intersect_all(family.prefix.data(), family.mask.data(),
-                             family.size(), q.prefix, q.mask, out);
-    ASSERT_EQ(appended, out.size());
-    std::size_t at = 0;
-    for (const Subcube& s : cubes) {
-      const auto inter = subcube_intersection(s, q);
-      ASSERT_EQ(subcubes_overlap(s, q), inter.has_value());
-      if (!inter) continue;
-      ASSERT_LT(at, out.size());
-      EXPECT_EQ(out.prefix[at], inter->prefix);
-      EXPECT_EQ(out.mask[at], inter->mask);
-      ++at;
-    }
-    ASSERT_EQ(at, out.size());
-  }
-}
-
-TEST(BatchKernels, OverlapFilterMatchesPredicateAndWalksStridedLayouts) {
-  const auto cubes = all_q4_subcubes();
-  // Interleaved (AoS-style) layout: prefix at even slots, mask at odd.
-  std::vector<Vertex> interleaved;
-  for (const Subcube& s : cubes) {
-    interleaved.push_back(s.prefix);
-    interleaved.push_back(s.mask);
-  }
-  for (const Subcube& q : cubes) {
-    SubcubeSoA from_soa, from_aos;
-    SubcubeSoA family;
-    for (const Subcube& s : cubes) family.push_back(s.prefix, s.mask);
-    batch::overlap_filter(family.prefix.data(), family.mask.data(),
-                          family.size(), 1, q.prefix, q.mask, from_soa);
-    batch::overlap_filter(interleaved.data(), interleaved.data() + 1,
-                          cubes.size(), 2, q.prefix, q.mask, from_aos);
-    ASSERT_EQ(from_soa.prefix, from_aos.prefix);
-    ASSERT_EQ(from_soa.mask, from_aos.mask);
-    std::size_t at = 0;
-    for (const Subcube& s : cubes) {
-      if (!subcubes_overlap(s, q)) continue;
-      ASSERT_LT(at, from_soa.size());
-      EXPECT_EQ(from_soa.prefix[at], s.prefix);
-      EXPECT_EQ(from_soa.mask[at], s.mask);
-      ++at;
-    }
-    ASSERT_EQ(at, from_soa.size());
-  }
-}
-
-TEST(BatchKernels, RandomPairsAtN16MatchExplicitBitmaps) {
-  // >= 2000 random pairs cross-checked against the ground truth no
-  // algebra can argue with: explicit 2^16-bit vertex sets.
-  std::mt19937_64 rng(0xf00dull);
-  for (int trial = 0; trial < 2500; ++trial) {
-    const Subcube a = random_subcube(rng, 16);
-    const Subcube b = random_subcube(rng, 16);
-    const auto bits = expand(a.prefix, a.mask) & expand(b.prefix, b.mask);
-    SubcubeSoA out;
-    const std::size_t hits = batch::intersect_all(&a.prefix, &a.mask, 1,
-                                                  b.prefix, b.mask, out);
-    ASSERT_EQ(hits != 0, bits.any()) << "trial " << trial;
-    if (hits != 0) {
-      ASSERT_EQ(expand(out.prefix[0], out.mask[0]), bits) << "trial " << trial;
-    }
-    SubcubeSoA kept;
-    batch::overlap_filter(&a.prefix, &a.mask, 1, 1, b.prefix, b.mask, kept);
-    ASSERT_EQ(kept.size() == 1, bits.any());
-  }
-}
-
 // ---- SubtractSweep -----------------------------------------------------
 
 /// Greedily thins a random family to a pairwise-disjoint one.

@@ -278,29 +278,34 @@ TEST(SubcubeFrontierTest, TakeEmptiesAClassAndTheMaskStartsFresh) {
   EXPECT_EQ(f.num_subcubes(), 2u);
 }
 
-/// Replays a symbolic broadcast's receiver stream into a lent frontier
-/// the way SymbolicBroadcastValidator does (each round's receivers
-/// join in group order at end_round) and folds the frontier's for_each
-/// sequence into an FNV-1a hash after every round.
+/// Replays a symbolic broadcast's receiver stream into a lent informed
+/// set the way SymbolicBroadcastValidator does (the snapshot retaken at
+/// begin_round, each round's receivers joining in group order at
+/// end_round) and folds the frontier's for_each sequence into an FNV-1a
+/// hash after every round.
 class LayoutPinSink {
  public:
-  LayoutPinSink(int n, Vertex source) : frontier_(n) { frontier_.insert(source, 0); }
+  LayoutPinSink(int n, Vertex source) : informed_(n) { informed_.start(source); }
 
-  void begin_round() { receivers_.clear(); }
+  void begin_round() {
+    receivers_.clear();
+    informed_.snapshot();
+  }
   void end_call_group(const CallGroup& g, std::span<const Vertex> pattern) {
     receivers_.push_back({g.prefix ^ pattern.back(), g.free_mask});
   }
   void end_round() {
-    for (const Subcube& r : receivers_) frontier_.insert(r.prefix, r.mask);
-    frontier_.for_each([&](Vertex p, Vertex m, std::uint64_t mult) {
+    for (const Subcube& r : receivers_) informed_.insert(r.prefix, r.mask);
+    informed_.frontier().for_each([&](Vertex p, Vertex m, std::uint64_t mult) {
       mix(p);
       mix(m);
       mix(mult);
     });
     ++rounds_;
   }
+  [[nodiscard]] const InformedSet& informed_set() const noexcept { return informed_; }
   [[nodiscard]] const SubcubeFrontier& informed_frontier() const noexcept {
-    return frontier_;
+    return informed_.frontier();
   }
   [[nodiscard]] std::uint64_t hash() const noexcept { return hash_; }
   [[nodiscard]] int rounds() const noexcept { return rounds_; }
@@ -313,7 +318,7 @@ class LayoutPinSink {
     }
   }
 
-  SubcubeFrontier frontier_;
+  InformedSet informed_;
   std::vector<Subcube> receivers_;
   std::uint64_t hash_ = 0xcbf29ce484222325ULL;
   int rounds_ = 0;

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <bit>
 #include <numeric>
+#include <optional>
 #include <random>
 #include <span>
 #include <stdexcept>
@@ -730,6 +731,41 @@ TEST(RoundBatch, MalformedReceiverNeverReachesTheFrontier) {
   }
 }
 
+SymbolicSchedule q3_two_group_schedule(const std::vector<Vertex>& patt_a,
+                                       const std::vector<Vertex>& patt_b);
+
+TEST(RoundBatch, CollidingRoundGetsItsFrontierBack) {
+  // Round 2's callers 0 and 1 tile the informed set, but their calls
+  // 0 -> 2 -> 6 and 1 -> 3 -> 2 -> 0 cross edge {0, 2}.  The engine job
+  // inserts the receivers before the collision check rejects the round,
+  // at one thread as at several, so the rejected round must restore the
+  // frontier it found.
+  const auto s = q3_two_group_schedule({0, 2, 6}, {0, 2, 3, 1});
+  const CubeOracle oracle(3);
+  ValidationOptions opt;
+  opt.k = 3;
+  for (const int threads : {1, 2, 4}) {
+    SymbolicCheckOptions sopt;
+    sopt.threads = threads;
+    SymbolicBroadcastValidator<CubeOracle> v(oracle, s.source, opt, sopt);
+    for (const SymbolicRound& r : s.rounds) {
+      const auto before = v.informed_frontier().to_entries();
+      v.begin_round();
+      for (std::size_t g = 0; g < r.groups.size(); ++g) {
+        v.end_call_group(r.groups[g], r.pattern_of_group(g));
+      }
+      v.end_round();
+      if (!v.aborted()) continue;
+      EXPECT_EQ(v.informed_frontier().to_entries(), before) << "threads=" << threads;
+      EXPECT_EQ(v.informed_frontier().total_count(), 2u) << "threads=" << threads;
+    }
+    const auto rep = v.finish();
+    EXPECT_EQ(rep.error, "round 2: edge collision between concurrent call groups")
+        << "threads=" << threads;
+    EXPECT_EQ(v.stats().rounds_checked, 1u) << "threads=" << threads;
+  }
+}
+
 // ---- handcrafted collisions against the exact validator ----------------
 
 /// Hand-built Q_3 schedule on the full-cube oracle: round 1 informs
@@ -1019,7 +1055,7 @@ TEST(SharedFrontier, MatchesOwnedFrontierForSourcesCutsModelAndThreads) {
 }
 
 /// Forwards every call to a validator but lends the producer a tampered
-/// copy of the validator's informed frontier from round `from_round` on:
+/// copy of the validator's round snapshot from round `from_round` on:
 /// one entry dropped, or half of one entry listed a second time.
 class TamperingSink {
  public:
@@ -1027,12 +1063,24 @@ class TamperingSink {
 
   TamperingSink(SymbolicBroadcastValidator<SpecView>& inner, Tamper how,
                 std::uint64_t from_round)
-      : inner_(inner), how_(how), from_round_(from_round),
-        copy_(inner.informed_frontier().n()) {}
+      : inner_(inner), how_(how), from_round_(from_round) {}
 
   void begin_round() {
     ++round_;
     inner_.begin_round();
+    if (round_ < from_round_) return;
+    copy_.emplace(inner_.informed_frontier().n());
+    bool tampered = false;
+    for (const WeightedSubcube& e : inner_.informed_set().round()) {
+      if (!tampered && e.mask != 0) {
+        tampered = true;
+        if (how_ == Tamper::kDrop) continue;
+        copy_->insert(e.prefix, e.mask & (e.mask - 1));  // drop the lowest free bit
+      }
+      copy_->insert(e.prefix, e.mask);
+    }
+    EXPECT_TRUE(tampered) << "no multi-vertex entry to tamper with";
+    copy_->snapshot();
   }
   void end_call_group(const CallGroup& g, std::span<const Vertex> pattern) {
     inner_.end_call_group(g, pattern);
@@ -1040,21 +1088,8 @@ class TamperingSink {
   void end_round() { inner_.end_round(); }
   [[nodiscard]] bool aborted() const { return inner_.aborted(); }
 
-  [[nodiscard]] const SubcubeFrontier& informed_frontier() const {
-    const SubcubeFrontier& real = inner_.informed_frontier();
-    if (round_ < from_round_) return real;
-    copy_.clear();
-    bool tampered = false;
-    real.for_each([&](Vertex p, Vertex m, std::uint64_t mult) {
-      if (!tampered && m != 0) {
-        tampered = true;
-        if (how_ == Tamper::kDrop) return;
-        copy_.insert(p, m & (m - 1), mult);  // drop the lowest free bit
-      }
-      copy_.insert(p, m, mult);
-    });
-    EXPECT_TRUE(tampered) << "no multi-vertex entry to tamper with";
-    return copy_;
+  [[nodiscard]] const InformedSet& informed_set() const {
+    return copy_ ? *copy_ : inner_.informed_set();
   }
 
  private:
@@ -1062,7 +1097,7 @@ class TamperingSink {
   Tamper how_;
   std::uint64_t from_round_;
   std::uint64_t round_ = 0;
-  mutable SubcubeFrontier copy_;
+  std::optional<InformedSet> copy_;
 };
 
 static_assert(InformedFrontierSink<TamperingSink>);

@@ -16,7 +16,8 @@ conventions that are easy to break silently in review.  This lint walks
                     sizing).  Everything else shares the WorkerPool.
   assert-guard      `assert(` in graph/, coding/, labeling/, baseline/
                     translation units, mlbg/src/broadcast.cpp,
-                    mlbg/src/spec.cpp, sim/src/subcube.cpp,
+                    mlbg/src/spec.cpp, mlbg/src/params.cpp,
+                    sim/src/subcube.cpp,
                     sim/src/knowledge_classes.cpp
                     and sim/src/congestion.cpp:
                     a bare assert guarding caller
@@ -96,7 +97,7 @@ THREAD_ALLOWED_FILES = ("src/sim/include/shc/sim/worker_pool.hpp",)
 # input directly (the PR 2 bug class lived in graph/).
 ASSERT_DIRS = ("src/graph", "src/coding", "src/labeling", "src/baseline",
                "src/mlbg/src/broadcast.cpp", "src/mlbg/src/spec.cpp",
-               "src/sim/src/subcube.cpp",
+               "src/mlbg/src/params.cpp", "src/sim/src/subcube.cpp",
                "src/sim/src/knowledge_classes.cpp", "src/sim/src/congestion.cpp")
 
 # Kernel layer: headers that sit below their own module's layering set.

@@ -183,6 +183,21 @@ class AssertGuardRule(LintHarness):
             }
         )
 
+    def test_params_translation_unit_flagged(self) -> None:
+        self.assert_finding(
+            {"src/mlbg/src/params.cpp": "int f(int n) { assert(n >= 2); return n; }\n"},
+            "assert-guard",
+        )
+
+    def test_params_allowed_invariant_clean(self) -> None:
+        self.assert_clean(
+            {
+                "src/mlbg/src/params.cpp":
+                    "void f(int n) { assert(n >= 1);  "
+                    "// shc-lint: allow(assert-guard)\n}\n"
+            }
+        )
+
     def test_other_sim_translation_unit_not_in_scope(self) -> None:
         self.assert_clean(
             {"src/sim/src/flat_schedule.cpp": "void f(int n) { assert(n >= 1); }\n"}

@@ -24,6 +24,10 @@ more than its wall time.  `ledger_build` holds only the collision
 claims: the caller tiling's normal forms are reduced inside
 `caller_tiling`, and only on a round the in-order tiling cannot match
 (the per-round `caller_tiling_fallback` counter is 1 on such a round).
+The `round_batch_bytes` counter is the recorded round plus the round's
+frontier snapshot: the validator copies its frontier once per round at
+every thread count (the producer and the tiling read that copy), so the
+gauge means the same at one thread as at several.
 
 Only the Python standard library is used; the tool never interprets
 verdicts (traces are telemetry — the reports they describe are produced
