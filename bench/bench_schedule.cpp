@@ -568,7 +568,6 @@ BENCHMARK(BM_ServeThroughputMixed)
 struct KernelFixture {
   SubcubeSoA family;
   std::vector<std::uint32_t> ids;
-  std::vector<std::uint64_t> vals;
 
   explicit KernelFixture(std::size_t count, int n = 40) {
     std::uint64_t s = 0x9e3779b97f4a7c15ull;
@@ -583,7 +582,6 @@ struct KernelFixture {
       const Vertex prefix = next() & mask_low(n) & ~mask;
       family.push_back(prefix, mask);
       ids.push_back(static_cast<std::uint32_t>(i));
-      vals.push_back(next() % 4);
     }
   }
 };
@@ -602,22 +600,6 @@ void BM_SubcubeKernels_PartitionIds(benchmark::State& state) {
                           static_cast<std::int64_t>(count));
 }
 BENCHMARK(BM_SubcubeKernels_PartitionIds)->Arg(1 << 14);
-
-void BM_SubcubeKernels_SiblingScan(benchmark::State& state) {
-  const std::size_t count = static_cast<std::size_t>(state.range(0));
-  const KernelFixture fx(count);
-  Vertex probe = 0;
-  for (auto _ : state) {
-    const batch::SiblingProbe r =
-        batch::sibling_probe(fx.family.prefix.data(), fx.vals.data(),
-                             fx.family.size(), probe & mask_low(40), 1);
-    probe ^= r.bit | r.hit;
-    benchmark::DoNotOptimize(probe);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(count));
-}
-BENCHMARK(BM_SubcubeKernels_SiblingScan)->Arg(1 << 14);
 
 void BM_SubcubeKernels_MaskScan(benchmark::State& state) {
   const std::size_t count = static_cast<std::size_t>(state.range(0));

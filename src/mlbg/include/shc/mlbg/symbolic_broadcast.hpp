@@ -13,6 +13,11 @@
 // frontier stays polynomial in n (roughly the product over label classes
 // of |S_j| + 1) while representing up to 2^63 - 1 informed vertices.
 //
+// Every group of a round whose caller agrees on those window bits gets
+// the same pattern, so the producer computes each route once per round
+// and key u & mask_low(c_t), in a small direct-mapped cache
+// (detail::RouteCache), instead of once per group.
+//
 // Memory and time are proportional to the number of groups, never to
 // 2^n: this is what closes the ROADMAP's n <= 63 gap left by the
 // streaming pipeline's explicit 2^n-vertex frontier.
@@ -88,6 +93,57 @@ struct XorPathSink {
   [[nodiscard]] std::span<const Vertex> span() const { return {xs.data(), len}; }
 };
 
+/// One producer run's routes for the current round, cached by the
+/// caller's bits below the governing cut: route_flip(u, i) reads no
+/// other bit of u, and XorPathSink writes the path relative to u, so
+/// every caller with the same u & low gets the same pattern.  The cache
+/// is direct-mapped on the key's low bits and tag-checked; a window
+/// wider than kMaxBits shares slots, and the later key evicts the
+/// earlier.  next_round() bumps a stamp that retires every slot at
+/// once, so a round costs no sweep over 2^window slots.  A route longer
+/// than a slot is not cached.
+class RouteCache {
+ public:
+  /// Pattern vertices per slot: a slot is one 64-byte line, and routes
+  /// of up to five hops (every level of a k <= 5 spec) fit.
+  static constexpr std::size_t kSlotLen = 6;
+  static constexpr int kMaxBits = 12;  ///< at most 2^12 slots
+
+  /// Sized for keys below 2^window_bits.
+  explicit RouteCache(int window_bits)
+      : slots_(std::size_t{1} << std::min(window_bits, kMaxBits)) {}
+
+  void next_round() noexcept { ++stamp_; }
+
+  /// The pattern stored for `key` this round, or an empty span.
+  [[nodiscard]] std::span<const Vertex> find(Vertex key) const noexcept {
+    const Slot& s = slots_[key & (slots_.size() - 1)];
+    if (s.stamp != stamp_ || s.tag != key) return {};
+    return {s.xs.data(), s.len};
+  }
+
+  /// Stores `pattern` for `key` over whatever held its slot, unless it
+  /// is longer than a slot.
+  void store(Vertex key, std::span<const Vertex> pattern) noexcept {
+    if (pattern.size() > kSlotLen) return;
+    Slot& s = slots_[key & (slots_.size() - 1)];
+    s.tag = key;
+    s.stamp = stamp_;
+    s.len = static_cast<std::uint32_t>(pattern.size());
+    std::copy(pattern.begin(), pattern.end(), s.xs.begin());
+  }
+
+ private:
+  struct Slot {
+    Vertex tag = 0;
+    std::uint32_t stamp = 0;
+    std::uint32_t len = 0;
+    std::array<Vertex, kSlotLen> xs{};
+  };
+  std::vector<Slot> slots_;
+  std::uint32_t stamp_ = 0;
+};
+
 /// Lends a sink without the InformedFrontierSink hook the producer's
 /// own informed set: forwards every call, retakes the snapshot in
 /// begin_round and inserts each group's receivers in group order, as
@@ -100,7 +156,10 @@ class InformedKeeper {
   }
 
   void begin_round() {
-    informed_.snapshot();
+    {
+      SHC_TRACE_SCOPE("frontier_snapshot");
+      informed_.snapshot();
+    }
     sink_.begin_round();
   }
   void end_call_group(const CallGroup& g, std::span<const Vertex> pattern) {
@@ -149,10 +208,13 @@ SymbolicProducerStats emit_broadcast_rounds_symbolic(
 
     SymbolicProducerStats stats;
     stats.peak_frontier_subcubes = sink.informed_set().frontier().num_subcubes();
+    detail::RouteCache routes(spec.cuts().back());
+    detail::XorPathSink path;
     for (Dim i = n; i >= 1; --i) {
       if (detail::sink_aborted(sink)) break;
       const int t = spec.level_of_dim(i);
       const Vertex low = t < 0 ? 0 : mask_low(spec.cuts()[static_cast<std::size_t>(t)]);
+      routes.next_round();
 
       // One snapshot entry's groups: split on the route-relevant free
       // bits, one group per pinned assignment.
@@ -169,9 +231,14 @@ SymbolicProducerStats emit_broadcast_rounds_symbolic(
         Vertex a = 0;
         for (;;) {
           const Vertex u = e.prefix | a;
-          detail::XorPathSink path;
-          path.base = u;
-          route_flip_append(spec, u, i, path);
+          std::span<const Vertex> pattern = routes.find(u & low);
+          if (pattern.empty()) {
+            path.base = u;
+            path.len = 0;
+            route_flip_append(spec, u, i, path);
+            pattern = path.span();
+            routes.store(u & low, pattern);
+          }
 
           CallGroup g;
           g.prefix = u;
@@ -181,7 +248,7 @@ SymbolicProducerStats emit_broadcast_rounds_symbolic(
             throw std::runtime_error("group count overflow");
           }
           g.count = count;
-          sink.end_call_group(g, path.span());
+          sink.end_call_group(g, pattern);
           ++stats.groups_emitted;
           if (split != 0 && a != 0) ++stats.split_groups;
 

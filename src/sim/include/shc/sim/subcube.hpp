@@ -35,9 +35,14 @@
 // the kernel layer and the rationale): the frontier's per-class tables
 // keep separate contiguous key/value arrays so each coalesce step — the
 // hottest loop of a symbolic certification — runs as one fused
-// OR-reduction (batch::sibling_probe) that finds the inserted prefix
-// and its merge partner in one pass over any class of up to 16 n
-// slots; larger classes probe their n candidate siblings by hash.
+// OR-reduction (batch::sibling_probe_loop) that finds the inserted
+// prefix and its merge partner in one pass over any class of up to
+// 16 n slots; larger classes probe their n candidate siblings by hash.
+// The whole coalesce step (SubcubeFrontier::insert) is compiled once
+// per ISA (AVX-512, AVX2, baseline) and picked when the program loads,
+// in subcube.cpp.  Each table also keeps a bitmap of its live slots
+// among the first 64, so walking a small table (the round snapshot,
+// the endgame, to_entries) visits only its entries, in slot order.
 // Mask classes live in a recycled dense pool instead of an
 // unordered_map (class churn was ~11 % of the designed-63 profile),
 // with a small most-recent cache in front of its hash, since
@@ -160,9 +165,11 @@ inline std::uint64_t mix_u64(std::uint64_t x) noexcept {
 
 /// Open-addressing prefix -> value table for one mask class, stored SoA
 /// (separate contiguous key and value arrays) so the coalesce probe
-/// vectorizes — see batch::sibling_probe.  Prefixes are < 2^63
+/// vectorizes — see batch::sibling_probe_loop.  Prefixes are < 2^63
 /// (n <= kMaxCubeDim), so the two top-bit-set sentinels can never
-/// collide with a key.
+/// collide with a key.  A 64-bit bitmap names the live slots among the
+/// first 64; add, erase, reset and rehash keep it exact, and for_each
+/// walks it instead of the slots when the table has at most 64.
 class PrefixTable {
  public:
   static constexpr Vertex kEmpty = ~Vertex{0};
@@ -186,7 +193,8 @@ class PrefixTable {
     return const_cast<PrefixTable*>(this)->find(p);
   }
 
-  /// First entry satisfying fn(prefix, value), or false.
+  /// First entry satisfying fn(prefix, value), in slot order, or
+  /// false.  Scans every slot.
   template <class Fn>
   [[nodiscard]] bool any_of(Fn&& fn) const {
     for (std::size_t i = 0; i < keys_.size(); ++i) {
@@ -199,7 +207,7 @@ class PrefixTable {
   /// true when it created the entry.  The table grows only to make room
   /// for a new key.
   bool add(Vertex p, std::uint64_t v) {
-    assert(p < kTomb);
+    assert(p < kTomb);  // shc-lint: allow(assert-guard) — callers pass prefixes < 2^63
     if (keys_.empty()) reserve_one();
     std::size_t i = mix_u64(p) & mask_;
     std::size_t tomb = SIZE_MAX;
@@ -220,6 +228,7 @@ class PrefixTable {
     const std::size_t at = tomb != SIZE_MAX ? tomb : i;
     keys_[at] = p;
     vals_[at] = v;
+    if (at < 64) live_ |= Vertex{1} << at;
     ++size_;
     ++used_;
     if (tomb != SIZE_MAX) {
@@ -235,6 +244,7 @@ class PrefixTable {
     for (;;) {
       if (keys_[i] == p) {
         keys_[i] = kTomb;
+        if (i < 64) live_ &= ~(Vertex{1} << i);
         --size_;
         return true;
       }
@@ -243,22 +253,32 @@ class PrefixTable {
     }
   }
 
+  /// fn(prefix, value) per live entry, in slot order.  A table of at
+  /// most 64 slots visits only the live slots its bitmap names; a
+  /// larger one scans every slot.  Both give any_of's order.
   template <class Fn>
   void for_each(Fn&& fn) const {
+    if (keys_.size() <= 64) {
+      for (std::uint64_t w = live_; w != 0; w &= w - 1) {
+        const auto i = static_cast<std::size_t>(__builtin_ctzll(w));
+        fn(keys_[i], vals_[i]);
+      }
+      return;
+    }
     for (std::size_t i = 0; i < keys_.size(); ++i) {
       if (keys_[i] < kTomb) fn(keys_[i], vals_[i]);
     }
   }
 
-  /// One pass over the slot arrays (batch::sibling_probe): the slot
-  /// holding `p`, and the lowest bit in which a live prefix whose value
-  /// is `want` differs from `p` alone — the same preference as probing
-  /// candidate dimensions in ascending order, so the coalesced
+  /// One pass over every slot (batch::sibling_probe_loop, inlined): the
+  /// slot holding `p`, and the lowest bit in which a live prefix whose
+  /// value is `want` differs from `p` alone — the same preference as
+  /// probing candidate dimensions in ascending order, so the coalesced
   /// structure is identical either way.  For the small mask classes the
   /// frontier is made of, this beats hashing p and its n candidate
-  /// siblings one by one.
+  /// siblings one by one.  SubcubeFrontier::insert compiles it per ISA.
   [[nodiscard]] batch::SiblingProbe probe(Vertex p, std::uint64_t want) const noexcept {
-    return batch::sibling_probe(keys_.data(), vals_.data(), keys_.size(), p, want);
+    return batch::sibling_probe_loop(keys_.data(), vals_.data(), keys_.size(), p, want);
   }
 
   /// Value in slot `i` (a probe() hit, which is hit - 1).
@@ -273,6 +293,7 @@ class PrefixTable {
   /// destroy/reconstruct cycles.
   void reset() noexcept {
     std::fill(keys_.begin(), keys_.end(), kEmpty);
+    live_ = 0;
     size_ = 0;
     used_ = 0;
   }
@@ -302,6 +323,7 @@ class PrefixTable {
     keys_.assign(cap, kEmpty);
     vals_.assign(cap, 0);
     mask_ = cap - 1;
+    live_ = 0;
     used_ = 0;
     size_ = 0;
     for (std::size_t i = 0; i < old_keys.size(); ++i) {
@@ -311,6 +333,7 @@ class PrefixTable {
 
   std::vector<Vertex> keys_;
   std::vector<std::uint64_t> vals_;
+  std::uint64_t live_ = 0;  // bit i set iff slot i < 64 holds a live key
   std::size_t mask_ = 0;
   std::size_t size_ = 0;  // live entries
   std::size_t used_ = 0;  // live + tombstones
@@ -343,7 +366,7 @@ class MaskClassMap {
   /// Table for mask `m`, creating (or recycling) an empty one if absent.
   /// The map grows only to make room for a new class.
   [[nodiscard]] PrefixTable& get_or_create(Vertex m) {
-    assert(m < kTomb);
+    assert(m < kTomb);  // shc-lint: allow(assert-guard) — callers pass masks < 2^63
     if (const std::uint32_t idx = cached(m); idx != kNoIndex) return tables_[idx];
     if (keys_.empty()) reserve_one();
     std::size_t i = mix_u64(m) & mask_;
@@ -541,10 +564,20 @@ class SubcubeFrontier {
   explicit SubcubeFrontier(int n)
       : n_(detail::require_cube_dim("SubcubeFrontier", n)) {}
 
-  /// Coalescing multiset insert of `mult` copies of (p, M).
-  void insert(Vertex p, Vertex M, std::uint64_t mult = 1) {
-    assert((p & M) == 0);
-    SHC_AUDIT_CHECK((p & M) == 0 && ((p | M) & ~mask_low(n_)) == 0,
+  /// Coalescing multiset insert of `mult` copies of (p, M).  Throws
+  /// std::invalid_argument when p pins a free dimension of M.  The
+  /// hottest step of a symbolic certification, so it runs
+  /// insert_portable()'s code compiled once per ISA and picked when the
+  /// program loads (subcube.cpp).
+  void insert(Vertex p, Vertex M, std::uint64_t mult = 1);
+
+  /// insert() as one inline formulation, compiled at the includer's
+  /// ISA: the code every clone of insert() is compiled from.  The tests
+  /// compare the two; everything else calls insert().
+  [[gnu::always_inline]] inline void insert_portable(Vertex p, Vertex M,
+                                                     std::uint64_t mult = 1) {
+    if ((p & M) != 0) throw_pinned_free_dim("SubcubeFrontier::insert");
+    SHC_AUDIT_CHECK(((p | M) & ~mask_low(n_)) == 0,
                     "SubcubeFrontier entries must be well-formed in-range "
                     "subcubes (mask-class disjointness depends on it)");
     bump_count(M, mult);
@@ -587,7 +620,7 @@ class SubcubeFrontier {
         // Coalesce postcondition: the greedy loop settles only when no
         // equal-multiplicity sibling remains in the destination class —
         // re-verify with direct probes (per-mask-class disjointness is
-        // keyed uniqueness plus the (p & M) == 0 checks below).
+        // keyed uniqueness plus the (p & M) == 0 check on entry).
         for (int d = 0; d < n_; ++d) {
           const Vertex bit = Vertex{1} << d;
           if (M & bit) continue;
@@ -610,9 +643,10 @@ class SubcubeFrontier {
   }
 
   /// Non-coalescing accumulate: value `v` onto key (p, M).
+  /// Throws std::invalid_argument when p pins a free dimension of M.
   void add_raw(Vertex p, Vertex M, std::uint64_t v) {
-    assert((p & M) == 0);
-    SHC_AUDIT_CHECK((p & M) == 0 && ((p | M) & ~mask_low(n_)) == 0,
+    if ((p & M) != 0) throw_pinned_free_dim("SubcubeFrontier::add_raw");
+    SHC_AUDIT_CHECK(((p | M) & ~mask_low(n_)) == 0,
                     "SubcubeFrontier raw keys must be well-formed in-range "
                     "subcubes");
     if (classes_.get_or_create(M).add(p, v)) ++entries_;
@@ -705,6 +739,9 @@ class SubcubeFrontier {
   }
 
  private:
+  /// The named refusal of a malformed (p, M) key, kept out of line.
+  [[noreturn]] static void throw_pinned_free_dim(const char* what);
+
   void bump_count(Vertex M, std::uint64_t mult) {
     std::uint64_t cube = 0;
     if (!checked_shift_u64(static_cast<unsigned>(weight(M)), cube) ||

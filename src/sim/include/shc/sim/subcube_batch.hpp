@@ -13,7 +13,8 @@
 // mask[] / mult[] arrays — written as branch-light store-and-bump or
 // OR-reduction loops so the compiler auto-vectorizes them (no
 // intrinsics; see BM_SubcubeKernels for the measured effect).  One
-// kernel, sibling_probe, is also compiled per ISA (subcube.cpp): the
+// kernel, sibling_probe_loop, is also compiled per ISA, inlined into the
+// frontier's coalesce step (SubcubeFrontier::insert, subcube.cpp): the
 // library targets baseline x86-64, where its 64-bit compares would
 // otherwise stay scalar.
 //
@@ -86,7 +87,7 @@ struct SubcubeBatch {
 
 namespace batch {
 
-/// What sibling_probe finds in one slot array: `hit` is 1 + the slot
+/// What sibling_probe_loop finds in one slot array: `hit` is 1 + the slot
 /// holding `p` (0 when p is absent), `bit` the lowest bit in which an
 /// equal-valued live key differs from `p` alone (0 when none).
 struct SiblingProbe {
@@ -107,8 +108,9 @@ struct SiblingProbe {
 ///     slot loses nothing the lowest-bit choice needs;
 ///   * sentinels — a sentinel XOR a prefix keeps bit 63 set and no real
 ///     sibling differs in bit 63, so clearing it drops them all.
-/// This is the formulation; sibling_probe is the same loop compiled per
-/// ISA, and the tests compare the two.
+/// PrefixTable::probe inlines it, so it is compiled per ISA inside
+/// SubcubeFrontier::insert's clones; the tests compare the clones with
+/// insert_portable, which runs it at the baseline ISA.
 [[nodiscard]] inline SiblingProbe sibling_probe_loop(const Vertex* keys,
                                                      const std::uint64_t* vals,
                                                      std::size_t count, Vertex p,
@@ -123,15 +125,6 @@ struct SiblingProbe {
   bits &= ~(Vertex{1} << 63);
   return {hit, bits & (~bits + 1)};
 }
-
-/// sibling_probe_loop compiled once per ISA (AVX2 and baseline x86-64)
-/// and picked when the program loads; a plain call where the toolchain
-/// cannot clone (see subcube.cpp).  SubcubeFrontier::insert's probe —
-/// the hottest loop of a symbolic broadcast certification.
-[[nodiscard]] SiblingProbe sibling_probe(const Vertex* keys,
-                                         const std::uint64_t* vals,
-                                         std::size_t count, Vertex p,
-                                         std::uint64_t want) noexcept;
 
 /// The dyadic divide step shared by every divide-on-pinned-dimension
 /// sweep, over an *index* family: ids whose subcube frees `bit`

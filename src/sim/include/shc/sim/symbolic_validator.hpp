@@ -55,6 +55,12 @@
 // WorkerPool of two or more workers the check job runs on a pooled
 // worker beside the engine job, otherwise after it; either way a
 // rejected round gets its frontier back from the snapshot.  The insert
+// stays on the engine thread, not on a pooled worker: the frontier's
+// tables then grow in the engine thread's malloc arena at every thread
+// count.  Moved onto the worker in a trial, they grew in the worker's
+// arena beside the blocks the engine thread had freed, and perfbench
+// broadcast-c7's peak_rss_mb rose from 50.3 to 79.0 MB (4-vCPU Xeon
+// VM).  The insert
 // order, hence the greedy coalescing and every report, is the same at
 // every thread count.  The endgame's occupancy check shards over the
 // whole pool.
@@ -487,6 +493,7 @@ class SymbolicBroadcastValidator
   void begin_round() {
     if (failed_) return;
     open_round();
+    SHC_TRACE_SCOPE("frontier_snapshot");
     informed_.snapshot();
   }
 

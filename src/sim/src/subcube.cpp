@@ -1,16 +1,23 @@
 #include "shc/sim/subcube.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include "shc/bits/checked.hpp"
 #include "shc/obs/recorder.hpp"
 #include "shc/sim/worker_pool.hpp"
 
-// The one ISA-cloned kernel.  The library builds for baseline x86-64,
-// where the coalesce probe's 64-bit compares stay scalar; cloning it
-// lets the compiler emit an AVX2 copy beside the baseline one and pick
-// between them when the program loads (an ifunc), with no build knob,
-// no -march change and no hand-written SIMD.  Toolchains without
-// ifunc support (non-x86-64, non-ELF, non-glibc) get one plain copy,
-// and so do ThreadSanitizer builds: TSan instruments the ifunc
+// The one ISA-cloned function: the frontier's whole coalesce step
+// (SubcubeFrontier::insert, its slot-array probe inlined).  The library
+// builds for baseline x86-64, where the probe's 64-bit compares stay
+// scalar; cloning the step lets the compiler emit AVX-512 and AVX2
+// copies beside the baseline one and pick between them when the program
+// loads (an ifunc), with no build knob, no -march change and no
+// hand-written SIMD.  The clones are named by ISA feature, not by
+// `arch=`: a resolver that does not recognise the host's CPU model
+// would fall back to the baseline copy, the slowest.  Toolchains
+// without ifunc support (non-x86-64, non-ELF, non-glibc) get one plain
+// copy, and so do ThreadSanitizer builds: TSan instruments the ifunc
 // resolver, which the loader runs before the TSan runtime exists (the
 // program crashes at start-up).
 #if defined(__SANITIZE_THREAD__)
@@ -23,7 +30,7 @@
 #if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) && \
     defined(__has_attribute) && !defined(SHC_NO_ISA_CLONES)
 #if __has_attribute(target_clones)
-#define SHC_ISA_CLONES __attribute__((target_clones("avx2", "default")))
+#define SHC_ISA_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
 #endif
 #endif
 #ifndef SHC_ISA_CLONES
@@ -34,12 +41,12 @@ namespace shc {
 namespace {
 
 /// The clones live behind an internal name so that the public
-/// batch::sibling_probe declaration stays an ordinary function: clang
-/// wants the multiversioning attribute on every declaration.
-SHC_ISA_CLONES batch::SiblingProbe sibling_probe_clones(
-    const Vertex* keys, const std::uint64_t* vals, std::size_t count, Vertex p,
-    std::uint64_t want) noexcept {
-  return batch::sibling_probe_loop(keys, vals, count, p, want);
+/// SubcubeFrontier::insert declaration stays an ordinary member
+/// function: clang wants the multiversioning attribute on every
+/// declaration.
+SHC_ISA_CLONES void insert_clones(SubcubeFrontier& frontier, Vertex p, Vertex M,
+                                  std::uint64_t mult) {
+  frontier.insert_portable(p, M, mult);
 }
 
 /// Open-addressing scratch for the lift-matching step, reset by
@@ -255,11 +262,13 @@ struct TreeTask {
 
 }  // namespace
 
-batch::SiblingProbe batch::sibling_probe(const Vertex* keys,
-                                         const std::uint64_t* vals,
-                                         std::size_t count, Vertex p,
-                                         std::uint64_t want) noexcept {
-  return sibling_probe_clones(keys, vals, count, p, want);
+void SubcubeFrontier::insert(Vertex p, Vertex M, std::uint64_t mult) {
+  insert_clones(*this, p, M, mult);
+}
+
+void SubcubeFrontier::throw_pinned_free_dim(const char* what) {
+  throw std::invalid_argument(std::string(what) +
+                              ": prefix pins a free dimension of its mask");
 }
 
 std::optional<std::vector<WeightedSubcube>> canonical_reduce(

@@ -54,7 +54,7 @@ std::vector<Subcube> all_q4_subcubes() {
   return out;
 }
 
-// ---- sibling_probe -----------------------------------------------------
+// ---- sibling_probe_loop and the cloned insert ---------------------------
 
 constexpr Vertex kEmptySlot = ~Vertex{0};
 constexpr Vertex kTombSlot = ~Vertex{0} - 1;
@@ -76,14 +76,42 @@ batch::SiblingProbe probe_reference(const std::vector<Vertex>& keys,
   return r;
 }
 
-TEST(BatchKernels, SiblingProbeMatchesItsLoopAndBruteForceOnRandomSlotArrays) {
+/// The frontier's entries in for_each order.
+std::vector<WeightedSubcube> entries_of(const SubcubeFrontier& f) {
+  std::vector<WeightedSubcube> out;
+  f.for_each([&](Vertex p, Vertex m, std::uint64_t mult) { out.push_back({p, m, mult}); });
+  return out;
+}
+
+/// Runs the same inserts through the dispatched clone (insert) and the
+/// formulation at the test's own ISA (insert_portable); both frontiers
+/// must end identical, entry for entry and in the same order.
+struct ClonePair {
+  explicit ClonePair(int n) : cloned(n), portable(n) {}
+
+  void add_raw(Vertex p, Vertex m, std::uint64_t v) {
+    cloned.add_raw(p, m, v);
+    portable.add_raw(p, m, v);
+  }
+  void insert(Vertex p, Vertex m, std::uint64_t mult = 1) {
+    cloned.insert(p, m, mult);
+    portable.insert_portable(p, m, mult);
+  }
+  [[nodiscard]] std::vector<WeightedSubcube> entries() const {
+    const std::vector<WeightedSubcube> got = entries_of(cloned);
+    EXPECT_EQ(got, entries_of(portable)) << "clone and formulation diverged";
+    return got;
+  }
+
+  SubcubeFrontier cloned;
+  SubcubeFrontier portable;
+};
+
+TEST(BatchKernels, SiblingProbeLoopMatchesBruteForceOnRandomSlotArrays) {
   // Synthetic open-addressing slot arrays the way PrefixTable stores
   // them mid-life: distinct live keys near p (so siblings exist),
   // kEmpty / kTomb slots holding stale values (want among them), and p
-  // itself present under another value in some trials.  The dispatched
-  // kernel runs whichever clone the host picks; sibling_probe_loop,
-  // inlined here, is the same loop at the default ISA — on an AVX2 host
-  // this comparison is the only coverage the baseline clone gets.
+  // itself present under another value in some trials.
   std::mt19937_64 rng(0x5b1bull);
   for (int trial = 0; trial < 4000; ++trial) {
     const std::size_t cap = std::size_t{16} << (trial % 7);  // 16 .. 1024
@@ -119,12 +147,8 @@ TEST(BatchKernels, SiblingProbeMatchesItsLoopAndBruteForceOnRandomSlotArrays) {
     const batch::SiblingProbe expect = probe_reference(keys, vals, p, want);
     const batch::SiblingProbe loop =
         batch::sibling_probe_loop(keys.data(), vals.data(), cap, p, want);
-    const batch::SiblingProbe got =
-        batch::sibling_probe(keys.data(), vals.data(), cap, p, want);
     ASSERT_EQ(loop.hit, expect.hit) << "trial " << trial;
     ASSERT_EQ(loop.bit, expect.bit) << "trial " << trial;
-    ASSERT_EQ(got.hit, expect.hit) << "trial " << trial;
-    ASSERT_EQ(got.bit, expect.bit) << "trial " << trial;
   }
 }
 
@@ -137,19 +161,36 @@ TEST(BatchKernels, SiblingProbeDropsSentinelsThatDifferFromPInOneBit) {
       std::vector<Vertex> keys(cap, kEmptySlot);
       std::vector<std::uint64_t> vals(cap, 1);
       for (std::size_t i = 0; i < cap; i += 3) keys[i] = kTombSlot;
-      batch::SiblingProbe got = batch::sibling_probe(keys.data(), vals.data(), cap, p, 1);
+      batch::SiblingProbe got = batch::sibling_probe_loop(keys.data(), vals.data(), cap, p, 1);
       EXPECT_EQ(got.hit, 0u);
       EXPECT_EQ(got.bit, 0u);
       // A real sibling along bit 62 is still found, and p itself.
       keys[cap - 1] = p ^ (Vertex{1} << 62);
       keys[cap / 2 + 1] = p;
-      got = batch::sibling_probe(keys.data(), vals.data(), cap, p, 1);
+      got = batch::sibling_probe_loop(keys.data(), vals.data(), cap, p, 1);
       EXPECT_EQ(got.hit, cap / 2 + 2);
       EXPECT_EQ(got.bit, Vertex{1} << 62);
-      const batch::SiblingProbe loop =
-          batch::sibling_probe_loop(keys.data(), vals.data(), cap, p, 1);
-      EXPECT_EQ(loop.hit, got.hit);
-      EXPECT_EQ(loop.bit, got.bit);
+    }
+  }
+  // The same hazard through the cloned insert, with the stale value 1
+  // left in a class-0 slot both ways: a recycled class's emptied slot
+  // (the pair {0, 1} coalesces away and its table is reused), and a
+  // tombstone in a class that stays live.  Either extreme prefix must
+  // then land as one plain entry, not merge along bit 63.
+  for (const Vertex p : {mask_low(63), mask_low(63) - 1}) {
+    for (const bool recycled : {true, false}) {
+      ClonePair f(63);
+      // Mult 2 keeps this entry out of every merge below.
+      if (recycled) f.insert(Vertex{1} << 41, 0b1, 2);
+      if (!recycled) f.insert(Vertex{1} << 40, 0, 2);
+      f.insert(0, 0);
+      f.insert(1, 0);  // coalesces into (0, 0b1)
+      f.insert(p, 0);
+      const std::vector<WeightedSubcube> got = f.entries();
+      ASSERT_EQ(got.size(), 3u);
+      EXPECT_NE(std::find(got.begin(), got.end(), WeightedSubcube{p, 0, 1}), got.end());
+      EXPECT_NE(std::find(got.begin(), got.end(), WeightedSubcube{0, 0b1, 1}), got.end());
+      EXPECT_EQ(f.cloned.total_count(), recycled ? 7u : 5u);
     }
   }
 }
@@ -159,19 +200,50 @@ TEST(BatchKernels, SiblingProbePrefersTheLowestDifferingBit) {
   // (the order SubcubeFrontier::insert's per-dimension probe uses).
   const Vertex keys[] = {0b1100, 0b0101, 0b0111};
   const std::uint64_t vals[] = {1, 1, 1};
-  batch::SiblingProbe r = batch::sibling_probe(keys, vals, 3, 0b0100, 1);
+  batch::SiblingProbe r = batch::sibling_probe_loop(keys, vals, 3, 0b0100, 1);
   EXPECT_EQ(r.bit, Vertex{0b0001});
   EXPECT_EQ(r.hit, 0u);
   // Value filter: when the low sibling's coverage differs, the high one
   // is the only legal merge partner.
   const std::uint64_t vals2[] = {1, 2, 1};
-  EXPECT_EQ(batch::sibling_probe(keys, vals2, 3, 0b0100, 1).bit, Vertex{0b1000});
-  EXPECT_EQ(batch::sibling_probe(keys, vals2, 3, 0b0100, 5).bit, Vertex{0});
+  EXPECT_EQ(batch::sibling_probe_loop(keys, vals2, 3, 0b0100, 1).bit, Vertex{0b1000});
+  EXPECT_EQ(batch::sibling_probe_loop(keys, vals2, 3, 0b0100, 5).bit, Vertex{0});
   // p itself is found whatever its value, beside its siblings.
   const Vertex keys3[] = {0b1100, 0b0101, 0b0100};
-  r = batch::sibling_probe(keys3, vals2, 3, 0b0100, 1);
+  r = batch::sibling_probe_loop(keys3, vals2, 3, 0b0100, 1);
   EXPECT_EQ(r.hit, 3u);
   EXPECT_EQ(r.bit, Vertex{0b1000});
+
+  // The same three cases through the cloned insert, over tables laid
+  // out by add_raw (which never merges).
+  const auto merged_into = [](std::uint64_t low_value, std::uint64_t mult) {
+    ClonePair f(4);
+    f.add_raw(0b1100, 0, 1);
+    f.add_raw(0b0101, 0, low_value);
+    f.add_raw(0b0111, 0, 1);
+    f.insert(0b0100, 0, mult);
+    return f.entries();
+  };
+  const auto has = [](const std::vector<WeightedSubcube>& es, WeightedSubcube e) {
+    return std::find(es.begin(), es.end(), e) != es.end();
+  };
+  std::vector<WeightedSubcube> es = merged_into(1, 1);
+  EXPECT_TRUE(has(es, {0b0100, 0b0001, 1})) << "bit 0 wins";
+  EXPECT_TRUE(has(es, {0b1100, 0, 1}));
+  es = merged_into(2, 1);
+  EXPECT_TRUE(has(es, {0b0100, 0b1000, 1})) << "bit 3 is the only equal-valued sibling";
+  EXPECT_TRUE(has(es, {0b0101, 0, 2}));
+  es = merged_into(2, 5);
+  EXPECT_TRUE(has(es, {0b0100, 0, 5})) << "no sibling holds 5";
+  EXPECT_EQ(es.size(), 4u);
+  ClonePair f(4);
+  f.add_raw(0b1100, 0, 1);
+  f.add_raw(0b0101, 0, 2);
+  f.add_raw(0b0100, 0, 2);
+  f.insert(0b0100, 0, 1);  // p present: its value grows, nothing merges
+  es = f.entries();
+  EXPECT_TRUE(has(es, {0b0100, 0, 3}));
+  EXPECT_EQ(es.size(), 3u);
 }
 
 // ---- dyadic partition kernels ------------------------------------------

@@ -8,10 +8,14 @@
 #include <algorithm>
 #include <atomic>
 #include <bitset>
+#include <map>
 #include <random>
+#include <set>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "shc/bits/checked.hpp"
@@ -356,6 +360,129 @@ TEST(SubcubeGuards, OutOfRangeCubeDimensionsThrow) {
   EXPECT_NO_THROW(SubcubeFrontier{1});
   EXPECT_NO_THROW(SubcubeFrontier{kMaxCubeDim});
   EXPECT_TRUE(canonical_reduce({}, kMaxCubeDim).has_value());
+}
+
+TEST(SubcubeGuards, MalformedKeysThrowNamedErrorsAndChangeNothing) {
+  // A prefix that pins a free dimension of its mask is not a subcube;
+  // both the coalescing and the raw insert refuse it by name, in
+  // Release too, before touching the multiset.
+  SubcubeFrontier f(8);
+  f.insert(0b0001, 0b0100);
+  f.add_raw(0b0010, 0b1000, 3);
+  const std::vector<WeightedSubcube> before = f.to_entries();
+  const std::uint64_t count = f.total_count();
+  const auto expect_named = [](auto&& call, const std::string& what) {
+    try {
+      call();
+      ADD_FAILURE() << what << " accepted a malformed key";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), what + ": prefix pins a free dimension of its mask");
+    }
+  };
+  expect_named([&] { f.insert(0b0110, 0b0100); }, "SubcubeFrontier::insert");
+  expect_named([&] { f.insert_portable(0b0110, 0b0100); }, "SubcubeFrontier::insert");
+  expect_named([&] { f.add_raw(0b1000, 0b1000, 1); }, "SubcubeFrontier::add_raw");
+  EXPECT_EQ(f.to_entries(), before);
+  EXPECT_EQ(f.total_count(), count);
+  EXPECT_EQ(f.num_subcubes(), 2u);
+}
+
+/// The table's entries in for_each order.
+std::vector<std::pair<Vertex, std::uint64_t>> walk(const detail::PrefixTable& t) {
+  std::vector<std::pair<Vertex, std::uint64_t>> out;
+  t.for_each([&](Vertex p, std::uint64_t v) { out.emplace_back(p, v); });
+  return out;
+}
+
+/// The table's entries by a scan of every slot (any_of never stops).
+std::vector<std::pair<Vertex, std::uint64_t>> scan(const detail::PrefixTable& t) {
+  std::vector<std::pair<Vertex, std::uint64_t>> out;
+  static_cast<void>(t.any_of([&](Vertex p, std::uint64_t v) {
+    out.emplace_back(p, v);
+    return false;
+  }));
+  return out;
+}
+
+TEST(PrefixTableTest, LiveSlotWalkMatchesTheFullSlotScanThroughChurn) {
+  // Seeded add / re-add / erase / reset over key pools sized so the
+  // table settles at every capacity from 16 to 1024: growth and
+  // same-size rehashes, tombstones and their reuse all happen.  After
+  // every step the bitmap walk (tables up to 64 slots) or the slot
+  // scan (larger ones) must give exactly the full scan's sequence.
+  std::mt19937_64 rng(0x1b17a9);
+  std::set<std::size_t> capacities;
+  for (const std::size_t pool_size : {6, 12, 24, 48, 96, 192, 384, 900}) {
+    std::vector<Vertex> pool(pool_size);
+    for (Vertex& k : pool) k = rng() & mask_low(40);
+    detail::PrefixTable t;
+    std::map<Vertex, std::uint64_t> expect;
+    for (int step = 0; step < 4000; ++step) {
+      const Vertex k = pool[rng() % pool_size];
+      if (step % 1000 == 999) {
+        t.reset();
+        expect.clear();
+      } else if (rng() % 100 < 60) {
+        const std::uint64_t v = 1 + rng() % 3;
+        EXPECT_EQ(t.add(k, v), expect.count(k) == 0);
+        expect[k] += v;
+      } else {
+        EXPECT_EQ(t.erase(k), expect.erase(k) == 1);
+      }
+      const auto got = walk(t);
+      ASSERT_EQ(got, scan(t)) << "pool " << pool_size << " step " << step;
+      ASSERT_EQ(got.size(), expect.size());
+      ASSERT_EQ(t.size(), expect.size());
+      for (const auto& [key, v] : got) ASSERT_EQ(expect.at(key), v);
+      capacities.insert(t.capacity());
+    }
+  }
+  // The pools above reach every capacity from 16 to 1024 slots.
+  for (const std::size_t cap : {16, 32, 64, 128, 256, 512, 1024}) {
+    EXPECT_EQ(capacities.count(cap), 1u) << "no table reached " << cap << " slots";
+  }
+}
+
+TEST(SubcubeFrontierTest, ClonedInsertMatchesItsFormulationOnSeededReceiverStreams) {
+  // The dispatched insert runs whichever clone this host picks;
+  // insert_portable is the same code at the baseline ISA.  Streams mix
+  // small-class scans with classes past the 16 n-slot scan limit (an
+  // independent set of singletons, none of them siblings), multiplicity
+  // two and cascades.  Both frontiers must agree entry for entry, in
+  // order, after every batch.
+  for (const int n : {8, 16, 40, 63}) {
+    std::mt19937_64 rng(0xc10e5 + static_cast<std::uint64_t>(n));
+    SubcubeFrontier cloned(n);
+    SubcubeFrontier portable(n);
+    const auto both = [&](Vertex p, Vertex m, std::uint64_t mult) {
+      cloned.insert(p, m, mult);
+      portable.insert_portable(p, m, mult);
+    };
+    const auto entries = [](const SubcubeFrontier& f) {
+      std::vector<WeightedSubcube> out;
+      f.for_each([&](Vertex p, Vertex m, std::uint64_t mult) { out.push_back({p, m, mult}); });
+      return out;
+    };
+    // Even-weight vertices of the low 9 bits: pairwise at distance two,
+    // so class 0 holds up to 256 entries and outgrows the scan at n = 8
+    // and n = 16.
+    const int wide = std::min(n, 9);
+    for (Vertex v = 0; v < (Vertex{1} << wide); ++v) {
+      if (weight(v) % 2 == 0) both(v << (n - wide), 0, 1);
+    }
+    ASSERT_EQ(entries(cloned), entries(portable)) << "n " << n;
+    const Vertex near = mask_low(std::min(n, 12));
+    for (int batch = 0; batch < 40; ++batch) {
+      for (int i = 0; i < 256; ++i) {
+        const Vertex m = rng() & rng() & near;
+        const Vertex p = (rng() & near & ~m) | (rng() % 4 == 0 ? rng() & mask_low(n) & ~m : 0);
+        both(p, m, rng() % 8 == 0 ? 2 : 1);
+      }
+      ASSERT_EQ(entries(cloned), entries(portable)) << "n " << n << " batch " << batch;
+      ASSERT_EQ(cloned.num_subcubes(), portable.num_subcubes());
+      ASSERT_EQ(cloned.total_count(), portable.total_count());
+    }
+  }
 }
 
 TEST(CanonicalReduce, NormalizesAnyDisjointPartitionOfTheCube) {

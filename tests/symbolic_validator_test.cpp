@@ -1381,5 +1381,76 @@ TEST(SymbolicStats, GroupCompressionIsPolynomialWhileCallsAreExponential) {
             cert.checks.final_frontier_subcubes);
 }
 
+/// Checks every group of the produced schedule against a fresh
+/// route_flip of its representative caller, in XOR form.  Returns the
+/// longest pattern seen, and sets `collided` when some round holds two
+/// distinct route keys (prefix & mask_low(c_t)) that share a RouteCache
+/// slot.
+std::size_t expect_groups_carry_their_routes(const SparseHypercubeSpec& spec, Vertex source,
+                                             bool& collided) {
+  const SymbolicSchedule sched = make_symbolic_broadcast_schedule(spec, source);
+  const std::size_t slots = std::size_t{1} << detail::RouteCache::kMaxBits;
+  std::size_t longest = 0;
+  for (std::size_t r = 0; r < sched.rounds.size(); ++r) {
+    const Dim i = spec.n() - static_cast<int>(r);
+    const int t = spec.level_of_dim(i);
+    const Vertex low = t < 0 ? 0 : mask_low(spec.cuts()[static_cast<std::size_t>(t)]);
+    std::vector<Vertex> owner(slots, ~Vertex{0});
+    const SymbolicRound& round = sched.rounds[r];
+    for (std::size_t g = 0; g < round.groups.size(); ++g) {
+      const Vertex u = round.groups[g].prefix;
+      std::vector<Vertex> expect = route_flip(spec, u, i);
+      for (Vertex& v : expect) v ^= u;
+      const std::span<const Vertex> got = round.pattern_of_group(g);
+      if (!std::equal(got.begin(), got.end(), expect.begin(), expect.end())) {
+        ADD_FAILURE() << "n " << spec.n() << " source " << source << " round " << r
+                      << " group " << g << ": pattern is not the XOR form of route_flip";
+        return longest;
+      }
+      longest = std::max(longest, got.size());
+      Vertex& held = owner[(u & low) & (slots - 1)];
+      if (held != ~Vertex{0} && held != (u & low)) collided = true;
+      held = u & low;
+    }
+  }
+  return longest;
+}
+
+TEST(SymbolicProducer, EveryGroupCarriesTheXorFormOfItsRoute) {
+  // The producer looks each group's route up in a per-round cache keyed
+  // by the caller's bits below the governing cut.  Every emitted
+  // pattern must still be exactly route_flip(spec, prefix, i) relative
+  // to the prefix.
+  bool collided = false;
+  // construct(n, [7]) from a source of every label of the 7-bit window.
+  for (const int n : {8, 13, 20}) {
+    const SparseHypercubeSpec spec = SparseHypercubeSpec::construct(n, {7});
+    std::vector<bool> seen(spec.levels()[0].labeling.num_labels(), false);
+    for (Vertex w = 0; w < (Vertex{1} << 7); ++w) {
+      const Label label = spec.label_at(w, 0);
+      if (seen[label]) continue;
+      seen[label] = true;
+      const Vertex source = (w | (Vertex{0x55} << 7)) & mask_low(n);
+      expect_groups_carry_their_routes(spec, source, collided);
+    }
+    EXPECT_TRUE(std::all_of(seen.begin(), seen.end(), [](bool b) { return b; })) << n;
+  }
+  // Two designed specs.
+  for (const auto& [n, k] : {std::pair{16, 3}, std::pair{20, 4}}) {
+    const SparseHypercubeSpec spec = design_sparse_hypercube(n, k);
+    expect_groups_carry_their_routes(spec, Vertex{0x2c5} & mask_low(n), collided);
+  }
+  EXPECT_FALSE(collided) << "windows up to 12 bits get one slot per key";
+  // Custom cuts: a 13-bit window is wider than the cache, so keys share
+  // slots, and the top levels' routes (up to 9 vertices) outgrow a slot.
+  const SparseHypercubeSpec wide = SparseHypercubeSpec::construct(18, {2, 4, 6, 8, 10, 13, 15});
+  std::size_t longest = 0;
+  for (const Vertex source : {Vertex{0}, Vertex{0x2b6d5}}) {
+    longest = std::max(longest, expect_groups_carry_their_routes(wide, source, collided));
+  }
+  EXPECT_GT(longest, detail::RouteCache::kSlotLen) << "no route longer than a cache slot";
+  EXPECT_TRUE(collided) << "no two route keys shared a cache slot";
+}
+
 }  // namespace
 }  // namespace shc

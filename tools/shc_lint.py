@@ -17,7 +17,7 @@ conventions that are easy to break silently in review.  This lint walks
   assert-guard      `assert(` in graph/, coding/, labeling/, baseline/
                     translation units, mlbg/src/broadcast.cpp,
                     mlbg/src/spec.cpp, mlbg/src/params.cpp,
-                    sim/src/subcube.cpp,
+                    sim/src/subcube.cpp, sim/subcube.hpp,
                     sim/src/knowledge_classes.cpp
                     and sim/src/congestion.cpp:
                     a bare assert guarding caller
@@ -99,6 +99,8 @@ ASSERT_DIRS = ("src/graph", "src/coding", "src/labeling", "src/baseline",
                "src/mlbg/src/broadcast.cpp", "src/mlbg/src/spec.cpp",
                "src/mlbg/src/params.cpp", "src/sim/src/subcube.cpp",
                "src/sim/src/knowledge_classes.cpp", "src/sim/src/congestion.cpp")
+# Headers under the same rule (the rule otherwise reads only .cpp files).
+ASSERT_HEADERS = ("src/sim/include/shc/sim/subcube.hpp",)
 
 # Kernel layer: headers that sit below their own module's layering set.
 # subcube_batch.hpp is the leaf the hot paths build on — it may reach
@@ -250,7 +252,8 @@ def lint_file(path: pathlib.Path, rel: str, out: Findings) -> None:
         return rule in allowed.get(lineno, ())
 
     in_counter_dir = rel.startswith(CHECKED_COUNTER_DIRS)
-    in_assert_dir = rel.startswith(ASSERT_DIRS) and rel.endswith(".cpp")
+    in_assert_dir = ((rel.startswith(ASSERT_DIRS) and rel.endswith(".cpp"))
+                     or rel in ASSERT_HEADERS)
     module = rel.split("/")[1] if rel.count("/") >= 1 else ""
     layer = LAYERING.get(module)
     kernel_layer = KERNEL_LAYER_FILES.get(rel)

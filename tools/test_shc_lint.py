@@ -137,6 +137,22 @@ class AssertGuardRule(LintHarness):
             "assert-guard",
         )
 
+    def test_subcube_header_flagged(self) -> None:
+        self.assert_finding(
+            {"src/sim/include/shc/sim/subcube.hpp":
+                 "void f(int n) { assert(n >= 1); }\n"},
+            "assert-guard",
+        )
+
+    def test_subcube_header_allowed_invariant_clean(self) -> None:
+        self.assert_clean(
+            {
+                "src/sim/include/shc/sim/subcube.hpp":
+                    "void f(int n) { assert(n >= 1);  "
+                    "// shc-lint: allow(assert-guard)\n}\n"
+            }
+        )
+
     def test_knowledge_classes_translation_unit_flagged(self) -> None:
         self.assert_finding(
             {"src/sim/src/knowledge_classes.cpp":

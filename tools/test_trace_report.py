@@ -110,6 +110,27 @@ class Render(unittest.TestCase):
         self.assertIn("frontier_insert", breakdown)
         self.assertIn("65.0%", breakdown)
 
+    def test_snapshot_copy_is_its_own_phase(self) -> None:
+        # The per-round frontier copy is timed as frontier_snapshot,
+        # beside (not inside) frontier_insert.
+        rows = [
+            {"round": 1, "ts_ms": 1.0, "wall_ms": 1.0,
+             "counters": {"round_groups": 10},
+             "phases_ms": {"frontier_snapshot": 0.1, "frontier_insert": 0.5}},
+            {"round": 2, "ts_ms": 2.0, "wall_ms": 1.0,
+             "counters": {"round_groups": 12},
+             "phases_ms": {"frontier_snapshot": 0.3, "caller_tiling": 0.4}},
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            status, out, err = run_main(rows_to_file(tmp, rows))
+        self.assertEqual(status, 0, err)
+        self.assertNotIn("note:", out)
+        breakdown = out.split("phase breakdown:")[1]
+        self.assertIn("frontier_snapshot", breakdown)
+        self.assertIn("20.0%", breakdown)  # 0.4 ms of 2.0 ms
+        self.assertLess(breakdown.index("frontier_insert"),
+                        breakdown.index("frontier_snapshot"))
+
     def test_rows_without_optional_counters(self) -> None:
         rows = [{"round": 0, "ts_ms": 0.1, "wall_ms": 0.1,
                  "counters": {"rss_hwm_kb": 1024}, "phases_ms": {}}]

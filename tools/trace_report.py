@@ -27,7 +27,10 @@ claims: the caller tiling's normal forms are reduced inside
 The `round_batch_bytes` counter is the recorded round plus the round's
 frontier snapshot: the validator copies its frontier once per round at
 every thread count (the producer and the tiling read that copy), so the
-gauge means the same at one thread as at several.
+gauge means the same at one thread as at several.  That copy is its own
+phase, `frontier_snapshot`, timed at the start of each round on the
+engine thread (in the validator, or in the producer's own informed set
+when its sink keeps none); it overlaps no other phase.
 
 Only the Python standard library is used; the tool never interprets
 verdicts (traces are telemetry — the reports they describe are produced
