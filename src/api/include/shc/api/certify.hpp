@@ -155,8 +155,9 @@ struct CertifyResult {
 [[nodiscard]] std::string json_escape(std::string_view s);
 
 /// Admission-control cost model: predicted peak concurrent group count
-/// of the query (streaming: 2^n - 1 concrete calls; symbolic: groups
-/// grow with n and the level structure; exchange gossip: n).  Not a
+/// of the query (streaming, and a broadcast request whose congestion
+/// stats materialize the schedule: 2^n - 1 concrete calls; symbolic:
+/// groups grow with n and the level structure; exchange gossip: n).  Not a
 /// certificate of anything — a deterministic coarse ranking so the
 /// server can bound in-flight heavy queries.
 [[nodiscard]] std::uint64_t predicted_group_cost(const CertifyRequest& req);

@@ -40,6 +40,16 @@ SparseHypercubeSpec resolve_spec(const CertifyRequest& req) {
   return design_sparse_hypercube(req.n, req.k);
 }
 
+/// True when the request's congestion stats are computed: they need the
+/// materialized concrete schedule, exponential in n, so only the small
+/// broadcast sizes opt in (mirrors shc_sweep's n <= 14 grid policy,
+/// with headroom).
+bool materializes_congestion(const CertifyRequest& req) {
+  return req.with_congestion && req.n <= 24 &&
+         (req.workload == Workload::kBroadcastStreaming ||
+          req.workload == Workload::kBroadcastSymbolic);
+}
+
 /// Fills the gossip fields and mirrors the verdict into `report`, so
 /// result.report.ok works uniformly across workloads.
 void take_gossip(CertifyResult& res, const SymbolicGossipCertification& cert) {
@@ -153,12 +163,7 @@ CertifyResult certify(const CertifyRequest& req) {
       break;  // handled above
   }
 
-  // Congestion stats need the materialized schedule: exponential in n,
-  // so only the small broadcast sizes opt in (mirrors shc_sweep's
-  // n <= 14 grid policy, with headroom).
-  if (req.with_congestion && res.ok && req.n <= 24 &&
-      (req.workload == Workload::kBroadcastStreaming ||
-       req.workload == Workload::kBroadcastSymbolic)) {
+  if (res.ok && materializes_congestion(req)) {
     const FlatSchedule schedule = make_broadcast_schedule(spec, req.source);
     res.congestion = analyze_congestion(schedule, req.checks.threads, req.checks.pool);
     res.has_congestion = true;
@@ -271,7 +276,9 @@ std::uint64_t predicted_group_cost(const CertifyRequest& req) {
   if (req.workload == Workload::kExchangeGossip) {
     return req.n > 0 ? static_cast<std::uint64_t>(req.n) : 0;
   }
-  if (req.workload == Workload::kBroadcastStreaming) {
+  // Streaming, and the concrete congestion pass of any broadcast
+  // request, cost the concrete calls they materialize.
+  if (req.workload == Workload::kBroadcastStreaming || materializes_congestion(req)) {
     if (req.n <= 0) return 0;
     if (req.n >= 63) return ~std::uint64_t{0};
     return (std::uint64_t{1} << req.n) - 1;  // concrete calls = vertices - 1

@@ -29,8 +29,10 @@
 // algebra-vs-graph spot check the broadcast engine uses.
 //
 // Everything around the gossip clauses is the broadcast validator's
-// shared core (detail::SymbolicRoundCore, symbolic_validator.hpp).
-// Settable fields: SymbolicGossipOptions is CommonCheckOptions (six).
+// shared core (detail::SymbolicRoundCore, symbolic_validator.hpp): the
+// per-group hot path, end_call_group, only records a group, and
+// end_round checks the recorded groups first (group_checks scope).
+// Settable fields: SymbolicGossipOptions is CommonCheckOptions (five).
 //
 // On clean runs the GossipReport is bit-for-bit the exact
 // validate_gossip's (enforced by parity tests for n <= 13, k in
@@ -85,13 +87,22 @@ struct SymbolicGossipStats {
 /// CubeOracle).
 template <SymbolicOracle Net>
 class SymbolicGossipValidator
-    : public detail::SymbolicRoundCore<SymbolicGossipOptions, GossipReport,
-                                       SymbolicGossipStats> {
+    : public detail::SymbolicRoundCore<SymbolicGossipValidator<Net>, SymbolicGossipOptions,
+                                       GossipReport, SymbolicGossipStats> {
+  using Core = detail::SymbolicRoundCore<SymbolicGossipValidator<Net>,
+                                         SymbolicGossipOptions, GossipReport,
+                                         SymbolicGossipStats>;
+  friend Core;  // calls check_group
+  using Core::n_, Core::order_, Core::sopt_, Core::pool_, Core::round_,
+      Core::round_multihop_, Core::occupancy_, Core::rep_, Core::stats_, Core::failed_,
+      Core::finished_, Core::fail, Core::open_round, Core::round_where,
+      Core::check_groups, Core::close_round, Core::check_ledger, Core::sample_round;
+
  public:
   SymbolicGossipValidator(const Net& net, int k,
                           const SymbolicGossipOptions& sopt = {})
-      : SymbolicRoundCore(net.cube_dim(), net.num_vertices(), sopt,
-                          "SymbolicGossipValidator: threads", "SymbolicGossipOptions"),
+      : Core(net.cube_dim(), net.num_vertices(), sopt,
+             "SymbolicGossipValidator: threads", "SymbolicGossipOptions"),
         net_(&net),
         k_(k),
         state_(std::clamp(n_, 1, kMaxCubeDim)) {
@@ -110,45 +121,11 @@ class SymbolicGossipValidator
   }
 
   // ---- SymbolicRoundSink interface ------------------------------------
+  // end_call_group is the core's: it only records the group.
 
   void begin_round() {
     if (failed_) return;
     open_round();
-    exchanges_.clear();
-  }
-
-  void end_call_group(const CallGroup& g, std::span<const Vertex> pattern) {
-    if (failed_) return;
-    // `where` is built lazily (round_where()): this method is the
-    // per-group hot path and the prefix is only read on failure.
-
-    int length = 0;
-    if (std::string msg = detail::check_symbolic_call_group(
-            *net_, n_, k_, /*vertex_disjoint=*/false, g, pattern, length);
-        !msg.empty()) {
-      return fail(round_where() + msg);
-    }
-    const Vertex delta = pattern.back();
-    if (delta == 0) {
-      // A pattern cycling back to its start would pair every caller
-      // with itself — the exact validator rejects it as an endpoint
-      // seen twice.
-      return fail(round_where() + "exchange pattern returns to its caller "
-                                  "(a vertex cannot exchange with itself)");
-    }
-    rep_.max_call_length = std::max(rep_.max_call_length, length);
-    if (!checked_acc_u64(rep_.total_exchanges, g.count)) {
-      return fail(round_where() + "total exchange count overflowed 64 bits");
-    }
-    ++stats_.groups;
-    if (length >= 2) round_multihop_ = true;
-
-    // The round-local pattern pool uses 32-bit offsets (SymbolicRound's
-    // layout); refuse rather than wrap on adversarial input.
-    if (!round_.append(g, pattern)) {
-      return fail(round_where() + "round pattern pool exceeds 32-bit offsets");
-    }
-    exchanges_.push_back({g.callers(), delta});
   }
 
   void end_round() {
@@ -157,11 +134,7 @@ class SymbolicGossipValidator
     // The exact validator accepts empty rounds (they just burn time);
     // mirror it so clean-run parity holds on degenerate inputs too.
     if (round_.groups.empty()) return;
-
-    stats_.peak_round_groups = std::max(
-        stats_.peak_round_groups,
-        static_cast<std::uint64_t>(round_.groups.size()));
-
+    if (!check_groups(where)) return;
     {
       SHC_TRACE_SCOPE("endpoint_check");
       if (!check_endpoint_uniqueness(where)) return;
@@ -177,18 +150,15 @@ class SymbolicGossipValidator
 
     {
       SHC_TRACE_SCOPE("apply_round");
-      if (std::string err = state_.apply_round(exchanges_); !err.empty()) {
+      if (std::string err = state_.apply_round(round_); !err.empty()) {
         return fail(where + err);
       }
     }
     stats_.classes = state_.stats();
-    saturating_acc_u64(stats_.rounds_checked, 1);
-    SHC_TRACE_COUNTER("round_groups", round_.groups.size());
-    SHC_TRACE_COUNTER("groups_total", stats_.groups);
-    SHC_TRACE_COUNTER("knowledge_classes", stats_.classes.classes);
-    SHC_TRACE_COUNTER("union_cache_hits", stats_.classes.union_cache_hits);
-    SHC_TRACE_COUNTER("occupancy_claims", stats_.occupancy_claims);
-    SHC_TRACE_ROUND(rep_.rounds);
+    close_round([&] {
+      SHC_TRACE_COUNTER("knowledge_classes", stats_.classes.classes);
+      SHC_TRACE_COUNTER("union_cache_hits", stats_.classes.union_cache_hits);
+    });
   }
 
   // ---- results ---------------------------------------------------------
@@ -212,6 +182,35 @@ class SymbolicGossipValidator
   }
 
  private:
+  /// One group's gossip clauses — the shared symbolic ones plus an
+  /// exchange partner other than the caller — and its share of the run
+  /// totals.
+  bool check_group(const std::string& where, const CallGroup& g,
+                   std::span<const Vertex> pattern) {
+    int length = 0;
+    if (std::string msg = detail::check_symbolic_call_group(
+            *net_, n_, k_, /*vertex_disjoint=*/false, g, pattern, length);
+        !msg.empty()) {
+      fail(where + msg);
+      return false;
+    }
+    if (pattern.back() == 0) {
+      // A pattern cycling back to its start would pair every caller
+      // with itself — the exact validator rejects it as an endpoint
+      // seen twice.
+      fail(where + "exchange pattern returns to its caller "
+                   "(a vertex cannot exchange with itself)");
+      return false;
+    }
+    rep_.max_call_length = std::max(rep_.max_call_length, length);
+    if (!checked_acc_u64(rep_.total_exchanges, g.count)) {
+      fail(where + "total exchange count overflowed 64 bits");
+      return false;
+    }
+    ++stats_.groups;
+    return true;
+  }
+
   /// Gossip's receiver-uniqueness: both ends of an exchange are
   /// endpoints, so the 2R endpoint subcubes of a round must be pairwise
   /// disjoint.  (Within one group the two cubes are disjoint by
@@ -220,11 +219,11 @@ class SymbolicGossipValidator
   /// occupancy family.
   bool check_endpoint_uniqueness(const std::string& where) {
     occupancy_.clear();
-    for (std::size_t gi = 0; gi < exchanges_.size(); ++gi) {
-      const KnowledgeClassPartition::Exchange& x = exchanges_[gi];
+    for (std::size_t gi = 0; gi < round_.groups.size(); ++gi) {
+      const CallGroup& g = round_.groups[gi];
       const auto group = static_cast<std::uint32_t>(gi);
-      occupancy_.claim(1, x.callers.prefix, x.callers.mask, group);
-      occupancy_.claim(1, x.callers.prefix ^ x.delta, x.callers.mask, group);
+      occupancy_.claim(1, g.prefix, g.free_mask, group);
+      occupancy_.claim(1, g.prefix ^ round_.pattern_of_group(gi).back(), g.free_mask, group);
     }
     return check_ledger(where, pool_.get(), "endpoint disjointness analysis",
                         [](const OccupancyOutcome&) {
@@ -265,7 +264,6 @@ class SymbolicGossipValidator
   const Net* net_;
   int k_;
   KnowledgeClassPartition state_;
-  std::vector<KnowledgeClassPartition::Exchange> exchanges_;
 };
 
 static_assert(SymbolicRoundSink<SymbolicGossipValidator<CubeOracle>>);
@@ -307,8 +305,9 @@ void emit_gather_broadcast_gossip_symbolic(const SymbolicSchedule& forward,
     const SymbolicRound& round = forward.rounds[t];
     sink.begin_round();
     {
-      // Covers emission plus the sink's streamed per-group checks; the
-      // sink's own end_round phases land outside this scope.
+      // Covers emission plus the sink's per-group recording; the sink's
+      // own end_round phases, its group checks included, land outside
+      // this scope.
       SHC_TRACE_SCOPE("produce_round");
       for (std::size_t gi = 0; gi < round.groups.size(); ++gi) {
         const CallGroup& g = round.groups[gi];

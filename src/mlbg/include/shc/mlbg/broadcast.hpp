@@ -55,6 +55,8 @@ class WorkerPool;
 template <RoundSink Sink>
 void route_flip_append(const SparseHypercubeSpec& spec, Vertex u, Dim i,
                        Sink& out) {
+  // shc-lint: allow(assert-guard) — internal callers pass 1 <= i <= n;
+  // route_flip checks it on caller input
   assert(i >= 1 && i <= spec.n());
   if (spec.has_edge_dim(u, i)) {
     out.push_vertex(u);
@@ -63,19 +65,26 @@ void route_flip_append(const SparseHypercubeSpec& spec, Vertex u, Dim i,
   }
 
   const int t = spec.level_of_dim(i);
+  // shc-lint: allow(assert-guard) — internal invariant of the construction
   assert(t >= 0 && "core dimensions always have edges");
   const ConstructionLevel& lv = spec.levels()[static_cast<std::size_t>(t)];
   const Label owner = lv.dim_owner[static_cast<std::size_t>(i - lv.dim_lo - 1)];
 
+  // Condition A: within u's window cube some neighbor (not u itself —
+  // otherwise the edge would exist) carries the owner label.
   const Vertex win = window_value(u, lv.win_lo, lv.win_hi);
   const Dim rel = lv.labeling.flip_towards(win, owner);
+  // shc-lint: allow(assert-guard) — Condition A of the labeling
   assert(rel >= 1 && "flip_towards returned self although edge is absent");
   const Dim bridge = lv.win_lo + rel;
 
+  // Realize the bridge flip recursively; it only perturbs dimensions
+  // below this level's window, so the label at the endpoint is exactly
+  // the owner label and the i-edge exists there.
   route_flip_append(spec, u, bridge, out);
   const Vertex v = out.last_vertex();
-  assert(spec.label_at(v, t) == owner);
-  assert(spec.has_edge_dim(v, i));
+  assert(spec.label_at(v, t) == owner);  // shc-lint: allow(assert-guard) — bridge lemma
+  assert(spec.has_edge_dim(v, i));       // shc-lint: allow(assert-guard) — bridge lemma
   out.push_vertex(flip(v, i));
 }
 
@@ -121,7 +130,7 @@ void emit_broadcast_rounds(const SparseHypercubeSpec& spec, Vertex source,
       const bool fits = checked_mul_u64(
           frontier, static_cast<std::uint64_t>(route_length_bound(spec, i) + 1),
           path_vertices);
-      assert(fits);
+      assert(fits);  // shc-lint: allow(assert-guard) — n <= 32 keeps it far below 2^64
       if (fits) {
         sink.reserve_round(frontier, static_cast<std::size_t>(path_vertices));
       }

@@ -8,36 +8,51 @@
 
 namespace shc {
 
+namespace {
+
+/// route_flip_append's sink for one path: its vertices, in order.
+struct PathSink {
+  std::vector<Vertex> path;
+  void begin_round() {}
+  void push_vertex(Vertex v) { path.push_back(v); }
+  [[nodiscard]] Vertex last_vertex() const { return path.back(); }
+  void end_call() {}
+  void end_round() {}
+};
+
+/// Exact upper bound on the flat path pool: the round sweeping dimension
+/// i has 2^(n-i) calls of at most route_length_bound(i) + 1 vertices.
+/// Calls per_round(calls, path_vertices) for each round and returns the
+/// whole-schedule sum.  Overflow-audited (the callers' n <= 28/32 guards
+/// keep it far from the 64-bit edge, but the arithmetic itself must not
+/// be the limiter).
+template <class PerRound>
+std::uint64_t pool_upper_bound(const SparseHypercubeSpec& spec, PerRound&& per_round) {
+  std::uint64_t bound = 0;
+  for (Dim i = spec.n(); i >= 1; --i) {
+    const std::uint64_t calls = cube_order(spec.n() - i);
+    std::uint64_t term = 0;
+    const bool fits =
+        checked_mul_u64(calls, static_cast<std::uint64_t>(route_length_bound(spec, i) + 1),
+                        term) &&
+        checked_acc_u64(bound, term);
+    assert(fits);  // shc-lint: allow(assert-guard) — n <= 32 keeps the bound far below 2^64
+    (void)fits;
+    per_round(calls, term);
+  }
+  return bound;
+}
+
+}  // namespace
+
 std::vector<Vertex> route_flip(const SparseHypercubeSpec& spec, Vertex u, Dim i) {
   if (i < 1 || i > spec.n()) {
     throw std::invalid_argument("route_flip: dimension " + std::to_string(i) +
                                 " outside 1.." + std::to_string(spec.n()));
   }
-  if (spec.has_edge_dim(u, i)) return {u, flip(u, i)};
-
-  const int t = spec.level_of_dim(i);
-  // shc-lint: allow(assert-guard) — internal invariant of the construction
-  assert(t >= 0 && "core dimensions always have edges");
-  const ConstructionLevel& lv = spec.levels()[static_cast<std::size_t>(t)];
-  const Label owner = lv.dim_owner[static_cast<std::size_t>(i - lv.dim_lo - 1)];
-
-  // Condition A: within u's window cube some neighbor (not u itself —
-  // otherwise the edge would exist) carries the owner label.
-  const Vertex win = window_value(u, lv.win_lo, lv.win_hi);
-  const Dim rel = lv.labeling.flip_towards(win, owner);
-  // shc-lint: allow(assert-guard) — Condition A of the labeling
-  assert(rel >= 1 && "flip_towards returned self although edge is absent");
-  const Dim bridge = lv.win_lo + rel;
-
-  // Realize the bridge flip recursively; it only perturbs dimensions
-  // below this level's window, so the label at the endpoint is exactly
-  // the owner label and the i-edge exists there.
-  std::vector<Vertex> path = route_flip(spec, u, bridge);
-  const Vertex v = path.back();
-  assert(spec.label_at(v, t) == owner);  // shc-lint: allow(assert-guard) — bridge lemma
-  assert(spec.has_edge_dim(v, i));       // shc-lint: allow(assert-guard) — bridge lemma
-  path.push_back(flip(v, i));
-  return path;
+  PathSink sink;
+  route_flip_append(spec, u, i, sink);
+  return std::move(sink.path);
 }
 
 int route_length_bound(const SparseHypercubeSpec& spec, Dim i) noexcept {
@@ -46,28 +61,6 @@ int route_length_bound(const SparseHypercubeSpec& spec, Dim i) noexcept {
   // dim of level t, which lives in the governed range of level t-1.
   return t < 0 ? 1 : t + 2;
 }
-
-namespace {
-
-/// Exact upper bound on the flat path pool: the round sweeping dimension
-/// i has 2^(n-i) calls of at most route_length_bound(i) + 1 vertices.
-/// Overflow-audited (the callers' n <= 28/32 guards keep it far from the
-/// 64-bit edge, but the arithmetic itself must not be the limiter).
-std::uint64_t pool_upper_bound(const SparseHypercubeSpec& spec) {
-  std::uint64_t bound = 0;
-  for (Dim i = spec.n(); i >= 1; --i) {
-    std::uint64_t term = 0;
-    const bool fits =
-        checked_mul_u64(static_cast<std::uint64_t>(route_length_bound(spec, i) + 1),
-                        cube_order(spec.n() - i), term) &&
-        checked_acc_u64(bound, term);
-    assert(fits);  // shc-lint: allow(assert-guard) — n <= 32 keeps the bound far below 2^64
-    (void)fits;
-  }
-  return bound;
-}
-
-}  // namespace
 
 FlatSchedule make_broadcast_schedule(const SparseHypercubeSpec& spec, Vertex source) {
   if (spec.n() > 28) {
@@ -85,7 +78,8 @@ FlatSchedule make_broadcast_schedule(const SparseHypercubeSpec& spec, Vertex sou
   // FlatSchedule sink with the full reservation made up front.
   FlatSchedule schedule;
   schedule.source = source;
-  schedule.reserve(static_cast<std::size_t>(n), order - 1, pool_upper_bound(spec));
+  schedule.reserve(static_cast<std::size_t>(n), order - 1,
+                   pool_upper_bound(spec, [](std::uint64_t, std::uint64_t) {}));
   emit_broadcast_rounds(spec, source, schedule);
   return schedule;
 }
@@ -119,27 +113,15 @@ StreamingCertification certify_broadcast_streaming(const SparseHypercubeSpec& sp
     cert.report.error = "source out of range";
     return cert;
   }
-  // Arena bound of the round sweeping dimension i: 2^(n-i) calls, each
-  // at most route_length_bound + 1 path vertices, plus the call-offset
-  // and round arrays — exactly what reserve_round() makes the scratch
-  // arena hold.  The whole-schedule figure is what make_broadcast_schedule
-  // would reserve.
-  std::uint64_t whole_pool = 0;
-  for (Dim i = n; i >= 1; --i) {
-    const std::size_t calls = static_cast<std::size_t>(1)
-                              << static_cast<unsigned>(n - i);
-    std::uint64_t pool = 0;
-    const bool fits = checked_mul_u64(
-                          calls, static_cast<std::uint64_t>(
-                                     route_length_bound(spec, i) + 1),
-                          pool) &&
-                      checked_acc_u64(whole_pool, pool);
-    assert(fits);  // shc-lint: allow(assert-guard) — n <= 32 keeps the bound far below 2^64
-    (void)fits;
-    cert.largest_round_arena_bytes =
-        std::max(cert.largest_round_arena_bytes,
-                 FlatSchedule::arena_bytes(1, calls, pool));
-  }
+  // Arena bound of each round: its calls and path vertices plus the
+  // call-offset and round arrays — exactly what reserve_round() makes
+  // the scratch arena hold.  The whole-schedule figure is what
+  // make_broadcast_schedule would reserve.
+  const std::uint64_t whole_pool =
+      pool_upper_bound(spec, [&](std::uint64_t calls, std::uint64_t pool) {
+        cert.largest_round_arena_bytes = std::max(
+            cert.largest_round_arena_bytes, FlatSchedule::arena_bytes(1, calls, pool));
+      });
   cert.whole_schedule_arena_bytes = FlatSchedule::arena_bytes(
       static_cast<std::size_t>(n),
       static_cast<std::size_t>(spec.num_vertices()) - 1, whole_pool);

@@ -5,7 +5,7 @@
 // CommonCheckOptions is the single home of the sampling, ledger-budget
 // and threading knobs; shc_lint's duplicate-knob rule forbids
 // re-declaring them elsewhere in src/.  Settable fields: gossip
-// (SymbolicGossipOptions, an alias) has the six below; broadcast
+// (SymbolicGossipOptions, an alias) has the five below; broadcast
 // (SymbolicCheckOptions, which inherits them) adds max_frontier_subcubes.
 //
 // `pool` lends a persistent WorkerPool (the certification server reuses
@@ -60,16 +60,14 @@ struct CommonCheckOptions {
   /// Concrete calls/exchanges expanded per sampled group.
   std::uint64_t sample_calls_per_group = 4;
 
-  /// Budgets of the dyadic occupancy ledger (occupancy_ledger.hpp), the
+  /// Budget of the dyadic occupancy ledger (occupancy_ledger.hpp), the
   /// one proof of per-round concurrent disjointness: cost O(total
   /// pieces * n), which is what certifies the paper's designed n = 63
   /// (m = 10) construction.  Each bucket's budget is
-  /// ledger_bucket_budget_base + ledger_budget_per_claim * bucket
-  /// claims — deterministic, thread-count independent.  The designed
-  /// specs stay under 16 visits per claim; the default leaves an order
-  /// of magnitude of headroom.
+  /// ledger_budget_per_claim * (bucket claims + 8) — deterministic,
+  /// thread-count independent.  The designed specs stay under 16 visits
+  /// per claim; the default leaves an order of magnitude of headroom.
   std::uint64_t ledger_budget_per_claim = 512;
-  std::uint64_t ledger_bucket_budget_base = 4096;
 
   /// Workers of the persistent WorkerPool the engine runs its checks
   /// on (the broadcast validator runs each round's checks on one worker

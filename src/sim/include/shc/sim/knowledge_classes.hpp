@@ -47,6 +47,7 @@
 namespace shc {
 
 class WorkerPool;
+struct SymbolicRound;
 
 /// One immutable knowledge set of relative offsets, shared (via
 /// shared_ptr) by every class whose vertices know exactly these offsets
@@ -132,6 +133,10 @@ class KnowledgeClassPartition {
   /// violated, so the partition never silently corrupts).
   [[nodiscard]] std::string apply_round(const std::vector<Exchange>& exchanges);
 
+  /// The same for a recorded round: group g's callers exchange along
+  /// its pattern's last vertex (an empty pattern reads delta 0, refused).
+  [[nodiscard]] std::string apply_round(const SymbolicRound& round);
+
   /// True iff every class's knowledge is the full cube covered once —
   /// gossip completion.
   [[nodiscard]] bool all_complete() const noexcept;
@@ -164,6 +169,9 @@ class KnowledgeClassPartition {
     bool fresh = false;
   };
 
+  /// apply_round over `count` exchanges, the i-th read as at(i).
+  template <class ExchangeAt>
+  [[nodiscard]] std::string apply_exchanges(std::size_t count, const ExchangeAt& at);
   [[nodiscard]] std::string merge_equal_classes(std::vector<ClassEntry>& next);
   void refresh_stats();
 

@@ -52,6 +52,7 @@
 #include <vector>
 
 #include "shc/bits/audit.hpp"
+#include "shc/bits/checked.hpp"
 #include "shc/bits/vertex.hpp"
 #include "shc/obs/recorder.hpp"
 #include "shc/sim/subcube.hpp"
@@ -117,8 +118,9 @@ class OccupancyLedger {
 
   /// Resolves every family.  Deterministic for any `pool`/thread count:
   /// bucket formation is serial, each bucket's walk is independent with
-  /// a budget of `bucket_budget_base + budget_per_claim * bucket_claims`,
-  /// and the outcome with the smallest (family, bucket) index wins.
+  /// a saturating budget of `bucket_budget_base + budget_per_claim *
+  /// bucket_claims`, and the outcome with the smallest (family, bucket)
+  /// index wins.
   [[nodiscard]] OccupancyOutcome check(
       WorkerPool* pool, std::uint64_t budget_per_claim,
       std::uint64_t bucket_budget_base = 4096) const {
@@ -183,13 +185,16 @@ class OccupancyLedger {
       // Per-thread recycled index scratch: a walk is at most 64 deep
       // but the designed specs resolve millions of buckets per round,
       // so per-node (or even per-bucket) vectors were pure churn.
-      static thread_local batch::IdVecPool scratch;
+      static thread_local batch::ScratchPool<std::vector<std::uint32_t>> scratch;
       Bucket& bucket = buckets[bi];
       const FamilyClaims& claims =
           families_[static_cast<std::size_t>(bucket.family)];
-      const std::uint64_t budget =
-          bucket_budget_base +
-          budget_per_claim * static_cast<std::uint64_t>(bucket.ids.size());
+      // Saturating: a wrapped sum would shrink the budget the knob raises.
+      std::uint64_t budget = 0;
+      if (!checked_mul_u64(budget_per_claim, bucket.ids.size(), budget) ||
+          !checked_acc_u64(budget, bucket_budget_base)) {
+        budget = ~std::uint64_t{0};
+      }
       DyadicWalk walk{claims.prefix.data(), claims.mask.data(), scratch,
                       budget, 0, false, false, 0, 0};
       walk.run(bucket.ids, mask_low(n_));
@@ -276,7 +281,7 @@ class OccupancyLedger {
   struct DyadicWalk {
     const Vertex* cprefix;
     const Vertex* cmask;
-    batch::IdVecPool& scratch;
+    batch::ScratchPool<std::vector<std::uint32_t>>& scratch;
     std::uint64_t budget;
     std::uint64_t nodes;
     bool found;

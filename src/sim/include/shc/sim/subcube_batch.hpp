@@ -260,58 +260,27 @@ struct MaskScan {
   return s;
 }
 
-/// Recycling pool of index vectors for the divide sweeps: a
+/// Recycling pool of scratch buffers (index vectors, SubcubeSoA and
+/// SubcubeBatch halves, output vectors) for the divide sweeps: a
 /// divide-on-pinned-dimension recursion visits millions of nodes but is
-/// at most 64 deep, so a handful of recycled vectors replaces two heap
-/// allocations per node (the scratch-churn fix).  Not thread-safe; use
-/// one pool per walk (or thread).
-class IdVecPool {
+/// at most 64 deep, so a handful of recycled buffers replaces two heap
+/// allocations per node (the scratch-churn fix).  acquire() returns an
+/// empty buffer that keeps its capacity.  Not thread-safe; use one pool
+/// per walk (or thread).
+template <class T>
+class ScratchPool {
  public:
-  [[nodiscard]] std::vector<std::uint32_t> acquire() {
+  [[nodiscard]] T acquire() {
     if (pool_.empty()) return {};
-    std::vector<std::uint32_t> v = std::move(pool_.back());
+    T v = std::move(pool_.back());
     pool_.pop_back();
     v.clear();
     return v;
   }
-  void release(std::vector<std::uint32_t>&& v) {
-    pool_.push_back(std::move(v));
-  }
+  void release(T&& v) { pool_.push_back(std::move(v)); }
 
  private:
-  std::vector<std::vector<std::uint32_t>> pool_;
-};
-
-/// IdVecPool for SubcubeSoA scratch halves.
-class SoAPool {
- public:
-  [[nodiscard]] SubcubeSoA acquire() {
-    if (pool_.empty()) return {};
-    SubcubeSoA v = std::move(pool_.back());
-    pool_.pop_back();
-    v.clear();
-    return v;
-  }
-  void release(SubcubeSoA&& v) { pool_.push_back(std::move(v)); }
-
- private:
-  std::vector<SubcubeSoA> pool_;
-};
-
-/// IdVecPool for SubcubeBatch scratch halves.
-class BatchPool {
- public:
-  [[nodiscard]] SubcubeBatch acquire() {
-    if (pool_.empty()) return {};
-    SubcubeBatch v = std::move(pool_.back());
-    pool_.pop_back();
-    v.clear();
-    return v;
-  }
-  void release(SubcubeBatch&& v) { pool_.push_back(std::move(v)); }
-
- private:
-  std::vector<SubcubeBatch> pool_;
+  std::vector<T> pool_;
 };
 
 /// Batched subtraction: `region` minus a *pairwise-disjoint* subcube
@@ -379,7 +348,7 @@ class SubtractSweep {
     return ok;
   }
 
-  SoAPool pool_;
+  ScratchPool<SubcubeSoA> pool_;
 };
 
 }  // namespace batch

@@ -66,12 +66,15 @@
 // whole pool.
 //
 // Shared core: detail::SymbolicRoundCore holds what both symbolic
-// validators (this one and gossip's) keep around their own clauses —
-// round recording, the CheckPool, the ledger check and its one message
-// mapping (ledger_verdict), the sampled expansion and the first-failure
-// report; detail::replay_symbolic and detail::certify_produced drive
-// either.  Settable fields (SymbolicCheckOptions): the six of
-// CommonCheckOptions plus max_frontier_subcubes.
+// validators (this one and gossip's) keep around their own per-group
+// clauses: one round discipline (end_call_group records, end_round runs
+// check_groups first inside a group_checks trace scope, close_round
+// counts a passing round), the CheckPool, the ledger check and its one
+// message mapping (ledger_verdict), the sampled expansion and the
+// first-failure report; detail::replay_symbolic and
+// detail::certify_produced drive either.  Settable fields
+// (SymbolicCheckOptions): the five of CommonCheckOptions plus
+// max_frontier_subcubes.
 //
 // Model scope: the symbolic engine certifies the paper's exact model
 // (edge_capacity == 1, forbid_redundant_receivers, require_completion)
@@ -315,15 +318,34 @@ template <class Sink, class Stats, class Produce>
 }
 
 /// The state and verbs both symbolic validators share around their own
-/// clauses: the check pool, the seeded sample generator, the recycled
-/// round with its multi-hop flag, the occupancy ledger, and the report
-/// whose first failure wins.  `options_name` names the engine's options
-/// type in its ledger refusals.
-template <class Options, class Report, class Stats>
+/// clauses: the check pool, the seeded sample generator, the recorded
+/// round with its multi-hop flag, the occupancy ledger, the report whose
+/// first failure wins, and the record-then-check round loop.  `Engine`
+/// is the validator (CRTP): check_group(where, g, pattern) runs one
+/// group's clauses and adds its run totals, with no virtual call per
+/// group.  `options_name` names the options type in ledger refusals.
+template <class Engine, class Options, class Report, class Stats>
 class SymbolicRoundCore {
  public:
   [[nodiscard]] bool aborted() const noexcept { return failed_; }
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
+
+  /// Records the group and nothing else (it runs 14M+ times per round on
+  /// the designed n = 63 broadcast); end_round checks every clause.  A
+  /// round whose summed pattern lengths reach 2^32 would wrap the 32-bit
+  /// pattern offsets, so it fails explicitly; the earlier groups'
+  /// clauses, then this group's, still win over the overflow.
+  void end_call_group(const CallGroup& g, std::span<const Vertex> pattern) {
+    if (failed_) return;
+    if (!round_.append(g, pattern)) {
+      const std::string where = round_where();
+      if (check_groups(where) && engine().check_group(where, g, pattern)) {
+        fail(where + "round pattern pool exceeds 32-bit offsets");
+      }
+      return;
+    }
+    if (pattern.size() > 2) round_multihop_ = true;
+  }
 
  protected:
   SymbolicRoundCore(int n, std::uint64_t order, const Options& sopt,
@@ -349,24 +371,55 @@ class SymbolicRoundCore {
     rep_.error = msg;
   }
 
-  /// Error-message prefix of the round in progress.  Only called on
-  /// failure paths and once per end_round — never in the per-group hot
-  /// loop (string construction there was a measurable slice of a
-  /// designed-spec run).
+  /// Error-message prefix of the round in progress: built once per
+  /// end_round, never per group (that was a measurable slice of a run).
   [[nodiscard]] std::string round_where() const {
     return "round " + std::to_string(rep_.rounds) + ": ";
   }
 
-  /// Resolves the claims in occupancy_ under the ledger budgets (walks
-  /// sharded over `pool` when non-null) and counts them.  On a refusal
-  /// or a double claim fails with `where` plus the ledger_verdict
-  /// message; `collision(out)` words the double claim.
+  /// Per-group clauses of every recorded group, in group order, inside
+  /// the group_checks trace scope: the first failing group names the
+  /// error and the run totals stop at it, as if each group had been
+  /// checked on arrival.  Passing groups raise peak_round_groups.
+  bool check_groups(const std::string& where) {
+    SHC_TRACE_SCOPE("group_checks");
+    for (std::size_t gi = 0; gi < round_.groups.size(); ++gi) {
+      if (!engine().check_group(where, round_.groups[gi], round_.pattern_of_group(gi))) {
+        return false;
+      }
+    }
+    stats_.peak_round_groups = std::max(
+        stats_.peak_round_groups, static_cast<std::uint64_t>(round_.groups.size()));
+    return true;
+  }
+
+  /// Counts a round that passed every clause and traces it; `counters()`
+  /// writes the engine's own counters.
+  template <class Counters>
+  void close_round(Counters&& counters) {
+    saturating_acc_u64(stats_.rounds_checked, 1);
+    SHC_TRACE_COUNTER("round_groups", round_.groups.size());
+    SHC_TRACE_COUNTER("groups_total", stats_.groups);
+    counters();
+    SHC_TRACE_COUNTER("occupancy_claims", stats_.occupancy_claims);
+    SHC_TRACE_ROUND(rep_.rounds);
+  }
+
+  /// Resolves occupancy_ (sharded over `pool` when non-null); a bucket's
+  /// budget is ledger_budget_per_claim x (its claims + 8).
+  [[nodiscard]] OccupancyOutcome resolve_ledger(WorkerPool* pool) const {
+    const std::uint64_t per_claim = sopt_.ledger_budget_per_claim;
+    return occupancy_.check(pool, per_claim, std::min(per_claim, ~std::uint64_t{0} / 8) * 8);
+  }
+
+  /// Resolves and counts the claims in occupancy_.  On a refusal or a
+  /// double claim fails with `where` plus the ledger_verdict message;
+  /// `collision(out)` words the double claim.
   template <class Collision>
   bool check_ledger(const std::string& where, WorkerPool* pool, const char* clause,
                     Collision&& collision) {
     saturating_acc_u64(stats_.occupancy_claims, occupancy_.num_claims());
-    const OccupancyOutcome out = occupancy_.check(
-        pool, sopt_.ledger_budget_per_claim, sopt_.ledger_bucket_budget_base);
+    const OccupancyOutcome out = resolve_ledger(pool);
     const std::string err = ledger_verdict(out, clause, options_name_, collision(out));
     if (!err.empty()) fail(where + err);
     return err.empty();
@@ -428,6 +481,9 @@ class SymbolicRoundCore {
   Stats stats_;
   bool failed_ = false;
   bool finished_ = false;
+
+ private:
+  [[nodiscard]] Engine& engine() noexcept { return static_cast<Engine&>(*this); }
 };
 
 }  // namespace detail
@@ -460,14 +516,24 @@ struct SymbolicRunStats {
 
 template <SymbolicOracle Net>
 class SymbolicBroadcastValidator
-    : public detail::SymbolicRoundCore<SymbolicCheckOptions, ValidationReport,
-                                       SymbolicRunStats> {
+    : public detail::SymbolicRoundCore<SymbolicBroadcastValidator<Net>, SymbolicCheckOptions,
+                                       ValidationReport, SymbolicRunStats> {
+  using Core = detail::SymbolicRoundCore<SymbolicBroadcastValidator<Net>,
+                                         SymbolicCheckOptions, ValidationReport,
+                                         SymbolicRunStats>;
+  friend Core;  // calls check_group
+  using Core::n_, Core::order_, Core::sopt_, Core::options_name_, Core::pool_,
+      Core::round_, Core::round_multihop_, Core::occupancy_, Core::rep_, Core::stats_,
+      Core::failed_, Core::finished_, Core::fail, Core::open_round, Core::round_where,
+      Core::check_groups, Core::close_round, Core::resolve_ledger,
+      Core::check_ledger, Core::sample_round;
+
  public:
   SymbolicBroadcastValidator(const Net& net, Vertex source,
                              const ValidationOptions& opt,
                              const SymbolicCheckOptions& sopt = {})
-      : SymbolicRoundCore(net.cube_dim(), net.num_vertices(), sopt,
-                          "SymbolicBroadcastValidator: threads", "SymbolicCheckOptions"),
+      : Core(net.cube_dim(), net.num_vertices(), sopt,
+             "SymbolicBroadcastValidator: threads", "SymbolicCheckOptions"),
         net_(&net),
         opt_(opt),
         informed_(std::clamp(n_, 1, kMaxCubeDim)) {
@@ -495,28 +561,6 @@ class SymbolicBroadcastValidator
     open_round();
     SHC_TRACE_SCOPE("frontier_snapshot");
     informed_.snapshot();
-  }
-
-  void end_call_group(const CallGroup& g, std::span<const Vertex> pattern) {
-    if (failed_) return;
-    // Records the group and nothing else: this method runs once per
-    // group — 14M+ times per round on the designed n = 63 spec — and
-    // every clause is checked in end_round's check job, in group order.
-    //
-    // The round-local pattern pool uses 32-bit offsets (SymbolicRound's
-    // layout); a round whose summed pattern lengths reach 2^32 must
-    // fail explicitly (the engine's contract on adversarial input), not
-    // wrap the offsets.  Such a group cannot be recorded, so the groups
-    // before it and the group itself are checked here, and a clause
-    // failure among them still wins over the overflow.
-    if (!round_.append(g, pattern)) {
-      const std::string where = round_where();
-      if (check_groups(where) && check_group(where, g, pattern)) {
-        fail(where + "round pattern pool exceeds 32-bit offsets");
-      }
-      return;
-    }
-    if (pattern.size() > 2) round_multihop_ = true;
   }
 
   /// Checks the recorded round and inserts its receivers: the engine
@@ -574,12 +618,7 @@ class SymbolicBroadcastValidator
     }
     stats_.peak_frontier_subcubes =
         std::max(stats_.peak_frontier_subcubes, frontier.num_subcubes());
-    saturating_acc_u64(stats_.rounds_checked, 1);
-    SHC_TRACE_COUNTER("round_groups", round_.groups.size());
-    SHC_TRACE_COUNTER("groups_total", stats_.groups);
-    SHC_TRACE_COUNTER("frontier_subcubes", frontier.num_subcubes());
-    SHC_TRACE_COUNTER("occupancy_claims", stats_.occupancy_claims);
-    SHC_TRACE_ROUND(rep_.rounds);
+    close_round([&] { SHC_TRACE_COUNTER("frontier_subcubes", frontier.num_subcubes()); });
   }
 
   /// The informed set and its round snapshot, lent read-only
@@ -625,10 +664,7 @@ class SymbolicBroadcastValidator
     saturating_acc_u64(stats_.occupancy_claims, occupancy_.num_claims());
     OccupancyOutcome out;
     out.status = OccupancyStatus::kDoubleClaim;  // a multiplicity above one
-    if (mult_clean) {
-      out = occupancy_.check(pool_.get(), sopt_.ledger_budget_per_claim,
-                             sopt_.ledger_bucket_budget_base);
-    }
+    if (mult_clean) out = resolve_ledger(pool_.get());
     if (std::string err = detail::ledger_verdict(
             out, "endgame occupancy check", options_name_,
             "informed multiset is not the cube covered exactly once "
@@ -670,12 +706,7 @@ class SymbolicBroadcastValidator
   /// engine job's claims.  Nested pool runs are not allowed inside a
   /// job, so nothing here shards.
   bool check_round(const std::string& where, const std::atomic<bool>& claimed) {
-    {
-      SHC_TRACE_SCOPE("group_checks");
-      if (!check_groups(where)) return false;
-    }
-    stats_.peak_round_groups = std::max(
-        stats_.peak_round_groups, static_cast<std::uint64_t>(round_.groups.size()));
+    if (!check_groups(where)) return false;
     {
       SHC_TRACE_SCOPE("caller_tiling");
       if (!check_caller_tiling(where)) return false;
@@ -688,16 +719,6 @@ class SymbolicBroadcastValidator
     if (sopt_.sample_groups_per_round > 0) {
       SHC_TRACE_SCOPE("sampled_replay");
       if (!sampled_replay(where)) return false;
-    }
-    return true;
-  }
-
-  /// Per-group clauses of every recorded group, in group order: the
-  /// first failing group names the error, and the run totals stop at
-  /// it, as if each group had been checked on arrival.
-  bool check_groups(const std::string& where) {
-    for (std::size_t gi = 0; gi < round_.groups.size(); ++gi) {
-      if (!check_group(where, round_.groups[gi], round_.pattern_of_group(gi))) return false;
     }
     return true;
   }

@@ -10,6 +10,7 @@
 #include "shc/bits/audit.hpp"
 #include "shc/obs/recorder.hpp"
 #include "shc/sim/subcube_batch.hpp"
+#include "shc/sim/symbolic_schedule.hpp"
 #include "shc/sim/worker_pool.hpp"
 
 namespace shc {
@@ -199,7 +200,7 @@ class PartitionRefiner {
   const std::vector<Subcube>& classes_;
   SubcubeSoA qsoa_;
   SubcubeSoA csoa_;
-  batch::IdVecPool pool_;
+  batch::ScratchPool<std::vector<std::uint32_t>> pool_;
   std::uint64_t budget_;
 };
 
@@ -243,10 +244,23 @@ KnowledgeClassPartition::KnowledgeClassPartition(int n, KnowledgeClassOptions op
   refresh_stats();
 }
 
-std::string KnowledgeClassPartition::apply_round(
-    const std::vector<Exchange>& exchanges) {
+std::string KnowledgeClassPartition::apply_round(const std::vector<Exchange>& exchanges) {
+  return apply_exchanges(exchanges.size(), [&](std::size_t i) { return exchanges[i]; });
+}
+
+std::string KnowledgeClassPartition::apply_round(const SymbolicRound& round) {
+  return apply_exchanges(round.groups.size(), [&](std::size_t i) {
+    const std::span<const Vertex> pattern = round.pattern_of_group(i);
+    return Exchange{round.groups[i].callers(), pattern.empty() ? 0 : pattern.back()};
+  });
+}
+
+template <class ExchangeAt>
+std::string KnowledgeClassPartition::apply_exchanges(std::size_t count,
+                                                     const ExchangeAt& at) {
   const Vertex cube = mask_low(n_);
-  for (const Exchange& x : exchanges) {
+  for (std::size_t i = 0; i < count; ++i) {
+    const Exchange x = at(i);
     if (x.delta == 0) return "exchange delta is zero (self-exchange)";
     if ((x.callers.prefix & x.callers.mask) != 0) {
       return "exchange caller prefix overlaps its free mask";
@@ -258,7 +272,7 @@ std::string KnowledgeClassPartition::apply_round(
       return "exchange delta intersects the caller subcube's free dimensions";
     }
   }
-  if (exchanges.empty()) return {};
+  if (count == 0) return {};
 
   // 1. Refine: cut every exchange along class boundaries on both sides
   //    of the pairing, producing caller-side pieces whose caller class
@@ -271,8 +285,8 @@ std::string KnowledgeClassPartition::apply_round(
   for (const ClassEntry& c : classes_) class_cubes.push_back(c.cube);
 
   std::vector<Subcube> caller_cubes;
-  caller_cubes.reserve(exchanges.size());
-  for (const Exchange& x : exchanges) caller_cubes.push_back(x.callers);
+  caller_cubes.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) caller_cubes.push_back(at(i).callers);
   std::vector<OverlapHit> caller_hits;
   {
     SHC_TRACE_SCOPE("kc_refine");
@@ -285,7 +299,7 @@ std::string KnowledgeClassPartition::apply_round(
   std::vector<Subcube> partner_cubes;
   partner_cubes.reserve(caller_hits.size());
   for (const OverlapHit& h : caller_hits) {
-    const Vertex delta = exchanges[h.query].delta;
+    const Vertex delta = at(h.query).delta;
     partner_cubes.push_back(Subcube{h.piece.prefix ^ delta, h.piece.mask});
   }
   std::vector<OverlapHit> partner_hits;
@@ -306,7 +320,7 @@ std::string KnowledgeClassPartition::apply_round(
   triples.reserve(partner_hits.size());
   for (const OverlapHit& h : partner_hits) {
     const OverlapHit& first = caller_hits[h.query];
-    const Vertex delta = exchanges[first.query].delta;
+    const Vertex delta = at(first.query).delta;
     triples.push_back(
         {Subcube{h.piece.prefix ^ delta, h.piece.mask}, first.cls, h.cls, delta});
   }

@@ -114,33 +114,14 @@ class LiftScratch {
   std::size_t mask_ = 0;
 };
 
-/// Pool of output vectors for canon_recurse halves (same recycling
-/// rationale as batch::IdVecPool).
-class OutVecPool {
- public:
-  [[nodiscard]] std::vector<WeightedSubcube> acquire() {
-    if (pool_.empty()) return {};
-    std::vector<WeightedSubcube> v = std::move(pool_.back());
-    pool_.pop_back();
-    v.clear();
-    return v;
-  }
-  void release(std::vector<WeightedSubcube>&& v) {
-    pool_.push_back(std::move(v));
-  }
-
- private:
-  std::vector<std::vector<WeightedSubcube>> pool_;
-};
-
 /// Recycled scratch shared across one canonical_reduce call: batch
 /// halves, half outputs, the lift matcher, and the lifted flags.  The
 /// recursion is at most 64 deep, so each pool holds a handful of
 /// buffers where the previous code allocated two vectors and a hash map
 /// per node.
 struct CanonCtx {
-  batch::BatchPool batches;
-  OutVecPool outs;
+  batch::ScratchPool<SubcubeBatch> batches;
+  batch::ScratchPool<std::vector<WeightedSubcube>> outs;
   LiftScratch lift;
   std::vector<unsigned char> lifted;
 };

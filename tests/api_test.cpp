@@ -262,7 +262,6 @@ TEST(ApiFacade, SymbolicBroadcastRowsAreByteIdenticalAtOneTwoFourAndEightThreads
   clean.k = 3;
   CertifyRequest failing = clean;
   failing.checks.ledger_budget_per_claim = 0;
-  failing.checks.ledger_bucket_budget_base = 1;
   for (const bool ok : {true, false}) {
     CertifyRequest req = ok ? clean : failing;
     req.checks.threads = 1;
@@ -441,6 +440,20 @@ TEST(ApiFacade, PredictedGroupCostRanksHeavyQueries) {
   stream.workload = Workload::kBroadcastStreaming;
   stream.n = 12;
   EXPECT_EQ(predicted_group_cost(stream), (1u << 12) - 1);
+  // Congestion stats materialize the concrete schedule at n <= 24, so
+  // they cost its calls too, whatever engine certifies the broadcast.
+  CertifyRequest congested;
+  congested.workload = Workload::kBroadcastSymbolic;
+  congested.n = 24;
+  congested.k = 3;
+  const std::uint64_t symbolic_cost = predicted_group_cost(congested);
+  congested.with_congestion = true;
+  EXPECT_EQ(predicted_group_cost(congested), (std::uint64_t{1} << 24) - 1);
+  EXPECT_LT(symbolic_cost, predicted_group_cost(congested));
+  congested.n = 25;  // past 24 nothing is materialized
+  const std::uint64_t unmaterialized = predicted_group_cost(congested);
+  congested.with_congestion = false;
+  EXPECT_EQ(unmaterialized, predicted_group_cost(congested));
   // Deterministic: the admission decision must not flap between
   // identical requests.
   EXPECT_EQ(predicted_group_cost(designed47), predicted_group_cost(designed47));

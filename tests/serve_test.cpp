@@ -400,6 +400,20 @@ TEST(ServeEngine, AdmissionControlRefusesAndCompletes) {
   // gate is pointless if the refusal row sticks.
   EXPECT_EQ(gate.stats().cache_misses, 0u);
 
+  // At the default heavy_groups, a congestion request is priced by the
+  // concrete schedule it materializes (2^24 - 1 calls here), so it is
+  // heavy; the same request without congestion is light and answered.
+  ServeOptions no_heavy;
+  no_heavy.heavy_slots = 0;
+  ServeEngine light_only(no_heavy);
+  const std::string congested = light_only.handle_line(
+      "{\"workload\":\"broadcast-symbolic\",\"n\":24,\"k\":3,\"congestion\":true}");
+  EXPECT_NE(congested.find("\"refused\":true"), std::string::npos) << congested;
+  const std::string plain = light_only.handle_line(
+      "{\"workload\":\"broadcast-symbolic\",\"n\":24,\"k\":3}");
+  EXPECT_NE(plain.find("\"ok\":true"), std::string::npos) << plain;
+  EXPECT_EQ(light_only.stats().refused, 1u);
+
   // heavy_slots = 1: an admitted heavy query (n = 16 symbolic, over the
   // tiny threshold) completes while concurrent small streaming queries
   // keep being answered — the mixed-load shape the bench row measures

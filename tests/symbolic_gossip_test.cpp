@@ -13,7 +13,11 @@
 // reproduce the single-thread reports exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 // ASan detection across GCC (__SANITIZE_ADDRESS__) and Clang
@@ -338,7 +342,6 @@ TEST(SymbolicGossipViolations, DimensionMismatchRefused) {
 SymbolicGossipOptions starved_ledger() {
   SymbolicGossipOptions sopt;
   sopt.ledger_budget_per_claim = 0;
-  sopt.ledger_bucket_budget_base = 0;
   return sopt;
 }
 
@@ -497,6 +500,132 @@ TEST(SymbolicGossipGuards, SourceOutOfRangeMatchesTheOtherEngines) {
   const auto cert = certify_gossip_symbolic(spec, cube_order(10));
   EXPECT_FALSE(cert.report.ok);
   EXPECT_EQ(cert.report.error, "source out of range");
+}
+
+// ---- group order and mutants against the exact oracle ------------------
+
+/// `s` with each round's groups permuted by `order(idx)`; every group
+/// keeps its own pattern.
+template <class Order>
+SymbolicSchedule permute_groups(SymbolicSchedule s, Order&& order) {
+  for (SymbolicRound& round : s.rounds) {
+    std::vector<std::size_t> idx(round.groups.size());
+    std::iota(idx.begin(), idx.end(), std::size_t{0});
+    order(idx);
+    std::vector<CallGroup> groups;
+    std::vector<std::uint32_t> patterns;
+    for (const std::size_t i : idx) {
+      groups.push_back(round.groups[i]);
+      patterns.push_back(round.group_pattern[i]);
+    }
+    round.groups = std::move(groups);
+    round.group_pattern = std::move(patterns);
+  }
+  return s;
+}
+
+/// The group orders under test: as produced, reversed, and three seeded
+/// shuffles.
+std::vector<std::pair<std::string, SymbolicSchedule>> group_orders(const SymbolicSchedule& s) {
+  std::vector<std::pair<std::string, SymbolicSchedule>> out;
+  out.emplace_back("group order", s);
+  out.emplace_back("reversed", permute_groups(s, [](std::vector<std::size_t>& idx) {
+                     std::reverse(idx.begin(), idx.end());
+                   }));
+  for (const std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{0xC0FFEE},
+                                   std::uint64_t{0xBADC0DE}}) {
+    std::mt19937_64 rng(seed);
+    out.emplace_back("shuffled " + std::to_string(seed),
+                     permute_groups(s, [&](std::vector<std::size_t>& idx) {
+                       std::shuffle(idx.begin(), idx.end(), rng);
+                     }));
+  }
+  return out;
+}
+
+GossipReport symbolic_at(const SpecView& view, const SymbolicSchedule& s, int k, int threads) {
+  SymbolicGossipOptions sopt;
+  sopt.threads = threads;
+  return validate_gossip_symbolic(view, s, k, sopt);
+}
+
+/// The first round after round 1 with at least four groups, and a group
+/// past its middle with more than one caller.
+std::pair<std::size_t, std::size_t> mid_round_subcube_group(const SymbolicSchedule& s) {
+  for (std::size_t r = 1; r < s.rounds.size(); ++r) {
+    const std::vector<CallGroup>& groups = s.rounds[r].groups;
+    if (groups.size() < 4) continue;
+    for (std::size_t g = groups.size() / 2; g < groups.size(); ++g) {
+      if (groups[g].free_mask != 0) return {r, g};
+    }
+  }
+  ADD_FAILURE() << "no round with a mid-round subcube group";
+  return {0, 0};
+}
+
+TEST(SymbolicGossipMutants, ReorderedRoundsGetTheExactVerdict) {
+  // Reordering a round's groups leaves the schedule unchanged in the
+  // paper's model, so the symbolic report must keep the exact
+  // validator's verdict on the expanded mutant.
+  for (const int n : {8, 10, 12}) {
+    for (const int k : {2, 3}) {
+      const auto spec = design_sparse_hypercube(n, k);
+      const SpecView view(spec);
+      for (const auto& [how, s] : group_orders(make_symbolic_gossip_schedule(spec, 0))) {
+        const std::string what = "n=" + std::to_string(n) + " k=" + std::to_string(k) + ", " + how;
+        const GossipReport exact =
+            validate_gossip(view, GossipSchedule::from_symbolic(s), spec.k());
+        ASSERT_TRUE(exact.ok) << what << ": " << exact.error;
+        const GossipReport sym = symbolic_at(view, s, spec.k(), 1);
+        EXPECT_EQ(sym.ok, exact.ok) << what << ": " << sym.error;
+        EXPECT_EQ(sym.complete, exact.complete) << what;
+        EXPECT_EQ(sym.rounds, exact.rounds) << what;
+        EXPECT_EQ(sym.total_exchanges, exact.total_exchanges) << what;
+        EXPECT_EQ(sym.minimum_time, exact.minimum_time) << what;
+      }
+    }
+  }
+}
+
+TEST(SymbolicGossipMutants, DroppedAndDuplicatedGroupsFailInTheExactRound) {
+  // A dropped group leaves knowledge incomplete at the end; a duplicated
+  // group puts its endpoints into two exchanges in its own round.  Both
+  // must fail in the exact validator's round, with one error string in
+  // every group order and at every thread count.
+  for (const int n : {8, 10, 12}) {
+    for (const int k : {2, 3}) {
+      const auto spec = design_sparse_hypercube(n, k);
+      const SpecView view(spec);
+      const SymbolicSchedule clean = make_symbolic_gossip_schedule(spec, 0);
+      const auto [r, g] = mid_round_subcube_group(clean);
+      SymbolicSchedule dropped = clean;
+      SymbolicRound& lose = dropped.rounds[r];
+      lose.groups.erase(lose.groups.begin() + static_cast<std::ptrdiff_t>(g));
+      lose.group_pattern.erase(lose.group_pattern.begin() + static_cast<std::ptrdiff_t>(g));
+      SymbolicSchedule duplicated = clean;
+      SymbolicRound& twice = duplicated.rounds[r];
+      twice.groups.push_back(twice.groups[g]);
+      twice.group_pattern.push_back(twice.group_pattern[g]);
+      for (const auto& [mutant, bad] : {std::pair{"dropped", dropped},
+                                        std::pair{"duplicated", duplicated}}) {
+        const std::string name =
+            "n=" + std::to_string(n) + " k=" + std::to_string(k) + ", " + mutant;
+        const GossipReport exact =
+            validate_gossip(view, GossipSchedule::from_symbolic(bad), spec.k());
+        ASSERT_FALSE(exact.ok) << name;
+        const std::string want = symbolic_at(view, bad, spec.k(), 1).error;
+        for (const auto& [how, s] : group_orders(bad)) {
+          for (const int threads : {1, 2, 4}) {
+            const std::string what = name + ", " + how + ", threads=" + std::to_string(threads);
+            const GossipReport sym = symbolic_at(view, s, spec.k(), threads);
+            EXPECT_FALSE(sym.ok) << what;
+            EXPECT_EQ(sym.rounds, exact.rounds) << what << ": " << exact.error;
+            EXPECT_EQ(sym.error, want) << what;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

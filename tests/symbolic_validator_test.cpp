@@ -914,7 +914,6 @@ TEST(BudgetDiagnostics, LedgerBudgetMessageNamesRoundBudgetAndKnob) {
 
   SymbolicCheckOptions starved;
   starved.ledger_budget_per_claim = 0;
-  starved.ledger_bucket_budget_base = 0;
   const auto rep = validate_broadcast_symbolic(oracle, s, opt, starved);
   EXPECT_FALSE(rep.ok);
   EXPECT_EQ(rep.error,
@@ -964,12 +963,28 @@ TEST(BudgetDiagnostics, EndgameLedgerMessageNamesBudgetAndKnob) {
 
   SymbolicCheckOptions starved;
   starved.ledger_budget_per_claim = 0;
-  starved.ledger_bucket_budget_base = 0;
   const auto rep = validate_broadcast_symbolic(oracle, s, opt, starved);
   EXPECT_FALSE(rep.ok);
   EXPECT_EQ(rep.error,
             "endgame occupancy check exceeded its budget (ledger bucket "
             "budget 0; raise SymbolicCheckOptions::ledger_budget_per_claim)");
+}
+
+TEST(BudgetDiagnostics, HugePerClaimBudgetSaturatesInsteadOfWrapping) {
+  // Unsaturated, a bucket budget of base + per_claim x claims wraps 64
+  // bits to a small one ((2^64 - 1) x c + 4096 is 4096 - c; with the
+  // base at 8 x per_claim, (2^61 + 1) x 8 is 8), so raising the knob
+  // refused this clean schedule.
+  const auto spec = design_sparse_hypercube(16, 3);
+  ValidationOptions opt;
+  opt.k = spec.k();
+  for (const std::uint64_t per_claim :
+       {(std::uint64_t{1} << 61) + 1, ~std::uint64_t{0}}) {
+    SymbolicCheckOptions sopt;
+    sopt.ledger_budget_per_claim = per_claim;
+    const auto cert = certify_broadcast_symbolic(spec, 0, opt, sopt);
+    EXPECT_TRUE(cert.report.ok) << per_claim << ": " << cert.report.error;
+  }
 }
 
 // ---- one informed set per run ----------------------------------------

@@ -100,7 +100,8 @@ ASSERT_DIRS = ("src/graph", "src/coding", "src/labeling", "src/baseline",
                "src/mlbg/src/params.cpp", "src/sim/src/subcube.cpp",
                "src/sim/src/knowledge_classes.cpp", "src/sim/src/congestion.cpp")
 # Headers under the same rule (the rule otherwise reads only .cpp files).
-ASSERT_HEADERS = ("src/sim/include/shc/sim/subcube.hpp",)
+ASSERT_HEADERS = ("src/sim/include/shc/sim/subcube.hpp",
+                  "src/mlbg/include/shc/mlbg/broadcast.hpp")
 
 # Kernel layer: headers that sit below their own module's layering set.
 # subcube_batch.hpp is the leaf the hot paths build on — it may reach
@@ -134,8 +135,10 @@ LAYERING = {
 # in src/ is the duplicated-knob layout PR 10 collapsed (threads and
 # pool are deliberately absent — those words are too generic to match
 # declarations reliably; the distinctive knob names below are unique).
-# sample_seed is no knob any more (the seed is the fixed kSampleSeed);
-# it stays listed so no engine grows its own seed knob again.
+# sample_seed is no knob any more (the seed is the fixed kSampleSeed),
+# nor is ledger_bucket_budget_base (a bucket's budget is
+# ledger_budget_per_claim x (claims + 8)); both stay listed so no engine
+# grows its own seed or budget-base knob again.
 DUPLICATE_KNOBS = (
     "sample_groups_per_round",
     "sample_calls_per_group",

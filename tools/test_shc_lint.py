@@ -153,6 +153,22 @@ class AssertGuardRule(LintHarness):
             }
         )
 
+    def test_broadcast_header_flagged(self) -> None:
+        self.assert_finding(
+            {"src/mlbg/include/shc/mlbg/broadcast.hpp":
+                 "void f(int n) { assert(n >= 1); }\n"},
+            "assert-guard",
+        )
+
+    def test_broadcast_header_allowed_invariant_clean(self) -> None:
+        self.assert_clean(
+            {
+                "src/mlbg/include/shc/mlbg/broadcast.hpp":
+                    "void f(int n) { assert(n >= 1);  "
+                    "// shc-lint: allow(assert-guard)\n}\n"
+            }
+        )
+
     def test_knowledge_classes_translation_unit_flagged(self) -> None:
         self.assert_finding(
             {"src/sim/src/knowledge_classes.cpp":

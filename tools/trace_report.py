@@ -20,10 +20,15 @@ round's check phases (`group_checks`, `caller_tiling`,
 `collision_check`, `sampled_replay`) on a pooled worker while the
 engine thread runs `ledger_build` and `frontier_insert`, so their
 durations overlap.  The report says so when a round's phases add up to
-more than its wall time.  `ledger_build` holds only the collision
-claims: the caller tiling's normal forms are reduced inside
-`caller_tiling`, and only on a round the in-order tiling cannot match
-(the per-round `caller_tiling_fallback` counter is 1 on such a round).
+more than its wall time.  Both symbolic validators record a round's
+groups as they arrive and check them in `end_round`, inside
+`group_checks` (the gossip validator runs it first in its round, before
+`endpoint_check`, `collision_check`, `sampled_replay` and
+`apply_round`), so `produce_round` holds emission and recording only.
+`ledger_build` holds only the collision claims: the caller tiling's
+normal forms are reduced inside `caller_tiling`, and only on a round
+the in-order tiling cannot match (the per-round
+`caller_tiling_fallback` counter is 1 on such a round).
 The `round_batch_bytes` counter is the recorded round plus the round's
 frontier snapshot: the validator copies its frontier once per round at
 every thread count (the producer and the tiling read that copy), so the
