@@ -52,7 +52,10 @@
 //   validate_minimum_time_k_line(view, s, k)   — mechanical model check over
 //                                                a SpecView / CubeOracle /
 //                                                GraphView oracle
-//   analyze_congestion(schedule, threads)      — edge-load statistics
+//   analyze_congestion(schedule, threads)      — edge-load statistics, the
+//                                                one congestion engine (a
+//                                                symbolic schedule goes
+//                                                through from_symbolic)
 #pragma once
 
 #include "shc/api/certify.hpp"

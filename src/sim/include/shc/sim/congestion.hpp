@@ -3,17 +3,16 @@
 // graphs push more calls over fewer edges, so we measure exactly how the
 // load distributes and what capacity a dilated network would need.
 //
-// Every kernel reads the one schedule representation, FlatSchedule (or
-// its subcube-batched SymbolicSchedule form).
+// Every kernel reads the one schedule representation, FlatSchedule.
+// Congestion has one engine, analyze_congestion: a symbolic schedule is
+// analyzed on its expansion (FlatSchedule::from_symbolic).
 #pragma once
 
 #include <cstdint>
 #include <random>
-#include <string>
 #include <vector>
 
 #include "shc/sim/flat_schedule.hpp"
-#include "shc/sim/symbolic_schedule.hpp"
 
 namespace shc {
 
@@ -57,28 +56,6 @@ struct CongestionStats {
 [[nodiscard]] CongestionStats analyze_congestion(const FlatSchedule& schedule,
                                                  int threads = 1,
                                                  WorkerPool* pool = nullptr);
-
-/// Outcome of the symbolic congestion analysis.
-struct SymbolicCongestionReport {
-  bool ok = false;
-  std::string error;       ///< empty iff ok
-  CongestionStats stats;   ///< bit-for-bit the stats of the expanded schedule
-  std::uint64_t load_entries = 0;  ///< final overlay size (subcubes across dims)
-};
-
-/// Exact congestion analysis of a symbolic schedule straight from its
-/// group structure — per-round max load, cross-round total loads, and
-/// the full load histogram, identical to analyze_congestion() on the
-/// expanded schedule (parity-tested) but polynomial in the group count
-/// instead of 2^n.  Edges are sharded by flip dimension into disjoint
-/// per-dimension subcube overlays (intersect/split refinement with
-/// same-load coalescing); per-dimension stats are folded with
-/// CongestionStats::merge, which closes the ROADMAP's streaming-
-/// congestion item: no whole-schedule edge table ever exists.
-/// `max_entries` caps the overlay (explicit error beyond).
-[[nodiscard]] SymbolicCongestionReport analyze_congestion_symbolic(
-    const SymbolicSchedule& schedule,
-    std::uint64_t max_entries = std::uint64_t{1} << 24);
 
 /// Minimum per-round edge capacity that would make the schedule feasible
 /// (= max_edge_load_per_round).

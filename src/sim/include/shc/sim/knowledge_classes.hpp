@@ -115,26 +115,18 @@ class KnowledgeClassPartition {
   /// Throws std::invalid_argument unless 1 <= n <= kMaxCubeDim.
   explicit KnowledgeClassPartition(int n, KnowledgeClassOptions opt = {});
 
-  /// One round's exchanges: every vertex v of `callers` exchanges with
-  /// v ^ delta.  Pre (the symbolic gossip validator establishes all of
-  /// these; apply_round re-checks the cheap ones and returns an error
-  /// otherwise): delta != 0, delta and the caller subcube in range,
-  /// delta disjoint from the caller subcube's free mask, and all 2R
-  /// endpoint subcubes of the round pairwise disjoint.
-  struct Exchange {
-    Subcube callers;
-    Vertex delta = 0;
-  };
-
-  /// Applies one round of simultaneous exchanges.  Returns the empty
-  /// string on success, or an explicit error (budget/cap exhaustion,
-  /// malformed exchange, or an internal coverage-loss check — the
-  /// latter also fires when the endpoint-disjointness precondition was
-  /// violated, so the partition never silently corrupts).
-  [[nodiscard]] std::string apply_round(const std::vector<Exchange>& exchanges);
-
-  /// The same for a recorded round: group g's callers exchange along
-  /// its pattern's last vertex (an empty pattern reads delta 0, refused).
+  /// Applies one round of simultaneous exchanges: every vertex v of
+  /// group g's callers exchanges with v ^ delta, where delta is the last
+  /// vertex of g's pattern (an empty pattern reads delta 0).  Pre (the
+  /// symbolic gossip validator establishes all of these; apply_round
+  /// re-checks the cheap ones and returns an error otherwise): delta !=
+  /// 0, delta and the caller subcube in range, delta disjoint from the
+  /// caller subcube's free mask, and all 2R endpoint subcubes of the
+  /// round pairwise disjoint.  Returns the empty string on success, or
+  /// an explicit error (budget/cap exhaustion, malformed exchange, or an
+  /// internal coverage-loss check — the latter also fires when the
+  /// endpoint-disjointness precondition was violated, so the partition
+  /// never silently corrupts).
   [[nodiscard]] std::string apply_round(const SymbolicRound& round);
 
   /// True iff every class's knowledge is the full cube covered once —
@@ -169,9 +161,6 @@ class KnowledgeClassPartition {
     bool fresh = false;
   };
 
-  /// apply_round over `count` exchanges, the i-th read as at(i).
-  template <class ExchangeAt>
-  [[nodiscard]] std::string apply_exchanges(std::size_t count, const ExchangeAt& at);
   [[nodiscard]] std::string merge_equal_classes(std::vector<ClassEntry>& next);
   void refresh_stats();
 

@@ -48,6 +48,7 @@
 #include <cstdint>
 #include <limits>
 #include <mutex>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -91,8 +92,13 @@ class OccupancyLedger {
 
   /// Registers the subcube (prefix, mask) as claimed by `group` in
   /// `family` (0 <= family; families are checked in ascending order).
+  /// Throws std::invalid_argument when prefix pins a free dimension of
+  /// mask.
   void claim(int family, Vertex prefix, Vertex mask, std::uint32_t group) {
-    assert((prefix & mask) == 0);
+    if ((prefix & mask) != 0) [[unlikely]] {
+      throw std::invalid_argument(
+          "OccupancyLedger::claim: prefix pins a free dimension of its mask");
+    }
     if (families_.size() <= static_cast<std::size_t>(family)) {
       families_.resize(static_cast<std::size_t>(family) + 1);
     }
@@ -213,7 +219,7 @@ class OccupancyLedger {
         const auto piece = subcube_intersection(
             {claims.prefix[walk.hit_a], claims.mask[walk.hit_a]},
             {claims.prefix[walk.hit_b], claims.mask[walk.hit_b]});
-        assert(piece.has_value());
+        assert(piece.has_value());  // shc-lint: allow(assert-guard) — the walk met both claims in one leaf
         SHC_AUDIT_CHECK(
             piece.has_value() &&
                 subcubes_overlap(

@@ -106,30 +106,6 @@ struct Subcube {
   return Subcube{(a.prefix | b.prefix) & ~mask, mask};
 }
 
-/// Splits `outer` minus `inner` into disjoint subcubes (one per free
-/// dimension of outer that inner pins).  Throws std::invalid_argument
-/// unless subcube_contains(outer, inner): the pieces of a subtraction
-/// from outside would overlap `inner`.  The symbolic congestion
-/// overlay's refinement step.
-[[nodiscard]] inline std::vector<Subcube> subcube_subtract(const Subcube& outer,
-                                                           const Subcube& inner) {
-  if (!subcube_contains(outer, inner)) {
-    throw std::invalid_argument("subcube_subtract: inner is not inside outer");
-  }
-  std::vector<Subcube> pieces;
-  Subcube cur = outer;
-  Vertex split = outer.mask & ~inner.mask;
-  while (split) {
-    const Vertex b = split & (~split + 1);
-    split &= ~b;
-    // The half that disagrees with inner on b is entirely outside.
-    pieces.push_back(Subcube{(cur.prefix & ~b) | (~inner.prefix & b), cur.mask & ~b});
-    cur.prefix = (cur.prefix & ~b) | (inner.prefix & b);
-    cur.mask &= ~b;
-  }
-  return pieces;
-}
-
 /// A subcube with a coverage multiplicity (how many times the multiset
 /// covers each of its vertices).
 struct WeightedSubcube {
@@ -550,10 +526,11 @@ class MaskClassMap {
 ///     multiplicity, prefixes one non-free bit apart) merge into a
 ///     subcube of one higher dimension, cascading.  The producer's and
 ///     validator's informed-set representation.
-///   * add_raw() / take() — plain keyed accumulation / checked
-///     deduction, no geometric merging: assign() rebuilds a snapshot
-///     with add_raw(), and the congestion load map take()s an entry out
-///     before it inserts the entry's refined pieces.
+///   * add_raw() — plain keyed accumulation, no geometric merging:
+///     assign() rebuilds a snapshot with it.
+///
+/// Entries leave only by coalescing or clear(); readers see them
+/// through find(), for_each() and to_entries(), never by mask class.
 ///
 /// total_count() tracks the multiset cardinality (sum of mult * 2^dim)
 /// with overflow-checked arithmetic — at n = 63 the count reaches 2^63
@@ -652,22 +629,6 @@ class SubcubeFrontier {
     if (classes_.get_or_create(M).add(p, v)) ++entries_;
   }
 
-  /// Deducts `v` from key (p, M); erases at zero.  Returns false when
-  /// the key is absent or holds less than `v`.
-  [[nodiscard]] bool take(Vertex p, Vertex M, std::uint64_t v) {
-    detail::PrefixTable* t = classes_.find_class(M);
-    if (!t) return false;
-    std::uint64_t* cur = t->find(p);
-    if (!cur || *cur < v) return false;
-    *cur -= v;
-    if (*cur == 0) {
-      t->erase(p);
-      --entries_;
-      if (t->empty()) classes_.erase(M);
-    }
-    return true;
-  }
-
   [[nodiscard]] std::uint64_t* find(Vertex p, Vertex M) {
     detail::PrefixTable* t = classes_.find_class(M);
     return t ? t->find(p) : nullptr;
@@ -687,14 +648,6 @@ class SubcubeFrontier {
     classes_.for_each_class([&](Vertex mask, const detail::PrefixTable& table) {
       table.for_each([&](Vertex p, std::uint64_t mult) { fn(p, mask, mult); });
     });
-  }
-
-  /// fn(mask, const detail::PrefixTable&) per mask class — consumers
-  /// that probe by projected prefix (the congestion overlay) iterate
-  /// classes directly.
-  template <class Fn>
-  void for_each_class(Fn&& fn) const {
-    classes_.for_each_class(std::forward<Fn>(fn));
   }
 
   [[nodiscard]] std::vector<WeightedSubcube> to_entries() const {

@@ -626,9 +626,6 @@ class SymbolicBroadcastValidator
   /// begin_round(), and the caller tiling checks the groups against it
   /// whatever the producer walked.
   [[nodiscard]] const InformedSet& informed_set() const noexcept { return informed_; }
-  [[nodiscard]] const SubcubeFrontier& informed_frontier() const noexcept {
-    return informed_.frontier();
-  }
 
   // ---- results ---------------------------------------------------------
 

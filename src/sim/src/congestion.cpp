@@ -1,8 +1,6 @@
 #include "shc/sim/congestion.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -56,84 +54,6 @@ CongestionStats analyze_congestion_shard(const FlatSchedule& schedule,
   return stats;
 }
 
-/// Per-dimension edge-load overlay: disjoint (prefix, mask) -> load
-/// subcubes refined by intersect/split as families accumulate, with
-/// same-load sibling coalescing inherited from SubcubeFrontier.
-class SubcubeLoadMap {
- public:
-  explicit SubcubeLoadMap(int n) : entries_(n) {}
-
-  /// Adds `load` over the edge subcube (q, Mq).
-  void add(Vertex q, Vertex Mq, std::uint64_t load) {
-    std::vector<WeightedSubcube> work{{q, Mq, load}};
-    while (!work.empty()) {
-      const WeightedSubcube cur = work.back();
-      work.pop_back();
-      Vertex p2 = 0, m2 = 0;
-      std::uint64_t l2 = 0;
-      if (!find_overlap(cur.prefix, cur.mask, p2, m2, l2)) {
-        entries_.insert(cur.prefix, cur.mask, cur.mult);
-        continue;
-      }
-      const Subcube inter =
-          *subcube_intersection({cur.prefix, cur.mask}, {p2, m2});
-      const bool taken = entries_.take(p2, m2, l2);
-      (void)taken;
-      assert(taken);  // shc-lint: allow(assert-guard) — find_overlap just found it
-      entries_.insert(inter.prefix, inter.mask, l2 + cur.mult);
-      for (const Subcube& rest : subcube_subtract({p2, m2}, inter)) {
-        entries_.insert(rest.prefix, rest.mask, l2);
-      }
-      for (const Subcube& rest : subcube_subtract({cur.prefix, cur.mask}, inter)) {
-        work.push_back({rest.prefix, rest.mask, cur.mult});
-      }
-    }
-  }
-
-  [[nodiscard]] const SubcubeFrontier& entries() const noexcept { return entries_; }
-  [[nodiscard]] std::uint64_t size() const noexcept {
-    return entries_.num_subcubes();
-  }
-
- private:
-  bool find_overlap(Vertex q, Vertex Mq, Vertex& p2, Vertex& m2,
-                    std::uint64_t& l2) const {
-    bool found = false;
-    entries_.for_each_class([&](Vertex m, const shc::detail::PrefixTable& t) {
-      if (found) return;
-      const Vertex extra = Mq & ~m;
-      const Vertex agree = ~(m | Mq);
-      if (weight(extra) <= 4 &&
-          (std::uint64_t{1} << static_cast<unsigned>(weight(extra))) <= t.size()) {
-        Vertex c = 0;
-        for (;;) {
-          const Vertex cand = (q & agree) | c;
-          if (const std::uint64_t* v = t.find(cand)) {
-            found = true;
-            p2 = cand;
-            m2 = m;
-            l2 = *v;
-            return;
-          }
-          if (c == extra) break;
-          c = (c - extra) & extra;
-        }
-      } else {
-        found = t.any_of([&](Vertex p, std::uint64_t v) {
-          if (((p ^ q) & agree) != 0) return false;
-          p2 = p;
-          m2 = m;
-          l2 = v;
-          return true;
-        });
-      }
-    });
-    return found;
-  }
-
-  SubcubeFrontier entries_;
-};
-
 }  // namespace
 
 CongestionStats& CongestionStats::merge(const CongestionStats& other) {
@@ -172,120 +92,6 @@ CongestionStats analyze_congestion(const FlatSchedule& schedule, int threads,
   CongestionStats out = std::move(parts[0]);
   for (unsigned w = 1; w < shards; ++w) out.merge(parts[w]);
   return out;
-}
-
-SymbolicCongestionReport analyze_congestion_symbolic(
-    const SymbolicSchedule& schedule, std::uint64_t max_entries) {
-  SymbolicCongestionReport rep;
-  auto fail = [&](std::string msg) {
-    rep.ok = false;
-    rep.error = std::move(msg);
-    return rep;
-  };
-  const int n = schedule.n;
-  if (n < 1 || n > kMaxCubeDim) {
-    return fail("symbolic schedule dimension out of range");
-  }
-
-  // One overlay per flip dimension: dimensions are edge-disjoint shards
-  // of the edge set, so their stats fold losslessly with merge().
-  std::unordered_map<int, SubcubeLoadMap> total;
-  int per_round_max = 0;
-
-  for (std::size_t r = 0; r < schedule.rounds.size(); ++r) {
-    const SymbolicRound& round = schedule.rounds[r];
-    std::unordered_map<int, SubcubeLoadMap> this_round;
-    for (std::size_t g = 0; g < round.groups.size(); ++g) {
-      const CallGroup& grp = round.groups[g];
-      const std::span<const Vertex> patt = round.pattern_of_group(g);
-      if ((grp.prefix & grp.free_mask) != 0 || patt.size() < 2) {
-        return fail("malformed call group in round " + std::to_string(r + 1));
-      }
-      for (std::size_t j = 0; j + 1 < patt.size(); ++j) {
-        const Vertex diff = patt[j] ^ patt[j + 1];
-        if (weight(diff) != 1 || (grp.free_mask & (patt[j] | diff)) != 0) {
-          return fail("malformed call pattern in round " + std::to_string(r + 1));
-        }
-        const Dim d = differing_dim(patt[j], patt[j + 1]);
-        const Vertex edge_prefix = (grp.prefix ^ patt[j]) & ~diff;
-        auto it = this_round.try_emplace(d, n).first;
-        it->second.add(edge_prefix, grp.free_mask, 1);
-      }
-    }
-    // Fold the round overlay into the cross-round totals; the round's
-    // max load is the required capacity witness.
-    std::uint64_t entries_now = 0;
-    bool load_overflow = false;
-    for (const auto& [d, m] : this_round) {
-      auto it = total.try_emplace(d, n).first;
-      m.entries().for_each([&](Vertex p, Vertex mask, std::uint64_t load) {
-        // Loads are reported through int fields (CongestionStats); an
-        // adversarial schedule pushing one edge past INT_MAX must fail
-        // explicitly, matching the checked-counter discipline.
-        if (load > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
-          load_overflow = true;
-          return;
-        }
-        per_round_max = std::max(per_round_max, static_cast<int>(load));
-        it->second.add(p, mask, load);
-      });
-    }
-    if (load_overflow) {
-      return fail("per-edge load exceeds INT_MAX");
-    }
-    for (const auto& [d, m] : total) entries_now += m.size();
-    if (entries_now > max_entries) {
-      return fail("congestion overlay exceeded the entry cap (" +
-                  std::to_string(entries_now) + " subcubes)");
-    }
-  }
-
-  bool first = true;
-  bool overflow = false;
-  for (const auto& [d, m] : total) {
-    CongestionStats s;
-    std::uint64_t distinct = 0, hops = 0;
-    int maxl = 0;
-    std::vector<std::size_t> hist;
-    m.entries().for_each([&](Vertex, Vertex mask, std::uint64_t load) {
-      std::uint64_t size = 0, contrib = 0;
-      if (!checked_shift_u64(static_cast<unsigned>(weight(mask)), size) ||
-          !checked_acc_u64(distinct, size) ||
-          !checked_mul_u64(load, size, contrib) ||
-          !checked_acc_u64(hops, contrib) ||
-          load > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
-        overflow = true;
-        return;
-      }
-      const int l = static_cast<int>(load);
-      maxl = std::max(maxl, l);
-      if (hist.size() <= static_cast<std::size_t>(l)) hist.resize(l + 1, 0);
-      hist[static_cast<std::size_t>(l)] += static_cast<std::size_t>(size);
-    });
-    if (overflow) return fail("congestion counters overflowed 64 bits");
-    s.distinct_edges_used = static_cast<std::size_t>(distinct);
-    s.total_edge_hops = hops;
-    s.max_edge_load_total = maxl;
-    hist.resize(static_cast<std::size_t>(maxl) + 1, 0);
-    s.load_histogram = std::move(hist);
-    s.mean_edge_load = distinct == 0 ? 0.0
-                                     : static_cast<double>(hops) /
-                                           static_cast<double>(distinct);
-    if (first) {
-      rep.stats = std::move(s);
-      first = false;
-    } else {
-      rep.stats.merge(s);
-    }
-    rep.load_entries += m.size();
-  }
-  if (first) {
-    // No edges at all: mirror the serial analyzer's empty-schedule shape.
-    rep.stats.load_histogram.assign(1, 0);
-  }
-  rep.stats.max_edge_load_per_round = per_round_max;
-  rep.ok = true;
-  return rep;
 }
 
 int required_edge_capacity(const FlatSchedule& schedule) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
@@ -244,31 +245,25 @@ KnowledgeClassPartition::KnowledgeClassPartition(int n, KnowledgeClassOptions op
   refresh_stats();
 }
 
-std::string KnowledgeClassPartition::apply_round(const std::vector<Exchange>& exchanges) {
-  return apply_exchanges(exchanges.size(), [&](std::size_t i) { return exchanges[i]; });
-}
-
 std::string KnowledgeClassPartition::apply_round(const SymbolicRound& round) {
-  return apply_exchanges(round.groups.size(), [&](std::size_t i) {
-    const std::span<const Vertex> pattern = round.pattern_of_group(i);
-    return Exchange{round.groups[i].callers(), pattern.empty() ? 0 : pattern.back()};
-  });
-}
-
-template <class ExchangeAt>
-std::string KnowledgeClassPartition::apply_exchanges(std::size_t count,
-                                                     const ExchangeAt& at) {
+  const std::size_t count = round.groups.size();
+  // Group g's callers exchange along its pattern's last vertex.
+  const auto delta_of = [&round](std::size_t g) {
+    const std::span<const Vertex> pattern = round.pattern_of_group(g);
+    return pattern.empty() ? Vertex{0} : pattern.back();
+  };
   const Vertex cube = mask_low(n_);
-  for (std::size_t i = 0; i < count; ++i) {
-    const Exchange x = at(i);
-    if (x.delta == 0) return "exchange delta is zero (self-exchange)";
-    if ((x.callers.prefix & x.callers.mask) != 0) {
+  for (std::size_t g = 0; g < count; ++g) {
+    const Subcube callers = round.groups[g].callers();
+    const Vertex delta = delta_of(g);
+    if (delta == 0) return "exchange delta is zero (self-exchange)";
+    if ((callers.prefix & callers.mask) != 0) {
       return "exchange caller prefix overlaps its free mask";
     }
-    if (((x.callers.prefix | x.callers.mask | x.delta) & ~cube) != 0) {
+    if (((callers.prefix | callers.mask | delta) & ~cube) != 0) {
       return "exchange out of range";
     }
-    if ((x.delta & x.callers.mask) != 0) {
+    if ((delta & callers.mask) != 0) {
       return "exchange delta intersects the caller subcube's free dimensions";
     }
   }
@@ -286,7 +281,7 @@ std::string KnowledgeClassPartition::apply_exchanges(std::size_t count,
 
   std::vector<Subcube> caller_cubes;
   caller_cubes.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) caller_cubes.push_back(at(i).callers);
+  for (const CallGroup& g : round.groups) caller_cubes.push_back(g.callers());
   std::vector<OverlapHit> caller_hits;
   {
     SHC_TRACE_SCOPE("kc_refine");
@@ -299,7 +294,7 @@ std::string KnowledgeClassPartition::apply_exchanges(std::size_t count,
   std::vector<Subcube> partner_cubes;
   partner_cubes.reserve(caller_hits.size());
   for (const OverlapHit& h : caller_hits) {
-    const Vertex delta = at(h.query).delta;
+    const Vertex delta = delta_of(h.query);
     partner_cubes.push_back(Subcube{h.piece.prefix ^ delta, h.piece.mask});
   }
   std::vector<OverlapHit> partner_hits;
@@ -320,7 +315,7 @@ std::string KnowledgeClassPartition::apply_exchanges(std::size_t count,
   triples.reserve(partner_hits.size());
   for (const OverlapHit& h : partner_hits) {
     const OverlapHit& first = caller_hits[h.query];
-    const Vertex delta = at(first.query).delta;
+    const Vertex delta = delta_of(first.query);
     triples.push_back(
         {Subcube{h.piece.prefix ^ delta, h.piece.mask}, first.cls, h.cls, delta});
   }

@@ -8,14 +8,34 @@
 #include <random>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "shc/sim/knowledge_classes.hpp"
+#include "shc/sim/symbolic_schedule.hpp"
 
 namespace shc {
 namespace {
 
-using Exchange = KnowledgeClassPartition::Exchange;
+/// One exchange: every vertex v of `callers` exchanges with v ^ delta.
+struct Exchange {
+  Subcube callers;
+  Vertex delta = 0;
+};
+
+/// Feeds `xs` to the partition as one recorded round: each exchange is
+/// a call group with pattern {0, delta} (apply_round reads the last
+/// pattern vertex as the delta).
+std::string run_round(KnowledgeClassPartition& p, const std::vector<Exchange>& xs) {
+  SymbolicRound round;
+  for (const Exchange& x : xs) {
+    const CallGroup g{x.callers.prefix, x.callers.mask,
+                      std::uint64_t{1} << weight(x.callers.mask)};
+    const std::vector<Vertex> pattern{0, x.delta};
+    EXPECT_TRUE(round.append(g, pattern));
+  }
+  return p.apply_round(round);
+}
 
 /// Expands the relative knowledge of the class containing v into the
 /// absolute token set {v ^ x : x covered}.
@@ -83,7 +103,7 @@ TEST(KnowledgeClasses, DimensionExchangeStaysAtOneClassAndCompletes) {
   for (Dim i = n; i >= 1; --i) {
     const std::vector<Exchange> round = {
         {Subcube{0, mask_low(n) & ~dim_bit(i)}, dim_bit(i)}};
-    ASSERT_EQ(p.apply_round(round), "");
+    ASSERT_EQ(run_round(p, round), "");
     brute.apply(round);
     // The split halves re-coalesce: equal knowledge, sibling cubes.
     EXPECT_EQ(p.num_classes(), 1u) << "after dim " << i;
@@ -110,7 +130,7 @@ TEST(KnowledgeClasses, OverlappingKnowledgeDeduplicates) {
       {{Subcube{0, 0}, 1}},
   };
   for (const auto& r : rounds) {
-    ASSERT_EQ(p.apply_round(r), "");
+    ASSERT_EQ(run_round(p, r), "");
     brute.apply(r);
     expect_agrees(p, brute, n, "overlap dedup");
   }
@@ -139,7 +159,7 @@ TEST(KnowledgeClasses, RandomSingletonExchangesMatchBruteForce) {
         used[u] = used[u ^ d] = true;
         xs.push_back({Subcube{u, 0}, d});
       }
-      ASSERT_EQ(p.apply_round(xs), "");
+      ASSERT_EQ(run_round(p, xs), "");
       brute.apply(xs);
     }
     expect_agrees(p, brute, n, "random singleton rounds");
@@ -153,7 +173,7 @@ TEST(KnowledgeClasses, SubcubeBatchedEqualsSingletonExpansion) {
   const Subcube callers{0, 0b0110};
   const Vertex delta = 0b1001;
   KnowledgeClassPartition batched(n), singles(n);
-  ASSERT_EQ(batched.apply_round({{callers, delta}}), "");
+  ASSERT_EQ(run_round(batched, {{callers, delta}}), "");
   std::vector<Exchange> expanded;
   Vertex a = 0;
   for (;;) {
@@ -161,7 +181,7 @@ TEST(KnowledgeClasses, SubcubeBatchedEqualsSingletonExpansion) {
     if (a == callers.mask) break;
     a = (a - callers.mask) & callers.mask;
   }
-  ASSERT_EQ(singles.apply_round(expanded), "");
+  ASSERT_EQ(run_round(singles, expanded), "");
   for (Vertex v = 0; v < cube_order(n); ++v) {
     EXPECT_EQ(absolute_knowledge(batched, v), absolute_knowledge(singles, v))
         << "vertex " << v;
@@ -170,12 +190,15 @@ TEST(KnowledgeClasses, SubcubeBatchedEqualsSingletonExpansion) {
 
 TEST(KnowledgeClasses, MalformedExchangesRejected) {
   KnowledgeClassPartition p(4);
-  EXPECT_NE(p.apply_round({{Subcube{0, 0}, 0}}), "");           // zero delta
-  EXPECT_NE(p.apply_round({{Subcube{1, 1}, 2}}), "");           // prefix in mask
-  EXPECT_NE(p.apply_round({{Subcube{0, 0}, 1 << 4}}), "");      // out of range
-  EXPECT_NE(p.apply_round({{Subcube{0, 0b0010}, 0b0010}}), ""); // delta in mask
+  EXPECT_EQ(run_round(p, {{Subcube{0, 0}, 0}}),
+            "exchange delta is zero (self-exchange)");
+  EXPECT_EQ(run_round(p, {{Subcube{1, 1}, 2}}),
+            "exchange caller prefix overlaps its free mask");
+  EXPECT_EQ(run_round(p, {{Subcube{0, 0}, 1 << 4}}), "exchange out of range");
+  EXPECT_EQ(run_round(p, {{Subcube{0, 0b0010}, 0b0010}}),
+            "exchange delta intersects the caller subcube's free dimensions");
   // A clean round still works afterwards (failed rounds left no trace).
-  EXPECT_EQ(p.apply_round({{Subcube{0, 0b0111}, 0b1000}}), "");
+  EXPECT_EQ(run_round(p, {{Subcube{0, 0b0111}, 0b1000}}), "");
 }
 
 TEST(KnowledgeClasses, OverlappingEndpointsSurfaceInTheSelfCheck) {
@@ -184,7 +207,7 @@ TEST(KnowledgeClasses, OverlappingEndpointsSurfaceInTheSelfCheck) {
   // than silently corrupt.
   KnowledgeClassPartition p(3);
   const std::string err =
-      p.apply_round({{Subcube{0, 0}, 1}, {Subcube{1, 0}, 2}});
+      run_round(p, {{Subcube{0, 0}, 1}, {Subcube{1, 0}, 2}});
   EXPECT_FALSE(err.empty());
 }
 
@@ -193,7 +216,7 @@ TEST(KnowledgeClasses, ClassCapFailsExplicitly) {
   opt.max_classes = 2;
   KnowledgeClassPartition p(4, opt);
   // Singleton exchanges fragment the partition past the tiny cap.
-  const std::string err = p.apply_round(
+  const std::string err = run_round(p, 
       {{Subcube{0, 0}, 1}, {Subcube{4, 0}, 3}, {Subcube{8, 0}, 5}});
   EXPECT_NE(err.find("class cap"), std::string::npos) << err;
 }

@@ -226,5 +226,21 @@ TEST(OccupancyLedger, BadDimensionThrowsInsteadOfAsserting) {
   EXPECT_NO_THROW(OccupancyLedger{kMaxCubeDim});
 }
 
+TEST(OccupancyLedger, MalformedClaimThrowsInsteadOfAsserting) {
+  // A key whose prefix pins a free dimension is caller input: it throws
+  // in every build type and leaves the ledger as it was.
+  OccupancyLedger ledger(8);
+  ledger.claim(1, 0b0001, 0b0110, 0);
+  try {
+    ledger.claim(1, 0b0011, 0b0110, 1);
+    ADD_FAILURE() << "malformed claim accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "OccupancyLedger::claim: prefix pins a free dimension of its mask");
+  }
+  EXPECT_EQ(ledger.num_claims(), 1u);
+  EXPECT_EQ(ledger.check(nullptr, 512).status, OccupancyStatus::kDisjoint);
+}
+
 }  // namespace
 }  // namespace shc

@@ -1,5 +1,5 @@
-// Subcube algebra unit suite: disjointness, splitting, intersection,
-// and multiplicity accounting — property-style sweeps over random
+// Subcube algebra unit suite: disjointness, intersection and
+// multiplicity accounting — property-style sweeps over random
 // subcube pairs cross-checked exhaustively against explicit bitmaps for
 // n <= 16, plus the canonical-reduction and overlap-sweep engines the
 // symbolic validator's endgame rests on.
@@ -87,41 +87,6 @@ TEST(SubcubeAlgebra, RandomPairSweepMatchesBitmapsAtN16) {
   }
 }
 
-TEST(SubcubeAlgebra, SubtractSplitsIntoDisjointCover) {
-  std::mt19937_64 rng(0xBEEF);
-  const int n = 12;
-  for (int trial = 0; trial < 500; ++trial) {
-    const Subcube outer = random_subcube(rng, n);
-    // A random sub-subcube of outer: pin a random subset of its free dims.
-    const Vertex pin = rng() & outer.mask;
-    const Subcube inner{outer.prefix | (rng() & pin), outer.mask & ~pin};
-    ASSERT_TRUE(subcube_contains(outer, inner));
-    const auto pieces = subcube_subtract(outer, inner);
-    ASSERT_EQ(pieces.size(), static_cast<std::size_t>(weight(pin)));
-    auto covered = expand(inner);
-    for (std::size_t i = 0; i < pieces.size(); ++i) {
-      const auto bits = expand(pieces[i]);
-      ASSERT_TRUE((bits & covered).none()) << "piece overlaps";
-      ASSERT_FALSE(subcubes_overlap(pieces[i], inner));
-      covered |= bits;
-    }
-    ASSERT_EQ(covered, expand(outer)) << "pieces + inner must tile outer";
-  }
-}
-
-TEST(SubcubeAlgebra, SubtractRefusesAnInnerSubcubeOutsideOuter) {
-  // Release builds used to return pieces overlapping `inner` here.
-  const Subcube outer{0b0000, 0b0011};
-  EXPECT_THROW(static_cast<void>(subcube_subtract(outer, {0b0100, 0b0001})),
-               std::invalid_argument)
-      << "inner pins a bit outer pins differently";
-  EXPECT_THROW(static_cast<void>(subcube_subtract(outer, {0b0000, 0b0111})),
-               std::invalid_argument)
-      << "inner frees a bit outer pins";
-  EXPECT_EQ(subcube_subtract(outer, outer).size(), 0u);
-  EXPECT_EQ(subcube_subtract(outer, {0b0001, 0b0010}).size(), 1u);
-}
-
 TEST(SubcubeFrontierTest, CoalescesATilingToOneCubeAndCountsExactly) {
   // Insert all 2^10 singletons in random order: sibling coalescing must
   // collapse them into few subcubes totalling exactly 2^10.
@@ -170,15 +135,6 @@ TEST(SubcubeFrontierTest, MultiplicityAccountingSurvivesCoalescing) {
     }
   }
   EXPECT_TRUE(found_duplicate) << "duplicate coverage must not coalesce away";
-}
-
-TEST(SubcubeFrontierTest, RawLedgerTakeConsumesExactly) {
-  SubcubeFrontier ledger(8);
-  ledger.add_raw(3, 0x30, 4);
-  EXPECT_FALSE(ledger.take(3, 0x30, 5)) << "cannot take more than present";
-  EXPECT_TRUE(ledger.take(3, 0x30, 4));
-  EXPECT_TRUE(ledger.empty());
-  EXPECT_FALSE(ledger.take(3, 0x30, 1));
 }
 
 TEST(SubcubeFrontierTest, RawAddCountsEachKeyOnce) {
@@ -264,22 +220,23 @@ TEST(MaskClassMapTest, CachedAndHashedLookupsAgreeThroughChurn) {
   }
 }
 
-TEST(SubcubeFrontierTest, TakeEmptiesAClassAndTheMaskStartsFresh) {
+TEST(SubcubeFrontierTest, CoalescingEmptiesAClassAndTheMaskStartsFresh) {
   SubcubeFrontier f(8);
   f.add_raw(0x01, 0x30, 2);
-  ASSERT_TRUE(f.take(0x01, 0x30, 2));  // class 0x30 erased, slot recycled
-  f.add_raw(0x02, 0x0c, 5);            // takes the recycled slot
+  // The insert coalesces with its sibling 0x01: class 0x30 empties and
+  // is erased, and the merged cube's class 0x31 takes the recycled slot.
+  f.insert(0x00, 0x30, 2);
   EXPECT_EQ(f.find(0x01, 0x30), nullptr);
-  EXPECT_EQ(f.find(0x02, 0x30), nullptr);  // class 0x30 stays gone
-  EXPECT_FALSE(f.take(0x02, 0x30, 1));
+  EXPECT_EQ(f.find(0x00, 0x30), nullptr);  // class 0x30 stays gone
+  ASSERT_NE(f.find(0x00, 0x31), nullptr);
+  EXPECT_EQ(*f.find(0x00, 0x31), 2u);
+  f.add_raw(0x02, 0x0c, 5);
   ASSERT_NE(f.find(0x02, 0x0c), nullptr);
   EXPECT_EQ(*f.find(0x02, 0x0c), 5u);
-  EXPECT_FALSE(f.take(0x02, 0x0c, 6));  // holds less: nothing deducted
-  EXPECT_TRUE(f.take(0x02, 0x0c, 4));
-  EXPECT_EQ(*f.find(0x02, 0x0c), 1u);
   f.add_raw(0x01, 0x30, 1);
   EXPECT_EQ(*f.find(0x01, 0x30), 1u);
-  EXPECT_EQ(f.num_subcubes(), 2u);
+  EXPECT_EQ(*f.find(0x00, 0x31), 2u);
+  EXPECT_EQ(f.num_subcubes(), 3u);
 }
 
 /// Replays a symbolic broadcast's receiver stream into a lent informed

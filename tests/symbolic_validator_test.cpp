@@ -4,8 +4,8 @@
 // {2, 3, 4}) certify_broadcast_symbolic produces a ValidationReport
 // bit-for-bit identical to validate_broadcast_streaming's, the
 // from_symbolic expansion validates identically through the serial
-// kernel, and analyze_congestion_symbolic reproduces the explicit
-// congestion stats including the histogram.  Beyond the overlapping
+// kernel and carries the direct schedule's congestion stats, histogram
+// included.  Beyond the overlapping
 // range, the engine certifies 2^63 - 1 calls at n = 63 — the
 // representation boundary the overflow-audited counters exist for —
 // and every handcrafted violation of the group structure is rejected.
@@ -125,18 +125,9 @@ TEST(SymbolicExpansion, FromSymbolicValidatesIdenticallyAndCongestionMatches) {
       expect_same_report(validate_broadcast(view, direct, opt),
                          validate_broadcast(view, expanded, opt), "expansion");
 
-      const CongestionStats explicit_stats = analyze_congestion(expanded);
-      const SymbolicCongestionReport symbolic = analyze_congestion_symbolic(sym);
-      ASSERT_TRUE(symbolic.ok) << symbolic.error;
-      EXPECT_TRUE(explicit_stats == symbolic.stats)
+      EXPECT_EQ(analyze_congestion(expanded), analyze_congestion(direct))
           << "n=" << n << " k=" << k
-          << ": symbolic congestion diverged (distinct "
-          << symbolic.stats.distinct_edges_used << " vs "
-          << explicit_stats.distinct_edges_used << ", hops "
-          << symbolic.stats.total_edge_hops << " vs "
-          << explicit_stats.total_edge_hops << ")";
-      EXPECT_EQ(explicit_stats, analyze_congestion(direct))
-          << "expanded and direct schedules are the same multiset";
+          << ": expanded and direct schedules are the same multiset";
     }
   }
 }
@@ -721,12 +712,12 @@ TEST(RoundBatch, MalformedReceiverNeverReachesTheFrontier) {
       SymbolicBroadcastValidator<SpecView> v(view, bad.source, opt, sopt);
       for (std::size_t r = 0; r < t.round; ++r) feed(v, bad.rounds[r]);
       ASSERT_FALSE(v.aborted());
-      const auto before = sorted_entries(v.informed_frontier());
+      const auto before = sorted_entries(v.informed_set().frontier());
       feed(v, bad.rounds[t.round]);
       EXPECT_TRUE(v.aborted()) << "variant " << variant << " threads=" << threads;
-      EXPECT_EQ(sorted_entries(v.informed_frontier()), before)
+      EXPECT_EQ(sorted_entries(v.informed_set().frontier()), before)
           << "variant " << variant << " threads=" << threads;
-      EXPECT_EQ(v.informed_frontier().total_count(), std::uint64_t{1} << t.round);
+      EXPECT_EQ(v.informed_set().frontier().total_count(), std::uint64_t{1} << t.round);
     }
   }
 }
@@ -749,15 +740,16 @@ TEST(RoundBatch, CollidingRoundGetsItsFrontierBack) {
     sopt.threads = threads;
     SymbolicBroadcastValidator<CubeOracle> v(oracle, s.source, opt, sopt);
     for (const SymbolicRound& r : s.rounds) {
-      const auto before = v.informed_frontier().to_entries();
+      const auto before = v.informed_set().frontier().to_entries();
       v.begin_round();
       for (std::size_t g = 0; g < r.groups.size(); ++g) {
         v.end_call_group(r.groups[g], r.pattern_of_group(g));
       }
       v.end_round();
       if (!v.aborted()) continue;
-      EXPECT_EQ(v.informed_frontier().to_entries(), before) << "threads=" << threads;
-      EXPECT_EQ(v.informed_frontier().total_count(), 2u) << "threads=" << threads;
+      EXPECT_EQ(v.informed_set().frontier().to_entries(), before)
+          << "threads=" << threads;
+      EXPECT_EQ(v.informed_set().frontier().total_count(), 2u) << "threads=" << threads;
     }
     const auto rep = v.finish();
     EXPECT_EQ(rep.error, "round 2: edge collision between concurrent call groups")
@@ -1084,7 +1076,7 @@ class TamperingSink {
     ++round_;
     inner_.begin_round();
     if (round_ < from_round_) return;
-    copy_.emplace(inner_.informed_frontier().n());
+    copy_.emplace(inner_.informed_set().frontier().n());
     bool tampered = false;
     for (const WeightedSubcube& e : inner_.informed_set().round()) {
       if (!tampered && e.mask != 0) {
@@ -1465,6 +1457,164 @@ TEST(SymbolicProducer, EveryGroupCarriesTheXorFormOfItsRoute) {
   }
   EXPECT_GT(longest, detail::RouteCache::kSlotLen) << "no route longer than a cache slot";
   EXPECT_TRUE(collided) << "no two route keys shared a cache slot";
+}
+
+// ---- seeded metamorphic mutants against the exact oracle --------------
+
+/// "round N" of a "round N: ..." error; empty for a run-level one.
+std::string failing_round(const std::string& error) {
+  if (error.rfind("round ", 0) != 0) return {};
+  return error.substr(0, error.find(':'));
+}
+
+/// The first round, among those the exact validator accepted, in which
+/// an informed vertex places no call, or 0.  The symbolic engine pins
+/// the paper's model, where every informed vertex calls each round; the
+/// exact validator lets informed vertices idle.  A group moved to the
+/// next round differs only there.
+int first_idle_round(const FlatSchedule& s, const ValidationReport& exact) {
+  const std::string failed = failing_round(exact.error);
+  const int accepted = failed.empty() ? s.num_rounds() : std::stoi(failed.substr(6)) - 1;
+  std::uint64_t informed = 1;
+  for (int t = 0; t < accepted; ++t) {
+    std::uint64_t calls = 0;
+    for (const FlatSchedule::CallView call : s.round(t)) {
+      static_cast<void>(call);
+      ++calls;
+    }
+    if (calls < informed) return t + 1;
+    informed += calls;
+  }
+  return 0;
+}
+
+/// Group `gi` of `round` now follows `pattern`, stored as a new pattern
+/// so that groups sharing the old one keep it.
+void set_pattern(SymbolicRound& round, std::size_t gi, const std::vector<Vertex>& pattern) {
+  round.pattern_pool.insert(round.pattern_pool.end(), pattern.begin(), pattern.end());
+  round.group_pattern[gi] = static_cast<std::uint32_t>(round.num_patterns());
+  round.pattern_off.push_back(static_cast<std::uint32_t>(round.pattern_pool.size()));
+}
+
+/// Drops group `gi` of `round` (its pattern stays in the pool).
+void erase_group(SymbolicRound& round, std::size_t gi) {
+  const auto at = static_cast<std::ptrdiff_t>(gi);
+  round.groups.erase(round.groups.begin() + at);
+  round.group_pattern.erase(round.group_pattern.begin() + at);
+}
+
+/// Applies one seeded mutation to `s`, naming it in `how`, or returns
+/// false when the drawn mutation does not apply.  Every mutant keeps
+/// count == 2^|mask|, so FlatSchedule::from_symbolic expands it.
+/// Kinds 0-1 keep the schedule's calls (the verdict must not move);
+/// kinds 2-4 change them.
+bool mutate(SymbolicSchedule& s, std::mt19937_64& rng, std::string& how) {
+  const auto pick = [&rng](std::size_t size) { return static_cast<std::size_t>(rng() % size); };
+  const std::size_t r = pick(s.rounds.size());
+  SymbolicRound& round = s.rounds[r];
+  if (round.groups.empty()) return false;
+  const std::size_t gi = pick(round.groups.size());
+  const CallGroup g = round.groups[gi];
+  const std::span<const Vertex> patt = round.pattern_of_group(gi);
+  how = "round " + std::to_string(r + 1) + " group " + std::to_string(gi) + ": ";
+  switch (rng() % 5) {
+    case 0: {  // split on a random non-empty subset of the free bits
+      const Vertex bits = g.free_mask & rng();
+      if (bits == 0) return false;
+      replace_group(round, gi, split_group(g, bits));
+      how += "split on bits " + std::to_string(bits);
+      return true;
+    }
+    case 1: {  // merge with a sibling that shares its pattern
+      for (std::size_t j = 0; j < round.groups.size(); ++j) {
+        const CallGroup& o = round.groups[j];
+        const Vertex b = o.prefix ^ g.prefix;
+        if (j == gi || o.free_mask != g.free_mask || weight(b) != 1 ||
+            !std::ranges::equal(round.pattern_of_group(j), patt) ||
+            std::ranges::any_of(patt, [b](Vertex x) { return (x & b) != 0; })) {
+          continue;
+        }
+        round.groups[std::min(gi, j)] = {g.prefix & ~b, g.free_mask | b, 2 * g.count};
+        erase_group(round, std::max(gi, j));
+        how += "merged with group " + std::to_string(j);
+        return true;
+      }
+      return false;
+    }
+    case 2: {  // flip one bit of a pattern hop
+      const std::size_t at = 1 + pick(patt.size() - 1);
+      const Vertex bit = Vertex{1} << pick(static_cast<std::size_t>(s.n));
+      if ((bit & g.free_mask) != 0) return false;
+      std::vector<Vertex> flipped(patt.begin(), patt.end());
+      flipped[at] ^= bit;
+      set_pattern(round, gi, flipped);
+      how += "pattern vertex " + std::to_string(at) + " ^= " + std::to_string(bit);
+      return true;
+    }
+    case 3: {  // move the group to the next round
+      const std::vector<Vertex> pattern(patt.begin(), patt.end());
+      erase_group(round, gi);
+      if (r + 1 == s.rounds.size()) s.rounds.emplace_back();
+      EXPECT_TRUE(s.rounds[r + 1].append(g, pattern));
+      how += "moved to the next round";
+      return true;
+    }
+    default: {  // swap two rounds
+      const std::size_t other = pick(s.rounds.size());
+      if (other == r) return false;
+      std::swap(s.rounds[r], s.rounds[other]);
+      how = "swapped rounds " + std::to_string(r + 1) + " and " + std::to_string(other + 1);
+      return true;
+    }
+  }
+}
+
+TEST(SymbolicMutants, EveryMutantGetsTheExactVerdict) {
+  // Seeded mutants of designed schedules in both call models: the
+  // symbolic verdict must match the exact validator's on the expansion
+  // (with the paper's every-informed-vertex-calls clause, see
+  // first_idle_round) in ok, failing round and minimum_time.  A
+  // disagreement names the seed, the iteration and the mutation, so it
+  // can be replayed.
+  constexpr std::uint64_t kSeed = 0x5EEDu;
+  constexpr int kMutantsPerSchedule = 200;
+  std::mt19937_64 rng(kSeed);
+  int changed = 0;
+  for (const int n : {8, 10, 12}) {
+    for (const int k : {2, 3}) {
+      const auto spec = design_sparse_hypercube(n, k);
+      const SpecView view(spec);
+      const SymbolicSchedule original = make_symbolic_broadcast_schedule(spec, 0);
+      for (const bool vertex_disjoint : {false, true}) {
+        ValidationOptions opt;
+        opt.k = spec.k();
+        opt.require_vertex_disjoint = vertex_disjoint;
+        for (int it = 0; it < kMutantsPerSchedule; ++it) {
+          SymbolicSchedule mutant = original;
+          std::string how;
+          while (!mutate(mutant, rng, how)) mutant = original;
+          const FlatSchedule expanded = FlatSchedule::from_symbolic(mutant);
+          ValidationReport exact = validate_broadcast(view, expanded, opt);
+          if (const int idle = first_idle_round(expanded, exact); idle != 0) {
+            exact.ok = false;
+            exact.minimum_time = false;
+            exact.error = "round " + std::to_string(idle) + ": an informed vertex places no call";
+          }
+          const ValidationReport sym = validate_broadcast_symbolic(view, mutant, opt);
+          const std::string what = "seed " + std::to_string(kSeed) + " n=" +
+                                   std::to_string(n) + " k=" + std::to_string(k) +
+                                   (vertex_disjoint ? " vertex-disjoint" : " edge-disjoint") +
+                                   " iteration " + std::to_string(it) + ", " + how +
+                                   "\n  exact: " + exact.error + "\n  symbolic: " + sym.error;
+          EXPECT_EQ(sym.ok, exact.ok) << what;
+          EXPECT_EQ(failing_round(sym.error), failing_round(exact.error)) << what;
+          EXPECT_EQ(sym.minimum_time, exact.minimum_time) << what;
+          if (!exact.ok) ++changed;
+        }
+      }
+    }
+  }
+  EXPECT_GT(changed, 0) << "no mutant changed the verdict";
 }
 
 }  // namespace

@@ -18,6 +18,7 @@ conventions that are easy to break silently in review.  This lint walks
                     translation units, mlbg/src/broadcast.cpp,
                     mlbg/src/spec.cpp, mlbg/src/params.cpp,
                     sim/src/subcube.cpp, sim/subcube.hpp,
+                    sim/occupancy_ledger.hpp, mlbg/broadcast.hpp,
                     sim/src/knowledge_classes.cpp
                     and sim/src/congestion.cpp:
                     a bare assert guarding caller
@@ -101,7 +102,8 @@ ASSERT_DIRS = ("src/graph", "src/coding", "src/labeling", "src/baseline",
                "src/sim/src/knowledge_classes.cpp", "src/sim/src/congestion.cpp")
 # Headers under the same rule (the rule otherwise reads only .cpp files).
 ASSERT_HEADERS = ("src/sim/include/shc/sim/subcube.hpp",
-                  "src/mlbg/include/shc/mlbg/broadcast.hpp")
+                  "src/mlbg/include/shc/mlbg/broadcast.hpp",
+                  "src/sim/include/shc/sim/occupancy_ledger.hpp")
 
 # Kernel layer: headers that sit below their own module's layering set.
 # subcube_batch.hpp is the leaf the hot paths build on — it may reach
