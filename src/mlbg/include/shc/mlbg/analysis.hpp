@@ -20,6 +20,8 @@ namespace shc {
 /// a k-mlbg of order 2^n has diameter <= k*n.  Lower dimensions disturbed
 /// by detours are themselves fixed later in the sweep, so the walk always
 /// terminates at v.  Works at any n <= 63 (no materialization).
+/// Throws std::invalid_argument naming u and v when either is not a
+/// vertex of `spec`.
 [[nodiscard]] std::vector<Vertex> greedy_route(const SparseHypercubeSpec& spec,
                                                Vertex u, Vertex v);
 

@@ -30,9 +30,14 @@
 // round snapshot: no producer-side frontier, snapshot or receiver
 // insert.  Sinks that keep no informed set (the schedule builder,
 // counting and forwarding sinks) are wrapped in detail::InformedKeeper,
-// which keeps the producer's own InformedSet, built identically, so one
-// walk loop serves both and the group order and every report are the
-// same.  Trust is unchanged: the validator tiles the groups against its
+// which keeps the producer's own InformedSet, built identically: each
+// group's receiver joins through InformedSet::receive, the group-aware
+// insert the validator runs, in group order.  So one walk loop serves
+// both and the group order and every report are the same.  (That
+// insert doubles a receiver's whole caller entry without a class scan
+// and leaves the plain insert's layout on every broadcast replay
+// subcube_test compares, so the emitted groups did not move with it.)
+// Trust is unchanged: the validator tiles the groups against its
 // own snapshot, whichever one the producer walked.
 //
 // The emitted splits are *ledger-friendly* by construction: a round
@@ -164,7 +169,7 @@ class InformedKeeper {
   }
   void end_call_group(const CallGroup& g, std::span<const Vertex> pattern) {
     sink_.end_call_group(g, pattern);
-    informed_.insert(g.prefix ^ pattern.back(), g.free_mask);
+    informed_.receive(g, g.prefix ^ pattern.back());
   }
   void end_round() { sink_.end_round(); }
   [[nodiscard]] bool aborted() const { return sink_aborted(sink_); }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "shc/bits/bitstring.hpp"
@@ -9,7 +11,11 @@
 namespace shc {
 
 std::vector<Vertex> greedy_route(const SparseHypercubeSpec& spec, Vertex u, Vertex v) {
-  assert(u < spec.num_vertices() && v < spec.num_vertices());
+  if (u >= spec.num_vertices() || v >= spec.num_vertices()) {
+    throw std::invalid_argument("greedy_route: vertices must lie in [0, " +
+                                std::to_string(spec.num_vertices()) + "), got u = " +
+                                std::to_string(u) + ", v = " + std::to_string(v));
+  }
   std::vector<Vertex> walk{u};
   Vertex cur = u;
   while (cur != v) {
@@ -19,7 +25,8 @@ std::vector<Vertex> greedy_route(const SparseHypercubeSpec& spec, Vertex u, Vert
     // so the highest differing dimension strictly decreases.
     walk.insert(walk.end(), leg.begin() + 1, leg.end());
     cur = leg.back();
-    assert((cur >> (d - 1)) == (v >> (d - 1)));
+    // route_flip's contract, not caller input:
+    assert((cur >> (d - 1)) == (v >> (d - 1)));  // shc-lint: allow(assert-guard)
   }
   return walk;
 }

@@ -22,7 +22,13 @@
 //     coalesce into hidden corners but can never disappear, so the
 //     endgame check (every entry multiplicity one, entries pairwise
 //     disjoint, total 2^n) proves every vertex was informed exactly
-//     once;
+//     once.  insert_from() is the group-aware insert of a broadcast
+//     round: a receiver whose caller subcube is a whole entry one bit
+//     away doubles that entry in one probe — the same multiset as
+//     insert(), and the same layout on every broadcast replay
+//     subcube_test compares (construct(n, [7]) and designed specs,
+//     several sources, after every round); the layout pins keep their
+//     goldens;
 //   * canonical_reduce / canonical_reduce_tree — a recursive
 //     divide-on-pinned-dimension sweep computing the order-independent
 //     normal form of a subcube multiset (greedy sibling coalescing can
@@ -38,11 +44,12 @@
 // OR-reduction (batch::sibling_probe_loop) that finds the inserted
 // prefix and its merge partner in one pass over any class of up to
 // 16 n slots; larger classes probe their n candidate siblings by hash.
-// The whole coalesce step (SubcubeFrontier::insert) is compiled once
-// per ISA (AVX-512, AVX2, baseline) and picked when the program loads,
-// in subcube.cpp.  Each table also keeps a bitmap of its live slots
-// among the first 64, so walking a small table (the round snapshot,
-// the endgame, to_entries) visits only its entries, in slot order.
+// The whole coalesce step (SubcubeFrontier::insert, with insert_from's
+// shortcut in front) is compiled once per ISA (AVX-512, AVX2, baseline)
+// and picked when the program loads, in subcube.cpp.  Each table also
+// keeps a bitmap of its live slots among the first 64, so walking a
+// small table (the round snapshot, the endgame, to_entries) visits only
+// its entries, in slot order.
 // Mask classes live in a recycled dense pool instead of an
 // unordered_map (class churn was ~11 % of the designed-63 profile),
 // with a small most-recent cache in front of its hash, since
@@ -156,14 +163,8 @@ class PrefixTable {
 
   /// Pointer to the value for `p`, or nullptr.
   [[nodiscard]] std::uint64_t* find(Vertex p) noexcept {
-    if (keys_.empty()) return nullptr;
-    std::size_t i = mix_u64(p) & mask_;
-    for (;;) {
-      const Vertex k = keys_[i];
-      if (k == p) return &vals_[i];
-      if (k == kEmpty) return nullptr;
-      i = (i + 1) & mask_;
-    }
+    const std::size_t i = slot_of(p);
+    return i == kNoSlot ? nullptr : &vals_[i];
   }
   [[nodiscard]] const std::uint64_t* find(Vertex p) const noexcept {
     return const_cast<PrefixTable*>(this)->find(p);
@@ -215,18 +216,19 @@ class PrefixTable {
 
   /// Removes p; returns false when absent.
   bool erase(Vertex p) noexcept {
-    if (keys_.empty()) return false;
-    std::size_t i = detail_probe_start(p);
-    for (;;) {
-      if (keys_[i] == p) {
-        keys_[i] = kTomb;
-        if (i < 64) live_ &= ~(Vertex{1} << i);
-        --size_;
-        return true;
-      }
-      if (keys_[i] == kEmpty) return false;
-      i = (i + 1) & mask_;
-    }
+    const std::size_t i = slot_of(p);
+    if (i == kNoSlot) return false;
+    erase_slot(i);
+    return true;
+  }
+
+  /// Removes p when its value is `want`, in one probe; false (nothing
+  /// removed) when p is absent or holds another value.
+  bool erase_valued(Vertex p, std::uint64_t want) noexcept {
+    const std::size_t i = slot_of(p);
+    if (i == kNoSlot || vals_[i] != want) return false;
+    erase_slot(i);
+    return true;
   }
 
   /// fn(prefix, value) per live entry, in slot order.  A table of at
@@ -275,8 +277,24 @@ class PrefixTable {
   }
 
  private:
-  [[nodiscard]] std::size_t detail_probe_start(Vertex p) const noexcept {
-    return mix_u64(p) & mask_;
+  static constexpr std::size_t kNoSlot = SIZE_MAX;
+
+  /// The slot holding p, or kNoSlot.
+  [[nodiscard]] std::size_t slot_of(Vertex p) const noexcept {
+    if (keys_.empty()) return kNoSlot;
+    std::size_t i = mix_u64(p) & mask_;
+    for (;;) {
+      const Vertex k = keys_[i];
+      if (k == p) return i;
+      if (k == kEmpty) return kNoSlot;
+      i = (i + 1) & mask_;
+    }
+  }
+
+  void erase_slot(std::size_t i) noexcept {
+    keys_[i] = kTomb;
+    if (i < 64) live_ &= ~(Vertex{1} << i);
+    --size_;
   }
 
   /// True when one more key would take the table past 70 % occupancy.
@@ -525,7 +543,8 @@ class MaskClassMap {
 ///   * insert() — coalescing: sibling entries (same mask and
 ///     multiplicity, prefixes one non-free bit apart) merge into a
 ///     subcube of one higher dimension, cascading.  The producer's and
-///     validator's informed-set representation.
+///     validator's informed-set representation; insert_from() is the
+///     same insert told the receiver's caller subcube.
 ///   * add_raw() — plain keyed accumulation, no geometric merging:
 ///     assign() rebuilds a snapshot with it.
 ///
@@ -548,16 +567,42 @@ class SubcubeFrontier {
   /// program loads (subcube.cpp).
   void insert(Vertex p, Vertex M, std::uint64_t mult = 1);
 
+  /// insert(p, M) of a receiver subcube whose callers are the subcube
+  /// (caller, M) — the group-aware insert of a broadcast round.  When
+  ///   * d = caller ^ p is one dimension outside M,
+  ///   * (caller, M) is an entry of multiplicity one, and
+  ///   * (p, M) is not an entry,
+  /// the caller entry is taken out in one probe and the doubled cube
+  /// (caller & ~d, M | d) continues the coalesce cascade, skipping the
+  /// class scan that would rediscover the caller as p's sibling.  The
+  /// multiset is exactly insert()'s: an entry plus its sibling along d
+  /// is the doubled cube.  So is the layout, unless p also has an
+  /// equal-multiplicity sibling in a bit below d, which insert() would
+  /// have merged instead.  Any other receiver (its caller split off a
+  /// larger entry, already merged or covered twice, or the receiver
+  /// already present) gets insert(p, M).  Returns true when it took the
+  /// doubled path.  Throws as insert() does.
+  bool insert_from(Vertex caller, Vertex p, Vertex M);
+
   /// insert() as one inline formulation, compiled at the includer's
   /// ISA: the code every clone of insert() is compiled from.  The tests
   /// compare the two; everything else calls insert().
   [[gnu::always_inline]] inline void insert_portable(Vertex p, Vertex M,
                                                      std::uint64_t mult = 1) {
+    static_cast<void>(insert_portable_from(p, p, M, mult));
+  }
+
+  /// insert_from() as one inline formulation (with `mult` copies; the
+  /// caller entry must then have multiplicity `mult`).  A caller equal
+  /// to p is no hint: that is insert_portable().
+  [[gnu::always_inline]] inline bool insert_portable_from(Vertex caller, Vertex p, Vertex M,
+                                                          std::uint64_t mult = 1) {
     if ((p & M) != 0) throw_pinned_free_dim("SubcubeFrontier::insert");
     SHC_AUDIT_CHECK(((p | M) & ~mask_low(n_)) == 0,
                     "SubcubeFrontier entries must be well-formed in-range "
                     "subcubes (mask-class disjointness depends on it)");
     bump_count(M, mult);
+    const bool doubled = take_caller(caller, p, M, mult);
     // Classes up to this many slots are probed by one fused scan; both
     // paths pick the same sibling (the lowest differing bit).
     const std::size_t scan_slots = static_cast<std::size_t>(16 * n_);
@@ -575,13 +620,13 @@ class SubcubeFrontier {
         const batch::SiblingProbe probe = t.probe(p, mult);
         if (probe.hit != 0) {
           t.value_at(probe.hit - 1) += mult;
-          return;
+          return doubled;
         }
         b = probe.bit;
       } else {
         if (std::uint64_t* v = t.find(p)) {
           *v += mult;
-          return;
+          return doubled;
         }
         for (int d = 0; d < n_; ++d) {
           const Vertex bit = Vertex{1} << d;
@@ -609,7 +654,7 @@ class SubcubeFrontier {
 #endif
         t.add(p, mult);
         ++entries_;
-        return;
+        return doubled;
       }
       t.erase(p ^ b);
       if (t.empty()) classes_.erase(M);
@@ -694,6 +739,24 @@ class SubcubeFrontier {
  private:
   /// The named refusal of a malformed (p, M) key, kept out of line.
   [[noreturn]] static void throw_pinned_free_dim(const char* what);
+
+  /// insert_from()'s first coalesce step: when d = caller ^ p is one
+  /// dimension outside M, (caller, M) holds `mult` and (p, M) is
+  /// absent, erases the caller entry and makes (p, M) the doubled cube
+  /// (caller & ~d, M | d), for the cascade to continue from.
+  bool take_caller(Vertex caller, Vertex& p, Vertex& M, std::uint64_t mult) {
+    const Vertex d = caller ^ p;
+    if (d == 0 || (d & (d - 1)) != 0 || (d & (M | ~mask_low(n_))) != 0) return false;
+    detail::PrefixTable* t = classes_.find_class(M);
+    if (t == nullptr || t->find(p) != nullptr || !t->erase_valued(caller, mult)) {
+      return false;
+    }
+    if (t->empty()) classes_.erase(M);
+    p = caller & ~d;
+    M |= d;
+    --entries_;  // consumed the caller; the cascade inserts the doubled cube
+    return true;
+  }
 
   void bump_count(Vertex M, std::uint64_t mult) {
     std::uint64_t cube = 0;

@@ -69,6 +69,16 @@ concept SymbolicRoundSink =
 /// n = 63 cut peaks at ~11 M entries, 270 MB); scanning it costs less
 /// than half a walk of the frontier's hashed mask classes, which
 /// snapshot() pays once per round.
+///
+/// Receivers join through receive(group, receiver), the group-aware
+/// insert (SubcubeFrontier::insert_from): in a sweep round most
+/// receivers are their caller entry flipped in one bit outside the free
+/// mask, and such a receiver doubles that entry in one probe instead of
+/// rediscovering it by a class scan.  The multiset is the plain
+/// insert's by construction; a caller split off a larger entry, already
+/// merged or covered twice, or a repeated receiver falls back to the
+/// plain insert.  The layout matches the plain insert on every
+/// broadcast replay subcube_test compares after every round.
 class InformedSet {
  public:
   explicit InformedSet(int n) : frontier_(n) {}
@@ -79,8 +89,10 @@ class InformedSet {
     snapshot();
   }
 
-  /// Copies the frontier into the snapshot, in its iteration order.
+  /// Copies the frontier into the snapshot, in its iteration order, and
+  /// restarts the doubled() count.
   void snapshot() {
+    doubled_ = 0;
     round_.clear();
     round_.reserve(static_cast<std::size_t>(frontier_.num_subcubes()));
     frontier_.for_each([&](Vertex p, Vertex m, std::uint64_t mult) {
@@ -88,8 +100,19 @@ class InformedSet {
     });
   }
 
-  /// Adds a receiver subcube (sibling coalescing, multiset semantics).
-  void insert(Vertex prefix, Vertex mask) { frontier_.insert(prefix, mask); }
+  /// Adds the receiver subcube (receiver, g.free_mask) of caller group
+  /// `g` (sibling coalescing, multiset semantics) through
+  /// SubcubeFrontier::insert_from: a receiver that is its whole caller
+  /// entry's sibling doubles that entry without a class scan.  The
+  /// producer's own set and the validator's call it alike, in group
+  /// order, so both build the same layout.
+  void receive(const CallGroup& g, Vertex receiver) {
+    if (frontier_.insert_from(g.prefix, receiver, g.free_mask)) ++doubled_;
+  }
+
+  /// Receivers since the last snapshot() that doubled their caller's
+  /// entry (the frontier_doubled trace counter).
+  [[nodiscard]] std::uint64_t doubled() const noexcept { return doubled_; }
 
   /// Puts the frontier back as the snapshot holds it: the same entries
   /// and count, only its iteration order may change.
@@ -102,6 +125,7 @@ class InformedSet {
  private:
   SubcubeFrontier frontier_;
   std::vector<WeightedSubcube> round_;
+  std::uint64_t doubled_ = 0;
 };
 
 /// Optional SymbolicRoundSink hook: a sink that keeps the run's

@@ -42,9 +42,17 @@
 // records a group into the round's SymbolicRound; end_round runs two
 // jobs over the recorded batch.  The engine job builds the collision
 // claims, then adds the round's receivers to the frontier in group
-// order.  The check job runs the per-group clauses in group order, then
-// the caller tiling, the collision check and the sampled replay.  The
-// caller tiling first scans the snapshot beside the groups in one
+// order through the group-aware insert (InformedSet::receive): a
+// receiver that is its whole caller entry's sibling doubles that entry
+// in one probe, any other falls back to the plain coalescing insert.
+// Both leave the same multiset, so no verdict depends on which path a
+// receiver took; the per-round frontier_doubled trace counter says how
+// many took the shortcut.  A duplicated group's second copy finds its
+// caller already doubled and a repeated receiver finds itself present,
+// so both fall back and the multiplicity still surfaces in the
+// endgame.  The check job runs the per-group clauses in group order,
+// then the caller tiling, the collision check and the sampled replay.
+// The caller tiling first scans the snapshot beside the groups in one
 // in-order merge that can only accept: when the groups are the
 // snapshot's entries in order, each split on its lowest free bits as
 // the producer splits it, the round tiles.  Any other round (a replay
@@ -618,7 +626,10 @@ class SymbolicBroadcastValidator
     }
     stats_.peak_frontier_subcubes =
         std::max(stats_.peak_frontier_subcubes, frontier.num_subcubes());
-    close_round([&] { SHC_TRACE_COUNTER("frontier_subcubes", frontier.num_subcubes()); });
+    close_round([&] {
+      SHC_TRACE_COUNTER("frontier_subcubes", frontier.num_subcubes());
+      SHC_TRACE_COUNTER("frontier_doubled", informed_.doubled());
+    });
   }
 
   /// The informed set and its round snapshot, lent read-only
@@ -778,7 +789,7 @@ class SymbolicBroadcastValidator
       if ((receiver & g.free_mask) != 0 || ((receiver | g.free_mask) & ~cube) != 0) {
         continue;
       }
-      informed_.insert(receiver, g.free_mask);
+      informed_.receive(g, receiver);
     }
   }
 

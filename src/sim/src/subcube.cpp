@@ -8,8 +8,9 @@
 #include "shc/sim/worker_pool.hpp"
 
 // The one ISA-cloned function: the frontier's whole coalesce step
-// (SubcubeFrontier::insert, its slot-array probe inlined).  The library
-// builds for baseline x86-64, where the probe's 64-bit compares stay
+// (SubcubeFrontier::insert and its group-aware insert_from, the
+// slot-array probe inlined).  The library builds for baseline x86-64,
+// where the probe's 64-bit compares stay
 // scalar; cloning the step lets the compiler emit AVX-512 and AVX2
 // copies beside the baseline one and pick between them when the program
 // loads (an ifunc), with no build knob, no -march change and no
@@ -44,9 +45,9 @@ namespace {
 /// SubcubeFrontier::insert declaration stays an ordinary member
 /// function: clang wants the multiversioning attribute on every
 /// declaration.
-SHC_ISA_CLONES void insert_clones(SubcubeFrontier& frontier, Vertex p, Vertex M,
-                                  std::uint64_t mult) {
-  frontier.insert_portable(p, M, mult);
+SHC_ISA_CLONES bool insert_clones(SubcubeFrontier& frontier, Vertex caller, Vertex p,
+                                  Vertex M, std::uint64_t mult) {
+  return frontier.insert_portable_from(caller, p, M, mult);
 }
 
 /// Open-addressing scratch for the lift-matching step, reset by
@@ -244,7 +245,11 @@ struct TreeTask {
 }  // namespace
 
 void SubcubeFrontier::insert(Vertex p, Vertex M, std::uint64_t mult) {
-  insert_clones(*this, p, M, mult);
+  static_cast<void>(insert_clones(*this, p, p, M, mult));
+}
+
+bool SubcubeFrontier::insert_from(Vertex caller, Vertex p, Vertex M) {
+  return insert_clones(*this, caller, p, M, 1);
 }
 
 void SubcubeFrontier::throw_pinned_free_dim(const char* what) {

@@ -1,6 +1,10 @@
 // Tests for routing and structural analysis (footnote 1 made executable).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <utility>
+
 #include "shc/graph/algorithms.hpp"
 #include "shc/mlbg/analysis.hpp"
 #include "shc/mlbg/params.hpp"
@@ -42,6 +46,19 @@ TEST(GreedyRoute, SelfRouteIsTrivial) {
   const auto spec = SparseHypercubeSpec::construct_base(5, 2);
   const auto walk = greedy_route(spec, 9, 9);
   EXPECT_EQ(walk, (std::vector<Vertex>{9}));
+}
+
+TEST(GreedyRoute, OutOfRangeVerticesThrowANamedError) {
+  const auto spec = SparseHypercubeSpec::construct_base(5, 2);
+  for (const auto& [u, v] : {std::pair<Vertex, Vertex>{32, 0}, std::pair<Vertex, Vertex>{3, 40}}) {
+    try {
+      static_cast<void>(greedy_route(spec, u, v));
+      ADD_FAILURE() << "greedy_route accepted u = " << u << ", v = " << v;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), "greedy_route: vertices must lie in [0, 32), got u = " +
+                                           std::to_string(u) + ", v = " + std::to_string(v));
+    }
+  }
 }
 
 TEST(GreedyRoute, WorksAtHugeN) {

@@ -5,6 +5,7 @@
 
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -229,6 +230,43 @@ TEST(ParamsGuards, BadInputsThrowNamedErrors) {
     EXPECT_THROW(static_cast<void>(realized_max_degree(10, cuts)), std::invalid_argument);
   }
   EXPECT_EQ(realized_max_degree(10, {3, 6}), 3 + 1 + 1);
+}
+
+TEST(BoundGuards, OutOfDomainArgumentsThrowNamedErrors) {
+  // Outside its domain each bound throws, in Release too: the counting
+  // bounds loop forever at k = 0, and the closed forms return nonsense
+  // (theorem7_upper(3, 5) read 13, theorem5_upper(-3) read -8).
+  const auto expect_error = [](auto&& call, const std::string& message) {
+    try {
+      static_cast<void>(call());
+      ADD_FAILURE() << "no error, expected: " << message;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), message);
+    }
+  };
+  expect_error([] { return counting_lower_bound(5, 0); },
+               "counting_lower_bound: requires n >= 1 and k >= 1, got n = 5, k = 0");
+  expect_error([] { return counting_lower_bound(0, 3); },
+               "counting_lower_bound: requires n >= 1 and k >= 1, got n = 0, k = 3");
+  expect_error([] { return lower_bound_max_degree(5, 0); },
+               "lower_bound_max_degree: requires n >= 1 and k >= 1, got n = 5, k = 0");
+  expect_error([] { return lower_bound_max_degree(-1, 2); },
+               "lower_bound_max_degree: requires n >= 1 and k >= 1, got n = -1, k = 2");
+  expect_error([] { return theorem7_upper(3, 5); },
+               "theorem7_upper: requires n > k >= 2, got n = 3, k = 5");
+  expect_error([] { return theorem7_upper(9, 1); },
+               "theorem7_upper: requires n > k >= 2, got n = 9, k = 1");
+  expect_error([] { return theorem5_upper(-3); }, "theorem5_upper: requires n >= 1, got n = -3");
+  expect_error([] { return corollary1_upper(1); }, "corollary1_upper: requires n >= 2, got n = 1");
+  expect_error([] { return theorem1_k_threshold(0); },
+               "theorem1_k_threshold: requires N >= 1, got N = 0");
+  // The domain's edges still answer.
+  EXPECT_EQ(counting_lower_bound(1, 1), 1);
+  EXPECT_EQ(lower_bound_max_degree(1, 1), 1);
+  EXPECT_EQ(theorem7_upper(3, 2), 3 * ceil_root(3, 2) - 2);
+  EXPECT_EQ(theorem5_upper(1), 2);
+  EXPECT_EQ(corollary1_upper(2), 2);
+  EXPECT_EQ(theorem1_k_threshold(1), 0);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "shc/bits/checked.hpp"
+#include "shc/mlbg/params.hpp"
 #include "shc/mlbg/spec.hpp"
 #include "shc/mlbg/symbolic_broadcast.hpp"
 #include "shc/sim/subcube.hpp"
@@ -253,10 +254,10 @@ class LayoutPinSink {
     informed_.snapshot();
   }
   void end_call_group(const CallGroup& g, std::span<const Vertex> pattern) {
-    receivers_.push_back({g.prefix ^ pattern.back(), g.free_mask});
+    receivers_.emplace_back(g, g.prefix ^ pattern.back());
   }
   void end_round() {
-    for (const Subcube& r : receivers_) informed_.insert(r.prefix, r.mask);
+    for (const auto& [g, receiver] : receivers_) informed_.receive(g, receiver);
     informed_.frontier().for_each([&](Vertex p, Vertex m, std::uint64_t mult) {
       mix(p);
       mix(m);
@@ -280,7 +281,7 @@ class LayoutPinSink {
   }
 
   InformedSet informed_;
-  std::vector<Subcube> receivers_;
+  std::vector<std::pair<CallGroup, Vertex>> receivers_;
   std::uint64_t hash_ = 0xcbf29ce484222325ULL;
   int rounds_ = 0;
 };
@@ -304,6 +305,154 @@ TEST(SubcubeFrontierTest, CoalescedLayoutIsPinnedOnBroadcastReceiverStreams) {
     EXPECT_EQ(sink.informed_frontier().total_count(), cube_order(pin.n));
     EXPECT_EQ(sink.hash(), pin.hash) << "construct(" << pin.n << ", [7])";
   }
+  // A designed spec (cuts [1, 4, 12]): three governing levels, where
+  // the construct(n, [7]) pins above have one.
+  const SparseHypercubeSpec designed = design_sparse_hypercube(20, 4);
+  LayoutPinSink sink(20, 0);
+  static_cast<void>(emit_broadcast_rounds_symbolic(designed, 0, sink));
+  EXPECT_EQ(sink.rounds(), 20);
+  EXPECT_EQ(sink.informed_frontier().total_count(), cube_order(20));
+  EXPECT_EQ(sink.hash(), 0xa682784b5d240ddfULL) << "design_sparse_hypercube(20, 4)";
+}
+
+/// Replays a broadcast's receivers into a lent informed set through the
+/// group-aware insert and, beside it, into a plain frontier through
+/// insert(); after every round both must walk the same entries in the
+/// same order.
+class InsertRuleParitySink {
+ public:
+  InsertRuleParitySink(int n, Vertex source) : informed_(n), plain_(n) {
+    informed_.start(source);
+    plain_.insert(source, 0);
+  }
+
+  void begin_round() { informed_.snapshot(); }
+  void end_call_group(const CallGroup& g, std::span<const Vertex> pattern) {
+    const Vertex receiver = g.prefix ^ pattern.back();
+    informed_.receive(g, receiver);
+    plain_.insert(receiver, g.free_mask);
+  }
+  void end_round() {
+    ++rounds_;
+    doubled_ += informed_.doubled();
+    if (informed_.frontier().to_entries() != plain_.to_entries()) ++diverged_;
+  }
+  [[nodiscard]] const InformedSet& informed_set() const noexcept { return informed_; }
+  [[nodiscard]] int rounds() const noexcept { return rounds_; }
+  [[nodiscard]] int diverged() const noexcept { return diverged_; }
+  [[nodiscard]] std::uint64_t doubled() const noexcept { return doubled_; }
+
+ private:
+  InformedSet informed_;
+  SubcubeFrontier plain_;
+  int rounds_ = 0;
+  int diverged_ = 0;
+  std::uint64_t doubled_ = 0;
+};
+
+TEST(SubcubeFrontierTest, GroupAwareInsertKeepsThePlainLayoutOnBroadcastStreams) {
+  // The group-aware insert may leave another layout than insert() only
+  // when a receiver also has an equal-multiplicity sibling below the
+  // swept bit.  On the paper's sweeps it never does: after every round
+  // of these runs the two frontiers hold the same entries in the same
+  // for_each order, and most receivers take the doubled path.
+  std::mt19937_64 rng(0x9a12);
+  const auto run = [](const SparseHypercubeSpec& spec, Vertex source, const std::string& what) {
+    InsertRuleParitySink sink(spec.n(), source);
+    static_cast<void>(emit_broadcast_rounds_symbolic(spec, source, sink));
+    EXPECT_EQ(sink.rounds(), spec.n()) << what;
+    EXPECT_EQ(sink.diverged(), 0) << what;
+    EXPECT_GT(sink.doubled(), 0u) << what;
+  };
+  for (const int n : {16, 20, 24}) {
+    const SparseHypercubeSpec spec = SparseHypercubeSpec::construct(n, {7});
+    for (int i = 0; i < 3; ++i) {
+      const Vertex source = i == 0 ? 0 : rng() & mask_low(n);
+      run(spec, source, "construct(" + std::to_string(n) + ", [7]) from " + std::to_string(source));
+    }
+  }
+  for (const auto& [n, k] : {std::pair{16, 3}, std::pair{20, 4}, std::pair{24, 5}}) {
+    const SparseHypercubeSpec spec = design_sparse_hypercube(n, k);
+    for (int i = 0; i < 2; ++i) {
+      const Vertex source = i == 0 ? 0 : rng() & mask_low(n);
+      run(spec, source, "designed (" + std::to_string(n) + ", " + std::to_string(k) + ") from " +
+                            std::to_string(source));
+    }
+  }
+}
+
+TEST(SubcubeFrontierTest, GroupAwareInsertFallsBackToThePlainInsert) {
+  // Each case is a frontier and a receiver the shortcut must not take:
+  // insert_from reports no doubling and leaves exactly what insert()
+  // leaves, entry for entry, in order.
+  struct Case {
+    const char* what;
+    std::vector<WeightedSubcube> entries;  // placed as they are (assign)
+    Vertex caller;
+    Vertex receiver;
+    Vertex mask;
+  };
+  const std::vector<Case> cases = {
+      {"caller entry absent", {{0b1000, 0b0001, 1}}, 0b0000, 0b0100, 0b0001},
+      {"caller split off a larger entry", {{0b0000, 0b0011, 1}}, 0b0000, 0b0100, 0b0001},
+      {"caller entry of multiplicity 2", {{0b0000, 0b0001, 2}}, 0b0000, 0b0100, 0b0001},
+      {"receiver already present", {{0b0000, 0b0001, 1}, {0b0100, 0b0001, 1}}, 0b0000, 0b0100,
+       0b0001},
+      {"receiver two bits from its caller", {{0b0000, 0b0001, 1}}, 0b0000, 0b0110, 0b0001},
+      {"caller equal to the receiver", {{0b0100, 0b0001, 1}}, 0b0100, 0b0100, 0b0001},
+  };
+  for (const Case& c : cases) {
+    SubcubeFrontier aware(4);
+    SubcubeFrontier plain(4);
+    aware.assign(c.entries);
+    plain.assign(c.entries);
+    EXPECT_FALSE(aware.insert_from(c.caller, c.receiver, c.mask)) << c.what;
+    plain.insert(c.receiver, c.mask);
+    EXPECT_EQ(aware.to_entries(), plain.to_entries()) << c.what;
+    EXPECT_EQ(aware.total_count(), plain.total_count()) << c.what;
+    EXPECT_EQ(aware.num_subcubes(), plain.num_subcubes()) << c.what;
+  }
+  // A receiver whose caller is a whole entry of multiplicity one takes
+  // the shortcut, and a repeat of the same group then falls back.
+  SubcubeFrontier f(4);
+  f.insert(0b0000, 0b0001);
+  EXPECT_TRUE(f.insert_from(0b0000, 0b0100, 0b0001));
+  EXPECT_EQ(f.to_entries(), (std::vector<WeightedSubcube>{{0b0000, 0b0101, 1}}));
+  EXPECT_FALSE(f.insert_from(0b0000, 0b0100, 0b0001));
+  EXPECT_EQ(f.total_count(), 6u);
+  EXPECT_EQ(f.num_subcubes(), 2u);
+}
+
+TEST(SubcubeFrontierTest, GroupAwareInsertPrefersTheCallerOverALowerSibling) {
+  // Q_4 with entries 0000 and 0101; receiver 0100 called from 0000.
+  // insert() merges the receiver with its lowest-bit sibling 0101; the
+  // group-aware insert doubles the caller along bit 2 instead.  The
+  // layouts differ, the multiset does not.
+  SubcubeFrontier aware(4);
+  SubcubeFrontier plain(4);
+  for (SubcubeFrontier* f : {&aware, &plain}) {
+    f->insert(0b0000, 0);
+    f->insert(0b0101, 0);
+  }
+  EXPECT_TRUE(aware.insert_from(0b0000, 0b0100, 0));
+  plain.insert(0b0100, 0);
+  const auto sorted = [](std::vector<WeightedSubcube> v) {
+    std::sort(v.begin(), v.end(), [](const WeightedSubcube& a, const WeightedSubcube& b) {
+      return std::tie(a.mask, a.prefix, a.mult) < std::tie(b.mask, b.prefix, b.mult);
+    });
+    return v;
+  };
+  EXPECT_EQ(sorted(aware.to_entries()),
+            (std::vector<WeightedSubcube>{{0b0101, 0, 1}, {0b0000, 0b0100, 1}}));
+  EXPECT_EQ(sorted(plain.to_entries()),
+            (std::vector<WeightedSubcube>{{0b0000, 0, 1}, {0b0100, 0b0001, 1}}));
+  EXPECT_EQ(aware.total_count(), 3u);
+  EXPECT_EQ(aware.total_count(), plain.total_count());
+  const auto aware_form = canonical_reduce(aware.to_entries(), 4);
+  const auto plain_form = canonical_reduce(plain.to_entries(), 4);
+  ASSERT_TRUE(aware_form.has_value());
+  ASSERT_TRUE(plain_form.has_value());
+  EXPECT_EQ(sorted(*aware_form), sorted(*plain_form));
 }
 
 TEST(SubcubeGuards, OutOfRangeCubeDimensionsThrow) {
@@ -411,7 +560,18 @@ TEST(SubcubeFrontierTest, ClonedInsertMatchesItsFormulationOnSeededReceiverStrea
     std::mt19937_64 rng(0xc10e5 + static_cast<std::uint64_t>(n));
     SubcubeFrontier cloned(n);
     SubcubeFrontier portable(n);
+    // Half the single-copy inserts name a caller one random bit away,
+    // so the group-aware path runs beside the plain one: it doubles
+    // the caller when that is a whole entry and falls back otherwise.
+    int doubled = 0;
     const auto both = [&](Vertex p, Vertex m, std::uint64_t mult) {
+      if (mult == 1 && rng() % 2 == 0) {
+        const Vertex caller = p ^ (Vertex{1} << (rng() % static_cast<std::uint64_t>(n)));
+        const bool took = cloned.insert_from(caller, p, m);
+        ASSERT_EQ(portable.insert_portable_from(caller, p, m), took);
+        doubled += took ? 1 : 0;
+        return;
+      }
       cloned.insert(p, m, mult);
       portable.insert_portable(p, m, mult);
     };
@@ -439,6 +599,7 @@ TEST(SubcubeFrontierTest, ClonedInsertMatchesItsFormulationOnSeededReceiverStrea
       ASSERT_EQ(cloned.num_subcubes(), portable.num_subcubes());
       ASSERT_EQ(cloned.total_count(), portable.total_count());
     }
+    EXPECT_GT(doubled, 0) << "n " << n << ": no insert took the doubled path";
   }
 }
 

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <map>
 #include <numeric>
 #include <optional>
 #include <random>
@@ -1077,14 +1078,16 @@ class TamperingSink {
     inner_.begin_round();
     if (round_ < from_round_) return;
     copy_.emplace(inner_.informed_set().frontier().n());
+    // A receiver equal to its caller names no sibling: a plain insert.
+    const auto place = [&](Vertex p, Vertex m) { copy_->receive({p, m, 0}, p); };
     bool tampered = false;
     for (const WeightedSubcube& e : inner_.informed_set().round()) {
       if (!tampered && e.mask != 0) {
         tampered = true;
         if (how_ == Tamper::kDrop) continue;
-        copy_->insert(e.prefix, e.mask & (e.mask - 1));  // drop the lowest free bit
+        place(e.prefix, e.mask & (e.mask - 1));  // drop the lowest free bit
       }
-      copy_->insert(e.prefix, e.mask);
+      place(e.prefix, e.mask);
     }
     EXPECT_TRUE(tampered) << "no multi-vertex entry to tamper with";
     copy_->snapshot();
@@ -1507,7 +1510,9 @@ void erase_group(SymbolicRound& round, std::size_t gi) {
 /// false when the drawn mutation does not apply.  Every mutant keeps
 /// count == 2^|mask|, so FlatSchedule::from_symbolic expands it.
 /// Kinds 0-1 keep the schedule's calls (the verdict must not move);
-/// kinds 2-4 change them.
+/// kinds 2-7 change them.  A duplicated group's second copy reaches the
+/// frontier's group-aware insert with its caller entry already doubled,
+/// so it takes the plain-insert fallback.
 bool mutate(SymbolicSchedule& s, std::mt19937_64& rng, std::string& how) {
   const auto pick = [&rng](std::size_t size) { return static_cast<std::size_t>(rng() % size); };
   const std::size_t r = pick(s.rounds.size());
@@ -1517,7 +1522,7 @@ bool mutate(SymbolicSchedule& s, std::mt19937_64& rng, std::string& how) {
   const CallGroup g = round.groups[gi];
   const std::span<const Vertex> patt = round.pattern_of_group(gi);
   how = "round " + std::to_string(r + 1) + " group " + std::to_string(gi) + ": ";
-  switch (rng() % 5) {
+  switch (rng() % 8) {
     case 0: {  // split on a random non-empty subset of the free bits
       const Vertex bits = g.free_mask & rng();
       if (bits == 0) return false;
@@ -1559,62 +1564,93 @@ bool mutate(SymbolicSchedule& s, std::mt19937_64& rng, std::string& how) {
       how += "moved to the next round";
       return true;
     }
-    default: {  // swap two rounds
+    case 4: {  // swap two rounds
       const std::size_t other = pick(s.rounds.size());
       if (other == r) return false;
       std::swap(s.rounds[r], s.rounds[other]);
       how = "swapped rounds " + std::to_string(r + 1) + " and " + std::to_string(other + 1);
       return true;
     }
+    case 5: {  // drop the group
+      erase_group(round, gi);
+      how += "dropped";
+      return true;
+    }
+    case 6: {  // duplicate the group right after itself
+      const auto at = static_cast<std::ptrdiff_t>(gi + 1);
+      round.groups.insert(round.groups.begin() + at, g);
+      round.group_pattern.insert(round.group_pattern.begin() + at, round.group_pattern[gi]);
+      how += "duplicated";
+      return true;
+    }
+    default: {  // truncate the last round to its first `keep` groups
+      SymbolicRound& last = s.rounds.back();
+      const std::size_t keep = pick(last.groups.size());
+      last.groups.resize(keep);
+      last.group_pattern.resize(keep);
+      if (keep == 0) s.rounds.pop_back();
+      how = "truncated the last round to " + std::to_string(keep) + " groups";
+      return true;
+    }
   }
 }
 
 TEST(SymbolicMutants, EveryMutantGetsTheExactVerdict) {
-  // Seeded mutants of designed schedules in both call models: the
-  // symbolic verdict must match the exact validator's on the expansion
-  // (with the paper's every-informed-vertex-calls clause, see
-  // first_idle_round) in ok, failing round and minimum_time.  A
-  // disagreement names the seed, the iteration and the mutation, so it
-  // can be replayed.
+  // Seeded mutants of designed and Construct_BASE schedules in both
+  // call models: the symbolic verdict must match the exact validator's
+  // on the expansion (with the paper's every-informed-vertex-calls
+  // clause, see first_idle_round) in ok, failing round and
+  // minimum_time.  A disagreement names the seed, the input, the
+  // iteration and the mutation, so it can be replayed.
   constexpr std::uint64_t kSeed = 0x5EEDu;
   constexpr int kMutantsPerSchedule = 200;
   std::mt19937_64 rng(kSeed);
   int changed = 0;
+  std::map<std::string, int> drawn = {{"dropped", 0}, {"duplicated", 0}, {"truncated", 0}};
+  std::vector<std::pair<std::string, SparseHypercubeSpec>> inputs;
   for (const int n : {8, 10, 12}) {
     for (const int k : {2, 3}) {
-      const auto spec = design_sparse_hypercube(n, k);
-      const SpecView view(spec);
-      const SymbolicSchedule original = make_symbolic_broadcast_schedule(spec, 0);
-      for (const bool vertex_disjoint : {false, true}) {
-        ValidationOptions opt;
-        opt.k = spec.k();
-        opt.require_vertex_disjoint = vertex_disjoint;
-        for (int it = 0; it < kMutantsPerSchedule; ++it) {
-          SymbolicSchedule mutant = original;
-          std::string how;
-          while (!mutate(mutant, rng, how)) mutant = original;
-          const FlatSchedule expanded = FlatSchedule::from_symbolic(mutant);
-          ValidationReport exact = validate_broadcast(view, expanded, opt);
-          if (const int idle = first_idle_round(expanded, exact); idle != 0) {
-            exact.ok = false;
-            exact.minimum_time = false;
-            exact.error = "round " + std::to_string(idle) + ": an informed vertex places no call";
-          }
-          const ValidationReport sym = validate_broadcast_symbolic(view, mutant, opt);
-          const std::string what = "seed " + std::to_string(kSeed) + " n=" +
-                                   std::to_string(n) + " k=" + std::to_string(k) +
-                                   (vertex_disjoint ? " vertex-disjoint" : " edge-disjoint") +
-                                   " iteration " + std::to_string(it) + ", " + how +
-                                   "\n  exact: " + exact.error + "\n  symbolic: " + sym.error;
-          EXPECT_EQ(sym.ok, exact.ok) << what;
-          EXPECT_EQ(failing_round(sym.error), failing_round(exact.error)) << what;
-          EXPECT_EQ(sym.minimum_time, exact.minimum_time) << what;
-          if (!exact.ok) ++changed;
+      inputs.emplace_back("designed n=" + std::to_string(n) + " k=" + std::to_string(k),
+                          design_sparse_hypercube(n, k));
+    }
+  }
+  for (const auto& [n, m] : {std::pair{8, 3}, std::pair{10, 4}, std::pair{12, 2}}) {
+    inputs.emplace_back("construct_base(" + std::to_string(n) + ", " + std::to_string(m) + ")",
+                        SparseHypercubeSpec::construct_base(n, m));
+  }
+  for (const auto& [name, spec] : inputs) {
+    const SpecView view(spec);
+    const SymbolicSchedule original = make_symbolic_broadcast_schedule(spec, 0);
+    for (const bool vertex_disjoint : {false, true}) {
+      ValidationOptions opt;
+      opt.k = spec.k();
+      opt.require_vertex_disjoint = vertex_disjoint;
+      for (int it = 0; it < kMutantsPerSchedule; ++it) {
+        SymbolicSchedule mutant = original;
+        std::string how;
+        while (!mutate(mutant, rng, how)) mutant = original;
+        const FlatSchedule expanded = FlatSchedule::from_symbolic(mutant);
+        ValidationReport exact = validate_broadcast(view, expanded, opt);
+        if (const int idle = first_idle_round(expanded, exact); idle != 0) {
+          exact.ok = false;
+          exact.minimum_time = false;
+          exact.error = "round " + std::to_string(idle) + ": an informed vertex places no call";
         }
+        const ValidationReport sym = validate_broadcast_symbolic(view, mutant, opt);
+        const std::string what = "seed " + std::to_string(kSeed) + " " + name +
+                                 (vertex_disjoint ? " vertex-disjoint" : " edge-disjoint") +
+                                 " iteration " + std::to_string(it) + ", " + how +
+                                 "\n  exact: " + exact.error + "\n  symbolic: " + sym.error;
+        EXPECT_EQ(sym.ok, exact.ok) << what;
+        EXPECT_EQ(failing_round(sym.error), failing_round(exact.error)) << what;
+        EXPECT_EQ(sym.minimum_time, exact.minimum_time) << what;
+        if (!exact.ok) ++changed;
+        for (auto& [kind, count] : drawn) count += how.find(kind) != std::string::npos ? 1 : 0;
       }
     }
   }
   EXPECT_GT(changed, 0) << "no mutant changed the verdict";
+  for (const auto& [kind, count] : drawn) EXPECT_GT(count, 0) << "no mutant was " << kind;
 }
 
 }  // namespace

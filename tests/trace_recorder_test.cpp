@@ -15,8 +15,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <new>
+#include <numeric>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -128,6 +130,32 @@ TEST(DeterministicMerge, EventOrderIsReproducibleAtEveryThreadCount) {
         << "merged event order drifted between identical runs at threads="
         << threads;
   }
+}
+
+TEST(DeterministicMerge, DoubledReceiverCountsAreTheSameAtEveryThreadCount) {
+  // frontier_doubled counts, per round, the receivers the engine
+  // thread's group-aware insert merged straight into their caller's
+  // entry.  The insert runs in group order at every thread count, so
+  // the per-round values are a function of the schedule alone.
+  const auto doubled = [](int threads) {
+    obs::TraceSession session({});
+    const auto spec = design_sparse_hypercube(16, 3);
+    ValidationOptions opt;
+    opt.k = spec.k();
+    SymbolicCheckOptions sopt;
+    sopt.threads = threads;
+    const auto cert = certify_broadcast_symbolic(spec, 0, opt, sopt);
+    EXPECT_TRUE(cert.report.ok) << cert.report.error;
+    std::vector<std::uint64_t> values;
+    for (const obs::TraceEvent& e : session.recorder().merged_events()) {
+      if (std::string_view(e.name) == "frontier_doubled") values.push_back(e.value);
+    }
+    EXPECT_EQ(values.size(), static_cast<std::size_t>(cert.report.rounds));
+    return values;
+  };
+  const std::vector<std::uint64_t> one = doubled(1);
+  EXPECT_GT(std::accumulate(one.begin(), one.end(), std::uint64_t{0}), 0u);
+  for (const int threads : {2, 4}) EXPECT_EQ(doubled(threads), one) << "threads=" << threads;
 }
 
 TEST(DeterministicMerge, RoundMarksMatchTheReportedRounds) {
@@ -339,6 +367,7 @@ TEST(Sinks, ChromeTraceAndRoundJsonlAreStructurallyValid) {
   EXPECT_EQ(row_count, rounds + 1);
   EXPECT_TRUE(saw_tail) << "the endgame after the last mark needs a -1 row";
   EXPECT_NE(rows.find("\"frontier_subcubes\":"), std::string::npos);
+  EXPECT_NE(rows.find("\"frontier_doubled\":"), std::string::npos);
   EXPECT_NE(rows.find("\"rss_hwm_kb\":"), std::string::npos);
 
   std::remove(chrome.c_str());

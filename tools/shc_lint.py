@@ -17,6 +17,7 @@ conventions that are easy to break silently in review.  This lint walks
   assert-guard      `assert(` in graph/, coding/, labeling/, baseline/
                     translation units, mlbg/src/broadcast.cpp,
                     mlbg/src/spec.cpp, mlbg/src/params.cpp,
+                    mlbg/src/bounds.cpp, mlbg/src/analysis.cpp,
                     sim/src/subcube.cpp, sim/subcube.hpp,
                     sim/occupancy_ledger.hpp, mlbg/broadcast.hpp,
                     sim/src/knowledge_classes.cpp
@@ -98,7 +99,8 @@ THREAD_ALLOWED_FILES = ("src/sim/include/shc/sim/worker_pool.hpp",)
 # input directly (the PR 2 bug class lived in graph/).
 ASSERT_DIRS = ("src/graph", "src/coding", "src/labeling", "src/baseline",
                "src/mlbg/src/broadcast.cpp", "src/mlbg/src/spec.cpp",
-               "src/mlbg/src/params.cpp", "src/sim/src/subcube.cpp",
+               "src/mlbg/src/params.cpp", "src/mlbg/src/bounds.cpp",
+               "src/mlbg/src/analysis.cpp", "src/sim/src/subcube.cpp",
                "src/sim/src/knowledge_classes.cpp", "src/sim/src/congestion.cpp")
 # Headers under the same rule (the rule otherwise reads only .cpp files).
 ASSERT_HEADERS = ("src/sim/include/shc/sim/subcube.hpp",

@@ -61,6 +61,27 @@ class Render(unittest.TestCase):
         self.assertIn("+5", out)
         self.assertIn("-2", out)
 
+    def test_doubled_receivers_beside_the_frontier(self) -> None:
+        rows = [
+            {"round": 1, "ts_ms": 1.0, "wall_ms": 1.0,
+             "counters": {"round_groups": 4, "frontier_subcubes": 3,
+                          "frontier_doubled": 2500}, "phases_ms": {}},
+            {"round": 2, "ts_ms": 2.0, "wall_ms": 1.0,
+             "counters": {"round_groups": 4, "frontier_subcubes": 5},
+             "phases_ms": {}},
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            status, out, err = run_main(rows_to_file(tmp, rows))
+        self.assertEqual(status, 0, err)
+        lines = out.splitlines()
+        header = lines[0].split()
+        self.assertEqual(header.index("doubled"),
+                         header.index("frontier") + 2)
+        col = header.index("doubled")
+        # Round 1 doubled 2500 entries; round 2 has no counter.
+        self.assertEqual(lines[2].split()[col], "2.50k")
+        self.assertEqual(lines[3].split()[col], "-")
+
     def test_phase_breakdown_sorted_by_time(self) -> None:
         with tempfile.TemporaryDirectory() as tmp:
             status, out, _ = run_main(rows_to_file(tmp, SAMPLE))

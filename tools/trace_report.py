@@ -9,7 +9,9 @@ mark).  The report shows:
 
   * a per-round table — round index, wall ms, call groups checked that
     round, groups/sec, frontier size and its growth over the previous
-    round, and the round's dominant phase;
+    round, the receivers that doubled their caller's frontier entry
+    (`frontier_doubled`: the group-aware insert's shortcut, which skips
+    the class scan), and the round's dominant phase;
   * the aggregate phase breakdown across the whole run;
   * the top-5 slowest rounds by wall time.
 
@@ -90,7 +92,7 @@ def render(rows: list[dict], out=None) -> None:
     tail = [r for r in rows if r.get("round", -1) < 0]
 
     header = ["round", "wall_ms", "groups", "groups/s", "frontier",
-              "growth", "dominant phase"]
+              "growth", "doubled", "dominant phase"]
     table = []
     prev_frontier = None
     for r in per_round:
@@ -98,6 +100,7 @@ def render(rows: list[dict], out=None) -> None:
         wall_ms = float(r.get("wall_ms", 0.0))
         groups = counters.get("round_groups")
         frontier = counters.get("frontier_subcubes")
+        doubled = counters.get("frontier_doubled")
         rate = "-"
         if groups is not None and wall_ms > 0:
             rate = fmt_count(float(groups) / (wall_ms / 1000.0))
@@ -113,6 +116,7 @@ def render(rows: list[dict], out=None) -> None:
             rate,
             fmt_count(frontier) if frontier is not None else "-",
             growth,
+            fmt_count(doubled) if doubled is not None else "-",
             dominant_phase(r.get("phases_ms", {})),
         ])
 
